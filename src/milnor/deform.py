@@ -28,7 +28,8 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import minimize
 
-from .errors import (DegeneratePlaneError, ParameterError, ValidationError)
+from .errors import (DegeneratePlaneError, DimensionMismatchError,
+                     ParameterError, ValidationError)
 
 _MEMBER_TOL = 1e-9
 _GRAM_TOL = 1e-12
@@ -44,19 +45,48 @@ class DeformedMetric:
         self.split = split
         self.algebra = split.algebra
         self.a = a
+        # Q_a(u, v) = sum(lift(u) * lift(v) * _lift_weights), see _lift
+        self._lift_weights = np.concatenate(
+            [np.ones(self.algebra.dim), np.full(split.dim_k, a - 1.0)])
+        # weights of the closed form's four squared norms, in the order
+        # _quartic leaves the vectors in
+        self._terms = np.array([0.75 * (1.0 - a), 0.25, 0.25,
+                                0.25 * a * (1.0 - a) ** 3])
         self._koszul = None
 
     def __repr__(self):
         return "DeformedMetric(a={:.6g}, dim_k={}, algebra={!r})".format(
             self.a, self.split.dim_k, self.algebra)
 
+    # -- lifted vectors ------------------------------------------------------
+    #
+    # The closed-form path works on lifted vectors: a flat vector (..., dim)
+    # followed by the coordinates of its k-part in the split's orthonormal k
+    # basis, (..., dim + dim_k). Lifting is linear, so the coordinates ride
+    # along through normalization and Gram-Schmidt, and each vector is
+    # projected once for its Q_a products and its m/k split.
+
+    def _lift(self, uf):
+        return np.concatenate([uf, np.dot(uf, self.split._flat_t)], axis=-1)
+
+    def _inner_lifted(self, E, F):
+        return np.vecdot(E * self._lift_weights, F)
+
+    def _parts(self, E):
+        """Lifted vectors (..., dim + dim_k) -> stacked parts (2, ..., dim):
+        the m-part, then the k-part."""
+        d = self.algebra.dim
+        parts = np.empty((2,) + E.shape[:-1] + (d,))
+        np.dot(E[..., d:], self.split._flat, out=parts[1])
+        np.subtract(E[..., :d], parts[1], out=parts[0])
+        return parts
+
     # -- inner product ----------------------------------------------------
 
     def inner(self, u, v):
         alg = self.algebra
-        uk = self.split.project_k(u)
-        vk = self.split.project_k(v)
-        return alg.inner(u, v) + (self.a - 1.0) * alg.inner(uk, vk)
+        return self._inner_lifted(self._lift(alg.flatten(u)),
+                                  self._lift(alg.flatten(v)))
 
     def norm_sq(self, u):
         return self.inner(u, u)
@@ -76,6 +106,39 @@ class DeformedMetric:
                     "{} does not lie in the {} block (residual {:.3g})".format(
                         name, where, float(np.max(resid))))
 
+    def _quartic(self, P, Q):
+        """The closed form on stacked parts P = (A, X) and Q = (B, Y), each
+        (2, ..., dim) with the m-part first; the sample axes broadcast.
+        Every closed-form value in this module comes from here."""
+        alg = self.algebra
+        a = self.a
+        # align the sample axes to the right, behind the leading parts axis
+        pad = P.ndim - Q.ndim
+        if pad > 0:
+            Q = Q.reshape(Q.shape[:1] + (1,) * pad + Q.shape[1:])
+        elif pad < 0:
+            P = P.reshape(P.shape[:1] + (1,) * -pad + P.shape[1:])
+        shape = (alg.factors, 3)
+        P = P.reshape(P.shape[:-1] + shape)[:, None]
+        Q = Q.reshape(Q.shape[:-1] + shape)[None, :]
+        # br[s, t] = [P[s], Q[t]]: ([A,B], [A,Y]), ([X,B], [X,Y])
+        br = alg.bracket(P, Q)
+        br = br.reshape(br.shape[:-2] + (alg.dim,))
+        ab, ay, xb, xy = br[0, 0], br[0, 1], br[1, 0], br[1, 1]
+        ab_k = np.dot(np.dot(ab, self.split._flat_t), self.split._flat)
+        # Overwrite br with the four vectors whose squared norms the closed
+        # form weighs; in place, so a batch allocates no more rows.
+        ay += xb
+        ay *= a
+        ab -= ab_k
+        ay += ab                           # [A,B]_m + a([X,B] + [A,Y])
+        np.multiply(xy, a * a, out=xb)
+        xb += ab_k                         # [A,B]_k + a^2 [X,Y]
+        np.multiply(xy, a, out=ab)
+        ab += ab_k                         # [A,B]_k + a [X,Y]
+        norms = np.vecdot(br, br).reshape((4,) + br.shape[2:-1])
+        return np.vecdot(norms, self._terms, axis=0)
+
     def curvature(self, A, X, B, Y, check=True):
         """Unnormalized curvature Q_a(R(A+X, B+Y)(B+Y), A+X).
 
@@ -84,28 +147,40 @@ class DeformedMetric:
         two arguments are proportional.
         """
         alg = self.algebra
-        sp = self.split
-        a = self.a
-        A = alg.check_element(np.asarray(A, dtype=float))
-        X = alg.check_element(np.asarray(X, dtype=float))
-        B = alg.check_element(np.asarray(B, dtype=float))
-        Y = alg.check_element(np.asarray(Y, dtype=float))
+        A, X, B, Y = (alg.check_element(np.asarray(w, dtype=float))
+                      for w in (A, X, B, Y))
         if check:
             self._check_parts(A, X, B, Y)
-        brAB_m, brAB_k = sp.split(alg.bracket(A, B))
-        brXY = alg.bracket(X, Y)
-        mixed = alg.bracket(X, B) + alg.bracket(A, Y)
-        t1 = 0.25 * alg.norm_sq(brAB_m + a * mixed)
-        t2 = 0.25 * alg.norm_sq(brAB_k + (a * a) * brXY)
-        t3 = 0.25 * a * (1.0 - a) ** 3 * alg.norm_sq(brXY)
-        t4 = 0.75 * (1.0 - a) * alg.norm_sq(brAB_k + a * brXY)
-        return t1 + t2 + t3 + t4
+        P = np.stack(np.broadcast_arrays(alg.flatten(A), alg.flatten(X)))
+        Q = np.stack(np.broadcast_arrays(alg.flatten(B), alg.flatten(Y)))
+        return self._quartic(P, Q)
 
-    def curvature_of_pair(self, u, v, check=False):
+    def curvature_of_pair(self, u, v):
         """curvature() after splitting two arbitrary vectors into m + k."""
-        um, uk = self.split.split(self.algebra.check_element(np.asarray(u, float)))
-        vm, vk = self.split.split(self.algebra.check_element(np.asarray(v, float)))
-        return self.curvature(um, uk, vm, vk, check=check)
+        alg = self.algebra
+        return self._quartic(self._parts(self._lift(alg.flatten(u))),
+                             self._parts(self._lift(alg.flatten(v))))
+
+    def _chart_plane(self, x):
+        """Q_a-orthonormalize the chart point x = (u, v), flat of length
+        2*dim, and evaluate the closed form on the resulting pair.
+
+        Returns (curvature, u, v) with u, v flat, or None when u or the
+        part of v orthogonal to u is (numerically) zero."""
+        d = self.algebra.dim
+        E = self._lift(x.reshape(2, d))
+        u, v = E
+        nu = math.sqrt(self._inner_lifted(u, u))
+        if nu < 1e-12:
+            return None
+        u /= nu
+        v -= self._inner_lifted(v, u) * u
+        nv = math.sqrt(self._inner_lifted(v, v))
+        if nv < 1e-9:
+            return None
+        v /= nv
+        parts = self._parts(E)
+        return float(self._quartic(parts[:, 0], parts[:, 1])), u[:d], v[:d]
 
     # -- curvature, Koszul oracle ------------------------------------------
 
@@ -163,14 +238,11 @@ class DeformedMetric:
         """Worst absolute gap between the closed-form curvature and the
         connection-based oracle over seeded random vector pairs."""
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(samples):
-            u = self.algebra.random(rng)
-            v = self.algebra.random(rng)
-            gap = abs(float(self.curvature_of_pair(u, v))
-                      - float(self.curvature_oracle_of_pair(u, v)))
-            worst = max(worst, gap)
-        return worst
+        uv = rng.standard_normal((samples, 2, self.algebra.factors, 3))
+        u, v = uv[:, 0], uv[:, 1]
+        gap = np.abs(self.curvature_of_pair(u, v)
+                     - self.curvature_oracle_of_pair(u, v))
+        return float(np.max(gap, initial=0.0))
 
     # -- sectional curvature ------------------------------------------------
 
@@ -180,33 +252,31 @@ class DeformedMetric:
         alg = self.algebra
         u = alg.check_element(np.asarray(u, dtype=float))
         v = alg.check_element(np.asarray(v, dtype=float))
-        nu = float(np.sqrt(self.norm_sq(u)))
-        nv = float(np.sqrt(self.norm_sq(v)))
-        if nu == 0.0 or nv == 0.0:
-            raise DegeneratePlaneError("zero vector cannot span a plane")
-        uh = u / nu
-        vh = v / nv
-        gram = 1.0 - float(self.inner(uh, vh)) ** 2
-        if gram < _GRAM_TOL:
+        if u.ndim != 2 or v.ndim != 2:
+            raise DimensionMismatchError("sectional takes one pair")
+        value, ok = self.sectional_batch(u, v)
+        if not ok:
             raise DegeneratePlaneError(
-                "Gram determinant {:.3g} below threshold".format(gram))
-        return float(self.curvature_of_pair(uh, vh)) / gram
+                "u and v span no plane (a zero vector, or a Gram determinant "
+                "below {:.0e})".format(_GRAM_TOL))
+        return float(value)
 
     def sectional_batch(self, U, V):
         """Vectorized sectional curvature. Returns (values, valid) where
         valid flags planes whose Gram determinant cleared the threshold;
         invalid slots hold +inf."""
-        nu = np.sqrt(self.norm_sq(U))
-        nv = np.sqrt(self.norm_sq(V))
+        alg = self.algebra
+        Eu = self._lift(alg.flatten(U))
+        Ev = self._lift(alg.flatten(V))
+        nu = np.sqrt(self._inner_lifted(Eu, Eu))
+        nv = np.sqrt(self._inner_lifted(Ev, Ev))
         ok = (nu > 0) & (nv > 0)
-        nu = np.where(nu > 0, nu, 1.0)
-        nv = np.where(nv > 0, nv, 1.0)
-        uh = U / nu[..., None, None]
-        vh = V / nv[..., None, None]
-        gram = 1.0 - self.inner(uh, vh) ** 2
+        Eu /= np.where(nu > 0, nu, 1.0)[..., None]
+        Ev /= np.where(nv > 0, nv, 1.0)[..., None]
+        gram = 1.0 - self._inner_lifted(Eu, Ev) ** 2
         ok &= gram >= _GRAM_TOL
-        vals = np.where(ok, self.curvature_of_pair(uh, vh)
-                        / np.where(ok, gram, 1.0), np.inf)
+        curv = self._quartic(self._parts(Eu), self._parts(Ev))
+        vals = np.where(ok, curv / np.where(ok, gram, 1.0), np.inf)
         return vals, ok
 
 
@@ -250,32 +320,18 @@ class PlaneSearchResult:
     scan_min: float
 
 
-def _gram_schmidt_pair(metric, x):
-    """Split a 2*dim chart vector into a Q_a-orthonormal pair, or None."""
-    alg = metric.algebra
-    d = alg.dim
-    u = alg.unflatten(x[:d])
-    v = alg.unflatten(x[d:])
-    nu = math.sqrt(float(metric.norm_sq(u)))
-    if nu < 1e-12:
-        return None
-    u = u / nu
-    v = v - float(metric.inner(v, u)) * u
-    nv = math.sqrt(float(metric.norm_sq(v)))
-    if nv < 1e-9:
-        return None
-    return u, v / nv
-
-
 def find_negative_plane(metric, budget=100_000, seed=0, threshold=-1e-10):
     """Seeded search for a plane with sectional curvature below threshold.
 
     Phase one scans random planes; phase two runs Nelder-Mead descents on
     the orthonormalized-pair chart, starting from the worst scanned planes
     and then from fresh random points, until the evaluation budget runs
-    out. Deterministic for a fixed (budget, seed). A found plane is
-    re-evaluated with curvature_oracle so the closed form never certifies
-    itself.
+    out. The objective at a chart point x = (u, v) is the closed-form
+    curvature of its Q_a-orthonormalized pair, or a penalty of 1e6 where
+    that pair degenerates; the reported plane and value come from the same
+    evaluation at the final point. Deterministic for a fixed (budget,
+    seed). A reported plane is re-evaluated with curvature_oracle so the
+    closed form never certifies itself.
     """
     if budget < 10:
         raise ParameterError("budget too small to do anything")
@@ -294,23 +350,19 @@ def find_negative_plane(metric, budget=100_000, seed=0, threshold=-1e-10):
     scan_min = float(vals[order[0]])
 
     def objective(x):
-        pair = _gram_schmidt_pair(metric, x)
-        if pair is None:
-            return 1.0e6
-        return float(metric.curvature_of_pair(*pair))
+        plane = metric._chart_plane(x)
+        return 1.0e6 if plane is None else plane[0]
 
-    def finish(x):
-        pair = _gram_schmidt_pair(metric, x)
-        u, v = pair
-        value = float(metric.curvature_of_pair(u, v))
+    def result(found, x):
+        value, uf, vf = metric._chart_plane(x)
+        u, v = alg.unflatten(uf), alg.unflatten(vf)
         oracle = float(metric.curvature_oracle_of_pair(u, v))
-        return u, v, value, oracle
+        return PlaneSearchResult(found, value, u, v, oracle, evals, scan_min)
 
     best_x = np.concatenate([alg.flatten(U[order[0]]), alg.flatten(V[order[0]])])
     best_val = scan_min
     if scan_min < threshold:
-        u, v, value, oracle = finish(best_x)
-        return PlaneSearchResult(True, value, u, v, oracle, evals, scan_min)
+        return result(True, best_x)
 
     starts = [np.concatenate([alg.flatten(U[i]), alg.flatten(V[i])])
               for i in order[:8] if np.isfinite(vals[i])]
@@ -324,11 +376,9 @@ def find_negative_plane(metric, budget=100_000, seed=0, threshold=-1e-10):
             best_val = float(res.fun)
             best_x = res.x
         if res.fun < threshold:
-            u, v, value, oracle = finish(res.x)
-            return PlaneSearchResult(True, value, u, v, oracle, evals, scan_min)
+            return result(True, res.x)
 
-    u, v, value, oracle = finish(best_x)
-    return PlaneSearchResult(False, value, u, v, oracle, evals, scan_min)
+    return result(False, best_x)
 
 
 def negative_plane_witness(metric):

@@ -237,7 +237,7 @@ def find_almost_free_lift(k, l, bound=None):
         for q_minus, q_plus in q_solutions:
             if p_minus != q_minus and p_plus != q_plus:
                 out.append((p_minus, q_minus, p_plus, q_plus))
-    for tup in out[:3]:
+    for tup in out:
         if classify_pair(*tup) != (k, l):
             raise AssertionError("lift classifies to the wrong pair")
     return sorted(out)

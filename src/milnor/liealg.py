@@ -180,7 +180,22 @@ class Su2Power:
     def bracket(self, u, v):
         u = self.check_element(u)
         v = self.check_element(v)
-        return 2.0 * np.cross(u, v)
+        # 2 * np.cross written out: np.cross costs more than the arithmetic.
+        u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+        v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+        tmp = u2 * v1
+        out = np.empty(tmp.shape + (3,))
+        o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
+        np.multiply(u1, v2, out=o0)
+        o0 -= tmp
+        np.multiply(u2, v0, out=o1)
+        np.multiply(u0, v2, out=tmp)
+        o1 -= tmp
+        np.multiply(u0, v1, out=o2)
+        np.multiply(u1, v0, out=tmp)
+        o2 -= tmp
+        out *= 2.0
+        return out
 
     def inner(self, u, v):
         u = self.check_element(u)
@@ -237,6 +252,7 @@ class ReductiveSplit:
             raise ValidationError("subalgebra basis is not Q-orthonormal")
         self.k_basis = k_basis
         self._flat = flat
+        self._flat_t = np.ascontiguousarray(flat.T)
         self.dim_k = r
         self.dim_m = algebra.dim - r
         self._check_closure()
@@ -283,8 +299,8 @@ class ReductiveSplit:
 
     def project_k(self, u):
         u = self.algebra.check_element(u)
-        coeff = np.tensordot(u, self.k_basis, axes=[(-2, -1), (-2, -1)])
-        return np.tensordot(coeff, self.k_basis, axes=[(-1,), (0,)])
+        flat = u.reshape(u.shape[:-2] + (self.algebra.dim,))
+        return np.dot(np.dot(flat, self._flat_t), self._flat).reshape(u.shape)
 
     def project_m(self, u):
         return self.algebra.check_element(u) - self.project_k(u)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from milnor import isotropy
 from milnor.bundles import classify_pair, canonical_solution
 from milnor.errors import ParameterError, ValidationError
 from milnor.isotropy import (
@@ -179,6 +180,18 @@ def test_lift_results_are_sorted_and_classified():
     for tup in lifts:
         assert classify_pair(*tup) == (3, 2)
     assert (5, -3, 1, 5) in lifts
+
+
+def test_lift_check_covers_every_returned_tuple(monkeypatch):
+    calls = []
+
+    def wrong_on_the_fourth(*tup):
+        calls.append(tup)
+        return (None, None) if len(calls) == 4 else classify_pair(*tup)
+
+    monkeypatch.setattr(isotropy, "classify_pair", wrong_on_the_fourth)
+    with pytest.raises(AssertionError, match="wrong pair"):
+        find_almost_free_lift(1, 0, bound=13)
 
 
 # -- diagrams -----------------------------------------------------------------

@@ -124,3 +124,37 @@ def test_factor_index_bounds():
         ReductiveSplit.factor(alg, 2)
     with pytest.raises(ValidationError):
         ReductiveSplit.circle(alg, alg.zero())
+
+
+@pytest.mark.parametrize("u_shape, v_shape", [
+    ((), ()),                # one element each
+    ((40,), (40,)),          # a batch
+    ((), (40,)),             # one element against a batch
+    ((6, 1), (1, 5)),        # two sample axes that broadcast
+])
+@pytest.mark.parametrize("factors", [1, 3])
+def test_bracket_is_twice_np_cross_bitwise(factors, u_shape, v_shape):
+    alg = Su2Power(factors)
+    u = alg.random(RNG, u_shape)
+    v = alg.random(RNG, v_shape)
+    got = alg.bracket(u, v)
+    want = 2.0 * np.cross(u, v)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda alg: ReductiveSplit.diagonal(alg),
+    lambda alg: ReductiveSplit.factor(alg, 1),
+    lambda alg: ReductiveSplit.circle(alg, [[0.6, 0.0, 0.8], [0.0, 1.0, 0.0], [0.3, 0.0, 0.0]]),
+])
+def test_project_k_matches_the_tensordot_form(factory):
+    alg = Su2Power(3)
+    split = factory(alg)
+    u = alg.random(RNG, (30, 4))
+    coeff = np.tensordot(u, split.k_basis, axes=[(-2, -1), (-2, -1)])
+    want = np.tensordot(coeff, split.k_basis, axes=[(-1,), (0,)])
+    scale = alg.norm(u)[..., None, None]
+    assert np.max(np.abs(split.project_k(u) - want) / scale) <= 1e-15
+    single = split.project_k(u[3, 2])
+    assert np.max(np.abs(single - want[3, 2])) <= 1e-15 * float(alg.norm(u[3, 2]))

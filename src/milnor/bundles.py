@@ -12,21 +12,14 @@ exact integer arithmetic.
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, ValidationError
-
-
-def _check_label(p, name):
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise ValidationError("{} must be an integer".format(name))
-    if p % 4 != 1:
-        raise ValidationError(
-            "{} must be congruent to 1 mod 4, got {}".format(name, p))
+from .errors import (ParameterError, ValidationError, require_int,
+                     require_label)
 
 
 def euler_class(p_minus, p_plus):
     """Euler number k = (p_-^2 - p_+^2)/8 of the label pair."""
-    _check_label(p_minus, "p_minus")
-    _check_label(p_plus, "p_plus")
+    require_label(p_minus, "p_minus")
+    require_label(p_plus, "p_plus")
     num = p_minus * p_minus - p_plus * p_plus
     if num % 8 != 0:
         raise ValidationError("label pair is not in the solvable class")
@@ -58,14 +51,13 @@ def solve_euler(k, bound=None):
     sorted by (|p_-|, |p_+|, p_-, p_+), which reproduces printed solution
     lists.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ParameterError("k must be an integer")
+    require_int(k, "k")
     if k == 0:
         if bound is None:
             raise ParameterError(
                 "k = 0 has the infinite family (p, p); pass a bound on |p|")
-        sols = [(p, p) for p in range(-int(bound), int(bound) + 1)
-                if p % 4 == 1]
+        require_int(bound, "bound")
+        sols = [(p, p) for p in range(-bound, bound + 1) if p % 4 == 1]
     else:
         found = set()
         for d in _odd_divisors(k):
@@ -85,8 +77,7 @@ def canonical_solution(k):
     """One distinguished solution of euler_class = k:
     (2k+1, -2k+1) for even k, (-k-2, -k+2) for k = 1 mod 4,
     (k+2, k-2) for k = 3 mod 4."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ParameterError("k must be an integer")
+    require_int(k, "k")
     if k % 2 == 0:
         pair = (2 * k + 1, -2 * k + 1)
     elif k % 4 == 1:
@@ -126,8 +117,8 @@ def mayer_vietoris_matrix(p_minus, p_plus):
     """Matrix ((-1, 1), (p_-^2, -p_+^2)) of the glueing difference map;
     its determinant is -8k, so the degree-4 torsion group of the total
     space has order |k| (free of rank 1 when k = 0)."""
-    _check_label(p_minus, "p_minus")
-    _check_label(p_plus, "p_plus")
+    require_label(p_minus, "p_minus")
+    require_label(p_plus, "p_plus")
     matrix = ((-1, 1), (p_minus * p_minus, -p_plus * p_plus))
     det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     if det % 8 != 0:
@@ -146,15 +137,13 @@ TOTAL_SPACE_RESIDUES = frozenset({0, 1, 3, 4, 6, 7, 9, 10})
 def s7_bundle_class(k):
     """Residue k(k+1)/2 mod 12 classifying the total space of the
     (k, 1)-family up to equivariant diffeomorphism."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ParameterError("k must be an integer")
+    require_int(k, "k")
     return (k * (k + 1) // 2) % 12
 
 
 def s7_orientation_partner(residue):
     """Reversing orientation negates the residue mod 12."""
-    if not isinstance(residue, int) or isinstance(residue, bool):
-        raise ParameterError("residue must be an integer")
+    require_int(residue, "residue")
     return (-residue) % 12
 
 
@@ -192,8 +181,10 @@ def cohomology_report(kind, k, l=None):
       'principal33' principal product-of-3-spheres bundle of the pair (k, l)
     Only nonzero groups are listed, as (degree, description) pairs.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ParameterError("k must be an integer")
+    require_int(k, "k")
+    if kind in ("sphere3", "principal33") and (
+            not isinstance(l, int) or isinstance(l, bool)):
+        raise ParameterError("kind {!r} needs the second label l".format(kind))
     notes = []
     ring = ""
     if kind == "principal3":
@@ -223,8 +214,6 @@ def cohomology_report(kind, k, l=None):
                          "different ring")
         notes.append("sign-reversed label gives a diffeomorphic total space")
     elif kind == "sphere3":
-        if l is None or not isinstance(l, int) or isinstance(l, bool):
-            raise ParameterError("kind 'sphere3' needs the second label l")
         label = (k, l)
         e = k + l
         if e == 0:
@@ -238,8 +227,6 @@ def cohomology_report(kind, k, l=None):
         if abs(e) == 1:
             notes.append("homeomorphic to the 7-sphere")
     elif kind == "principal33":
-        if l is None or not isinstance(l, int) or isinstance(l, bool):
-            raise ParameterError("kind 'principal33' needs the second label l")
         label = (k, l)
         g = math.gcd(k, l)
         if g == 0:

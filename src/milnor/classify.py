@@ -10,21 +10,16 @@ odd dimensions, and the free-involution quotients in dimension 5.
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfRegimeError, ParameterError
+from .errors import OutOfRegimeError, ParameterError, require_int
 
 #: Order of the group of oriented homotopy 7-spheres under connected sum.
 SPHERE7_GROUP_ORDER = 28
 
 
-def _check_int(x, name):
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ParameterError("{} must be an integer".format(name))
-
-
 def euler_number(k, l):
     """Euler number of the 3-sphere bundle with labels (k, l)."""
-    _check_int(k, "k")
-    _check_int(l, "l")
+    require_int(k, "k")
+    require_int(l, "l")
     return k + l
 
 
@@ -36,14 +31,14 @@ def is_homotopy_sphere(k, l):
 def eells_kuiper(k):
     """Oriented diffeomorphism class k(k-1)/2 mod 28 of the unit-Euler-
     number member with labels (k, 1-k)."""
-    _check_int(k, "k")
+    require_int(k, "k")
     return (k * (k - 1) // 2) % SPHERE7_GROUP_ORDER
 
 
 def orientation_fold(value):
     """Identify a class with its orientation reverse: v ~ 28 - v, reported
     by the representative in 0..14."""
-    _check_int(value, "value")
+    require_int(value, "value")
     v = value % SPHERE7_GROUP_ORDER
     return min(v, (SPHERE7_GROUP_ORDER - v) % SPHERE7_GROUP_ORDER)
 
@@ -73,8 +68,8 @@ def diffeo_equiv(k, m):
     mod 8). The two must agree identically; any divergence is a bug, not
     an input problem.
     """
-    _check_int(k, "k")
-    _check_int(m, "m")
+    require_int(k, "k")
+    require_int(m, "m")
     direct = (k * (k - 1) - m * (m - 1)) % 56 == 0
     split = (m % 7 in (k % 7, (1 - k) % 7)) and (m % 8 in (k % 8, (1 - k) % 8))
     if direct != split:
@@ -102,8 +97,8 @@ def brieskorn_classify(n, d):
     d = +-3 mod 8 the Kervaire sphere, which is exotic exactly when n + 1
     is not a power of 2.
     """
-    _check_int(n, "n")
-    _check_int(d, "d")
+    require_int(n, "n")
+    require_int(d, "d")
     if n < 2:
         raise ParameterError("n must be at least 2")
     if d < 1:
@@ -149,7 +144,7 @@ def rp5_type(d):
     twisted). The caveat field records why the four oriented types might
     a priori collapse.
     """
-    _check_int(d, "d")
+    require_int(d, "d")
     if d % 2 == 0:
         raise OutOfRegimeError("the involution only exists for odd d")
     if d < 1:

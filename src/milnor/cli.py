@@ -219,17 +219,25 @@ def _parse_algebra(text):
     if text == "su2":
         return Su2Power(1)
     if text.startswith("su2^"):
-        n = int(text[4:])
-        return Su2Power(n)
-    raise argparse.ArgumentTypeError(
-        "algebra must be su2 or su2^N, got {!r}".format(text))
+        try:
+            n = int(text[4:])
+        except ValueError:
+            pass
+        else:
+            return Su2Power(n)
+    raise MilnorError("algebra must be su2 or su2^N, got {!r}".format(text))
 
 
 def _parse_subalgebra(algebra, text):
     if text == "diagonal":
         return ReductiveSplit.diagonal(algebra)
     if text.startswith("factor"):
-        return ReductiveSplit.factor(algebra, int(text[6:] or "0"))
+        try:
+            index = int(text[6:] or "0")
+        except ValueError:
+            pass
+        else:
+            return ReductiveSplit.factor(algebra, index)
     if text.startswith("span-"):
         axis = {"i": 0, "j": 1, "k": 2}.get(text[5:])
         if axis is None:

@@ -22,14 +22,13 @@ tensor from Koszul structure constants on a Q_a-orthonormal basis.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import minimize
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
-                     ParameterError, ValidationError)
+                     ParameterError, ValidationError, as_fraction)
 
 _MEMBER_TOL = 1e-9
 _GRAM_TOL = 1e-12
@@ -420,42 +419,31 @@ def witness_plane_value(a):
 # -- quotient scaling ------------------------------------------------------
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    return None
+def _positive_lam(lam):
+    """lam as a positive Fraction when it is an int or a Fraction, else as
+    a positive finite float."""
+    value = as_fraction(lam)
+    if value is None:
+        value = float(lam)
+    if not 0 < value < math.inf:
+        raise ParameterError("lam must be positive")
+    return value
 
 
 def cheeger_quotient_factors(lam):
     """Block scalings of the metric induced on the quotient of the
     product-with-shrunk-orbit construction: the transverse block keeps its
     metric, the orbit block shrinks by lam/(lam+1). Exact for rational lam."""
-    exact = _as_fraction(lam)
-    if exact is not None:
-        if exact <= 0:
-            raise ParameterError("lam must be positive")
-        return (Fraction(1), exact / (exact + 1))
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ParameterError("lam must be positive")
-    return (1.0, lam / (lam + 1.0))
+    lam = _positive_lam(lam)
+    return (type(lam)(1), lam / (lam + 1))
 
 
 def compensating_scale(lam):
     """The subalgebra scale a = (lam+1)/lam whose quotient shrink lands
     back on the undeformed metric: a * lam/(lam+1) = 1. Exact for rational
     lam."""
-    exact = _as_fraction(lam)
-    if exact is not None:
-        if exact <= 0:
-            raise ParameterError("lam must be positive")
-        return (exact + 1) / exact
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ParameterError("lam must be positive")
-    return (lam + 1.0) / lam
+    lam = _positive_lam(lam)
+    return (lam + 1) / lam
 
 
 # -- horizontal space of the quotient submersion ---------------------------

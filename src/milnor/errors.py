@@ -1,11 +1,20 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the validators that
+raise it.
 
 Everything raised on purpose derives from MilnorError, so callers (and the
 CLI) can distinguish domain failures from genuine bugs. Validation errors
 cover malformed mathematical input (wrong congruence class, non-orthonormal
-basis, non-unit quaternion); parameter errors cover out-of-range knobs
-(negative deformation scale, missing truncation bound).
+basis); parameter errors cover out-of-range knobs (negative deformation
+scale, missing truncation bound).
+
+The exact layers check their arguments through three helpers kept here,
+next to the exceptions they raise: require_int (a ParameterError unless
+the value is an int and not a bool), require_label (a ValidationError
+unless it is an integer label congruent to 1 mod 4) and as_fraction (the
+exact value of an int or Fraction, None for anything else).
 """
+
+from fractions import Fraction
 
 
 class MilnorError(Exception):
@@ -38,3 +47,28 @@ class ProfileError(MilnorError, ValueError):
 
 class OutOfRegimeError(MilnorError, ValueError):
     """The requested classification only makes sense for other parameters."""
+
+
+def require_int(x, name):
+    """Raise ParameterError unless x is an int (bool is not one)."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ParameterError("{} must be an integer".format(name))
+
+
+def require_label(p, name):
+    """Raise ValidationError unless p is an integer congruent to 1 mod 4."""
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValidationError("{} must be an integer".format(name))
+    if p % 4 != 1:
+        raise ValidationError(
+            "{} must be congruent to 1 mod 4, got {}".format(name, p))
+
+
+def as_fraction(x):
+    """x as an exact Fraction when it is an int or a Fraction (bool is
+    neither), otherwise None."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    return None

@@ -17,20 +17,12 @@ the whole construction lives in the window 1 < a <= 4/3.
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .deform import scan_min_sectional
-from .errors import (NoFiniteMatchingError, ParameterError, ProfileError)
-
-
-def _rational(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    return None
+from .errors import (NoFiniteMatchingError, ParameterError, ProfileError,
+                     as_fraction, require_int)
 
 
 def matching_level_sq(a, r):
@@ -39,7 +31,7 @@ def matching_level_sq(a, r):
     Exact (Fraction) when a and r are rational; requires a > 1 for a
     finite level and r > 0.
     """
-    aq, rq = _rational(a), _rational(r)
+    aq, rq = as_fraction(a), as_fraction(r)
     if aq is not None and rq is not None:
         if rq <= 0:
             raise ParameterError("radius r must be positive")
@@ -345,8 +337,7 @@ def codim_one_rule(codimension):
     normal slice, nothing to match), codimension 2 is the deformed-disc
     construction certified by nonneg_certificate, higher codimension has
     no general recipe here."""
-    if not isinstance(codimension, int) or isinstance(codimension, bool):
-        raise ParameterError("codimension must be an integer")
+    require_int(codimension, "codimension")
     if codimension < 1:
         raise ParameterError("codimension must be at least 1")
     if codimension == 1:

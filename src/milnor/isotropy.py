@@ -21,17 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import canonical_solution, classify_pair, solve_euler
-from .errors import ParameterError, ValidationError
+from .errors import (ParameterError, ValidationError, require_int,
+                     require_label)
 
 BASE_TYPES = frozenset({"1", "Z2", "D2"})
-
-
-def _check_label(p, name):
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise ValidationError("{} must be an integer".format(name))
-    if p % 4 != 1:
-        raise ValidationError(
-            "{} must be congruent to 1 mod 4, got {}".format(name, p))
 
 
 def canonical_type_labels(order):
@@ -78,7 +71,7 @@ def orbit_types(p_minus, q_minus, p_plus, q_plus):
     """Orbit types of the rotation action with the given label tuple."""
     for val, name in ((p_minus, "p_minus"), (q_minus, "q_minus"),
                       (p_plus, "p_plus"), (q_plus, "q_plus")):
-        _check_label(val, name)
+        require_label(val, name)
     sums = (abs(p_minus + q_minus), abs(p_plus + q_plus))
     diffs = (abs(p_minus - q_minus), abs(p_plus - q_plus))
     if any(s % 2 for s in sums + diffs):
@@ -127,9 +120,11 @@ def table_42(k, l, n=None):
     canonical_solution(l) with the slots swapped. l = 0 is an n-indexed
     family ((q_-, q_+) = (4n+1, 4n+1)) and needs n."""
     p_minus, p_plus = canonical_solution(k)
+    require_int(l, "l")
     if l == 0:
         if n is None:
             raise ParameterError("l = 0 is an n-indexed family; pass n")
+        require_int(n, "n")
         q_minus = q_plus = 4 * n + 1
     else:
         q_plus, q_minus = canonical_solution(l)
@@ -140,13 +135,12 @@ def table_42_orders(k, l, n=None):
     """The same four dihedral orders from the printed closed forms
     (independent of the canonical-solution route; used to cross-check it).
     Returned sorted as a multiset."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ParameterError("k must be an integer")
-    if not isinstance(l, int) or isinstance(l, bool):
-        raise ParameterError("l must be an integer")
+    require_int(k, "k")
+    require_int(l, "l")
     if l == 0:
         if n is None:
             raise ParameterError("l = 0 is an n-indexed family; pass n")
+        require_int(n, "n")
         if k % 2 == 0:
             orders = (abs(2 * n + 1 + k), abs(2 * n + 1 - k),
                       abs(2 * n + k), abs(2 * n - k))
@@ -182,6 +176,7 @@ def hopf_family(n):
     fibration, one per integer n: label tuple (-3, 4n+1, 1, 4n+1), orbit
     types (1), (Z2), (D2) plus D|2n-1|, D|2n|, D|2n+1|, D|2n+2| after
     degeneration. Almost free iff n not in {0, -1}."""
+    require_int(n, "n")
     ts = orbit_types(-3, 4 * n + 1, 1, 4 * n + 1)
     expected = tuple(sorted((abs(2 * n - 1), abs(2 * n),
                              abs(2 * n + 1), abs(2 * n + 2))))
@@ -197,10 +192,8 @@ def cor_47_families(k, n):
     them against the period-shift closed forms: orders |k'+1 +- 1|/2 and
     |3k'-1 +- 3|/2 for even k, |k'-2 +- 1|/2 and |3k'-2 +- 3|/2 for odd k,
     with k' = k + 56n."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ParameterError("k must be an integer")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParameterError("n must be an integer")
+    require_int(k, "k")
+    require_int(n, "n")
     kp = k + 56 * n
     # kp = 1 lands on the l = 0 family; its distinguished member is the
     # canonical q-pair (1, 1), the index-0 slot.
@@ -227,6 +220,8 @@ def find_almost_free_lift(k, l, bound=None):
     enough that the finitely many labels on the other side can never
     exclude the whole window: each pair there rules out at most two
     family members."""
+    require_int(k, "k")
+    require_int(l, "l")
     window = bound
     if window is None and (k == 0 or l == 0):
         window = 101
@@ -251,11 +246,9 @@ class PinLike:
     """Circle-with-flip subgroup of a product of unit-quaternion groups:
     theta -> (exp(axis slopes[t] theta))_t, plus the coset of the flip
     whose every slot is the complementary unit (j for an i-circle, i for
-    a j-circle). flip_last_trivial builds a broken variant whose flip is
-    the identity in the last slot; it exists for freeness tests."""
+    a j-circle)."""
     axis: str
     slopes: tuple
-    flip_last_trivial: bool = False
 
     def __post_init__(self):
         if self.axis not in ("i", "j"):
@@ -293,8 +286,8 @@ def sphere_diagram():
 def principal_diagram(p_minus, p_plus):
     """Two factors, slopes (p, 1): the total space of the principal
     3-sphere bundle with Euler number (p_-^2 - p_+^2)/8."""
-    _check_label(p_minus, "p_minus")
-    _check_label(p_plus, "p_plus")
+    require_label(p_minus, "p_minus")
+    require_label(p_plus, "p_plus")
     return GroupDiagram(2, PinLike("i", (p_minus, 1)),
                         PinLike("j", (p_plus, 1)))
 
@@ -305,19 +298,9 @@ def two_parameter_diagram(p_minus, q_minus, p_plus, q_plus):
     ((p_-^2-p_+^2)/8, -(q_-^2-q_+^2)/8)."""
     for val, name in ((p_minus, "p_minus"), (q_minus, "q_minus"),
                       (p_plus, "p_plus"), (q_plus, "q_plus")):
-        _check_label(val, name)
+        require_label(val, name)
     return GroupDiagram(3, PinLike("i", (p_minus, q_minus, 1)),
                         PinLike("j", (p_plus, q_plus, 1)))
-
-
-def rotation_lift_diagram(p_minus, q_minus, p_plus, q_plus):
-    """Two factors, slopes (p, q): the maps along which the rotation
-    action's isotropy is computed."""
-    for val, name in ((p_minus, "p_minus"), (q_minus, "q_minus"),
-                      (p_plus, "p_plus"), (q_plus, "q_plus")):
-        _check_label(val, name)
-    return GroupDiagram(2, PinLike("i", (p_minus, q_minus)),
-                        PinLike("j", (p_plus, q_plus)))
 
 
 def _circle_hits(slopes, target):
@@ -368,9 +351,6 @@ def validate_diagram(diagram):
         else:
             violations.append(
                 "principal isotropy not contained in the {} subgroup".format(side))
-        if part.flip_last_trivial:
-            violations.append(
-                "{} flip is trivial in the last slot (broken variant)".format(side))
     return DiagramReport(ok=not violations, violations=tuple(violations),
                          notes=tuple(notes))
 
@@ -389,9 +369,8 @@ def check_principal_freeness(diagram):
     For a circle with slopes s and last slope b != 0, injectivity says
     every angle killed in the last slot (x = m/|b|) is killed in all
     slots, i.e. b divides s_t * m. The flip coset can never project to the
-    identity because its last slot is a flip times a circle element,
-    except in the broken flip_last_trivial variants. The diagonal
-    principal isotropy is always injective slotwise.
+    identity because its last slot is a flip times a circle element. The
+    diagonal principal isotropy is always injective slotwise.
     """
     if diagram.factors < 2:
         raise ParameterError("freeness needs at least two factors")
@@ -410,47 +389,4 @@ def check_principal_freeness(diagram):
                         "{} circle meets the acting factor at angle "
                         "{}/{}".format(side, m, abs(b)))
                     break
-        if part.flip_last_trivial:
-            violations.append(
-                "{} flip coset projects into the acting factor".format(side))
     return FreenessReport(free=not violations, violations=tuple(violations))
-
-
-# -- lifted circle isotropy ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BinaryDihedralGroup:
-    """<exp(2 pi i/|p|), j> inside the unit quaternions: cyclic part of
-    order 2|p| (the sign comes along for odd |p|), total order 4|p|;
-    its image under the double cover is the dihedral group of order
-    2|p|."""
-    p: int
-    order: int
-    so3_image_order: int
-    generators: tuple
-
-
-def binary_dihedral_lift(p_minus, p_plus):
-    """Isotropy groups of the unit-quaternion action on the principal
-    total space with labels (p_-, p_+): one binary dihedral group per
-    half."""
-    _check_label(p_minus, "p_minus")
-    _check_label(p_plus, "p_plus")
-
-    def descriptor(p):
-        m = abs(p)
-        return BinaryDihedralGroup(
-            p=p, order=4 * m, so3_image_order=2 * m,
-            generators=("exp(2*pi*i/{})".format(m), "j"))
-
-    return descriptor(p_minus), descriptor(p_plus)
-
-
-def binary_dihedral_elements(p):
-    """The 4|p| elements as (axis_angle_halfturns, flipped) pairs:
-    e^(i pi t / |p|) for t in 0..2|p|-1, optionally multiplied by j.
-    Kept symbolic so tests can realize them as quaternions."""
-    m = abs(p)
-    return [(Fraction(t, m), flip) for flip in (False, True)
-            for t in range(2 * m)]

@@ -1,4 +1,4 @@
-"""Quaternions, products of su(2), and orthogonal reductive splittings.
+"""Products of su(2) and orthogonal reductive splittings.
 
 Elements of su(2)^n are numpy arrays of shape (n, 3): row t holds the
 (i, j, k) components of factor t. The reference bi-invariant product Q makes
@@ -15,126 +15,6 @@ import numpy as np
 from .errors import DimensionMismatchError, ParameterError, ValidationError
 
 _ORTHO_TOL = 1e-12
-_UNIT_TOL = 1e-9
-
-_AXES = {"i": np.array([1.0, 0.0, 0.0]),
-         "j": np.array([0.0, 1.0, 0.0]),
-         "k": np.array([0.0, 0.0, 1.0])}
-
-
-class Quaternion:
-    """A real quaternion w + x i + y j + z k with Hamilton's product."""
-
-    __slots__ = ("w", "x", "y", "z")
-
-    def __init__(self, w=0.0, x=0.0, y=0.0, z=0.0):
-        self.w = float(w)
-        self.x = float(x)
-        self.y = float(y)
-        self.z = float(z)
-
-    def __repr__(self):
-        return "Quaternion({:.12g}, {:.12g}, {:.12g}, {:.12g})".format(
-            self.w, self.x, self.y, self.z)
-
-    def __add__(self, other):
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other):
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __neg__(self):
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = other.w, other.x, other.y, other.z
-        return Quaternion(a * e - b * f - c * g - d * h,
-                          a * f + b * e + c * h - d * g,
-                          a * g - b * h + c * e + d * f,
-                          a * h + b * g - c * f + d * e)
-
-    def __rmul__(self, scalar):
-        return self * scalar
-
-    def conjugate(self):
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm(self):
-        return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
-
-    def normalized(self):
-        n = self.norm()
-        if n == 0.0:
-            raise ParameterError("cannot normalize the zero quaternion")
-        return self * (1.0 / n)
-
-    def inverse(self):
-        n2 = self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
-        if n2 == 0.0:
-            raise ParameterError("zero quaternion has no inverse")
-        return self.conjugate() * (1.0 / n2)
-
-    def vector(self):
-        """Imaginary part as a 3-vector (i, j, k components)."""
-        return np.array([self.x, self.y, self.z])
-
-    def is_unit(self, tol=_UNIT_TOL):
-        return abs(self.norm() - 1.0) <= tol
-
-    def allclose(self, other, tol=1e-12):
-        return (abs(self.w - other.w) <= tol and abs(self.x - other.x) <= tol
-                and abs(self.y - other.y) <= tol
-                and abs(self.z - other.z) <= tol)
-
-    @staticmethod
-    def from_vector(v, w=0.0):
-        v = np.asarray(v, dtype=float)
-        return Quaternion(w, v[0], v[1], v[2])
-
-    @staticmethod
-    def exp_axis(axis, angle):
-        """cos(angle) + sin(angle) * axis, for axis one of 'i', 'j', 'k'
-        or a unit 3-vector. Parametrizes the one-parameter subgroups."""
-        if isinstance(axis, str):
-            u = _AXES[axis]
-        else:
-            u = np.asarray(axis, dtype=float)
-            nu = float(np.linalg.norm(u))
-            if abs(nu - 1.0) > _UNIT_TOL:
-                raise ValidationError("axis must be a unit vector")
-        s = math.sin(angle)
-        return Quaternion(math.cos(angle), s * u[0], s * u[1], s * u[2])
-
-
-ONE = Quaternion(1.0)
-I = Quaternion(0.0, 1.0)
-J = Quaternion(0.0, 0.0, 1.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def double_cover(q, tol=_UNIT_TOL):
-    """Rotation matrix of v -> q v q^-1 on the imaginary quaternions.
-
-    The map is the standard two-to-one cover of the rotation group by unit
-    quaternions: q and -q give the same matrix, and only they do.
-    """
-    if not isinstance(q, Quaternion):
-        raise ValidationError("double_cover expects a Quaternion")
-    if not q.is_unit(tol):
-        raise ValidationError(
-            "double_cover needs a unit quaternion, got norm {:.6g}".format(q.norm()))
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
 
 
 class Su2Power:
@@ -147,7 +27,8 @@ class Su2Power:
     """
 
     def __init__(self, factors):
-        if not isinstance(factors, int) or factors < 1:
+        if not isinstance(factors, int) or isinstance(factors, bool) \
+                or factors < 1:
             raise ParameterError("factors must be a positive integer")
         self.factors = factors
         self.dim = 3 * factors

@@ -220,3 +220,23 @@ def test_usage_errors_exit_two(capsys):
         cli.main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--algebra", "so3"),
+    ("--algebra", "su2^x"),
+    ("--subalgebra", "factorx"),
+])
+def test_curvature_scan_malformed_algebra_is_domain_error(capsys, flag, text):
+    code, out, err = run(capsys, "curvature-scan", flag, text,
+                         "--a", "1.05", "--budget", "10")
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error:") and repr(text) in err
+
+
+def test_curvature_scan_payload_keeps_the_algebra_text(capsys):
+    code, payload, _ = run_json(capsys, "curvature-scan", "--algebra", "su2^02",
+                                "--a", "1", "--budget", "10")
+    assert code == cli.EXIT_OK
+    assert payload["algebra"] == "su2^02"

@@ -2,8 +2,6 @@
 against the canonical-solution route, lift searches, and the symbolic
 subgroup diagrams."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -14,8 +12,6 @@ from milnor.isotropy import (
     BASE_TYPES,
     GroupDiagram,
     PinLike,
-    binary_dihedral_elements,
-    binary_dihedral_lift,
     check_principal_freeness,
     cor_47_families,
     find_almost_free_lift,
@@ -24,14 +20,12 @@ from milnor.isotropy import (
     oliver_obstruction,
     orbit_types,
     principal_diagram,
-    rotation_lift_diagram,
     sphere_diagram,
     table_42,
     table_42_orders,
     two_parameter_diagram,
     validate_diagram,
 )
-from milnor.liealg import Quaternion, double_cover
 
 RNG = np.random.default_rng(8088)
 
@@ -199,8 +193,7 @@ def test_lift_check_covers_every_returned_tuple(monkeypatch):
 
 def test_standard_diagrams_validate():
     for diagram in (sphere_diagram(), principal_diagram(5, 1),
-                    two_parameter_diagram(5, -3, 1, 5),
-                    rotation_lift_diagram(5, -3, 1, 5)):
+                    two_parameter_diagram(5, -3, 1, 5)):
         report = validate_diagram(diagram)
         assert report.ok, report.violations
         assert len(report.notes) == 2
@@ -241,39 +234,5 @@ def test_freeness_rejects_degenerate_diagrams():
     assert check_principal_freeness(
         GroupDiagram(2, PinLike("i", (5, 5)), PinLike("j", (1, 1)))).free
 
-    broken_flip = GroupDiagram(
-        2, PinLike("i", (5, 1), flip_last_trivial=True), PinLike("j", (1, 1)))
-    assert not check_principal_freeness(broken_flip).free
-
     with pytest.raises(ParameterError):
         check_principal_freeness(sphere_diagram())
-
-
-def test_binary_dihedral_descriptors():
-    minus, plus = binary_dihedral_lift(5, -3)
-    assert (minus.order, plus.order) == (20, 12)
-    assert (minus.so3_image_order, plus.so3_image_order) == (10, 6)
-    degenerate, _ = binary_dihedral_lift(1, 1)
-    assert degenerate.order == 4
-
-
-@pytest.mark.parametrize("p", [1, 5, -3, 9, -7])
-def test_binary_dihedral_double_cover_image(p):
-    """Realize the 4|p| elements as quaternions; their rotation images
-    must form exactly 2|p| distinct matrices (the dihedral image)."""
-    m = abs(p)
-    quats = []
-    for halfturns, flipped in binary_dihedral_elements(p):
-        q = Quaternion.exp_axis("i", math.pi * float(halfturns))
-        if flipped:
-            q = Quaternion(0.0, 0.0, 1.0, 0.0) * q
-        quats.append(q)
-    assert len(quats) == 4 * m
-    images = {tuple(np.round(double_cover(q), 6).ravel()) for q in quats}
-    assert len(images) == 2 * m
-    # closed under products: the image is a group
-    mats = [np.array(t).reshape(3, 3) for t in images]
-    for a in mats[:6]:
-        for b in mats[:6]:
-            prod = a @ b
-            assert any(np.allclose(prod, c, atol=1e-8) for c in mats)

@@ -4,16 +4,28 @@ import numpy as np
 import pytest
 
 from milnor.errors import DimensionMismatchError, ParameterError, ValidationError
-from milnor.liealg import Quaternion, ReductiveSplit, Su2Power
+from milnor.liealg import ReductiveSplit, Su2Power
 
 RNG = np.random.default_rng(414243)
 
 
+def hamilton_product(p, q):
+    """Hamilton's product of quaternions given as (w, x, y, z)."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e)
+
+
 def quaternion_commutator(u_row, v_row):
     """Commutator of two imaginary quaternions, as a 3-vector."""
-    qu = Quaternion.from_vector(u_row)
-    qv = Quaternion.from_vector(v_row)
-    return (qu * qv - qv * qu).vector()
+    qu = (0.0, *u_row)
+    qv = (0.0, *v_row)
+    uv = hamilton_product(qu, qv)
+    vu = hamilton_product(qv, qu)
+    return np.array(uv[1:]) - np.array(vu[1:])
 
 
 def test_bracket_matches_quaternion_commutator():
@@ -60,6 +72,12 @@ def test_basis_is_orthonormal():
     basis = alg.basis()
     gram = np.array([[float(alg.inner(a, b)) for b in basis] for a in basis])
     assert np.allclose(gram, np.eye(alg.dim), atol=1e-12)
+
+
+@pytest.mark.parametrize("factors", [True, False, 0, -2, 2.0, "2"])
+def test_factor_count_must_be_a_positive_integer(factors):
+    with pytest.raises(ParameterError, match="factors must be a positive integer"):
+        Su2Power(factors)
 
 
 def test_element_shape_checks():

@@ -76,7 +76,8 @@ def cell_orders(k, l, n=None):
     return orders
 
 
-def main():
+def build():
+    """The expected-values document, as the text the file should hold."""
     data = {}
 
     data["euler105"] = [list(s) for s in euler_solutions(105)]
@@ -116,9 +117,12 @@ def main():
         ["k odd,  l = 0", "D|4n+3+k|/2, D|4n+3-k|/2, D|4n-1+k|/2, D|4n-1-k|/2"],
     ]
 
-    OUT.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n",
-                   encoding="utf-8")
-    print("wrote", OUT, "({} grid rows)".format(len(grid)))
+    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
+def main():
+    OUT.write_text(build(), encoding="utf-8")
+    print("wrote", OUT)
 
 
 if __name__ == "__main__":

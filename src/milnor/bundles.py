@@ -96,6 +96,8 @@ def second_label(q_minus, q_plus):
     come out right when the q-labels are fed through canonical_solution
     with the slots swapped: (q_+, q_-) = canonical_solution(l).
     """
+    require_label(q_minus, "q_minus")
+    require_label(q_plus, "q_plus")
     return euler_class(q_plus, q_minus)
 
 
@@ -182,8 +184,9 @@ def cohomology_report(kind, k, l=None):
     Only nonzero groups are listed, as (degree, description) pairs.
     """
     require_int(k, "k")
-    if kind in ("sphere3", "principal33") and (
-            not isinstance(l, int) or isinstance(l, bool)):
+    if l is not None:
+        require_int(l, "l")
+    elif kind in ("sphere3", "principal33"):
         raise ParameterError("kind {!r} needs the second label l".format(kind))
     notes = []
     ring = ""

@@ -284,26 +284,25 @@ def cmd_curvature_scan(args):
 
 def cmd_glue(args):
     profile = glue.ProfileFunction.capped_sine(args.a, args.r)
-    params = glue.glue_params(args.a, args.r)
     algebra = Su2Power(args.factors)
     direction = algebra.zero()
     direction[0, 0] = 1.0
     metric = deform.DeformedMetric(ReductiveSplit.circle(algebra, direction),
                                    args.a)
-    cert = glue.nonneg_certificate(profile, metric, params=params,
-                                   planes=args.planes, seed=args.seed)
+    cert = glue.nonneg_certificate(profile, metric, planes=args.planes,
+                                   seed=args.seed)
     if args.csv:
         profile.export_csv(args.csv)
     payload = {
         "a": float(args.a), "r": float(args.r),
-        "matching_level": float(params.plateau),
-        "plateau_start": params.t_plateau,
+        "matching_level": profile.plateau,
+        "plateau_start": profile.t_plateau,
         "passed": cert.passed,
         "clauses": [{"name": c.name, "passed": c.passed, "value": c.value}
                     for c in cert.clauses],
     }
     lines = ["matching level f = {} reached at t = {:.6f}".format(
-        float(params.plateau), params.t_plateau)]
+        profile.plateau, profile.t_plateau)]
     lines += ["  {:<22} {}".format(c.name, "ok" if c.passed else "FAIL")
               for c in cert.clauses]
     lines.append("certificate: {}".format("PASS" if cert.passed else "FAIL"))

@@ -32,6 +32,7 @@ from .errors import (DegeneratePlaneError, DimensionMismatchError,
 
 _MEMBER_TOL = 1e-9
 _GRAM_TOL = 1e-12
+_NEGATIVE_THRESHOLD = -1e-10
 
 
 class DeformedMetric:
@@ -93,8 +94,11 @@ class DeformedMetric:
     # -- curvature, closed form -------------------------------------------
 
     def _check_parts(self, A, X, B, Y):
+        """Check that A, B lie in m and X, Y in k; return them as arrays."""
         sp = self.split
         alg = self.algebra
+        A, X, B, Y = (alg.check_element(np.asarray(w, dtype=float))
+                      for w in (A, X, B, Y))
         for name, vec, proj in (("A", A, sp.project_k), ("B", B, sp.project_k),
                                 ("X", X, sp.project_m), ("Y", Y, sp.project_m)):
             resid = alg.norm(proj(vec))
@@ -104,6 +108,7 @@ class DeformedMetric:
                 raise ValidationError(
                     "{} does not lie in the {} block (residual {:.3g})".format(
                         name, where, float(np.max(resid))))
+        return A, X, B, Y
 
     def _quartic(self, P, Q):
         """The closed form on stacked parts P = (A, X) and Q = (B, Y), each
@@ -138,7 +143,7 @@ class DeformedMetric:
         norms = np.vecdot(br, br).reshape((4,) + br.shape[2:-1])
         return np.vecdot(norms, self._terms, axis=0)
 
-    def curvature(self, A, X, B, Y, check=True):
+    def curvature(self, A, X, B, Y):
         """Unnormalized curvature Q_a(R(A+X, B+Y)(B+Y), A+X).
 
         A, B must lie in m and X, Y in k; arbitrary leading sample axes
@@ -146,10 +151,7 @@ class DeformedMetric:
         two arguments are proportional.
         """
         alg = self.algebra
-        A, X, B, Y = (alg.check_element(np.asarray(w, dtype=float))
-                      for w in (A, X, B, Y))
-        if check:
-            self._check_parts(A, X, B, Y)
+        A, X, B, Y = self._check_parts(A, X, B, Y)
         P = np.stack(np.broadcast_arrays(alg.flatten(A), alg.flatten(X)))
         Q = np.stack(np.broadcast_arrays(alg.flatten(B), alg.flatten(Y)))
         return self._quartic(P, Q)
@@ -203,18 +205,12 @@ class DeformedMetric:
             self._koszul = (basis, metric_mat, gamma, chris)
         return self._koszul
 
-    def curvature_oracle(self, A, X, B, Y, check=True):
+    def curvature_oracle(self, A, X, B, Y):
         """Same quantity as curvature(), computed the long way round:
         Christoffel coefficients from the Koszul formula for left-invariant
         fields, then R(u,v)v = nabla_u nabla_v v - nabla_v nabla_u v
         - nabla_[u,v] v, contracted back with u."""
-        alg = self.algebra
-        A = alg.check_element(np.asarray(A, dtype=float))
-        X = alg.check_element(np.asarray(X, dtype=float))
-        B = alg.check_element(np.asarray(B, dtype=float))
-        Y = alg.check_element(np.asarray(Y, dtype=float))
-        if check:
-            self._check_parts(A, X, B, Y)
+        A, X, B, Y = self._check_parts(A, X, B, Y)
         return self.curvature_oracle_of_pair(A + X, B + Y)
 
     def curvature_oracle_of_pair(self, u, v):
@@ -319,8 +315,8 @@ class PlaneSearchResult:
     scan_min: float
 
 
-def find_negative_plane(metric, budget=100_000, seed=0, threshold=-1e-10):
-    """Seeded search for a plane with sectional curvature below threshold.
+def find_negative_plane(metric, budget=100_000, seed=0):
+    """Seeded search for a plane with sectional curvature below -1e-10.
 
     Phase one scans random planes; phase two runs Nelder-Mead descents on
     the orthonormalized-pair chart, starting from the worst scanned planes
@@ -360,7 +356,7 @@ def find_negative_plane(metric, budget=100_000, seed=0, threshold=-1e-10):
 
     best_x = np.concatenate([alg.flatten(U[order[0]]), alg.flatten(V[order[0]])])
     best_val = scan_min
-    if scan_min < threshold:
+    if scan_min < _NEGATIVE_THRESHOLD:
         return result(True, best_x)
 
     starts = [np.concatenate([alg.flatten(U[i]), alg.flatten(V[i])])
@@ -374,7 +370,7 @@ def find_negative_plane(metric, budget=100_000, seed=0, threshold=-1e-10):
         if res.fun < best_val:
             best_val = float(res.fun)
             best_x = res.x
-        if res.fun < threshold:
+        if res.fun < _NEGATIVE_THRESHOLD:
             return result(True, res.x)
 
     return result(False, best_x)
@@ -459,18 +455,16 @@ class LiftCheckReport:
     transverse_norm_pairs: list
 
 
-def horizontal_lift_check(split, lam, h_basis=None, metric=None,
-                          samples=8, seed=0):
+def horizontal_lift_check(split, lam, metric=None, samples=8, seed=0):
     """Check the closed-form horizontal space of the submersion from
     (group) x (shrunk orbit space) onto the quotient.
 
-    The total space tangent model is g + p, where p is the orthogonal
-    complement of the optional h inside k, with metric <.,.> on g and
-    lam * <.,.> on p (<.,.> is Q or the supplied deformed metric, which
-    must shrink the same subalgebra). Verifies that
+    The total space tangent model is g + k, with metric <.,.> on g and
+    lam * <.,.> on the shrunk subalgebra k (<.,.> is Q or the supplied
+    deformed metric, which must shrink the same subalgebra). Verifies that
 
-      * the vertical space  h x {0} + {(-X, X) : X in p}  is orthogonal to
-        the claimed horizontal space  m x {0} + {(lam Y, Y) : Y in p},
+      * the vertical space  {(-X, X) : X in k}  is orthogonal to the
+        claimed horizontal space  m x {0} + {(lam Y, Y) : Y in k},
       * the lift (lam Y, Y)/(lam+1) of Y has squared norm
         lam/(lam+1) * |Y|^2,
       * the lift (A, 0) of transverse A has squared norm |A|^2,
@@ -479,98 +473,55 @@ def horizontal_lift_check(split, lam, h_basis=None, metric=None,
     pairs. dim(vertical) + dim(horizontal) matches the total space by
     construction; orthogonality therefore pins the horizontal space.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ParameterError("lam must be positive")
-    alg = split.algebra
-    d = alg.dim
+    lam = float(_positive_lam(lam))
+    d = split.algebra.dim
     K = split._flat
     r = split.dim_k
 
-    if h_basis is None:
-        h_flat = np.zeros((0, d))
-    else:
-        h_flat = alg.flatten(alg.check_element(np.asarray(h_basis, dtype=float)))
-        if h_flat.ndim == 1:
-            h_flat = h_flat[None]
-        gram = h_flat @ h_flat.T
-        if np.max(np.abs(gram - np.eye(h_flat.shape[0]))) > 1e-12:
-            raise ValidationError("h basis is not Q-orthonormal")
-        inside = h_flat @ K.T @ K
-        if np.max(np.abs(inside - h_flat)) > 1e-10:
-            raise ValidationError("h basis does not lie inside k")
-    s = h_flat.shape[0]
-
-    if s == 0:
-        p_flat = K
-    elif s == r:
-        raise ParameterError("h exhausts k, nothing left to lift")
-    else:
-        coords = h_flat @ K.T
-        p_flat = null_space(coords).T @ K
-    rp = p_flat.shape[0]
-
-    if metric is None:
-        mg = np.eye(d)
-    else:
+    mg = np.eye(d)
+    if metric is not None:
         if not np.allclose(metric.split._flat, K, atol=1e-12):
             raise ValidationError(
                 "supplied metric must deform the same subalgebra")
-        mg = np.eye(d) + (metric.a - 1.0) * (K.T @ K)
-    mp = p_flat @ mg @ p_flat.T
-    big = np.zeros((d + rp, d + rp))
-    big[:d, :d] = mg
-    big[d:, d:] = lam * mp
-
+        mg += (metric.a - 1.0) * (K.T @ K)
+    # the metric on g + k, then the vertical and claimed horizontal rows
+    big = np.block([[mg, np.zeros((d, r))],
+                    [np.zeros((r, d)), lam * (K @ mg @ K.T)]])
     m_rows = null_space(K).T
+    vertical = np.hstack([-K, np.eye(r)])
+    horizontal = np.block([[m_rows, np.zeros((d - r, r))], [lam * K, np.eye(r)]])
 
-    def embed(g_part, p_coeff):
-        vec = np.zeros(d + rp)
-        vec[:d] = g_part
-        vec[d:] = p_coeff
-        return vec
+    def quad(rows):
+        return np.vecdot(rows @ big, rows)
 
-    vertical = [embed(h_flat[i], np.zeros(rp)) for i in range(s)]
-    vertical += [embed(-p_flat[j], np.eye(rp)[j]) for j in range(rp)]
-    horizontal = [embed(m_rows[i], np.zeros(rp)) for i in range(m_rows.shape[0])]
-    horizontal += [embed(lam * p_flat[j], np.eye(rp)[j]) for j in range(rp)]
-    assert len(vertical) + len(horizontal) == d + rp
+    def worst_cosine(rows):
+        """Worst |<row, v>| / (|row| |v|) over the rows and vertical v."""
+        cos = rows @ big @ vertical.T / np.sqrt(np.outer(quad(rows), quad(vertical)))
+        return float(np.max(np.abs(cos), initial=0.0))
 
-    def mnorm(vec):
-        return math.sqrt(float(vec @ big @ vec))
+    def norm_pairs(expected, rows):
+        """(expected, actual) squared norms and their worst relative gap."""
+        actual = quad(rows)
+        gap = np.abs(expected - actual) / np.maximum(1.0, np.abs(expected))
+        return list(zip(expected.tolist(), actual.tolist())), \
+            float(np.max(gap, initial=0.0))
 
-    ortho = 0.0
-    for hv in horizontal:
-        for vv in vertical:
-            ortho = max(ortho, abs(float(hv @ big @ vv))
-                        / (mnorm(hv) * mnorm(vv)))
-
+    ortho = worst_cosine(horizontal)
     rng = np.random.default_rng(seed)
-    lift_pairs = []
-    worst = ortho
-    for _ in range(samples):
-        y = rng.standard_normal(rp)
-        y_flat = y @ p_flat
-        expected = lam / (lam + 1.0) * float(y_flat @ mg @ y_flat)
-        lift = embed(lam * y_flat, y) / (lam + 1.0)
-        actual = float(lift @ big @ lift)
-        lift_pairs.append((expected, actual))
-        worst = max(worst, abs(expected - actual) / max(1.0, abs(expected)))
-        for vv in vertical:
-            worst = max(worst, abs(float(lift @ big @ vv))
-                        / (mnorm(lift) * mnorm(vv)))
+    y = rng.standard_normal((samples, r))
+    y_flat = y @ K
+    lifts = np.hstack([lam * y_flat, y]) / (lam + 1.0)
+    lift_pairs, lift_resid = norm_pairs(
+        lam / (lam + 1.0) * np.vecdot(y_flat @ mg, y_flat), lifts)
 
-    trans_pairs = []
-    if m_rows.shape[0] > 0:
-        for _ in range(samples):
-            c = rng.standard_normal(m_rows.shape[0])
-            a_flat = c @ m_rows
-            expected = float(a_flat @ mg @ a_flat)
-            vec = embed(a_flat, np.zeros(rp))
-            actual = float(vec @ big @ vec)
-            trans_pairs.append((expected, actual))
-            worst = max(worst, abs(expected - actual) / max(1.0, abs(expected)))
+    trans_pairs, trans_resid = [], 0.0
+    if d > r:
+        a_flat = rng.standard_normal((samples, d - r)) @ m_rows
+        trans_pairs, trans_resid = norm_pairs(
+            np.vecdot(a_flat @ mg, a_flat),
+            np.hstack([a_flat, np.zeros((samples, r))]))
 
+    worst = max(ortho, lift_resid, worst_cosine(lifts), trans_resid)
     return LiftCheckReport(max_residual=worst, orthogonality_residual=ortho,
                            lift_norm_pairs=lift_pairs,
                            transverse_norm_pairs=trans_pairs)

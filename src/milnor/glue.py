@@ -72,13 +72,16 @@ def glue_params(a, r):
 
 
 class ProfileFunction:
-    """Piecewise-smooth warping profile with a sampled grid.
+    """Piecewise-smooth warping profile, sampled once on a grid.
 
-    Holds closed-form callables for f, f', f'' plus the plateau data; the
-    grid (step grid_step, running past the plateau) is what certificates
-    sample. Constructed profiles are validated unless validate=False,
-    which exists so that tests can feed broken profiles to the
-    certificate.
+    value, derivative and second_derivative are vectorized closed forms
+    for f, f', f'': a float array goes in, an array of its shape comes
+    out, and a scalar return (``lambda t: 0.0``) is broadcast. Each runs
+    once, on the grid (step grid_step, running past the plateau) and the
+    join points t_plateau -+ 1e-9 t_plateau; validate() and the
+    certificate read those samples. Constructed profiles are validated
+    unless validate=False, which exists so that tests can feed broken
+    profiles to the certificate.
     """
 
     def __init__(self, value, derivative, second_derivative, t_plateau,
@@ -101,6 +104,14 @@ class ProfileFunction:
         self.grid_step = float(grid_step)
         n = int(math.ceil(1.25 * self.t_plateau / self.grid_step))
         self.grid = np.arange(n + 1) * self.grid_step
+        eps = 1e-9 * self.t_plateau
+        self._ts = np.append(self.grid, (self.t_plateau - eps,
+                                         self.t_plateau + eps))
+        # rows f, f', f'' at _ts
+        self._samples = np.empty((3, self._ts.size))
+        for row, fn in zip(self._samples, (value, derivative, second_derivative)):
+            row[:] = fn(self._ts)
+        self._samples.flags.writeable = False
         if validate:
             self.validate()
 
@@ -117,13 +128,13 @@ class ProfileFunction:
         t0 = params.t_plateau
 
         def value(t):
-            return F * math.sin(t / F) if t < t0 else F
+            return np.where(t < t0, F * np.sin(t / F), F)
 
         def derivative(t):
-            return math.cos(t / F) if t < t0 else 0.0
+            return np.where(t < t0, np.cos(t / F), 0.0)
 
         def second_derivative(t):
-            return -math.sin(t / F) / F if t < t0 else 0.0
+            return np.where(t < t0, -np.sin(t / F) / F, 0.0)
 
         return cls(value, derivative, second_derivative, t_plateau=t0,
                    plateau=F, grid_step=grid_step,
@@ -132,13 +143,13 @@ class ProfileFunction:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, t):
-        return self._f(float(t))
+        return float(self._f(np.asarray(t, dtype=float)))
 
     def derivative(self, t):
-        return self._fp(float(t))
+        return float(self._fp(np.asarray(t, dtype=float)))
 
     def second_derivative(self, t):
-        return self._fpp(float(t))
+        return float(self._fpp(np.asarray(t, dtype=float)))
 
     def value_sq(self, t):
         """f(t)^2, exact on the plateau when the plateau square is exact."""
@@ -154,11 +165,16 @@ class ProfileFunction:
             raise ParameterError("disc curvature is undefined where f = 0")
         return -self.second_derivative(t) / f
 
-    def sample(self, ts=None):
-        ts = self.grid if ts is None else np.asarray(ts, dtype=float)
-        return ts, np.array([self.value(t) for t in ts])
+    def sample(self):
+        """The grid and f on it, from the stored samples."""
+        return self.grid, self._samples[0, :self.grid.size]
 
     # -- invariants ---------------------------------------------------------
+
+    def _frozen_gap(self):
+        """max(|f - plateau|, |f'|) at each sample point."""
+        f, fp, _ = self._samples
+        return np.fmax(np.abs(f - self.plateau), np.abs(fp))
 
     def validate(self):
         """Raise ProfileError on any violated construction invariant."""
@@ -169,28 +185,28 @@ class ProfileFunction:
         if abs(slope - 1.0) > 1e-8 or abs(self.derivative(0.0) - 1.0) > 1e-8:
             raise ProfileError(
                 "profile must close the disc with unit slope, got {:.12g}".format(slope))
-        eps = 1e-9 * self.t_plateau
-        checkpoints = list(self.grid)
-        checkpoints += [self.t_plateau - eps, self.t_plateau + eps]
-        worst = max(self.second_derivative(t) for t in checkpoints)
+        f, _, fpp = self._samples
+        worst = float(np.max(fpp))
         if worst > 1e-9:
             raise ProfileError(
                 "profile must be concave, found f'' = {:.3g}".format(worst))
-        for t in checkpoints:
-            if t >= self.t_plateau:
-                if abs(self.value(t) - self.plateau) > 1e-12 \
-                        or abs(self.derivative(t)) > 1e-12:
-                    raise ProfileError("profile must be constant past the plateau")
-            elif t > 0.0 and self.value(t) <= 0.0:
-                raise ProfileError("profile must stay positive before the plateau")
+        past = self._ts >= self.t_plateau
+        unfrozen = past & (self._frozen_gap() > 1e-12)
+        nonpositive = ~past & (self._ts > 0.0) & (f <= 0.0)
+        bad = np.flatnonzero(unfrozen | nonpositive)
+        if bad.size:
+            # the first failing checkpoint names the broken invariant
+            raise ProfileError(
+                "profile must be constant past the plateau" if past[bad[0]]
+                else "profile must stay positive before the plateau")
 
     # -- export -------------------------------------------------------------
 
-    def export_csv(self, path, ts=None):
+    def export_csv(self, path):
         """Write (t, f, orbit_factor) rows; needs attached gluing data."""
         if self.glue is None:
             raise ParameterError("profile has no gluing data attached")
-        ts, fs = self.sample(ts)
+        ts, fs = self.sample()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "f", "orbit_factor"])
@@ -200,17 +216,16 @@ class ProfileFunction:
                                  "{:.17g}".format(factor)])
 
 
-def orbit_metric_factor(profile, t, params=None):
+def orbit_metric_factor(profile, t):
     """Relative scale the quotient puts on the gluing-circle direction at
-    radius t: f(t)^2 a / (f(t)^2 + a r^2).
+    radius t: f(t)^2 a / (f(t)^2 + a r^2), with a, r from profile.glue.
 
     Climbs from 0 at the origin to exactly 1 when f^2 reaches the matching
     level, which is the boundary-matching identity that makes the two
     halves glue. Exact in rational arithmetic on the plateau when a, r are
     rational.
     """
-    if params is None:
-        params = profile.glue
+    params = profile.glue
     if params is None:
         raise ParameterError("no gluing parameters available")
     f2 = profile.value_sq(t)
@@ -242,20 +257,19 @@ class GluingCertificate:
         raise KeyError(name)
 
 
-def nonneg_certificate(profile, metric, params=None, planes=10_000, seed=0):
+def nonneg_certificate(profile, metric, planes=10_000, seed=0):
     """Certify the ingredients of the nonnegatively curved disc gluing.
 
-    Clauses, in order: the deformation scale sits in (1, 4/3]; the shrunk
-    block is abelian; profile and metric agree on the scale; the profile
-    plateau squares to the matching level; the profile's own shape
-    invariants hold; the disc curvature -f''/f is nonnegative on the grid;
-    the metric is a product past the plateau (f frozen); and a seeded
-    random-plane scan of the deformed metric finds no curvature below
-    -1e-9. Returns a certificate carrying every clause; passed means all
-    clauses passed.
+    The gluing data is profile.glue. Clauses, in order: the deformation
+    scale sits in (1, 4/3]; the shrunk block is abelian; profile and
+    metric agree on the scale; the profile plateau squares to the
+    matching level; the profile's own shape invariants hold; the disc
+    curvature -f''/f is nonnegative on the grid; the metric is a product
+    past the plateau (f frozen); and a seeded random-plane scan of the
+    deformed metric finds no curvature below -1e-9. Returns a certificate
+    carrying every clause; passed means all clauses passed.
     """
-    if params is None:
-        params = profile.glue
+    params = profile.glue
     clauses = []
     a = metric.a
 
@@ -275,8 +289,7 @@ def nonneg_certificate(profile, metric, params=None, planes=10_000, seed=0):
             "scale_match", scale_gap <= 1e-12, scale_gap, 1e-12,
             "profile and metric must use the same deformation scale"))
         if in_window:
-            level = float(params.a) * float(params.r) ** 2 / (float(params.a) - 1.0)
-            gap = abs(float(profile.value_sq(profile.t_plateau)) - level)
+            gap = float(abs(profile.value_sq(profile.t_plateau) - params.plateau_sq))
             clauses.append(ClauseResult(
                 "plateau_match", gap <= 1e-8, gap, 1e-8,
                 "plateau square must equal a r^2/(a-1)"))
@@ -298,18 +311,15 @@ def nonneg_certificate(profile, metric, params=None, planes=10_000, seed=0):
     clauses.append(ClauseResult(
         "profile_shape", shape_ok, 0.0 if shape_ok else 1.0, 0.0, shape_msg))
 
-    interior = [t for t in profile.grid if t > 0.0]
-    try:
-        min_curv = min(profile.disc_curvature(t) for t in interior)
-    except ParameterError:
-        min_curv = -math.inf
+    n = profile.grid.size
+    f, _, fpp = profile._samples[:, 1:n]            # grid points t > 0
+    min_curv = -math.inf if np.any(f == 0.0) else float(np.min(-fpp / f))
     clauses.append(ClauseResult(
         "disc_curvature", min_curv >= -1e-9, min_curv, -1e-9,
         "-f''/f on the grid"))
 
-    tail = [t for t in profile.grid if t >= profile.t_plateau]
-    tail_gap = max([abs(profile.value(t) - profile.plateau) for t in tail]
-                   + [abs(profile.derivative(t)) for t in tail], default=math.inf)
+    tail = profile._frozen_gap()[:n][profile.grid >= profile.t_plateau]
+    tail_gap = float(np.max(tail)) if tail.size else math.inf
     clauses.append(ClauseResult(
         "product_near_boundary", tail_gap <= 1e-12, tail_gap, 1e-12,
         "profile frozen past the plateau"))

@@ -30,6 +30,7 @@ BASE_TYPES = frozenset({"1", "Z2", "D2"})
 def canonical_type_labels(order):
     """Type labels for a dihedral order: 0 degenerates to the circle pair,
     1 is the two-element group, the rest are honest dihedral groups."""
+    require_int(order, "order")
     if order < 0:
         raise ParameterError("orders are absolute values, got {}".format(order))
     if order == 0:

@@ -119,15 +119,19 @@ def test_certificate_rejects_nonabelian_block():
     assert not cert.clause("abelian_block").passed
 
 
-def test_certificate_rejects_a_convex_profile():
+def convex_profile():
     params = glue_params(Fraction(4, 3), 1)
     t0 = params.t_plateau
-    bad = ProfileFunction(
-        value=lambda t: min(t * t / t0, float(params.plateau)),
-        derivative=lambda t: 2.0 * t / t0 if t < t0 else 0.0,
-        second_derivative=lambda t: 2.0 / t0 if t < t0 else 0.0,
+    return ProfileFunction(
+        value=lambda t: np.minimum(t * t / t0, float(params.plateau)),
+        derivative=lambda t: np.where(t < t0, 2.0 * t / t0, 0.0),
+        second_derivative=lambda t: np.where(t < t0, 2.0 / t0, 0.0),
         t_plateau=t0, plateau=float(params.plateau),
         plateau_sq=params.plateau_sq, glue=params, validate=False)
+
+
+def test_certificate_rejects_a_convex_profile():
+    bad = convex_profile()
     cert = nonneg_certificate(bad, circle_metric(Fraction(4, 3)),
                               planes=1000, seed=0)
     assert not cert.passed
@@ -144,6 +148,84 @@ def test_profile_validation_catches_broken_shapes():
             second_derivative=lambda t: 0.0,
             t_plateau=params.t_plateau, plateau=float(params.plateau),
             plateau_sq=params.plateau_sq, glue=params)
+
+
+def sine_cap(params, value=None):
+    """The capped sine's closed forms for params, with f replaced by
+    value when given."""
+    F, t0 = params.plateau, params.t_plateau
+    return dict(
+        value=value or (lambda t: np.where(t < t0, F * np.sin(t / F), F)),
+        derivative=lambda t: np.where(t < t0, np.cos(t / F), 0.0),
+        second_derivative=lambda t: np.where(t < t0, -np.sin(t / F) / F, 0.0),
+        t_plateau=t0, plateau=F, plateau_sq=params.plateau_sq, glue=params)
+
+
+def test_profile_validation_requires_a_frozen_plateau():
+    params = glue_params(Fraction(4, 3), 1)
+    F, t0 = params.plateau, params.t_plateau
+    with pytest.raises(ProfileError, match="constant past the plateau"):
+        ProfileFunction(**sine_cap(
+            params, lambda t: np.where(t < t0, F * np.sin(t / F), 0.9 * F)))
+
+
+def test_profile_validation_requires_positivity_before_the_plateau():
+    """Broken past the plateau too: the first failing checkpoint, which
+    lies before the plateau, names the invariant."""
+    params = glue_params(Fraction(4, 3), 1)
+    t0 = params.t_plateau
+    with pytest.raises(ProfileError, match="stay positive before the plateau"):
+        ProfileFunction(**sine_cap(
+            params, lambda t: np.where(t < t0 / 2, t, 0.0)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProfileFunction.capped_sine(Fraction(4, 3), 1),
+    lambda: ProfileFunction.capped_sine(Fraction(7, 6), Fraction(3, 2),
+                                        grid_step=0.01),
+    convex_profile,
+], ids=["capped-sine", "capped-sine-coarse", "convex"])
+def test_grid_clauses_match_a_pointwise_recomputation(make):
+    profile = make()
+    cert = nonneg_certificate(profile, circle_metric(Fraction(4, 3)),
+                              planes=500, seed=0)
+    interior = [t for t in profile.grid if t > 0.0]
+    want_curv = min(profile.disc_curvature(t) for t in interior)
+    tail = [t for t in profile.grid if t >= profile.t_plateau]
+    want_gap = max([abs(profile.value(t) - profile.plateau) for t in tail]
+                   + [abs(profile.derivative(t)) for t in tail])
+    assert cert.clause("disc_curvature").value == want_curv
+    assert cert.clause("product_near_boundary").value == want_gap
+    ts, fs = profile.sample()
+    assert list(fs) == [profile.value(t) for t in ts]
+
+
+def test_profile_closed_forms_run_a_fixed_number_of_times():
+    """The grid is sampled once, in arrays: the number of calls into f,
+    f' and f'' through construction and certificate does not grow with
+    the grid."""
+    params = glue_params(Fraction(4, 3), 1)
+    metric = circle_metric(Fraction(4, 3))
+
+    def calls(grid_step):
+        count = {"n": 0}
+
+        def counted(fn):
+            def wrapper(t):
+                count["n"] += 1
+                return fn(t)
+            return wrapper
+
+        spec = sine_cap(params)
+        for key in ("value", "derivative", "second_derivative"):
+            spec[key] = counted(spec[key])
+        profile = ProfileFunction(grid_step=grid_step, **spec)
+        assert nonneg_certificate(profile, metric, planes=200, seed=0).passed
+        return count["n"], len(profile.grid)
+
+    (coarse, n_coarse), (fine, n_fine) = calls(0.1), calls(0.001)
+    assert n_fine > 50 * n_coarse
+    assert coarse == fine
 
 
 def test_certificate_plateau_match_fails_off_window(tmp_path):

@@ -5,7 +5,7 @@ The package splits into three layers. `liealg` and `deform` do numerical
 differential geometry: compact-group Lie algebra data, one-parameter
 deformations of a bi-invariant metric that shrink a subalgebra, their
 curvature in closed form with an independent connection-based oracle, and
-the Riemannian-submersion bookkeeping behind the deformation. `glue`
+the Cheeger-quotient scale factors that the deformation compensates. `glue`
 builds the capped-sine profile that interpolates a deformed product metric
 to a smooth disc filling and certifies the nonnegative-curvature clauses
 of the gluing. The integer layer (`bundles`, `classify`, `isotropy`)
@@ -46,13 +46,11 @@ from .classify import (
 )
 from .deform import (
     DeformedMetric,
-    LiftCheckReport,
     PlaneSearchResult,
     ScanResult,
     cheeger_quotient_factors,
     compensating_scale,
     find_negative_plane,
-    horizontal_lift_check,
     negative_plane_witness,
     scan_min_sectional,
     witness_plane_value,
@@ -71,9 +69,7 @@ from .glue import (
     ClauseResult,
     GlueParams,
     GluingCertificate,
-    GluingRule,
     ProfileFunction,
-    codim_one_rule,
     glue_params,
     matching_level,
     matching_level_sq,
@@ -82,25 +78,15 @@ from .glue import (
 )
 from .isotropy import (
     BASE_TYPES,
-    TABLE_42_CELLS,
-    DiagramReport,
-    FreenessReport,
-    GroupDiagram,
     OrbitTypeSet,
-    PinLike,
-    check_principal_freeness,
     cor_47_families,
     find_almost_free_lift,
     hopf_family,
     is_almost_free,
     oliver_obstruction,
     orbit_types,
-    principal_diagram,
-    sphere_diagram,
     table_42,
     table_42_orders,
-    two_parameter_diagram,
-    validate_diagram,
 )
 from .liealg import ReductiveSplit, Su2Power
 
@@ -111,16 +97,11 @@ __all__ = [
     "CohomologyReport",
     "DeformedMetric",
     "DegeneratePlaneError",
-    "DiagramReport",
     "DimensionMismatchError",
-    "FreenessReport",
     "GENERATOR_LABEL",
     "GlueParams",
     "GluingCertificate",
-    "GluingRule",
-    "GroupDiagram",
     "InvolutionQuotientType",
-    "LiftCheckReport",
     "MayerVietorisReport",
     "MilnorError",
     "NoFiniteMatchingError",
@@ -128,22 +109,18 @@ __all__ = [
     "OutOfRegimeError",
     "ProfileError",
     "ParameterError",
-    "PinLike",
     "PlaneSearchResult",
     "ProfileFunction",
     "ReductiveSplit",
     "SPHERE7_GROUP_ORDER",
     "ScanResult",
     "Su2Power",
-    "TABLE_42_CELLS",
     "TOTAL_SPACE_RESIDUES",
     "ValidationError",
     "brieskorn_classify",
     "canonical_solution",
-    "check_principal_freeness",
     "cheeger_quotient_factors",
     "classify_pair",
-    "codim_one_rule",
     "cohomology_report",
     "compensating_scale",
     "cor_47_families",
@@ -155,7 +132,6 @@ __all__ = [
     "find_negative_plane",
     "glue_params",
     "hopf_family",
-    "horizontal_lift_check",
     "is_almost_free",
     "is_homotopy_sphere",
     "matching_level",
@@ -167,7 +143,6 @@ __all__ = [
     "orbit_metric_factor",
     "orbit_types",
     "orientation_fold",
-    "principal_diagram",
     "realized_classes",
     "realized_folded_classes",
     "rp5_type",
@@ -176,11 +151,8 @@ __all__ = [
     "scan_min_sectional",
     "second_label",
     "solve_euler",
-    "sphere_diagram",
     "table_42",
     "table_42_orders",
-    "two_parameter_diagram",
-    "validate_diagram",
     "witness_plane_value",
 ]
 

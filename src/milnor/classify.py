@@ -7,7 +7,6 @@ orientation flip), the link spheres of the two-variable singularities in
 odd dimensions, and the free-involution quotients in dimension 5.
 """
 
-import math
 from dataclasses import dataclass
 
 from .errors import OutOfRegimeError, ParameterError, require_int

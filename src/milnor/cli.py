@@ -284,11 +284,8 @@ def cmd_curvature_scan(args):
 
 def cmd_glue(args):
     profile = glue.ProfileFunction.capped_sine(args.a, args.r)
-    algebra = Su2Power(args.factors)
-    direction = algebra.zero()
-    direction[0, 0] = 1.0
-    metric = deform.DeformedMetric(ReductiveSplit.circle(algebra, direction),
-                                   args.a)
+    split = _parse_subalgebra(Su2Power(args.factors), "span-i")
+    metric = deform.DeformedMetric(split, args.a)
     cert = glue.nonneg_certificate(profile, metric, planes=args.planes,
                                    seed=args.seed)
     if args.csv:

@@ -81,16 +81,6 @@ class DeformedMetric:
         np.subtract(E[..., :d], parts[1], out=parts[0])
         return parts
 
-    # -- inner product ----------------------------------------------------
-
-    def inner(self, u, v):
-        alg = self.algebra
-        return self._inner_lifted(self._lift(alg.flatten(u)),
-                                  self._lift(alg.flatten(v)))
-
-    def norm_sq(self, u):
-        return self.inner(u, u)
-
     # -- curvature, closed form -------------------------------------------
 
     def _check_parts(self, A, X, B, Y):
@@ -440,88 +430,3 @@ def compensating_scale(lam):
     lam."""
     lam = _positive_lam(lam)
     return (lam + 1) / lam
-
-
-# -- horizontal space of the quotient submersion ---------------------------
-
-
-@dataclass
-class LiftCheckReport:
-    """Numerical verification of the quotient submersion's horizontal
-    geometry at the identity."""
-    max_residual: float
-    orthogonality_residual: float
-    lift_norm_pairs: list
-    transverse_norm_pairs: list
-
-
-def horizontal_lift_check(split, lam, metric=None, samples=8, seed=0):
-    """Check the closed-form horizontal space of the submersion from
-    (group) x (shrunk orbit space) onto the quotient.
-
-    The total space tangent model is g + k, with metric <.,.> on g and
-    lam * <.,.> on the shrunk subalgebra k (<.,.> is Q or the supplied
-    deformed metric, which must shrink the same subalgebra). Verifies that
-
-      * the vertical space  {(-X, X) : X in k}  is orthogonal to the
-        claimed horizontal space  m x {0} + {(lam Y, Y) : Y in k},
-      * the lift (lam Y, Y)/(lam+1) of Y has squared norm
-        lam/(lam+1) * |Y|^2,
-      * the lift (A, 0) of transverse A has squared norm |A|^2,
-
-    and returns the worst residual over all checks plus the sampled norm
-    pairs. dim(vertical) + dim(horizontal) matches the total space by
-    construction; orthogonality therefore pins the horizontal space.
-    """
-    lam = float(_positive_lam(lam))
-    d = split.algebra.dim
-    K = split._flat
-    r = split.dim_k
-
-    mg = np.eye(d)
-    if metric is not None:
-        if not np.allclose(metric.split._flat, K, atol=1e-12):
-            raise ValidationError(
-                "supplied metric must deform the same subalgebra")
-        mg += (metric.a - 1.0) * (K.T @ K)
-    # the metric on g + k, then the vertical and claimed horizontal rows
-    big = np.block([[mg, np.zeros((d, r))],
-                    [np.zeros((r, d)), lam * (K @ mg @ K.T)]])
-    m_rows = null_space(K).T
-    vertical = np.hstack([-K, np.eye(r)])
-    horizontal = np.block([[m_rows, np.zeros((d - r, r))], [lam * K, np.eye(r)]])
-
-    def quad(rows):
-        return np.vecdot(rows @ big, rows)
-
-    def worst_cosine(rows):
-        """Worst |<row, v>| / (|row| |v|) over the rows and vertical v."""
-        cos = rows @ big @ vertical.T / np.sqrt(np.outer(quad(rows), quad(vertical)))
-        return float(np.max(np.abs(cos), initial=0.0))
-
-    def norm_pairs(expected, rows):
-        """(expected, actual) squared norms and their worst relative gap."""
-        actual = quad(rows)
-        gap = np.abs(expected - actual) / np.maximum(1.0, np.abs(expected))
-        return list(zip(expected.tolist(), actual.tolist())), \
-            float(np.max(gap, initial=0.0))
-
-    ortho = worst_cosine(horizontal)
-    rng = np.random.default_rng(seed)
-    y = rng.standard_normal((samples, r))
-    y_flat = y @ K
-    lifts = np.hstack([lam * y_flat, y]) / (lam + 1.0)
-    lift_pairs, lift_resid = norm_pairs(
-        lam / (lam + 1.0) * np.vecdot(y_flat @ mg, y_flat), lifts)
-
-    trans_pairs, trans_resid = [], 0.0
-    if d > r:
-        a_flat = rng.standard_normal((samples, d - r)) @ m_rows
-        trans_pairs, trans_resid = norm_pairs(
-            np.vecdot(a_flat @ mg, a_flat),
-            np.hstack([a_flat, np.zeros((samples, r))]))
-
-    worst = max(ortho, lift_resid, worst_cosine(lifts), trans_resid)
-    return LiftCheckReport(max_residual=worst, orthogonality_residual=ortho,
-                           lift_norm_pairs=lift_pairs,
-                           transverse_norm_pairs=trans_pairs)

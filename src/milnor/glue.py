@@ -22,7 +22,7 @@ import numpy as np
 
 from .deform import scan_min_sectional
 from .errors import (NoFiniteMatchingError, ParameterError, ProfileError,
-                     as_fraction, require_int)
+                     as_fraction)
 
 
 def matching_level_sq(a, r):
@@ -206,14 +206,21 @@ class ProfileFunction:
         """Write (t, f, orbit_factor) rows; needs attached gluing data."""
         if self.glue is None:
             raise ParameterError("profile has no gluing data attached")
+        a, r = self.glue.a, self.glue.r
         ts, fs = self.sample()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "f", "orbit_factor"])
-            for t, f in zip(ts, fs):
-                factor = float(orbit_metric_factor(self, t))
+            for t, f in zip(ts.tolist(), fs.tolist()):
+                f2 = self.plateau_sq if t >= self.t_plateau else f ** 2
+                factor = float(_orbit_factor(f2, a, r))
                 writer.writerow(["{:.17g}".format(t), "{:.17g}".format(f),
                                  "{:.17g}".format(factor)])
+
+
+def _orbit_factor(f2, a, r):
+    """f^2 a / (f^2 + a r^2); exact when f^2, a and r are rational."""
+    return f2 * a / (f2 + a * r * r)
 
 
 def orbit_metric_factor(profile, t):
@@ -228,9 +235,7 @@ def orbit_metric_factor(profile, t):
     params = profile.glue
     if params is None:
         raise ParameterError("no gluing parameters available")
-    f2 = profile.value_sq(t)
-    a, r = params.a, params.r
-    return f2 * a / (f2 + a * r * r)
+    return _orbit_factor(profile.value_sq(t), params.a, params.r)
 
 
 @dataclass(frozen=True)
@@ -331,33 +336,3 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
 
     return GluingCertificate(passed=all(c.passed for c in clauses),
                              clauses=tuple(clauses))
-
-
-@dataclass(frozen=True)
-class GluingRule:
-    codimension: int
-    strategy: str
-    needs_deformation: bool
-    description: str
-
-
-def codim_one_rule(codimension):
-    """Which gluing strategy a nonprincipal orbit of the given codimension
-    admits: codimension 1 glues with the undeformed metric (interval
-    normal slice, nothing to match), codimension 2 is the deformed-disc
-    construction certified by nonneg_certificate, higher codimension has
-    no general recipe here."""
-    require_int(codimension, "codimension")
-    if codimension < 1:
-        raise ParameterError("codimension must be at least 1")
-    if codimension == 1:
-        return GluingRule(1, "bi_invariant", False,
-                          "normal slice is an interval; the undeformed "
-                          "product metric already matches (a = 1)")
-    if codimension == 2:
-        return GluingRule(2, "deformed_disc", True,
-                          "shrink the gluing circle (1 < a <= 4/3) and cap "
-                          "the profile at the matching level")
-    return GluingRule(codimension, "out_of_scope", False,
-                      "no general nonnegative gluing recipe for normal "
-                      "spheres of dimension >= 2")

@@ -1,13 +1,11 @@
-"""Symbolic subgroup diagrams and orbit-type arithmetic for the rotation
-actions on 3-sphere bundles.
+"""Orbit-type arithmetic for the rotation actions on 3-sphere bundles.
 
-The group data is small and rigid: inside a product of unit-quaternion
-groups, the two singular-orbit subgroups are each a circle with integer
-slopes around the i-axis (left side) or j-axis (right side) together with
-one flip coset, and the principal isotropy is the diagonally embedded
-quaternion group {+-1, +-i, +-j, +-k}. All membership questions reduce to
-congruences over rational angles, so everything here is exact integer and
-Fraction arithmetic; no floats.
+The bundles come from a group diagram in a product of unit-quaternion
+groups: each singular isotropy group is a circle whose slopes are the
+labels, together with one flip coset, and the principal isotropy is the
+diagonal quaternion group {+-1, +-i, +-j, +-k}. Only the labels enter the
+arithmetic below, so everything here is exact integer arithmetic; no
+floats.
 
 Orbit types of the induced rotation action on the associated 3-sphere
 bundle with labels (p_-, q_-, p_+, q_+), all congruent to 1 mod 4, are the
@@ -18,11 +16,9 @@ and the difference orders even, which the code asserts.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bundles import canonical_solution, classify_pair, solve_euler
-from .errors import (ParameterError, ValidationError, require_int,
-                     require_label)
+from .errors import ParameterError, require_int, require_label
 
 BASE_TYPES = frozenset({"1", "Z2", "D2"})
 
@@ -162,16 +158,6 @@ def table_42_orders(k, l, n=None):
     return tuple(sorted(orders))
 
 
-TABLE_42_CELLS = (
-    ("k even, l even", "D|k+l| (twice), D|k-l+1|, D|k-l-1|"),
-    ("k odd,  l even", "D|k+2l+1|/2, D|k+2l-1|/2, D|k-2l+3|/2, D|k-2l-3|/2"),
-    ("k even, l odd", "D|2k+l+1|/2, D|2k+l-1|/2, D|2k-l+3|/2, D|2k-l-3|/2"),
-    ("k odd,  l odd", "D|k+l|/2 (twice), D|k-l+4|/2, D|k-l-4|/2"),
-    ("k even, l = 0", "D|2n+1+k|, D|2n+1-k|, D|2n+k|, D|2n-k|"),
-    ("k odd,  l = 0", "D|4n+3+k|/2, D|4n+3-k|/2, D|4n-1+k|/2, D|4n-1-k|/2"),
-)
-
-
 def hopf_family(n):
     """Rotation actions on the total space of the quaternionic Hopf
     fibration, one per integer n: label tuple (-3, 4n+1, 1, 4n+1), orbit
@@ -237,157 +223,3 @@ def find_almost_free_lift(k, l, bound=None):
         if classify_pair(*tup) != (k, l):
             raise AssertionError("lift classifies to the wrong pair")
     return sorted(out)
-
-
-# -- subgroup diagrams --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PinLike:
-    """Circle-with-flip subgroup of a product of unit-quaternion groups:
-    theta -> (exp(axis slopes[t] theta))_t, plus the coset of the flip
-    whose every slot is the complementary unit (j for an i-circle, i for
-    a j-circle)."""
-    axis: str
-    slopes: tuple
-
-    def __post_init__(self):
-        if self.axis not in ("i", "j"):
-            raise ValidationError("axis must be 'i' or 'j'")
-        if not self.slopes:
-            raise ValidationError("need at least one slope")
-
-    @property
-    def flip_unit(self):
-        return "j" if self.axis == "i" else "i"
-
-
-@dataclass(frozen=True)
-class GroupDiagram:
-    """The gluing data of a two-disc group decomposition: the ambient
-    product size, the two circle-with-flip subgroups, and the principal
-    isotropy (always the diagonal quaternion group here)."""
-    factors: int
-    k_minus: PinLike
-    k_plus: PinLike
-    h: str = "diagonal_quaternion"
-
-    def __post_init__(self):
-        for part in (self.k_minus, self.k_plus):
-            if len(part.slopes) != self.factors:
-                raise ValidationError("slope count must match the ambient product")
-
-
-def sphere_diagram():
-    """The cohomogeneity-one 4-sphere picture: one quaternion factor,
-    unit slopes, principal isotropy the quaternion group."""
-    return GroupDiagram(1, PinLike("i", (1,)), PinLike("j", (1,)))
-
-
-def principal_diagram(p_minus, p_plus):
-    """Two factors, slopes (p, 1): the total space of the principal
-    3-sphere bundle with Euler number (p_-^2 - p_+^2)/8."""
-    require_label(p_minus, "p_minus")
-    require_label(p_plus, "p_plus")
-    return GroupDiagram(2, PinLike("i", (p_minus, 1)),
-                        PinLike("j", (p_plus, 1)))
-
-
-def two_parameter_diagram(p_minus, q_minus, p_plus, q_plus):
-    """Three factors, slopes (p, q, 1): the total space of the principal
-    product-of-3-spheres bundle with pair classification
-    ((p_-^2-p_+^2)/8, -(q_-^2-q_+^2)/8)."""
-    for val, name in ((p_minus, "p_minus"), (q_minus, "q_minus"),
-                      (p_plus, "p_plus"), (q_plus, "q_plus")):
-        require_label(val, name)
-    return GroupDiagram(3, PinLike("i", (p_minus, q_minus, 1)),
-                        PinLike("j", (p_plus, q_plus, 1)))
-
-
-def _circle_hits(slopes, target):
-    """Exact solvability of slopes[t] * x = target (mod 1) over x in Q/Z."""
-    target = Fraction(target)
-    solutions = None
-    for s in slopes:
-        if s == 0:
-            if target % 1 != 0:
-                return False
-            continue
-        cand = {Fraction(target + m, s) % 1 for m in range(abs(s))}
-        if solutions is None:
-            solutions = cand
-        else:
-            solutions &= cand
-        if not solutions:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class DiagramReport:
-    ok: bool
-    violations: tuple
-    notes: tuple
-
-
-def validate_diagram(diagram):
-    """Structural checks: slopes congruent to 1 mod 4, the diagonal
-    quaternion group inside both circle-with-flip subgroups (an exact
-    rational-angle congruence), and both subgroup-mod-principal quotients
-    circles (two components, each meeting the principal isotropy)."""
-    violations = []
-    notes = []
-    for side, part in (("minus", diagram.k_minus), ("plus", diagram.k_plus)):
-        for s in part.slopes:
-            if s % 4 != 1:
-                violations.append(
-                    "{} slope {} is not 1 mod 4".format(side, s))
-        # (u,...,u) for the axis unit u sits in the circle iff every slot
-        # can reach a quarter turn at a common angle; the flip coset then
-        # supplies the complementary units, so this single congruence
-        # decides containment of the whole diagonal quaternion group.
-        if _circle_hits(part.slopes, Fraction(1, 4)):
-            notes.append("{}: quotient by the principal isotropy is a "
-                         "circle (both components meet it)".format(side))
-        else:
-            violations.append(
-                "principal isotropy not contained in the {} subgroup".format(side))
-    return DiagramReport(ok=not violations, violations=tuple(violations),
-                         notes=tuple(notes))
-
-
-@dataclass(frozen=True)
-class FreenessReport:
-    free: bool
-    violations: tuple
-
-
-def check_principal_freeness(diagram):
-    """Whether the product of all factors but the last acts freely on the
-    decomposition's total space: equivalent to the last-slot projection
-    being injective on both subgroups and on the principal isotropy.
-
-    For a circle with slopes s and last slope b != 0, injectivity says
-    every angle killed in the last slot (x = m/|b|) is killed in all
-    slots, i.e. b divides s_t * m. The flip coset can never project to the
-    identity because its last slot is a flip times a circle element. The
-    diagonal principal isotropy is always injective slotwise.
-    """
-    if diagram.factors < 2:
-        raise ParameterError("freeness needs at least two factors")
-    violations = []
-    for side, part in (("minus", diagram.k_minus), ("plus", diagram.k_plus)):
-        b = part.slopes[-1]
-        if b == 0:
-            if any(s != 0 for s in part.slopes[:-1]):
-                violations.append(
-                    "{} circle collapses in the last slot but moves "
-                    "elsewhere".format(side))
-        else:
-            for m in range(1, abs(b)):
-                if any((s * m) % b != 0 for s in part.slopes[:-1]):
-                    violations.append(
-                        "{} circle meets the acting factor at angle "
-                        "{}/{}".format(side, m, abs(b)))
-                    break
-    return FreenessReport(free=not violations, violations=tuple(violations))

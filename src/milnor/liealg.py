@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ParameterError, ValidationError
 
 _ORTHO_TOL = 1e-12
+_ABELIAN_TOL = 1e-12
 
 
 class Su2Power:
@@ -136,15 +137,12 @@ class ReductiveSplit:
         self._flat_t = np.ascontiguousarray(flat.T)
         self.dim_k = r
         self.dim_m = algebra.dim - r
-        self._check_closure()
-
-    def _check_closure(self):
-        worst = 0.0
-        for s in range(self.dim_k):
-            for t in range(s + 1, self.dim_k):
-                br = self.algebra.bracket(self.k_basis[s], self.k_basis[t])
-                resid = br - self.project_k(br)
-                worst = max(worst, float(self.algebra.norm(resid)))
+        # brackets of the basis pairs s < t, read by the closure check here
+        # and by is_abelian
+        s, t = np.triu_indices(r, 1)
+        self._pair_brackets = algebra.bracket(k_basis[s], k_basis[t])
+        resid = self._pair_brackets - self.project_k(self._pair_brackets)
+        worst = float(np.max(algebra.norm(resid), initial=0.0))
         if worst > 1e-10:
             raise ValidationError(
                 "basis does not span a subalgebra (closure residual {:.3g})".format(worst))
@@ -191,13 +189,8 @@ class ReductiveSplit:
         uk = self.project_k(u)
         return u - uk, uk
 
-    def is_abelian(self, tol=1e-12):
-        for s in range(self.dim_k):
-            for t in range(s + 1, self.dim_k):
-                br = self.algebra.bracket(self.k_basis[s], self.k_basis[t])
-                if float(self.algebra.norm(br)) > tol:
-                    return False
-        return True
+    def is_abelian(self):
+        return bool(np.all(self.algebra.norm(self._pair_brackets) <= _ABELIAN_TOL))
 
     def contains(self, u, tol=1e-9):
         u = self.algebra.check_element(u)

@@ -1,5 +1,5 @@
 """Curvature of the deformed metrics: closed form, oracle, sign behavior,
-and the submersion bookkeeping behind the deformation."""
+and the quotient scalings the deformation compensates."""
 
 from fractions import Fraction
 
@@ -11,7 +11,6 @@ from milnor.deform import (
     cheeger_quotient_factors,
     compensating_scale,
     find_negative_plane,
-    horizontal_lift_check,
     negative_plane_witness,
     scan_min_sectional,
     witness_plane_value,
@@ -230,25 +229,6 @@ def test_quotient_factors_are_exact():
         cheeger_quotient_factors(0)
     with pytest.raises(ParameterError):
         compensating_scale(-1)
-
-
-@pytest.mark.parametrize("lam", [Fraction(1, 2), 1, 3, Fraction(13, 5)])
-def test_horizontal_lift_geometry(lam):
-    alg = Su2Power(2)
-    split = ReductiveSplit.diagonal(alg)
-    report = horizontal_lift_check(split, lam, samples=12, seed=1)
-    assert report.max_residual < 1e-10
-    assert report.orthogonality_residual < 1e-10
-    for got, want in report.lift_norm_pairs:
-        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
-
-
-def test_lift_check_accepts_matching_deformed_metric():
-    alg = Su2Power(2)
-    split = ReductiveSplit.diagonal(alg)
-    metric = DeformedMetric(split, compensating_scale(3))
-    report = horizontal_lift_check(split, 3, metric=metric, samples=8, seed=4)
-    assert report.max_residual < 1e-10
 
 
 def test_oracle_agreement_takes_the_worst_gap_over_the_seeded_pairs(monkeypatch):

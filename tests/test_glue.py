@@ -1,6 +1,7 @@
 """Disc-gluing profiles: matching level, capped-sine shape, exact factor
 identity at the plateau, and the nonnegativity certificate."""
 
+import csv
 import math
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from milnor.deform import DeformedMetric
 from milnor.errors import NoFiniteMatchingError, ParameterError, ProfileError
 from milnor.glue import (
     ProfileFunction,
-    codim_one_rule,
     glue_params,
     matching_level,
     matching_level_sq,
@@ -200,10 +200,10 @@ def test_grid_clauses_match_a_pointwise_recomputation(make):
     assert list(fs) == [profile.value(t) for t in ts]
 
 
-def test_profile_closed_forms_run_a_fixed_number_of_times():
+def test_profile_closed_forms_run_a_fixed_number_of_times(tmp_path):
     """The grid is sampled once, in arrays: the number of calls into f,
-    f' and f'' through construction and certificate does not grow with
-    the grid."""
+    f' and f'' through construction, certificate and CSV export does not
+    grow with the grid."""
     params = glue_params(Fraction(4, 3), 1)
     metric = circle_metric(Fraction(4, 3))
 
@@ -221,6 +221,7 @@ def test_profile_closed_forms_run_a_fixed_number_of_times():
             spec[key] = counted(spec[key])
         profile = ProfileFunction(grid_step=grid_step, **spec)
         assert nonneg_certificate(profile, metric, planes=200, seed=0).passed
+        profile.export_csv(tmp_path / "profile.csv")
         return count["n"], len(profile.grid)
 
     (coarse, n_coarse), (fine, n_fine) = calls(0.1), calls(0.001)
@@ -250,14 +251,25 @@ def test_profile_csv_export(tmp_path):
     assert abs(float(last[2]) - 1.0) < 1e-12
 
 
-def test_codimension_rule():
-    assert codim_one_rule(1).strategy == "bi_invariant"
-    assert not codim_one_rule(1).needs_deformation
-    assert codim_one_rule(2).strategy == "deformed_disc"
-    assert codim_one_rule(2).needs_deformation
-    assert codim_one_rule(3).strategy == "out_of_scope"
-    assert codim_one_rule(7).strategy == "out_of_scope"
-    with pytest.raises(ParameterError):
-        codim_one_rule(0)
-    with pytest.raises(ParameterError):
-        codim_one_rule(2.5)
+@pytest.mark.parametrize("a, r", [(1.2, 0.7), (Fraction(101, 100), 3),
+                                  (Fraction(4, 3), 1)],
+                         ids=["1.2-0.7", "101_100-3", "4_3-1"])
+def test_csv_orbit_factor_follows_its_own_f_column(tmp_path, a, r):
+    """Before the plateau each row's orbit factor is f^2 a / (f^2 + a r^2)
+    of that row's f, bit for bit; on the plateau it comes from the plateau
+    square, which makes it exactly 1 for rational a and r."""
+    profile = ProfileFunction.capped_sine(a, r)
+    path = tmp_path / "profile.csv"
+    profile.export_csv(path)
+    with open(path, newline="") as fh:
+        rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
+    assert len(rows) == len(profile.grid)
+    psq = profile.plateau_sq
+    on_plateau = float(psq * a / (psq + a * r * r))
+    if isinstance(a, Fraction):
+        assert on_plateau == 1.0
+    for t, f, factor in rows:
+        if t >= profile.t_plateau:
+            assert factor == on_plateau
+        else:
+            assert factor == f ** 2 * a / (f ** 2 + a * r * r), t

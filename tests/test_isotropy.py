@@ -1,30 +1,22 @@
 """Orbit-type calculus: worked label tuples, the tabulated closed forms
-against the canonical-solution route, lift searches, and the symbolic
-subgroup diagrams."""
+against the canonical-solution route, and lift searches."""
 
 import numpy as np
 import pytest
 
 from milnor import isotropy
-from milnor.bundles import classify_pair, canonical_solution
+from milnor.bundles import classify_pair
 from milnor.errors import ParameterError, ValidationError
 from milnor.isotropy import (
     BASE_TYPES,
-    GroupDiagram,
-    PinLike,
-    check_principal_freeness,
     cor_47_families,
     find_almost_free_lift,
     hopf_family,
     is_almost_free,
     oliver_obstruction,
     orbit_types,
-    principal_diagram,
-    sphere_diagram,
     table_42,
     table_42_orders,
-    two_parameter_diagram,
-    validate_diagram,
 )
 
 RNG = np.random.default_rng(8088)
@@ -186,53 +178,3 @@ def test_lift_check_covers_every_returned_tuple(monkeypatch):
     monkeypatch.setattr(isotropy, "classify_pair", wrong_on_the_fourth)
     with pytest.raises(AssertionError, match="wrong pair"):
         find_almost_free_lift(1, 0, bound=13)
-
-
-# -- diagrams -----------------------------------------------------------------
-
-
-def test_standard_diagrams_validate():
-    for diagram in (sphere_diagram(), principal_diagram(5, 1),
-                    two_parameter_diagram(5, -3, 1, 5)):
-        report = validate_diagram(diagram)
-        assert report.ok, report.violations
-        assert len(report.notes) == 2
-
-
-def test_validate_catches_bad_slopes():
-    bad = GroupDiagram(2, PinLike("i", (3, 1)), PinLike("j", (1, 1)))
-    report = validate_diagram(bad)
-    assert not report.ok
-    assert any("not 1 mod 4" in v for v in report.violations)
-    assert any("principal isotropy" in v for v in report.violations)
-
-
-def test_diagram_shape_checks():
-    with pytest.raises(ValidationError):
-        GroupDiagram(2, PinLike("i", (5,)), PinLike("j", (1, 1)))
-    with pytest.raises(ValidationError):
-        PinLike("x", (1,))
-
-
-def test_principal_actions_are_free():
-    for p_minus, p_plus in ((5, 1), (-3, 1), (29, 1), (-107, -103)):
-        assert check_principal_freeness(principal_diagram(p_minus, p_plus)).free
-    assert check_principal_freeness(two_parameter_diagram(5, -3, 1, 5)).free
-
-
-def test_freeness_rejects_degenerate_diagrams():
-    collapsed = GroupDiagram(2, PinLike("i", (5, 0)), PinLike("j", (1, 1)))
-    report = check_principal_freeness(collapsed)
-    assert not report.free
-
-    meets = GroupDiagram(2, PinLike("i", (1, 5)), PinLike("j", (1, 1)))
-    report2 = check_principal_freeness(meets)
-    assert not report2.free
-    assert any("angle" in v for v in report2.violations)
-
-    # equal slopes divide out: (5, 5) traces the acting factor injectively
-    assert check_principal_freeness(
-        GroupDiagram(2, PinLike("i", (5, 5)), PinLike("j", (1, 1)))).free
-
-    with pytest.raises(ParameterError):
-        check_principal_freeness(sphere_diagram())

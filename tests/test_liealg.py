@@ -94,6 +94,8 @@ def test_element_shape_checks():
     (lambda alg: ReductiveSplit.diagonal(alg), 3, False),
     (lambda alg: ReductiveSplit.factor(alg, 0), 3, False),
     (lambda alg: ReductiveSplit.circle(alg, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 1, True),
+    (lambda alg: ReductiveSplit(alg, [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                                      [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]]), 2, True),
 ])
 def test_split_projections(factory, rank, abelian):
     alg = Su2Power(2)

@@ -118,8 +118,6 @@ ENTRY_POINTS = [
     (isotropy.cor_47_families, (2, 1), {}),
     (isotropy.find_almost_free_lift, (1, 1), {}),
     (isotropy.find_almost_free_lift, (0, 1), {"bound": 13}),
-    (isotropy.principal_diagram, (5, 1), {}),
-    (isotropy.two_parameter_diagram, (5, -3, 1, 5), {}),
 ]
 
 non_integers = st.one_of(

@@ -40,6 +40,12 @@ def _odd_divisors(n):
     return sorted(out)
 
 
+#: Largest `bound` that solve_euler(0, bound) accepts. The k = 0 family is
+#: listed in full, so the bound sets the size of the list; every caller in
+#: the package passes at most a few hundred.
+MAX_FAMILY_BOUND = 10 ** 6
+
+
 def solve_euler(k, bound=None):
     """Every label pair (p_-, p_+), both congruent to 1 mod 4, with Euler
     number k.
@@ -47,9 +53,9 @@ def solve_euler(k, bound=None):
     Writing p_- = 2m + n and p_+ = n - 2m turns the equation into
     k = n m with n odd, so the finite solution list for k != 0 comes from
     the odd divisors of k (both signs). For k = 0 the solutions form the
-    infinite family (p, p) and a bound on |p| is required. Results are
-    sorted by (|p_-|, |p_+|, p_-, p_+), which reproduces printed solution
-    lists.
+    infinite family (p, p) and a bound on |p|, at most MAX_FAMILY_BOUND,
+    is required. Results are sorted by (|p_-|, |p_+|, p_-, p_+), which
+    reproduces printed solution lists.
     """
     require_int(k, "k")
     if k == 0:
@@ -57,6 +63,10 @@ def solve_euler(k, bound=None):
             raise ParameterError(
                 "k = 0 has the infinite family (p, p); pass a bound on |p|")
         require_int(bound, "bound")
+        if bound > MAX_FAMILY_BOUND:
+            raise ParameterError(
+                "bound must be at most {} for k = 0, got {}".format(
+                    MAX_FAMILY_BOUND, bound))
         sols = [(p, p) for p in range(-bound, bound + 1) if p % 4 == 1]
     else:
         found = set()

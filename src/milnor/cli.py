@@ -5,10 +5,16 @@ deterministic JSON document (sorted keys, two-space indent) so that runs
 with equal inputs are byte-identical. Exit codes: 0 success, 2 usage
 errors (argparse), 3 domain errors (bad labels, out-of-regime inputs),
 4 failed certificates, failed searches, and reproduction mismatches.
+
+Every subcommand loads numpy and scipy.linalg with the numeric layers
+imported here, so all of them start in about the same time.
+scipy.optimize loads only when `curvature-scan --find-negative` reaches
+the optimizer.
 """
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -31,12 +37,16 @@ def _emit(args, payload, lines):
 
 
 def _fraction(text):
-    """Accept '4/3', '1.25', '2'. Fractions stay exact."""
+    """Accept '4/3', '1.25', '2'. Fractions stay exact; a float that
+    overflows to infinity, such as '1e400', is a bad number."""
     try:
         if "/" in text:
             return Fraction(text)
         if "." in text or "e" in text or "E" in text:
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError("not finite")
+            return value
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError("bad number {!r}".format(text)) from exc
@@ -259,6 +269,7 @@ def cmd_curvature_scan(args):
         "algebra": args.algebra, "subalgebra": args.subalgebra,
         "a": float(args.a), "planes": args.budget, "seed": args.seed,
         "min_sectional": scan.min_value,
+        "n_valid": scan.n_valid,
         "oracle_max_gap": oracle_gap,
     }
     lines = [
@@ -272,6 +283,8 @@ def cmd_curvature_scan(args):
         payload["negative_plane_found"] = res.found
         payload["negative_value"] = res.value if res.found else None
         payload["oracle_value"] = res.oracle_value if res.found else None
+        payload["evaluations"] = res.evaluations
+        payload["scan_min"] = res.scan_min
         lines.append("negative plane found: {}".format(res.found))
         if res.found:
             lines.append("  value {:.6e} (oracle {:.6e})".format(
@@ -295,7 +308,8 @@ def cmd_glue(args):
         "matching_level": profile.plateau,
         "plateau_start": profile.t_plateau,
         "passed": cert.passed,
-        "clauses": [{"name": c.name, "passed": c.passed, "value": c.value}
+        "clauses": [{"name": c.name, "passed": c.passed, "value": c.value,
+                     "tolerance": c.tolerance, "detail": c.detail}
                     for c in cert.clauses],
     }
     lines = ["matching level f = {} reached at t = {:.6f}".format(

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import minimize
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
                      ParameterError, ValidationError, as_fraction)
@@ -33,6 +32,15 @@ from .errors import (DegeneratePlaneError, DimensionMismatchError,
 _MEMBER_TOL = 1e-9
 _GRAM_TOL = 1e-12
 _NEGATIVE_THRESHOLD = -1e-10
+
+
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on first call: only the plane
+    search optimizes, and scipy.optimize takes longer to import than
+    numpy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 class DeformedMetric:

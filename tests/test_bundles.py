@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from milnor.bundles import (
+    MAX_FAMILY_BOUND,
     TOTAL_SPACE_RESIDUES,
     canonical_solution,
     classify_pair,
@@ -99,6 +100,19 @@ def test_zero_euler_number_family():
     assert solve_euler(0, bound=9) == [(1, 1), (-3, -3), (5, 5), (-7, -7), (9, 9)]
     with pytest.raises(ParameterError):
         solve_euler(0)
+
+
+def test_zero_euler_number_family_bound_is_capped():
+    """The k = 0 family is listed in full, so a bound past the cap is
+    refused before any list is built; the message names the argument and
+    the cap."""
+    assert MAX_FAMILY_BOUND == 10 ** 6
+    for bound in (MAX_FAMILY_BOUND + 1, 10 ** 12, 10 ** 100):
+        with pytest.raises(ParameterError,
+                           match=r"bound must be at most 1000000 for k = 0"):
+            solve_euler(0, bound=bound)
+    assert len(solve_euler(0, bound=10 ** 4)) == 5000
+    assert solve_euler(7, bound=10 ** 12) == solve_euler(7)
 
 
 def test_solutions_flip_with_orientation():

@@ -5,6 +5,7 @@ codes and captured output without spawning interpreters.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -194,6 +195,14 @@ def test_solve_zero_without_bound_is_domain_error(capsys):
     assert "error:" in err
 
 
+def test_solve_zero_with_a_huge_bound_is_domain_error(capsys):
+    code, out, err = run(capsys, "solve", "0", "--bound", "1000000000000")
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err == ("error: bound must be at most 1000000 for k = 0, "
+                   "got 1000000000000\n")
+
+
 def test_repro_all_is_clean(capsys):
     code, payload, _ = run_json(capsys, "repro", "all")
     assert code == cli.EXIT_OK
@@ -222,6 +231,26 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, flag, text", [
+    ("curvature-scan", "--a", "1e400"),
+    ("curvature-scan", "--a", "-1e400"),
+    ("glue", "--r", "1e400"),
+    ("glue", "--a", "-1e400"),
+    ("glue", "--r", "nan"),
+    ("glue", "--r", "inf"),
+])
+def test_non_finite_numbers_are_usage_errors(capsys, command, flag, text):
+    """A float literal that overflows to infinity is as bad a number as
+    'inf' itself; it must not reach the handlers' range checks."""
+    argv = {"curvature-scan": ["curvature-scan", "--a", "1", "--budget", "10"],
+            "glue": ["glue", "--a", "4/3", "--r", "1"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["{}={}".format(flag, text)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument {}: bad number {!r}".format(flag, text) in err
+
+
 @pytest.mark.parametrize("flag, text", [
     ("--algebra", "so3"),
     ("--algebra", "su2^x"),
@@ -240,3 +269,54 @@ def test_curvature_scan_payload_keeps_the_algebra_text(capsys):
                                 "--a", "1", "--budget", "10")
     assert code == cli.EXIT_OK
     assert payload["algebra"] == "su2^02"
+
+
+def test_curvature_scan_reports_the_scan_and_search_counters(capsys):
+    from milnor import deform
+    from milnor.liealg import ReductiveSplit, Su2Power
+
+    argv = ["curvature-scan", "--algebra", "su2", "--subalgebra", "span-i",
+            "--a", "1", "--budget", "300", "--seed", "5", "--json"]
+    code, first, _ = run(capsys, *argv)
+    _, second, _ = run(capsys, *argv)
+    assert first == second
+    payload = json.loads(first)
+    assert set(payload) == {"algebra", "subalgebra", "a", "planes", "seed",
+                            "min_sectional", "n_valid", "oracle_max_gap"}
+    metric = deform.DeformedMetric(
+        ReductiveSplit.circle(Su2Power(1), Su2Power(1).basis()[0]), 1)
+    scan = deform.scan_min_sectional(metric, n_planes=300, seed=5)
+    assert payload["n_valid"] == scan.n_valid
+    assert payload["min_sectional"] == scan.min_value
+
+    code, first, _ = run(capsys, *argv, "--find-negative")
+    _, second, _ = run(capsys, *argv, "--find-negative")
+    assert code == cli.EXIT_FAILED
+    assert first == second
+    payload = json.loads(first)
+    res = deform.find_negative_plane(metric, budget=300, seed=5)
+    assert payload["evaluations"] == res.evaluations == 300
+    assert payload["scan_min"] == res.scan_min
+    assert payload["negative_plane_found"] is False
+
+
+def test_glue_clauses_report_tolerance_and_detail(capsys):
+    from milnor import deform, glue
+    from milnor.liealg import ReductiveSplit, Su2Power
+
+    argv = ["glue", "--a", "3/2", "--r", "1", "--planes", "500", "--json"]
+    code, first, _ = run(capsys, *argv)
+    _, second, _ = run(capsys, *argv)
+    assert code == cli.EXIT_FAILED
+    assert first == second
+    clauses = json.loads(first)["clauses"]
+    profile = glue.ProfileFunction.capped_sine(Fraction(3, 2), Fraction(1))
+    split = ReductiveSplit.circle(Su2Power(1), Su2Power(1).basis()[0])
+    cert = glue.nonneg_certificate(
+        profile, deform.DeformedMetric(split, Fraction(3, 2)), planes=500)
+    assert [set(c) for c in clauses] == [
+        {"name", "passed", "value", "tolerance", "detail"}] * len(cert.clauses)
+    assert [(c["name"], c["tolerance"], c["detail"]) for c in clauses] == [
+        (c.name, c.tolerance, c.detail) for c in cert.clauses]
+    plateau = next(c for c in clauses if c["name"] == "plateau_match")
+    assert plateau["detail"] == "no finite matching level outside the window"

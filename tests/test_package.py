@@ -1,8 +1,15 @@
-"""Package hygiene: no module imports a name it never uses, and every
-name the package exports exists."""
+"""Package hygiene: no module imports a name it never uses, every name
+the package exports exists, `import milnor` loads no numeric library
+and only the plane search's optimizer loads scipy.optimize."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import milnor
 
@@ -28,9 +35,7 @@ def unused_imports(path):
 
 
 def test_modules_have_no_unused_imports():
-    """__init__.py is left out: its imports are the package's re-exports,
-    which test_exports_resolve covers."""
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [entry for p in modules for entry in unused_imports(p)] == []
 
@@ -39,3 +44,74 @@ def test_exports_resolve():
     names = milnor.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(milnor, name)] == []
+
+
+def test_exports_are_listed_and_star_importable():
+    assert set(milnor.__all__) <= set(dir(milnor))
+    namespace = {}
+    exec("from milnor import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(milnor.__all__)
+    assert all(namespace[name] is getattr(milnor, name)
+               for name in milnor.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        milnor.no_such_name
+
+
+NUMERIC_MODULES = ("numpy", "scipy", "scipy.optimize")
+
+
+def numeric_modules_after(code):
+    """Run `code` in a fresh interpreter that imports milnor from this
+    checkout; return which of numpy, scipy and scipy.optimize it left in
+    sys.modules."""
+    probe = code + (
+        "\nimport json, sys"
+        "\nprint(json.dumps(sorted(m for m in {!r}"
+        " if m in sys.modules)), file=sys.stderr)".format(NUMERIC_MODULES))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stderr.splitlines()[-1])
+
+
+def cli_code(*argv, code=0):
+    return ("import milnor.cli\n"
+            "assert milnor.cli.main({!r}) == {}".format(list(argv) + ["--json"],
+                                                       code))
+
+
+@pytest.mark.parametrize("code", [
+    "import milnor",
+    "from milnor import solve_euler, eells_kuiper, orbit_types, ParameterError",
+], ids=["import", "from-import"])
+def test_integer_layer_loads_no_numeric_library(code):
+    assert numeric_modules_after(code) == []
+
+
+@pytest.mark.parametrize("code", [
+    "import milnor; milnor.DeformedMetric",
+    cli_code("solve", "105"),
+    cli_code("repro", "all"),
+    cli_code("isotropy", "-3", "5", "1", "5"),
+    cli_code("cohomology", "principal3", "3"),
+    cli_code("glue", "--a", "4/3", "--r", "1", "--planes", "50"),
+    cli_code("curvature-scan", "--algebra", "su2^3", "--subalgebra", "span-i",
+             "--a", "3/2", "--find-negative"),
+], ids=["attribute", "cli-solve", "cli-repro", "cli-isotropy",
+        "cli-cohomology", "cli-glue", "cli-search-settled-by-scan"])
+def test_only_the_optimizer_loads_scipy_optimize(code):
+    """The CLI and the numeric layers load numpy and scipy.linalg;
+    scipy.optimize waits for a plane search that the scan does not
+    settle."""
+    assert numeric_modules_after(code) == ["numpy", "scipy"]
+
+
+def test_plane_search_loads_scipy_optimize_when_it_optimizes():
+    """The probe sees scipy.optimize when the search reaches Nelder-Mead."""
+    code = cli_code("curvature-scan", "--algebra", "su2", "--subalgebra",
+                    "span-i", "--a", "1", "--budget", "300", "--find-negative",
+                    code=4)
+    assert numeric_modules_after(code) == ["numpy", "scipy", "scipy.optimize"]

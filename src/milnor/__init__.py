@@ -19,7 +19,7 @@ import importlib
 
 #: Every public name, grouped by the submodule that defines it. A name is
 #: imported from its submodule on first access (PEP 562), so `import milnor`
-#: loads no submodule, and the integer layer never pulls in numpy or scipy.
+#: loads no submodule, and the integer layer never pulls in numpy.
 _EXPORTS = {
     "bundles": (
         "CohomologyReport", "MayerVietorisReport", "TOTAL_SPACE_RESIDUES",

@@ -67,7 +67,10 @@ def solve_euler(k, bound=None):
             raise ParameterError(
                 "bound must be at most {} for k = 0, got {}".format(
                     MAX_FAMILY_BOUND, bound))
-        sols = [(p, p) for p in range(-bound, bound + 1) if p % 4 == 1]
+        # sorted as built: for odd m = 1, 3, 5, ... exactly one of m, -m
+        # is 1 mod 4
+        sols = [(m, m) if m % 4 == 1 else (-m, -m)
+                for m in range(1, bound + 1, 2)]
     else:
         found = set()
         for d in _odd_divisors(k):
@@ -76,11 +79,12 @@ def solve_euler(k, bound=None):
                 p_minus = 2 * m + n
                 if p_minus % 4 == 1:
                     found.add((p_minus, n - 2 * m))
-        sols = list(found)
+        sols = sorted(found, key=lambda pq: (abs(pq[0]), abs(pq[1]),
+                                             pq[0], pq[1]))
     for p_minus, p_plus in sols:
         if euler_class(p_minus, p_plus) != k:
             raise AssertionError("solver produced a wrong pair")
-    return sorted(sols, key=lambda pq: (abs(pq[0]), abs(pq[1]), pq[0], pq[1]))
+    return sols
 
 
 def canonical_solution(k):

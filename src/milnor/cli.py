@@ -6,10 +6,10 @@ with equal inputs are byte-identical. Exit codes: 0 success, 2 usage
 errors (argparse), 3 domain errors (bad labels, out-of-regime inputs),
 4 failed certificates, failed searches, and reproduction mismatches.
 
-Every subcommand loads numpy and scipy.linalg with the numeric layers
-imported here, so all of them start in about the same time.
-scipy.optimize loads only when `curvature-scan --find-negative` reaches
-the optimizer.
+Every subcommand loads numpy with the numeric layers imported here, so
+all of them start in about the same time. numpy is the only numeric
+dependency: the plane search of `curvature-scan --find-negative` is a
+gradient descent written in numpy.
 """
 
 import argparse

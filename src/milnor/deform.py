@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
                      ParameterError, ValidationError, as_fraction)
@@ -32,15 +31,16 @@ from .errors import (DegeneratePlaneError, DimensionMismatchError,
 _MEMBER_TOL = 1e-9
 _GRAM_TOL = 1e-12
 _NEGATIVE_THRESHOLD = -1e-10
+# the plane search's descent: starts, first step, relative gradient stop
+_STARTS = 64
+_FIRST_STEP = 0.5
+_GRAD_RTOL = 1e-6
 
 
-def minimize(fun, x0, **kwargs):
-    """scipy.optimize.minimize, imported on first call: only the plane
-    search optimizes, and scipy.optimize takes longer to import than
-    numpy."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **kwargs)
+def null_space(K):
+    """Q-orthonormal rows spanning the complement of the rows of K, which
+    are Q-orthonormal: the right singular vectors past the rank."""
+    return np.linalg.svd(K)[2][K.shape[0]:]
 
 
 class DeformedMetric:
@@ -108,10 +108,12 @@ class DeformedMetric:
                         name, where, float(np.max(resid))))
         return A, X, B, Y
 
-    def _quartic(self, P, Q):
+    def _quartic(self, P, Q, vectors=False):
         """The closed form on stacked parts P = (A, X) and Q = (B, Y), each
         (2, ..., dim) with the m-part first; the sample axes broadcast.
-        Every closed-form value in this module comes from here."""
+        Every closed-form value in this module comes from here. With
+        vectors=True also return the four vectors whose squared norms it
+        weighs, stacked (4, ..., dim) in the order of self._terms."""
         alg = self.algebra
         a = self.a
         # align the sample axes to the right, behind the leading parts axis
@@ -138,8 +140,43 @@ class DeformedMetric:
         xb += ab_k                         # [A,B]_k + a^2 [X,Y]
         np.multiply(xy, a, out=ab)
         ab += ab_k                         # [A,B]_k + a [X,Y]
-        norms = np.vecdot(br, br).reshape((4,) + br.shape[2:-1])
-        return np.vecdot(norms, self._terms, axis=0)
+        br = br.reshape((4,) + br.shape[2:])
+        values = np.vecdot(np.vecdot(br, br), self._terms, axis=0)
+        return (values, br) if vectors else values
+
+    def _gradient(self, P, Q, vecs):
+        """Euclidean gradients (g_u, g_v), stacked (2, ..., dim), of the
+        closed form at u = A + X, v = B + Y, from the parts P = (A, X),
+        Q = (B, Y) and the four vectors _quartic(P, Q, vectors=True)
+        returned.
+
+        The derivative of a weighted squared norm w |V|^2 along h is
+        2 w <V, dV>, and dV is a bracket of a part of h with B or Y. By
+        ad-invariance, <[x, y], z> = <x, [y, z]>, so <V, [h, y]> =
+        <h, [y, V]>: each term's gradient is a bracket with the vector
+        itself. Of the four vectors only V1 = [A,B]_m + a([X,B] + [A,Y])
+        lies in m; as [k, m] lies in m and [k, k] in k, only [B, V1] needs
+        splitting, its k-part weighted by a (the extra (a - 1) below). The
+        closed form is symmetric in u and v and every vector is
+        antisymmetric, which gives g_v from g_u."""
+        alg = self.algebra
+        a = self.a
+        w0, w1, w2, w3 = self._terms
+        v0, v1, v2, v3 = vecs
+        s1 = w0 * v0 + w1 * v1 + w2 * v2
+        s2 = a * (w0 * v0 + w1 * v1 + a * w2 * v2) + w3 * v3
+        c = (a - 1.0) * w1 * v1
+        left = np.stack([Q[0], Q[1], Q[0], P[0], P[1], P[0]])
+        right = np.stack([s1, s2, c, s1, s2, c])
+        br = alg.bracket(alg.unflatten(left), alg.unflatten(right))
+        br = br.reshape(br.shape[:-2] + (alg.dim,))
+        br[2::3] = np.dot(np.dot(br[2::3], self.split._flat_t),
+                          self.split._flat)
+        grads = br[0::3] + br[1::3]
+        grads += br[2::3]
+        grads[0] *= 2.0
+        grads[1] *= -2.0
+        return grads
 
     def curvature(self, A, X, B, Y):
         """Unnormalized curvature Q_a(R(A+X, B+Y)(B+Y), A+X).
@@ -160,26 +197,33 @@ class DeformedMetric:
         return self._quartic(self._parts(self._lift(alg.flatten(u))),
                              self._parts(self._lift(alg.flatten(v))))
 
-    def _chart_plane(self, x):
-        """Q_a-orthonormalize the chart point x = (u, v), flat of length
-        2*dim, and evaluate the closed form on the resulting pair.
+    def _frames(self, F):
+        """Q_a Gram-Schmidt, in place, on lifted pairs F = (u, v), each
+        (..., dim + dim_k), that span planes."""
+        u, v = F
+        u /= np.sqrt(self._inner_lifted(u, u))[..., None]
+        v -= self._inner_lifted(v, u)[..., None] * u
+        v /= np.sqrt(self._inner_lifted(v, v))[..., None]
 
-        Returns (curvature, u, v) with u, v flat, or None when u or the
-        part of v orthogonal to u is (numerically) zero."""
-        d = self.algebra.dim
-        E = self._lift(x.reshape(2, d))
-        u, v = E
-        nu = math.sqrt(self._inner_lifted(u, u))
-        if nu < 1e-12:
-            return None
-        u /= nu
-        v -= self._inner_lifted(v, u) * u
-        nv = math.sqrt(self._inner_lifted(v, v))
-        if nv < 1e-9:
-            return None
-        v /= nv
-        parts = self._parts(E)
-        return float(self._quartic(parts[:, 0], parts[:, 1])), u[:d], v[:d]
+    def _value_and_gradient(self, F):
+        """At Q_a-orthonormal lifted pairs F = (u, v): the closed form,
+        which is the sectional curvature of their plane, and the Riemannian
+        gradient of the sectional curvature on the Grassmannian, lifted and
+        stacked like F. That is the Euclidean gradient mapped to Q_a by
+        G^-1 and projected Q_a-orthogonally off span(u, v); the projection
+        also removes what normalizing by the Gram determinant adds, which
+        lies along u and v."""
+        P, Q = self._parts(F[0]), self._parts(F[1])
+        values, vecs = self._quartic(P, Q, vectors=True)
+        grads = self._gradient(P, Q, vecs)
+        # G^-1 = 1 + (1/a - 1) K^T K, and K G^-1 g = K g / a
+        coords = np.dot(grads, self.split._flat_t)
+        coords /= self.a
+        grads += np.dot(coords, self.split._flat) * (1.0 - self.a)
+        lifted = np.concatenate([grads, coords], axis=-1)
+        for E in F:
+            lifted -= self._inner_lifted(lifted, E)[..., None] * E
+        return values, lifted
 
     # -- curvature, Koszul oracle ------------------------------------------
 
@@ -190,7 +234,7 @@ class DeformedMetric:
             alg = self.algebra
             d = alg.dim
             K = self.split._flat
-            m_rows = null_space(K).T
+            m_rows = null_space(K)
             basis = np.vstack([m_rows, K / math.sqrt(self.a)])
             b3 = alg.unflatten(basis)
             br = 2.0 * np.cross(b3[:, None, :, :], b3[None, :, :, :])
@@ -313,65 +357,109 @@ class PlaneSearchResult:
     scan_min: float
 
 
+def minimize(metric, F, budget, target):
+    """Batched Riemannian gradient descent on the Grassmannian of 2-planes
+    (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008). F = (u, v) holds lifted candidate pairs, each
+    (candidates, dim + dim_k), best first; a pair is overwritten with its
+    Q_a-orthonormal frame once it is evaluated.
+
+    _STARTS pairs descend together, and every step evaluates the sectional
+    curvature and its gradient at all of them in one call, one evaluation
+    per pair. A pair moves to (u, v) - t grad and back to a Q_a-orthonormal
+    frame by Gram-Schmidt. The move is kept if it lowers the value; the
+    pair's step t is then the Barzilai-Borwein step <s, s> / <s, y> of
+    that move (at most 4 t), and halves after a move that is not kept. A
+    pair stops once its gradient norm falls below _GRAD_RTOL times its
+    first, and the next candidate takes its place in the following step.
+    The descent stops when a value falls below target, when `budget`
+    evaluations are spent or when no candidate is left. Returns (values,
+    evaluations), +inf for the candidates never evaluated."""
+    def dot(X, Y):
+        return metric._inner_lifted(X, Y).sum(axis=0)
+
+    n = F.shape[1]
+    values = np.full(n, np.inf)
+    G = np.zeros_like(F)
+    floor = np.zeros(n)
+    step = np.full(n, _FIRST_STEP)
+    live = np.arange(min(_STARTS, n))
+    queued = live.size
+    evals = 0
+    while live.size and evals < budget:
+        live = live[:budget - evals]
+        t = step[live]
+        T = F[:, live] - t[:, None] * G[:, live]
+        metric._frames(T)
+        tvals, tG = metric._value_and_gradient(T)
+        evals += live.size
+        tnorm = np.sqrt(dot(tG, tG))
+        first = values[live] == np.inf
+        floor[live[first]] = _GRAD_RTOL * tnorm[first]
+        down = tvals < values[live]
+        s = T - F[:, live]
+        sy = dot(s, tG - G[:, live])
+        bb = np.divide(dot(s, s), sy, out=4.0 * t, where=sy > 0)
+        step[live] = np.where(first, t, np.where(
+            down, np.minimum(bb, 4.0 * t), 0.5 * t))
+        moved = live[down]
+        values[moved] = tvals[down]
+        F[:, moved] = T[:, down]
+        G[:, moved] = tG[:, down]
+        if tvals.min() < target:
+            break
+        live = live[~down | (tnorm > floor[live])]
+        fresh = np.arange(queued, min(queued + _STARTS - live.size, n))
+        queued += fresh.size
+        live = np.concatenate([live, fresh])
+    return values, evals
+
+
 def find_negative_plane(metric, budget=100_000, seed=0):
     """Seeded search for a plane with sectional curvature below -1e-10.
 
-    Phase one scans random planes; phase two runs Nelder-Mead descents on
-    the orthonormalized-pair chart, starting from the worst scanned planes
-    and then from fresh random points, until the evaluation budget runs
-    out. The objective at a chart point x = (u, v) is the closed-form
-    curvature of its Q_a-orthonormalized pair, or a penalty of 1e6 where
-    that pair degenerates; the reported plane and value come from the same
-    evaluation at the final point. Deterministic for a fixed (budget,
-    seed). A reported plane is re-evaluated with curvature_oracle so the
-    closed form never certifies itself.
+    Phase one scans random planes. Phase two descends from the scanned
+    planes, best first, by minimize(): a batched Riemannian descent on the
+    Grassmannian with the closed form's analytic gradient, _STARTS planes
+    at a time, until a plane falls below the threshold or the evaluation
+    budget runs out. An evaluation is one plane's value, in phase two with
+    its gradient; the search spends at most `budget`. The reported plane
+    is a Q_a-orthonormal pair and its value the closed form there: the
+    most negative value seen when found is False. Deterministic for a
+    fixed (budget, seed). A reported plane is re-evaluated with
+    curvature_oracle so the closed form never certifies itself.
     """
     if budget < 10:
         raise ParameterError("budget too small to do anything")
     alg = metric.algebra
-    d = alg.dim
     rng = np.random.default_rng(seed)
-    evals = 0
 
     scan_n = max(min(budget // 2, 50_000), 10)
     U = alg.random(rng, scan_n)
     V = alg.random(rng, scan_n)
     vals, ok = metric.sectional_batch(U, V)
-    evals += scan_n
-    vals = np.where(ok, vals, np.inf)
+    if not np.any(ok):
+        raise DegeneratePlaneError("every sampled plane degenerated")
+    evals = scan_n
     order = np.argsort(vals)
     scan_min = float(vals[order[0]])
 
-    def objective(x):
-        plane = metric._chart_plane(x)
-        return 1.0e6 if plane is None else plane[0]
-
-    def result(found, x):
-        value, uf, vf = metric._chart_plane(x)
-        u, v = alg.unflatten(uf), alg.unflatten(vf)
-        oracle = float(metric.curvature_oracle_of_pair(u, v))
-        return PlaneSearchResult(found, value, u, v, oracle, evals, scan_min)
-
-    best_x = np.concatenate([alg.flatten(U[order[0]]), alg.flatten(V[order[0]])])
-    best_val = scan_min
-    if scan_min < _NEGATIVE_THRESHOLD:
-        return result(True, best_x)
-
-    starts = [np.concatenate([alg.flatten(U[i]), alg.flatten(V[i])])
-              for i in order[:8] if np.isfinite(vals[i])]
-    while evals < budget:
-        x0 = starts.pop(0) if starts else rng.standard_normal(2 * d)
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxfev": int(min(4000, budget - evals)),
-                                "fatol": 1e-13, "xatol": 1e-9})
-        evals += int(res.nfev)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = res.x
-        if res.fun < _NEGATIVE_THRESHOLD:
-            return result(True, res.x)
-
-    return result(False, best_x)
+    descend = scan_min >= _NEGATIVE_THRESHOLD and budget > evals
+    order = order[:min(budget - evals, int(np.sum(ok))) if descend else 1]
+    F = metric._lift(alg.flatten(np.stack([U[order], V[order]])))
+    if descend:
+        values, spent = minimize(metric, F, budget - evals,
+                                 _NEGATIVE_THRESHOLD)
+        evals += spent
+    else:
+        metric._frames(F)
+        values = metric._quartic(metric._parts(F[0]), metric._parts(F[1]))
+    best = int(np.argmin(values))
+    u, v = alg.unflatten(F[:, best, :alg.dim])
+    value = float(values[best])
+    return PlaneSearchResult(
+        value < _NEGATIVE_THRESHOLD, value, u, v,
+        float(metric.curvature_oracle_of_pair(u, v)), evals, scan_min)
 
 
 def negative_plane_witness(metric):

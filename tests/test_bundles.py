@@ -115,6 +115,17 @@ def test_zero_euler_number_family_bound_is_capped():
     assert solve_euler(7, bound=10 ** 12) == solve_euler(7)
 
 
+def test_zero_euler_number_family_is_built_in_sorted_order():
+    """The family comes out in order without a sort; it equals filtering
+    [-bound, bound] for 1 mod 4 and sorting by (|p_-|, |p_+|, p_-, p_+)."""
+    def filtered_and_sorted(bound):
+        return sorted([(p, p) for p in range(-bound, bound + 1) if p % 4 == 1],
+                      key=lambda pq: (abs(pq[0]), abs(pq[1]), pq[0], pq[1]))
+
+    for bound in list(range(301)) + [-1, -5, MAX_FAMILY_BOUND]:
+        assert solve_euler(0, bound=bound) == filtered_and_sorted(bound)
+
+
 def test_solutions_flip_with_orientation():
     for k in range(1, 40):
         swapped = sorted(((q, p) for p, q in solve_euler(k)),

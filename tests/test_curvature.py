@@ -183,15 +183,88 @@ def test_negative_plane_search_finds_certified_planes():
     assert abs(res2.value - res2.oracle_value) < 1e-10
 
 
+def make_metric(factors, split, a):
+    if split == "factor0":
+        return DeformedMetric(ReductiveSplit.factor(Su2Power(factors), 0), a)
+    return {"diagonal": diag_metric, "span-i": span_i_metric}[split](factors, a)
+
+
+GRADIENT_CASES = [(factors, split, a) for factors in (1, 2, 3)
+                  for split in ("diagonal", "factor0", "span-i")
+                  for a in (0.5, 1.0, 1.05, 1.5)]
+
+
+def central_differences(f, X, h=1e-5):
+    """Central differences of f(X), one value per row of the flat samples
+    X (samples, dim), along each coordinate."""
+    out = np.empty_like(X)
+    for i in range(X.shape[-1]):
+        E = np.zeros_like(X)
+        E[:, i] = h
+        out[:, i] = (f(X + E) - f(X - E)) / (2.0 * h)
+    return out
+
+
+@pytest.mark.parametrize("factors, split, a", GRADIENT_CASES)
+def test_closed_form_gradient_matches_central_differences(factors, split, a):
+    metric = make_metric(factors, split, a)
+    alg = metric.algebra
+    rng = np.random.default_rng(41)
+    U = alg.flatten(alg.random(rng, 6))
+    V = alg.flatten(alg.random(rng, 6))
+
+    def quartic(X, Y):
+        return metric._quartic(metric._parts(metric._lift(X)),
+                               metric._parts(metric._lift(Y)))
+
+    P, Q = metric._parts(metric._lift(U)), metric._parts(metric._lift(V))
+    _, vecs = metric._quartic(P, Q, vectors=True)
+    g_u, g_v = metric._gradient(P, Q, vecs)
+    want_u = central_differences(lambda X: quartic(X, V), U)
+    want_v = central_differences(lambda Y: quartic(U, Y), V)
+    scale = max(1.0, np.max(np.abs(want_u)), np.max(np.abs(want_v)))
+    assert np.max(np.abs(g_u - want_u)) <= 1e-7 * scale
+    assert np.max(np.abs(g_v - want_v)) <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("factors, split, a", GRADIENT_CASES)
+def test_riemannian_gradient_matches_sectional_differences(factors, split, a):
+    """Along any direction (du, dv) the sectional curvature of the plane
+    span(u + t du, v + t dv) changes at rate Q_a(grad, (du, dv)) at t = 0,
+    and the gradient is Q_a-orthogonal to u and v."""
+    metric = make_metric(factors, split, a)
+    alg = metric.algebra
+    rng = np.random.default_rng(43)
+    F = metric._lift(alg.flatten(alg.random(rng, (2, 6))))
+    metric._frames(F)
+    values, G = metric._value_and_gradient(F)
+    d = alg.dim
+    sectional, _ = metric.sectional_batch(alg.unflatten(F[0, :, :d]),
+                                          alg.unflatten(F[1, :, :d]))
+    assert np.all(np.abs(values - sectional) <= 1e-12 * np.maximum(1.0, np.abs(sectional)))
+    for E in F:
+        assert np.max(np.abs(metric._inner_lifted(G, E))) <= 1e-12
+    D = alg.flatten(alg.random(rng, (2, 6)))
+    h = 1e-5
+
+    def sec(t):
+        X = F[:, :, :d] + t * D
+        return metric.sectional_batch(alg.unflatten(X[0]), alg.unflatten(X[1]))[0]
+
+    want = (sec(h) - sec(-h)) / (2.0 * h)
+    got = metric._inner_lifted(G, metric._lift(D)).sum(axis=0)
+    assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
+
+
 # (algebra factors, split, a, seed) -> (found, evaluations, value) at budget
 # 2000. A change to the arithmetic that moves only the last bits of the
 # objective keeps these; a change in a search trajectory shows here.
 PINNED_SEARCHES = [
     ((2, "span-i", 1.5, 1), (True, 1000, -0.22590466269159692)),       # scan hit
-    ((2, "diagonal", 1.001, 1), (True, 1796, -5.003345867068733e-10)),  # descent hit
-    ((3, "diagonal", 1.05, 1), (True, 2000, -8.380148663350786e-06)),   # descent hit
-    # a known miss: the planes just past a = 4/3 are shallow
-    ((2, "span-i", 4.0 / 3.0 + 0.01, 8803), (False, 2000, None)),
+    ((2, "diagonal", 1.001, 1), (True, 1192, -4.316760649652057e-10)),  # descent hit
+    ((3, "diagonal", 1.05, 1), (True, 1256, -2.26964746685297e-05)),    # descent hit
+    # descent hit on the shallow planes just past a = 4/3
+    ((2, "span-i", 4.0 / 3.0 + 0.01, 8803), (True, 1128, -0.009680347580650181)),
     ((3, "diagonal", 1.0, 8803), (False, 2000, None)),                  # control
     ((2, "factor0", 1.5, 1), (False, 2000, None)),                      # control
 ]
@@ -200,17 +273,44 @@ PINNED_SEARCHES = [
 @pytest.mark.parametrize("case, pinned", PINNED_SEARCHES)
 def test_negative_plane_search_is_pinned(case, pinned):
     factors, split, a, seed = case
-    if split == "factor0":
-        metric = DeformedMetric(ReductiveSplit.factor(Su2Power(factors), 0), a)
-    else:
-        metric = {"diagonal": diag_metric, "span-i": span_i_metric}[split](factors, a)
-    res = find_negative_plane(metric, budget=2000, seed=seed)
+    res = find_negative_plane(make_metric(factors, split, a), budget=2000, seed=seed)
     found, evaluations, value = pinned
     assert (res.found, res.evaluations) == (found, evaluations)
     if value is not None:
         assert abs(res.value - value) <= 1e-6 * abs(value)
     else:
         assert res.scan_min >= -1e-9
+
+
+@pytest.mark.parametrize("factors, split, a", [
+    (2, "diagonal", 1.001),
+    (2, "span-i", 4.0 / 3.0 + 0.01),
+    (3, "span-i", 4.0 / 3.0 + 0.01),
+])
+def test_search_finds_the_shallow_planes_for_every_seed(factors, split, a):
+    """The planes at a = 1.001 (about -5e-10) and just past a = 4/3 exist
+    and lie within reach of the threshold; every seed finds one."""
+    metric = make_metric(factors, split, a)
+    for seed in range(24):
+        res = find_negative_plane(metric, budget=2000, seed=seed)
+        assert res.found and res.evaluations <= 2000
+        assert res.value < -1e-10 and res.oracle_value < 0
+        assert abs(res.value - res.oracle_value) <= 1e-10
+
+
+@pytest.mark.parametrize("factors, split, a", [
+    (2, "factor0", 1.5), (3, "factor0", 1.5), (3, "diagonal", 1.0),
+    (2, "span-i", 4.0 / 3.0), (3, "span-i", 4.0 / 3.0),
+])
+def test_search_never_finds_a_plane_where_none_exists(factors, split, a):
+    """A product of round factors, the undeformed metric and the abelian
+    window's edge a = 4/3 have nonnegative curvature."""
+    metric = make_metric(factors, split, a)
+    for seed in range(24):
+        res = find_negative_plane(metric, budget=2000, seed=seed)
+        assert not res.found
+        assert res.evaluations == 2000
+        assert res.value >= -1e-10
 
 
 def test_negative_plane_search_reports_absence():

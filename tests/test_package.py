@@ -1,6 +1,6 @@
 """Package hygiene: no module imports a name it never uses, every name
-the package exports exists, `import milnor` loads no numeric library
-and only the plane search's optimizer loads scipy.optimize."""
+the package exports exists, `import milnor` loads no numeric library and
+nothing in the package needs scipy."""
 
 import ast
 import json
@@ -57,24 +57,47 @@ def test_exports_are_listed_and_star_importable():
         milnor.no_such_name
 
 
-NUMERIC_MODULES = ("numpy", "scipy", "scipy.optimize")
+def test_no_module_imports_scipy():
+    """numpy is the only numeric dependency; scipy is not imported
+    anywhere in the package, not even inside a function."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += ["{}:{} {}".format(path.name, node.lineno, name)
+                      for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+NUMERIC_MODULES = ("numpy", "scipy", "scipy.linalg", "scipy.optimize")
+
+
+def run_fresh(code):
+    """Run `code` in a fresh interpreter that imports milnor from this
+    checkout; return its stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stderr
 
 
 def numeric_modules_after(code):
-    """Run `code` in a fresh interpreter that imports milnor from this
-    checkout; return which of numpy, scipy and scipy.optimize it left in
-    sys.modules."""
+    """Which of NUMERIC_MODULES a fresh interpreter left in sys.modules
+    after running `code`."""
     probe = code + (
         "\nimport json, sys"
         "\nprint(json.dumps(sorted(m for m in {!r}"
         " if m in sys.modules)), file=sys.stderr)".format(NUMERIC_MODULES))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
-    res = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    return json.loads(res.stderr.splitlines()[-1])
+    return json.loads(run_fresh(probe).splitlines()[-1])
 
 
 def cli_code(*argv, code=0):
@@ -103,15 +126,31 @@ def test_integer_layer_loads_no_numeric_library(code):
 ], ids=["attribute", "cli-solve", "cli-repro", "cli-isotropy",
         "cli-cohomology", "cli-glue", "cli-search-settled-by-scan"])
 def test_only_the_optimizer_loads_scipy_optimize(code):
-    """The CLI and the numeric layers load numpy and scipy.linalg;
-    scipy.optimize waits for a plane search that the scan does not
-    settle."""
-    assert numeric_modules_after(code) == ["numpy", "scipy"]
+    """The CLI and the numeric layers load numpy and no scipy module:
+    neither scipy.linalg nor scipy.optimize, which not even the plane
+    search's optimizer loads."""
+    assert numeric_modules_after(code) == ["numpy"]
 
 
-def test_plane_search_loads_scipy_optimize_when_it_optimizes():
-    """The probe sees scipy.optimize when the search reaches Nelder-Mead."""
+def test_descending_plane_search_loads_no_scipy():
+    """A search that the scan does not settle descends, in numpy only."""
     code = cli_code("curvature-scan", "--algebra", "su2", "--subalgebra",
                     "span-i", "--a", "1", "--budget", "300", "--find-negative",
                     code=4)
-    assert numeric_modules_after(code) == ["numpy", "scipy", "scipy.optimize"]
+    assert numeric_modules_after(code) == ["numpy"]
+
+
+def test_numeric_commands_run_where_scipy_cannot_be_imported():
+    """With `import scipy` made to fail, the gluing certificate, a search
+    that descends and finds a plane, and the oracle check all still run."""
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        cli_code("glue", "--a", "4/3", "--r", "1", "--planes", "200"),
+        cli_code("curvature-scan", "--a", "1.05", "--budget", "2000",
+                 "--find-negative"),
+        "from milnor import DeformedMetric, ReductiveSplit, Su2Power",
+        "metric = DeformedMetric(ReductiveSplit.diagonal(Su2Power(3)), 1.2)",
+        "assert metric.oracle_agreement(samples=50, seed=3) < 1e-9",
+    ])
+    run_fresh(code)

@@ -2,11 +2,14 @@
 decomposition matrices, total-space classes, and cohomology."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from milnor import bundles
 from milnor.bundles import (
+    MAX_EULER,
     MAX_FAMILY_BOUND,
     TOTAL_SPACE_RESIDUES,
     canonical_solution,
@@ -124,6 +127,109 @@ def test_zero_euler_number_family_is_built_in_sorted_order():
 
     for bound in list(range(301)) + [-1, -5, MAX_FAMILY_BOUND]:
         assert solve_euler(0, bound=bound) == filtered_and_sorted(bound)
+
+
+def trial_division_odd_divisors(n):
+    """Reference: every odd d <= sqrt(|n|) that divides |n|, with its
+    cofactor."""
+    n = abs(n)
+    while n % 2 == 0:
+        n //= 2
+    out = set()
+    for d in range(1, math.isqrt(n) + 1, 2):
+        if n % d == 0:
+            out.update((d, n // d))
+    return sorted(out)
+
+
+def divisors_of_product(*primes):
+    out = {1}
+    for p in primes:
+        out |= {d * p for d in out}
+    return sorted(out)
+
+
+def test_odd_divisors_match_trial_division():
+    rng = np.random.default_rng(2718)
+    seeded = [int(k) for k in rng.integers(1, 10 ** 6, size=3000)]
+    for k in list(range(-10 ** 4, 0)) + list(range(1, 10 ** 4 + 1)) + seeded:
+        assert bundles._odd_divisors(k) == trial_division_odd_divisors(k), k
+
+
+#: Composites that fool weaker primality tests: Carmichael numbers (Fermat
+#: pseudoprimes to every coprime base) and strong pseudoprimes to the bases
+#: {2}, {2, 3, 5, 7}, the primes up to 23 and the primes up to 37.
+PSEUDOPRIMES = {
+    561: (3, 11, 17),
+    41041: (7, 11, 13, 41),
+    2047: (23, 89),
+    3215031751: (151, 751, 28351),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+}
+
+
+def test_miller_rabin_rejects_pseudoprimes_and_keeps_primes():
+    for n, primes in PSEUDOPRIMES.items():
+        assert math.prod(primes) == n
+        assert not bundles._is_prime(n), n
+    primes = [2, 3, 5, 41, 43, 1000003, 10000000019, 10000100003]
+    assert all(trial_division_odd_divisors(p) in ([1], [1, p]) for p in primes)
+    assert all(bundles._is_prime(p) for p in primes)
+    assert not any(bundles._is_prime(n) for n in (0, 1, 4, 9, 1000003 ** 2))
+
+
+def test_odd_divisors_of_pseudoprimes_powers_and_even_numbers():
+    for n, primes in PSEUDOPRIMES.items():
+        assert all(trial_division_odd_divisors(p) == [1, p] for p in primes)
+        assert bundles._odd_divisors(n) == divisors_of_product(*primes), n
+    p = 10 ** 6 + 3
+    assert bundles._odd_divisors(p * p) == [1, p, p * p]
+    assert bundles._odd_divisors(3 ** 40) == [3 ** i for i in range(41)]
+    assert bundles._odd_divisors(-(2 ** 40) * 105) == [1, 3, 5, 7, 15, 21,
+                                                        35, 105]
+    assert bundles._odd_divisors(2 ** 40) == [1]
+
+
+def test_solve_euler_splits_a_semiprime_near_1e20():
+    """Two primes near 10^10: out of reach of trial division, about 10^5
+    Pollard-Brent steps. The wall bound is loose so that a slow host
+    cannot make the test flaky."""
+    p, q = 10000000019, 10000100003
+    start = time.perf_counter()
+    sols = solve_euler(p * q)
+    prime = solve_euler(10 ** 20 + 39)
+    assert time.perf_counter() - start < 5.0
+    assert bundles._odd_divisors(p * q) == [1, p, q, p * q]
+    assert len(sols) == 4 and len(prime) == 2
+    for k, pairs in ((p * q, sols), (10 ** 20 + 39, prime)):
+        assert all(pm * pm - pp * pp == 8 * k for pm, pp in pairs)
+
+
+def test_solve_euler_rechecks_every_pair(monkeypatch):
+    """11 does not divide 105, but it yields the labels (29, -7), which
+    the re-check must refuse."""
+    monkeypatch.setattr(bundles, "_odd_divisors", lambda n: [1, 11])
+    with pytest.raises(AssertionError, match="wrong pair"):
+        solve_euler(105)
+    with pytest.raises(AssertionError, match="wrong pair"):
+        bundles._check_solutions([(1, 1), (-3, -3), (5, 1)], 0)
+    with pytest.raises(AssertionError, match="wrong pair"):
+        bundles._check_solutions([(3, 3)], 0)
+
+
+def test_solve_euler_refuses_k_outside_the_proven_range():
+    """MAX_EULER is the least composite that Miller-Rabin with the bases
+    2, ..., 41 calls prime, so the factorizer stops below it."""
+    assert MAX_EULER == 3317044064679887385961981
+    assert math.prod((1287836182261, 2575672364521)) == MAX_EULER
+    assert bundles._is_prime(MAX_EULER)
+    for k in (MAX_EULER, -MAX_EULER, 10 ** 30):
+        with pytest.raises(ParameterError,
+                           match="must be below 3317044064679887385961981"):
+            solve_euler(k)
+    assert len(solve_euler(MAX_EULER - 1)) == 80
+    assert len(solve_euler(1 - MAX_EULER)) == 80
 
 
 def test_solutions_flip_with_orientation():

@@ -203,6 +203,16 @@ def test_solve_zero_with_a_huge_bound_is_domain_error(capsys):
                    "got 1000000000000\n")
 
 
+def test_solve_refuses_k_outside_the_proven_range(capsys):
+    for k in ("3317044064679887385961981", "-3317044064679887385961981"):
+        code, out, err = run(capsys, "solve", k)
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert err == ("error: |k| must be below 3317044064679887385961981 "
+                       "(the range where the primality test used to factor "
+                       "k is proven), got {}\n".format(k))
+
+
 def test_repro_all_is_clean(capsys):
     code, payload, _ = run_json(capsys, "repro", "all")
     assert code == cli.EXIT_OK

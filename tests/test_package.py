@@ -75,6 +75,25 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
+def imported_modules(path):
+    """Every module the file imports, relative ones with their dots."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or ""))
+    return found
+
+
+def test_bundles_imports_only_math_dataclasses_and_errors():
+    """The factorizer is deterministic (no `random`) and the integer CLI
+    loads no module beyond these."""
+    assert imported_modules(SRC / "bundles.py") == {
+        "math", "dataclasses", ".errors"}
+
+
 NUMERIC_MODULES = ("numpy", "scipy", "scipy.linalg", "scipy.optimize")
 
 

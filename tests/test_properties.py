@@ -40,7 +40,7 @@ def brute_force_solutions(k):
 
 
 @DETERMINISTIC
-@given(st.integers(-10 ** 8, 10 ** 8).filter(bool))
+@given(st.integers(-10 ** 18, 10 ** 18).filter(bool))
 def test_solve_euler_round_trip(k):
     sols = bundles.solve_euler(k)
     assert sols

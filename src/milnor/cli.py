@@ -6,10 +6,11 @@ with equal inputs are byte-identical. Exit codes: 0 success, 2 usage
 errors (argparse), 3 domain errors (bad labels, out-of-regime inputs),
 4 failed certificates, failed searches, and reproduction mismatches.
 
-Every subcommand loads numpy with the numeric layers imported here, so
-all of them start in about the same time. numpy is the only numeric
-dependency: the plane search of `curvature-scan --find-negative` is a
-gradient descent written in numpy.
+Only the integer layers are imported here. The numeric layers (liealg,
+deform, glue), and with them numpy, are imported inside the handlers of
+`curvature-scan` and `glue`, so the other subcommands never load numpy.
+numpy is the only numeric dependency: the plane search of
+`curvature-scan --find-negative` is a gradient descent written in numpy.
 """
 
 import argparse
@@ -18,19 +19,32 @@ import math
 import sys
 from fractions import Fraction
 
-from . import bundles, classify, deform, glue, isotropy
+from . import bundles, classify, isotropy
 from .data import load_expected
 from .errors import MilnorError
-from .liealg import ReductiveSplit, Su2Power
 
 EXIT_OK = 0
 EXIT_DOMAIN = 3
 EXIT_FAILED = 4
 
 
+def _has_nan(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, (list, tuple)):
+        return any(_has_nan(item) for item in node)
+    return isinstance(node, float) and math.isnan(node)
+
+
 def _emit(args, payload, lines):
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        # NaN is refused; +-inf stays, since a gluing clause that cannot
+        # be evaluated outside the window reports the value inf. Only a
+        # document that spells NaN somewhere is walked.
+        text = json.dumps(payload, sort_keys=True, indent=2)
+        if "NaN" in text and _has_nan(payload):
+            raise ValueError("NaN in the JSON payload")
+        print(text)
     else:
         for line in lines:
             print(line)
@@ -226,6 +240,8 @@ def cmd_cohomology(args):
 
 
 def _parse_algebra(text):
+    from .liealg import Su2Power
+
     if text == "su2":
         return Su2Power(1)
     if text.startswith("su2^"):
@@ -239,6 +255,8 @@ def _parse_algebra(text):
 
 
 def _parse_subalgebra(algebra, text):
+    from .liealg import ReductiveSplit
+
     if text == "diagonal":
         return ReductiveSplit.diagonal(algebra)
     if text.startswith("factor"):
@@ -260,6 +278,8 @@ def _parse_subalgebra(algebra, text):
 
 
 def cmd_curvature_scan(args):
+    from . import deform
+
     algebra = _parse_algebra(args.algebra)
     split = _parse_subalgebra(algebra, args.subalgebra)
     metric = deform.DeformedMetric(split, args.a)
@@ -296,6 +316,9 @@ def cmd_curvature_scan(args):
 
 
 def cmd_glue(args):
+    from . import deform, glue
+    from .liealg import Su2Power
+
     profile = glue.ProfileFunction.capped_sine(args.a, args.r)
     split = _parse_subalgebra(Su2Power(args.factors), "span-i")
     metric = deform.DeformedMetric(split, args.a)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
-                     ParameterError, ValidationError, as_fraction)
+                     ParameterError, ValidationError, as_fraction,
+                     require_int)
 
 _MEMBER_TOL = 1e-9
 _GRAM_TOL = 1e-12
@@ -35,6 +36,24 @@ _NEGATIVE_THRESHOLD = -1e-10
 _STARTS = 64
 _FIRST_STEP = 0.5
 _GRAD_RTOL = 1e-6
+#: Planes per sectional_batch call in the random-plane scans. A block's
+#: temporaries stay small enough for the cache and for malloc's heap; one
+#: call over 20k su(2)^3 planes maps and faults in every temporary afresh
+#: and takes about twice as long. Blocking changes no value.
+_SCAN_BLOCK = 2048
+#: The deformation scales DeformedMetric accepts: those on which the
+#: connection oracle still checks the closed form to 1e-6 of its value.
+#: Measured on every factor0, span-i and diagonal split of su(2)^1..3,
+#: the worst relative gap is about 1e-15 at a = 1. Below 1 it grows about
+#: like 1/a on the Q_a-orthonormal planes that the scan and the search
+#: report (9.5e-7 at 1e-8, 6.7e-8 at 1e-7); above 1 about like a^3 on the
+#: random vector pairs of oracle_agreement (2.5e-7 at 1e3, 1.2e-6 at
+#: 10^3.25). Further out the oracle loses every digit (at a = 1e60 a found
+#: plane's oracle value has the other sign), then the floats overflow:
+#: the oracle gives inf or nan from a = 1e68 and below 1e-74, and the
+#: closed-form weight a (1 - a)^3 / 4 overflows past 1.6e77.
+A_MIN = 1e-7
+A_MAX = 1e3
 
 
 def null_space(K):
@@ -44,12 +63,18 @@ def null_space(K):
 
 
 class DeformedMetric:
-    """Q on the complement m, a*Q on the subalgebra k."""
+    """Q on the complement m, a*Q on the subalgebra k, for a in
+    [A_MIN, A_MAX]."""
 
     def __init__(self, split, a):
-        a = float(a)
-        if not math.isfinite(a) or a <= 0.0:
-            raise ParameterError("deformation scale a must be positive")
+        try:
+            a = float(a)
+        except OverflowError:
+            a = math.inf
+        if not A_MIN <= a <= A_MAX:
+            raise ParameterError(
+                "deformation scale a must lie in [{:g}, {:g}], got {:g}".format(
+                    A_MIN, A_MAX, a))
         self.split = split
         self.algebra = split.algebra
         self.a = a
@@ -274,6 +299,7 @@ class DeformedMetric:
     def oracle_agreement(self, samples=64, seed=0):
         """Worst absolute gap between the closed-form curvature and the
         connection-based oracle over seeded random vector pairs."""
+        _check_seed(seed)
         rng = np.random.default_rng(seed)
         uv = rng.standard_normal((samples, 2, self.algebra.factors, 3))
         u, v = uv[:, 0], uv[:, 1]
@@ -328,15 +354,34 @@ class ScanResult:
     seed: int
 
 
+def _check_seed(seed):
+    """Raise ParameterError unless seed is a non-negative int, the seeds
+    numpy's default_rng takes; None, which would draw fresh entropy, is
+    not one."""
+    require_int(seed, "seed")
+    if seed < 0:
+        raise ParameterError("seed must be non-negative, got {}".format(seed))
+
+
+def _scan_values(metric, U, V):
+    """sectional_batch over n sampled pairs U, V, each (n, factors, 3),
+    _SCAN_BLOCK planes at a time."""
+    blocks = [metric.sectional_batch(U[i:i + _SCAN_BLOCK], V[i:i + _SCAN_BLOCK])
+              for i in range(0, len(U), _SCAN_BLOCK)]
+    return (np.concatenate([vals for vals, _ in blocks]),
+            np.concatenate([ok for _, ok in blocks]))
+
+
 def scan_min_sectional(metric, n_planes=100_000, seed=0):
     """Minimum sectional curvature over n_planes seeded Gaussian planes."""
     if n_planes < 1:
         raise ParameterError("n_planes must be positive")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     alg = metric.algebra
     U = alg.random(rng, n_planes)
     V = alg.random(rng, n_planes)
-    vals, ok = metric.sectional_batch(U, V)
+    vals, ok = _scan_values(metric, U, V)
     if not np.any(ok):
         raise DegeneratePlaneError("every sampled plane degenerated")
     idx = int(np.argmin(vals))
@@ -431,13 +476,14 @@ def find_negative_plane(metric, budget=100_000, seed=0):
     """
     if budget < 10:
         raise ParameterError("budget too small to do anything")
+    _check_seed(seed)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
 
     scan_n = max(min(budget // 2, 50_000), 10)
     U = alg.random(rng, scan_n)
     V = alg.random(rng, scan_n)
-    vals, ok = metric.sectional_batch(U, V)
+    vals, ok = _scan_values(metric, U, V)
     if not np.any(ok):
         raise DegeneratePlaneError("every sampled plane degenerated")
     evals = scan_n

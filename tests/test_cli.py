@@ -4,7 +4,9 @@ Everything runs in process through cli.main so we can assert on exit
 codes and captured output without spawning interpreters.
 """
 
+import argparse
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -272,6 +274,79 @@ def test_curvature_scan_malformed_algebra_is_domain_error(capsys, flag, text):
     assert code == cli.EXIT_DOMAIN
     assert out == ""
     assert err.startswith("error:") and repr(text) in err
+
+
+BAD_NUMERIC_INPUTS = [
+    # seeds: numpy would raise a bare ValueError on a negative one
+    ("curvature-scan", ["--seed", "-1"], 3),
+    ("curvature-scan", ["--seed", "-1", "--find-negative"], 3),
+    ("curvature-scan", ["--seed", "1.5"], 2),
+    ("glue", ["--seed", "-1"], 3),
+    ("glue", ["--seed", "1e3"], 2),
+    # scales outside [A_MIN, A_MAX]: these printed inf or nan, or overflowed
+    ("curvature-scan", ["--a", "1e100"], 3),
+    ("curvature-scan", ["--a", "1e-300"], 3),
+    ("curvature-scan", ["--a", "1e-320"], 3),
+    ("curvature-scan", ["--a", "1e300"], 3),
+    ("glue", ["--a", "1e200"], 3),
+    ("curvature-scan", ["--a", "0"], 3),
+    ("curvature-scan", ["--a", "-2"], 3),
+    ("curvature-scan", ["--a", "1" + "0" * 400], 3),
+    ("curvature-scan", ["--a", "x"], 2),
+    ("curvature-scan", ["--a", "1/0"], 2),
+    # sample counts
+    ("curvature-scan", ["--budget", "0"], 3),
+    ("curvature-scan", ["--budget", "-5"], 3),
+    ("curvature-scan", ["--budget", "5", "--find-negative"], 3),
+    ("curvature-scan", ["--budget", "1.5"], 2),
+    ("glue", ["--planes", "0"], 3),
+    ("glue", ["--planes", "x"], 2),
+    ("glue", ["--factors", "0"], 3),
+    ("glue", ["--factors", "-1"], 3),
+    ("glue", ["--factors", "two"], 2),
+    # algebra and subalgebra strings
+    ("curvature-scan", ["--algebra", "su2^0"], 3),
+    ("curvature-scan", ["--algebra", "su2^-1"], 3),
+    ("curvature-scan", ["--algebra", ""], 3),
+    ("curvature-scan", ["--subalgebra", "factor9"], 3),
+    ("curvature-scan", ["--subalgebra", "factor-1"], 3),
+    ("curvature-scan", ["--subalgebra", "span-x"], 3),
+    ("curvature-scan", ["--subalgebra", "span-"], 3),
+    ("curvature-scan", ["--subalgebra", "nothing"], 3),
+]
+
+
+@pytest.mark.parametrize("command, extra, code", BAD_NUMERIC_INPUTS,
+                         ids=[" ".join([c] + e)[:40] for c, e, _ in BAD_NUMERIC_INPUTS])
+def test_bad_numeric_inputs_exit_two_or_three_without_a_traceback(
+        capsys, command, extra, code):
+    """The README's exit-code contract: bad input exits 2 (argparse) or 3
+    (one `error:` line), never with a traceback. A later flag overrides
+    the valid one before it."""
+    argv = {"curvature-scan": ["curvature-scan", "--a", "1.05", "--budget", "50"],
+            "glue": ["glue", "--a", "4/3", "--r", "1", "--planes", "50"]}[command]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + extra)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "error: argument" in err
+    else:
+        got, out, err = run(capsys, *argv, *extra)
+        assert got == cli.EXIT_DOMAIN
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_json_refuses_nan_and_keeps_infinity(capsys):
+    """A clause that cannot be evaluated reports inf, which stays; a NaN
+    would be a fault and never reaches stdout."""
+    args = argparse.Namespace(json=True)
+    with pytest.raises(ValueError, match="NaN"):
+        cli._emit(args, {"x": [1.0, {"y": math.nan}]}, [])
+    cli._emit(args, {"x": -math.inf}, [])
+    assert capsys.readouterr().out == '{\n  "x": -Infinity\n}\n'
 
 
 def test_curvature_scan_payload_keeps_the_algebra_text(capsys):

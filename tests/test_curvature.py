@@ -1,12 +1,15 @@
 """Curvature of the deformed metrics: closed form, oracle, sign behavior,
 and the quotient scalings the deformation compensates."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from milnor.deform import (
+    A_MAX,
+    A_MIN,
     DeformedMetric,
     cheeger_quotient_factors,
     compensating_scale,
@@ -150,6 +153,21 @@ def test_scan_stays_nonnegative_in_the_allowed_window():
         res = scan_min_sectional(metric, n_planes=20000, seed=3)
         assert res.min_value >= -1e-9
         assert res.n_valid > 19000
+
+
+@pytest.mark.parametrize("n", [1, 2047, 2048, 2 * 2048 + 5])
+def test_blocked_scan_equals_one_whole_batch(n):
+    # The scans evaluate 2048 planes at a time; every value, and so the
+    # reported minimum, plane and count, must be those of one batch.
+    metric = span_i_metric(3, 1.5)
+    res = scan_min_sectional(metric, n_planes=n, seed=4)
+    rng = np.random.default_rng(4)
+    U = metric.algebra.random(rng, n)
+    V = metric.algebra.random(rng, n)
+    vals, ok = metric.sectional_batch(U, V)
+    idx = int(np.argmin(vals))
+    assert (res.min_value, res.n_valid) == (float(vals[idx]), int(ok.sum()))
+    assert np.array_equal(res.u, U[idx]) and np.array_equal(res.v, V[idx])
 
 
 def test_witness_plane_is_negative_past_the_threshold():
@@ -317,6 +335,50 @@ def test_negative_plane_search_reports_absence():
     res = find_negative_plane(diag_metric(2, 1.0), budget=4000, seed=2)
     assert not res.found
     assert res.scan_min >= -1e-9
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True, "3", np.int64(3)])
+def test_bad_seeds_are_parameter_errors(seed):
+    """numpy would reject -1 with a bare ValueError, draw fresh entropy for
+    None and take True as 1; every seeded entry point refuses them all."""
+    metric = diag_metric(2, 1.05)
+    calls = (lambda: scan_min_sectional(metric, n_planes=10, seed=seed),
+             lambda: find_negative_plane(metric, budget=10, seed=seed),
+             lambda: metric.oracle_agreement(samples=4, seed=seed))
+    for call in calls:
+        with pytest.raises(ParameterError, match="^seed must be"):
+            call()
+
+
+@pytest.mark.parametrize("a", [1e100, 1e-300, 1e-320, 1e300, 1e200, 0, -1.0,
+                               math.inf, math.nan, Fraction(10 ** 400),
+                               Fraction(1, 10 ** 400), A_MAX * (1 + 1e-15),
+                               A_MIN * (1 - 1e-15)])
+def test_scales_outside_the_measured_range_are_refused(a):
+    """The first five used to overflow in the closed-form weights, or to
+    give inf and nan from the oracle and the scan."""
+    with pytest.raises(ParameterError, match="^deformation scale a must lie"):
+        diag_metric(2, a)
+
+
+@pytest.mark.parametrize("a", [A_MIN, A_MAX])
+def test_the_oracle_still_checks_the_closed_form_at_the_range_ends(a):
+    """At both ends of the accepted range the oracle agrees with the
+    closed form to 1e-6 of the largest value on random pairs, and on the
+    plane a search reports."""
+    alg = Su2Power(2)
+    direction = alg.zero()
+    direction[0, 0] = 1.0
+    for split in (ReductiveSplit.diagonal(alg), ReductiveSplit.factor(alg, 0),
+                  ReductiveSplit.circle(alg, direction)):
+        metric = DeformedMetric(split, a)
+        U, V = alg.random(RNG, 64), alg.random(RNG, 64)
+        closed = metric.curvature_of_pair(U, V)
+        gap = np.abs(closed - metric.curvature_oracle_of_pair(U, V))
+        assert np.max(gap) <= 1e-6 * np.max(np.abs(closed))
+        res = find_negative_plane(metric, budget=300, seed=1)
+        assert math.isfinite(res.value) and math.isfinite(res.scan_min)
+        assert abs(res.value - res.oracle_value) <= 1e-6 * max(1.0, abs(res.value))
 
 
 def test_quotient_factors_are_exact():

@@ -35,6 +35,13 @@ def test_matching_level_is_exact_for_rational_inputs():
     assert abs(matching_level(Fraction(4, 3), 1) - 2.0) < 1e-15
 
 
+def test_certificate_refuses_a_bad_seed():
+    profile = ProfileFunction.capped_sine(Fraction(4, 3), 1)
+    with pytest.raises(ParameterError, match="^seed must be non-negative"):
+        nonneg_certificate(profile, circle_metric(Fraction(4, 3)), planes=10,
+                           seed=-1)
+
+
 def test_matching_level_needs_an_overshoot():
     with pytest.raises(NoFiniteMatchingError):
         matching_level_sq(1, 1)

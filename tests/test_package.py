@@ -1,7 +1,8 @@
 """Package hygiene: no module imports a name it never uses, every name
-the package exports exists, `import milnor` loads no numeric library and
-nothing in the package needs scipy."""
+the package exports exists, `import milnor` and the integer subcommands
+load no numeric library and nothing in the package needs scipy."""
 
+import argparse
 import ast
 import json
 import os
@@ -75,15 +76,19 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
-def imported_modules(path):
-    """Every module the file imports, relative ones with their dots."""
+def imported_modules(path, module_level=False):
+    """Every module the file imports, relative ones with their dots
+    (`from . import x` counts as `.x`); with module_level=True only the
+    imports in the module body, not those inside functions."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = set()
-    for node in ast.walk(tree):
+    for node in tree.body if module_level else ast.walk(tree):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            found.update("." * node.level + alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            found.add("." * node.level + (node.module or ""))
+            found.add("." * node.level + node.module)
     return found
 
 
@@ -92,6 +97,14 @@ def test_bundles_imports_only_math_dataclasses_and_errors():
     loads no module beyond these."""
     assert imported_modules(SRC / "bundles.py") == {
         "math", "dataclasses", ".errors"}
+
+
+def test_cli_imports_no_numeric_layer_at_module_level():
+    """numpy, liealg, deform and glue are imported inside the handlers of
+    curvature-scan and glue, so the integer subcommands never load them."""
+    assert imported_modules(SRC / "cli.py", module_level=True) == {
+        "argparse", "json", "math", "sys", "fractions",
+        ".bundles", ".classify", ".isotropy", ".data", ".errors"}
 
 
 NUMERIC_MODULES = ("numpy", "scipy", "scipy.linalg", "scipy.optimize")
@@ -125,29 +138,59 @@ def cli_code(*argv, code=0):
                                                        code))
 
 
+#: One call of every subcommand but the numeric curvature-scan and glue.
+INTEGER_COMMANDS = {
+    "solve": ["solve", "105"],
+    "canonical": ["canonical", "105"],
+    "euler": ["euler", "29", "1"],
+    "classify": ["classify", "5", "-3", "1", "5"],
+    "isotropy": ["isotropy", "-3", "5", "1", "5"],
+    "table42": ["table42", "3", "-2"],
+    "ek": ["ek", "2"],
+    "diffeo": ["diffeo", "2", "58"],
+    "brieskorn": ["brieskorn", "5", "3"],
+    "rp5": ["rp5", "5"],
+    "s7class": ["s7class", "5"],
+    "cohomology": ["cohomology", "principal3", "3"],
+    "repro": ["repro", "all"],
+}
+
+
+def test_integer_commands_cover_every_other_subcommand():
+    from milnor import cli
+
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert set(sub.choices) == set(INTEGER_COMMANDS) | {"curvature-scan",
+                                                        "glue"}
+
+
 @pytest.mark.parametrize("code", [
     "import milnor",
     "from milnor import solve_euler, eells_kuiper, orbit_types, ParameterError",
-], ids=["import", "from-import"])
+] + [cli_code(*argv) for argv in INTEGER_COMMANDS.values()],
+    ids=["import", "from-import"] + ["cli-" + name for name in INTEGER_COMMANDS])
 def test_integer_layer_loads_no_numeric_library(code):
     assert numeric_modules_after(code) == []
 
 
+def test_integer_commands_run_where_numpy_cannot_be_imported():
+    """With `import numpy` made to fail, every integer subcommand still
+    exits 0."""
+    run_fresh("\n".join(["import sys", "sys.modules['numpy'] = None"]
+                        + [cli_code(*argv) for argv in INTEGER_COMMANDS.values()]))
+
+
 @pytest.mark.parametrize("code", [
     "import milnor; milnor.DeformedMetric",
-    cli_code("solve", "105"),
-    cli_code("repro", "all"),
-    cli_code("isotropy", "-3", "5", "1", "5"),
-    cli_code("cohomology", "principal3", "3"),
     cli_code("glue", "--a", "4/3", "--r", "1", "--planes", "50"),
     cli_code("curvature-scan", "--algebra", "su2^3", "--subalgebra", "span-i",
              "--a", "3/2", "--find-negative"),
-], ids=["attribute", "cli-solve", "cli-repro", "cli-isotropy",
-        "cli-cohomology", "cli-glue", "cli-search-settled-by-scan"])
+], ids=["attribute", "cli-glue", "cli-search-settled-by-scan"])
 def test_only_the_optimizer_loads_scipy_optimize(code):
-    """The CLI and the numeric layers load numpy and no scipy module:
-    neither scipy.linalg nor scipy.optimize, which not even the plane
-    search's optimizer loads."""
+    """The numeric layers and the numeric subcommands load numpy and no
+    scipy module: neither scipy.linalg nor scipy.optimize, which not even
+    the plane search's optimizer loads."""
     assert numeric_modules_after(code) == ["numpy"]
 
 

@@ -38,7 +38,6 @@ _EXPORTS = {
         "DeformedMetric", "PlaneSearchResult", "ScanResult",
         "cheeger_quotient_factors", "compensating_scale",
         "find_negative_plane", "negative_plane_witness", "scan_min_sectional",
-        "witness_plane_value",
     ),
     "errors": (
         "DegeneratePlaneError", "DimensionMismatchError", "MilnorError",

@@ -28,23 +28,12 @@ EXIT_DOMAIN = 3
 EXIT_FAILED = 4
 
 
-def _has_nan(node):
-    if isinstance(node, dict):
-        node = list(node.values())
-    if isinstance(node, (list, tuple)):
-        return any(_has_nan(item) for item in node)
-    return isinstance(node, float) and math.isnan(node)
-
-
 def _emit(args, payload, lines):
     if args.json:
-        # NaN is refused; +-inf stays, since a gluing clause that cannot
-        # be evaluated outside the window reports the value inf. Only a
-        # document that spells NaN somewhere is walked.
-        text = json.dumps(payload, sort_keys=True, indent=2)
-        if "NaN" in text and _has_nan(payload):
-            raise ValueError("NaN in the JSON payload")
-        print(text)
+        # Strict JSON (RFC 8259) has no NaN or Infinity: a payload holding
+        # one raises ValueError rather than print a document strict
+        # parsers reject.
+        print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     else:
         for line in lines:
             print(line)
@@ -331,7 +320,10 @@ def cmd_glue(args):
         "matching_level": profile.plateau,
         "plateau_start": profile.t_plateau,
         "passed": cert.passed,
-        "clauses": [{"name": c.name, "passed": c.passed, "value": c.value,
+        # a clause that cannot be evaluated has no finite value; its
+        # detail says why
+        "clauses": [{"name": c.name, "passed": c.passed,
+                     "value": c.value if math.isfinite(c.value) else None,
                      "tolerance": c.tolerance, "detail": c.detail}
                     for c in cert.clauses],
     }

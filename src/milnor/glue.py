@@ -24,6 +24,14 @@ from .deform import scan_min_sectional
 from .errors import (NoFiniteMatchingError, ParameterError, ProfileError,
                      as_fraction)
 
+#: The plateau values F = r sqrt(a/(a-1)) that glue_params accepts: those
+#: on which building, certifying and exporting a capped-sine profile runs
+#: in floats without overflow. Measured with `milnor glue --csv` under
+#: warnings-as-errors for a from 1 + 1e-9 to 1e3: at F = 1e-155 the disc
+#: curvature -f''/f = 1/F^2 overflows, and past about 1.3e154 so does F^2.
+PLATEAU_MIN = 1e-154
+PLATEAU_MAX = 1e154
+
 
 def matching_level_sq(a, r):
     """Square of the plateau value: a r^2 / (a - 1).
@@ -45,12 +53,13 @@ def matching_level_sq(a, r):
     if af <= 1.0:
         raise NoFiniteMatchingError(
             "no finite matching level for a <= 1 (got a = {:.6g})".format(af))
-    return af * rf * rf / (af - 1.0)
+    return af / (af - 1.0) * rf * rf
 
 
 def matching_level(a, r):
-    """Plateau value F = r sqrt(a/(a-1)) (always a float)."""
-    return math.sqrt(float(matching_level_sq(a, r)))
+    """Plateau value F = r sqrt(a/(a-1)) (always a float), for the (a, r)
+    glue_params accepts."""
+    return glue_params(a, r).plateau
 
 
 @dataclass(frozen=True)
@@ -64,8 +73,23 @@ class GlueParams:
     t_plateau: float
 
 
+def _show(x):
+    """x to six digits for a message; an exact x may not fit a float."""
+    from decimal import Decimal  # only a refusal pays for the import
+
+    q = as_fraction(x)
+    return "{:.6g}".format(Decimal(x) if q is None
+                           else Decimal(q.numerator) / q.denominator)
+
+
 def glue_params(a, r):
+    """GlueParams for scale a and radius r; raises ParameterError when the
+    plateau lies outside [PLATEAU_MIN, PLATEAU_MAX]."""
     psq = matching_level_sq(a, r)
+    if not PLATEAU_MIN ** 2 <= psq <= PLATEAU_MAX ** 2:
+        raise ParameterError(
+            "a = {} and r = {} put the plateau r sqrt(a/(a-1)) outside "
+            "[{:g}, {:g}]".format(_show(a), _show(r), PLATEAU_MIN, PLATEAU_MAX))
     plateau = math.sqrt(float(psq))
     return GlueParams(a=a, r=r, plateau=plateau, plateau_sq=psq,
                       t_plateau=math.pi * plateau / 2.0)
@@ -219,8 +243,9 @@ class ProfileFunction:
 
 
 def _orbit_factor(f2, a, r):
-    """f^2 a / (f^2 + a r^2); exact when f^2, a and r are rational."""
-    return f2 * a / (f2 + a * r * r)
+    """f^2 a / (f^2 + a r^2), as f^2 / (f^2 / a + r^2) so that no float
+    exceeds the plateau square; exact when f^2, a and r are rational."""
+    return f2 / (f2 / a + r * r)
 
 
 def orbit_metric_factor(profile, t):

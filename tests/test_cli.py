@@ -289,6 +289,14 @@ BAD_NUMERIC_INPUTS = [
     ("curvature-scan", ["--a", "1e-320"], 3),
     ("curvature-scan", ["--a", "1e300"], 3),
     ("glue", ["--a", "1e200"], 3),
+    # plateaus r sqrt(a/(a-1)) outside [PLATEAU_MIN, PLATEAU_MAX]: these
+    # overflowed and named grid_step or the plateau data, or ended in a
+    # traceback
+    ("glue", ["--r", "1e154"], 3),
+    ("glue", ["--r", "1e-160"], 3),
+    ("glue", ["--r", "1e-200"], 3),
+    ("glue", ["--r", "1" + "0" * 400], 3),
+    ("glue", ["--a", "1" + "0" * 399 + "1/1" + "0" * 400], 3),
     ("curvature-scan", ["--a", "0"], 3),
     ("curvature-scan", ["--a", "-2"], 3),
     ("curvature-scan", ["--a", "1" + "0" * 400], 3),
@@ -339,14 +347,13 @@ def test_bad_numeric_inputs_exit_two_or_three_without_a_traceback(
     assert "Traceback" not in err
 
 
-def test_json_refuses_nan_and_keeps_infinity(capsys):
-    """A clause that cannot be evaluated reports inf, which stays; a NaN
-    would be a fault and never reaches stdout."""
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_refuses_nan_and_infinity(capsys, bad):
+    """Strict JSON has no token for NaN or +-inf; neither reaches stdout."""
     args = argparse.Namespace(json=True)
-    with pytest.raises(ValueError, match="NaN"):
-        cli._emit(args, {"x": [1.0, {"y": math.nan}]}, [])
-    cli._emit(args, {"x": -math.inf}, [])
-    assert capsys.readouterr().out == '{\n  "x": -Infinity\n}\n'
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._emit(args, {"x": [1.0, {"y": bad}]}, [])
+    assert capsys.readouterr().out == ""
 
 
 def test_curvature_scan_payload_keeps_the_algebra_text(capsys):
@@ -405,3 +412,4 @@ def test_glue_clauses_report_tolerance_and_detail(capsys):
         (c.name, c.tolerance, c.detail) for c in cert.clauses]
     plateau = next(c for c in clauses if c["name"] == "plateau_match")
     assert plateau["detail"] == "no finite matching level outside the window"
+    assert plateau["value"] is None

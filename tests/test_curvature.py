@@ -16,10 +16,9 @@ from milnor.deform import (
     find_negative_plane,
     negative_plane_witness,
     scan_min_sectional,
-    witness_plane_value,
 )
 from milnor.errors import (DegeneratePlaneError, DimensionMismatchError,
-                           ParameterError, ValidationError)
+                           ParameterError)
 from milnor.liealg import ReductiveSplit, Su2Power
 
 RNG = np.random.default_rng(90125)
@@ -69,7 +68,6 @@ def test_curvature_is_symmetric_and_scales_quadratically():
 def test_closed_form_broadcasts_sample_axes_of_different_rank():
     metric = diag_metric(3, 1.3)
     alg = metric.algebra
-    split = metric.split
     U = alg.random(RNG, (4, 3))
     V = alg.random(RNG, 3)
     want = np.array([[float(metric.curvature_of_pair(U[i, j], V[j]))
@@ -77,28 +75,11 @@ def test_closed_form_broadcasts_sample_axes_of_different_rank():
     got = metric.curvature_of_pair(U, V)
     assert got.shape == (4, 3)
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-    A, X = split.split(U)
-    B, Y = split.split(V)
-    got = metric.curvature(A, X[0], B[None], Y)
-    want = np.array([[float(metric.curvature(A[i, j], X[0, j], B[j], Y[j]))
-                      for j in range(3)] for i in range(4)])
-    assert got.shape == (4, 3)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
     vals, ok = metric.sectional_batch(U, V)
     assert vals.shape == ok.shape == (4, 3) and ok.all()
     for i, j in np.ndindex(4, 3):
         single = metric.sectional(U[i, j], V[j])
         assert abs(vals[i, j] - single) <= 1e-12 * max(1.0, abs(single))
-
-
-def test_component_input_membership_is_checked():
-    metric = diag_metric(2, 1.2)
-    alg = metric.algebra
-    split = metric.split
-    u = alg.random(RNG)
-    A, X = split.split(u)
-    with pytest.raises(ValidationError):
-        metric.curvature(X, A, A, X)
 
 
 def test_su2_circle_sectional_closed_form():
@@ -174,10 +155,11 @@ def test_witness_plane_is_negative_past_the_threshold():
     for a in (1.05, 1.2, 4.0 / 3.0 + 0.01):
         metric = diag_metric(2, a)
         A, X, B, Y = negative_plane_witness(metric)
-        value = float(metric.curvature(A, X, B, Y))
-        assert abs(value - witness_plane_value(a)) < 1e-10
+        value = float(metric.curvature_of_pair(A + X, B + Y))
+        # 1/4 a (1-a)^3 (1+3a) |[X,Y]|^2 with |[X,Y]|^2 = 8
+        assert abs(value - 0.25 * a * (1.0 - a) ** 3 * (1.0 + 3.0 * a) * 8.0) < 1e-10
         assert value < 0.0
-        oracle = float(metric.curvature_oracle(A, X, B, Y))
+        oracle = float(metric.curvature_oracle_of_pair(A + X, B + Y))
         assert abs(value - oracle) < 1e-10
 
 
@@ -232,10 +214,9 @@ def test_closed_form_gradient_matches_central_differences(factors, split, a):
     V = alg.flatten(alg.random(rng, 6))
 
     def quartic(X, Y):
-        return metric._quartic(metric._parts(metric._lift(X)),
-                               metric._parts(metric._lift(Y)))
+        return metric._quartic(metric._parts(X), metric._parts(Y))
 
-    P, Q = metric._parts(metric._lift(U)), metric._parts(metric._lift(V))
+    P, Q = metric._parts(U), metric._parts(V)
     _, vecs = metric._quartic(P, Q, vectors=True)
     g_u, g_v = metric._gradient(P, Q, vecs)
     want_u = central_differences(lambda X: quartic(X, V), U)
@@ -253,24 +234,23 @@ def test_riemannian_gradient_matches_sectional_differences(factors, split, a):
     metric = make_metric(factors, split, a)
     alg = metric.algebra
     rng = np.random.default_rng(43)
-    F = metric._lift(alg.flatten(alg.random(rng, (2, 6))))
+    F = alg.flatten(alg.random(rng, (2, 6)))
     metric._frames(F)
     values, G = metric._value_and_gradient(F)
-    d = alg.dim
-    sectional, _ = metric.sectional_batch(alg.unflatten(F[0, :, :d]),
-                                          alg.unflatten(F[1, :, :d]))
+    sectional, _ = metric.sectional_batch(alg.unflatten(F[0]),
+                                          alg.unflatten(F[1]))
     assert np.all(np.abs(values - sectional) <= 1e-12 * np.maximum(1.0, np.abs(sectional)))
     for E in F:
-        assert np.max(np.abs(metric._inner_lifted(G, E))) <= 1e-12
+        assert np.max(np.abs(metric._inner(G, E))) <= 1e-12
     D = alg.flatten(alg.random(rng, (2, 6)))
     h = 1e-5
 
     def sec(t):
-        X = F[:, :, :d] + t * D
+        X = F + t * D
         return metric.sectional_batch(alg.unflatten(X[0]), alg.unflatten(X[1]))[0]
 
     want = (sec(h) - sec(-h)) / (2.0 * h)
-    got = metric._inner_lifted(G, metric._lift(D)).sum(axis=0)
+    got = metric._inner(G, D).sum(axis=0)
     assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
 
 
@@ -319,16 +299,81 @@ def test_search_finds_the_shallow_planes_for_every_seed(factors, split, a):
 @pytest.mark.parametrize("factors, split, a", [
     (2, "factor0", 1.5), (3, "factor0", 1.5), (3, "diagonal", 1.0),
     (2, "span-i", 4.0 / 3.0), (3, "span-i", 4.0 / 3.0),
+    (1, "factor0", 1.2), (1, "factor0", 4.0 / 3.0), (1, "factor0", 1.5),
+    (1, "factor0", 3.0),
 ])
 def test_search_never_finds_a_plane_where_none_exists(factors, split, a):
     """A product of round factors, the undeformed metric and the abelian
-    window's edge a = 4/3 have nonnegative curvature."""
+    window's edge a = 4/3 have nonnegative curvature; su(2) deformed along
+    all of itself is a round 3-sphere."""
     metric = make_metric(factors, split, a)
     for seed in range(24):
         res = find_negative_plane(metric, budget=2000, seed=seed)
         assert not res.found
         assert res.evaluations == 2000
         assert res.value >= -1e-10
+
+
+def named_splits(factors):
+    """Every split the CLI names for su(2)^factors."""
+    alg = Su2Power(factors)
+    splits = [ReductiveSplit.diagonal(alg)]
+    splits += [ReductiveSplit.factor(alg, i) for i in range(factors)]
+    splits += [ReductiveSplit.circle(alg, alg.basis()[axis]) for axis in range(3)]
+    return splits
+
+
+@pytest.mark.parametrize("factors", [1, 2, 3])
+def test_reported_planes_are_orthonormal_frames_of_their_value(factors):
+    """The search reports a Q_a-orthonormal pair, checked against the
+    explicit Q_a matrix, and the sectional curvature of its plane."""
+    for split in named_splits(factors):
+        K = split.k_basis.reshape(split.dim_k, split.algebra.dim)
+        for a in (0.5, 1.05, 1.5):
+            metric = DeformedMetric(split, a)
+            G = np.eye(split.algebra.dim) + (a - 1.0) * K.T @ K
+            for seed in range(2):
+                res = find_negative_plane(metric, budget=600, seed=seed)
+                u, v = metric.algebra.flatten(np.stack([res.u, res.v]))
+                gram = np.array([[x @ G @ y for y in (u, v)] for x in (u, v)])
+                assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
+                want = metric.sectional(res.u, res.v)
+                assert abs(res.value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [1e-7, 0.1, 1.2, 4.0 / 3.0, 1.5, 3.0])
+def test_round_sphere_search_reports_curvature_one_over_a(a):
+    """Deformed along all of su(2), every plane has sectional curvature
+    1/a, and the gradient the descent follows is rounding noise. No
+    numeric warning may fire and the reported value stays 1/a."""
+    metric = make_metric(1, "factor0", a)
+    for seed in range(12):
+        res = find_negative_plane(metric, budget=2000, seed=seed)
+        assert not res.found and res.evaluations == 2000
+        assert abs(res.value * a - 1.0) <= 1e-12
+
+
+def test_search_refuses_a_plane_the_oracle_disputes(monkeypatch):
+    """A negative plane is reported only when the connection oracle is
+    negative there too, within 1e-6 of max(1, |value|)."""
+    metric = diag_metric(2, 1.2)
+    res = find_negative_plane(metric, budget=2000, seed=1)
+    assert res.found
+    oracle = metric.curvature_oracle_of_pair
+    for scale, agrees in ((1.0 + 1e-9, True), (1.0 + 1e-3, False),
+                          (-1.0, False), (0.0, False)):
+        monkeypatch.setattr(metric, "curvature_oracle_of_pair",
+                            lambda u, v, s=scale: s * oracle(u, v))
+        if agrees:
+            got = find_negative_plane(metric, budget=2000, seed=1)
+            assert got.found and got.oracle_value == scale * res.oracle_value
+        else:
+            with pytest.raises(AssertionError) as exc:
+                find_negative_plane(metric, budget=2000, seed=1)
+            message = str(exc.value)
+            assert repr(res.value) in message
+            assert repr(scale * res.oracle_value) in message
 
 
 def test_negative_plane_search_reports_absence():

@@ -35,6 +35,39 @@ def test_matching_level_is_exact_for_rational_inputs():
     assert abs(matching_level(Fraction(4, 3), 1) - 2.0) < 1e-15
 
 
+@pytest.mark.parametrize("a, r", [
+    (Fraction(4, 3), 1e154), (Fraction(4, 3), 1e-160), (Fraction(4, 3), 1e-200),
+    (Fraction(4, 3), 10 ** 400), (1 + Fraction(1, 10 ** 400), 1),
+    (1000.0, 1e155), (1.5, 1e-155)],
+    ids=["4_3-1e154", "4_3-1e-160", "4_3-1e-200", "4_3-10^400",
+         "1+10^-400-1", "1000-1e155", "1.5-1e-155"])
+def test_plateaus_past_the_float_range_are_refused(a, r):
+    """These overflowed or underflowed inside the profile, or converting
+    the exact plateau square to a float; the error names a and r."""
+    with pytest.raises(ParameterError, match=r"^a = \S+ and r = \S+ put the plateau"):
+        glue_params(a, r)
+    with pytest.raises(ParameterError, match="outside"):
+        matching_level(a, r)
+
+
+@pytest.mark.parametrize("a, r", [(Fraction(4, 3), 1e-154), (Fraction(4, 3), 1e153),
+                                  (1000.0, 1e153), (Fraction(11, 10), 1e-154)])
+def test_plateaus_at_the_ends_of_the_range_certify_and_export(tmp_path, a, r):
+    """Near either end of [PLATEAU_MIN, PLATEAU_MAX] the profile, its
+    certificate and its CSV stay finite, with no numeric warning."""
+    profile = ProfileFunction.capped_sine(a, r)
+    metric = circle_metric(a)
+    cert = nonneg_certificate(profile, metric, planes=50)
+    assert cert.passed == (1 < a <= Fraction(4, 3))
+    assert all(math.isfinite(c.value) for c in cert.clauses
+               if c.name != "plateau_match")
+    path = tmp_path / "profile.csv"
+    profile.export_csv(path)
+    with open(path, newline="") as fh:
+        rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
+    assert np.isfinite(rows).all() and abs(rows[-1][2] - 1.0) < 1e-12
+
+
 def test_certificate_refuses_a_bad_seed():
     profile = ProfileFunction.capped_sine(Fraction(4, 3), 1)
     with pytest.raises(ParameterError, match="^seed must be non-negative"):
@@ -263,8 +296,9 @@ def test_profile_csv_export(tmp_path):
                          ids=["1.2-0.7", "101_100-3", "4_3-1"])
 def test_csv_orbit_factor_follows_its_own_f_column(tmp_path, a, r):
     """Before the plateau each row's orbit factor is f^2 a / (f^2 + a r^2)
-    of that row's f, bit for bit; on the plateau it comes from the plateau
-    square, which makes it exactly 1 for rational a and r."""
+    of that row's f, bit for bit as f^2 / (f^2 / a + r^2); on the plateau
+    it comes from the plateau square, which makes it exactly 1 for rational
+    a and r."""
     profile = ProfileFunction.capped_sine(a, r)
     path = tmp_path / "profile.csv"
     profile.export_csv(path)
@@ -272,11 +306,11 @@ def test_csv_orbit_factor_follows_its_own_f_column(tmp_path, a, r):
         rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
     assert len(rows) == len(profile.grid)
     psq = profile.plateau_sq
-    on_plateau = float(psq * a / (psq + a * r * r))
+    on_plateau = float(psq / (psq / a + r * r))
     if isinstance(a, Fraction):
         assert on_plateau == 1.0
     for t, f, factor in rows:
         if t >= profile.t_plateau:
             assert factor == on_plateau
         else:
-            assert factor == f ** 2 * a / (f ** 2 + a * r * r), t
+            assert factor == f ** 2 / (f ** 2 / a + r * r), t

@@ -20,8 +20,12 @@ provides a completely independent check of the closed form: it assembles
 the curvature tensor from Koszul structure constants on a Q_a-orthonormal
 basis.
 
-Vectors are passed around flat, (..., dim); their k-parts are worked out
-inside each call and never stored.
+The public methods and functions take and return elements of su(2)^n in
+their (..., n, 3) form. Inside, the kernel works on component-major rows
+(see liealg): a batch of N vectors is a (dim, N) array, a pair of batches
+is stacked (2, dim, N), and the m- and k-parts of such rows are worked out
+inside each call, as (r, dim) @ (dim, N) products, and never stored. Each
+public entry point converts its inputs once.
 """
 
 import math
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegeneratePlaneError, DimensionMismatchError,
-                     ParameterError, as_fraction, require_int)
+                     ParameterError, as_fraction, require_count, require_int)
 
 _GRAM_TOL = 1e-12
 _NEGATIVE_THRESHOLD = -1e-10
@@ -38,11 +42,22 @@ _NEGATIVE_THRESHOLD = -1e-10
 _STARTS = 64
 _FIRST_STEP = 0.5
 _GRAD_RTOL = 1e-6
-#: Planes per sectional_batch call in the random-plane scans. A block's
-#: temporaries stay small enough for the cache and for malloc's heap; one
-#: call over 20k su(2)^3 planes maps and faults in every temporary afresh
-#: and takes about twice as long. Blocking changes no value.
+#: Planes per sectional_batch call in the random-plane scans; blocking
+#: changes no value. Timed with the component-major kernel in seven 15 s
+#: benchmark runs per size (2-core Xeon): blocks of 1024, 2048 and 4096
+#: gave geometry ops_per_s 291, 279 and 263, certify 193, 219 and 175,
+#: and geometry peak_rss_mb 42.4, 43.0 and 44.5 (the row-major kernel's
+#: 2048 blocks: 43.0). Smaller blocks pay numpy's per-call overhead more
+#: often; larger ones fault in fresh pages for their temporaries.
 _SCAN_BLOCK = 2048
+#: The most planes scan_min_sectional (so nonneg_certificate) and the most
+#: sample pairs oracle_agreement take; counts are checked before anything
+#: is drawn. Measured at 1e5 on su(2)^3 (2-core Xeon): a scan holds about
+#: 160 bytes and takes about 1.1 us a plane, oracle_agreement about 850
+#: bytes and 16 us a pair. So at the cap a scan takes about 1 s and 160 MB,
+#: and oracle_agreement about 16 s and 850 MB; ten times the cap would
+#: exceed the memory of a small host.
+MAX_PLANES = 10 ** 6
 #: How far, relative to max(1, |value|), the connection oracle may stray
 #: from the closed form on a plane the search reports.
 _ORACLE_RTOL = 1e-6
@@ -88,60 +103,63 @@ class DeformedMetric:
         # _quartic leaves the vectors in
         self._terms = np.array([0.75 * (1.0 - a), 0.25, 0.25,
                                 0.25 * a * (1.0 - a) ** 3])
+        # _gradient's three combinations of those vectors (see there)
+        w0, w1, w2, w3 = self._terms
+        self._grad_terms = np.array([[w0, w1, w2, 0.0],
+                                     [a * w0, a * w1, a * a * w2, w3],
+                                     [0.0, (a - 1.0) * w1, 0.0, 0.0]])
         self._koszul = None
 
     def __repr__(self):
         return "DeformedMetric(a={:.6g}, dim_k={}, algebra={!r})".format(
             self.a, self.split.dim_k, self.algebra)
 
-    # -- flat vectors -------------------------------------------------------
+    # -- component-major rows ------------------------------------------------
 
-    def _inner(self, E, F):
-        """Q_a(E, F) = <E, F> + (a - 1) <KE, KF> of flat vectors (..., dim),
-        K the split's orthonormal k basis; the sample axes broadcast. It is
-        summed as <E_m, F_m> + a <E_k, F_k> over the parts, in which nothing
-        cancels: for small a the first form loses about log10(1/a) digits."""
-        PE = self._parts(E)
-        return self._inner_of_parts(PE, PE if F is E else self._parts(F))
+    def _k_part(self, X, out=None):
+        """The k-part of rows (..., dim, N): two (r, dim) @ (dim, N)
+        products with the split's component-major k basis."""
+        return np.matmul(self.split._rows_t, self.split._rows @ X, out=out)
+
+    def _parts(self, X):
+        """Rows (..., dim, N) -> stacked parts (2, ..., dim, N): the m-part,
+        then the k-part."""
+        parts = np.empty((2,) + X.shape)
+        self._k_part(X, out=parts[1])
+        np.subtract(X, parts[1], out=parts[0])
+        return parts
+
+    def _split(self, *vectors):
+        """Elements (..., n, 3) -> the stacked parts (2, len(vectors), dim,
+        N) of their rows, and the shape of their broadcast sample axes."""
+        X, shape = self.algebra.rows(*vectors)
+        return self._parts(X), shape
 
     def _inner_of_parts(self, PE, PF):
-        """_inner of vectors given by their stacked parts (2, ..., dim)."""
-        return np.vecdot(PE[0], PF[0]) + self.a * np.vecdot(PE[1], PF[1])
-
-    def _parts(self, E):
-        """Flat vectors (..., dim) -> stacked parts (2, ..., dim): the
-        m-part, then the k-part."""
-        parts = np.empty((2,) + E.shape)
-        rows = E.reshape(-1, E.shape[-1])  # np.dot is slow past two axes
-        np.dot(np.dot(rows, self.split._flat_t), self.split._flat,
-               out=parts[1].reshape(rows.shape))
-        np.subtract(E, parts[1], out=parts[0])
-        return parts
+        """Q_a products of rows given by their stacked parts (2, ..., dim,
+        N), summed as <E_m, F_m> + a <E_k, F_k> over the parts, in which
+        nothing cancels: <E, F> + (a - 1) <KE, KF> would lose about
+        log10(1/a) digits for small a. Leading axes broadcast."""
+        sums = np.einsum("k...ij,k...ij->k...j", PE, PF)
+        return sums[0] + self.a * sums[1]
 
     # -- curvature, closed form -------------------------------------------
 
-    def _quartic(self, P, Q, vectors=False):
-        """The closed form on stacked parts P = (A, X) and Q = (B, Y), each
-        (2, ..., dim) with the m-part first; the sample axes broadcast.
-        Every closed-form value in this module comes from here. With
-        vectors=True also return the four vectors whose squared norms it
-        weighs, stacked (4, ..., dim) in the order of self._terms."""
-        alg = self.algebra
+    def _quartic(self, PQ, vectors=False):
+        """The closed form on the stacked parts PQ, (2, 2, dim, N), of the
+        pairs u = A + X, v = B + Y: PQ[0] holds the m-parts (A, B) and
+        PQ[1] the k-parts (X, Y). Every closed-form value in this module
+        comes from here. With vectors=True also return the four vectors
+        whose squared norms it weighs, stacked (4, dim, N) in the order of
+        self._terms."""
         a = self.a
-        # align the sample axes to the right, behind the leading parts axis
-        pad = P.ndim - Q.ndim
-        if pad > 0:
-            Q = Q.reshape(Q.shape[:1] + (1,) * pad + Q.shape[1:])
-        elif pad < 0:
-            P = P.reshape(P.shape[:1] + (1,) * -pad + P.shape[1:])
-        shape = (alg.factors, 3)
-        P = P.reshape(P.shape[:-1] + shape)[:, None]
-        Q = Q.reshape(Q.shape[:-1] + shape)[None, :]
-        # br[s, t] = [P[s], Q[t]]: ([A,B], [A,Y]), ([X,B], [X,Y])
-        br = alg.bracket(P, Q)
-        br = br.reshape(br.shape[:-2] + (alg.dim,))
-        ab, ay, xb, xy = br[0, 0], br[0, 1], br[1, 0], br[1, 1]
-        ab_k = np.dot(np.dot(ab, self.split._flat_t), self.split._flat)
+        comps = PQ.reshape(2, 2, 3, -1)        # components on axis -2
+        # br[s, t] = [P[s], Q[t]] for P = (A, X), Q = (B, Y), in one call on
+        # (2, 1, 3, n N) x (1, 2, 3, n N): ([A,B], [A,Y]), ([X,B], [X,Y])
+        br = self.algebra.bracket_rows(comps[:, None, 0], comps[None, :, 1])
+        br = br.reshape((4,) + PQ.shape[-2:])
+        ab, ay, xb, xy = br
+        ab_k = self._k_part(ab)
         # Overwrite br with the four vectors whose squared norms the closed
         # form weighs; in place, so a batch allocates no more rows.
         ay += xb
@@ -152,15 +170,13 @@ class DeformedMetric:
         xb += ab_k                         # [A,B]_k + a^2 [X,Y]
         np.multiply(xy, a, out=ab)
         ab += ab_k                         # [A,B]_k + a [X,Y]
-        br = br.reshape((4,) + br.shape[2:])
-        values = np.vecdot(np.vecdot(br, br), self._terms, axis=0)
+        values = self._terms @ np.einsum("kij,kij->kj", br, br)
         return (values, br) if vectors else values
 
-    def _gradient(self, P, Q, vecs):
-        """Euclidean gradients (g_u, g_v), stacked (2, ..., dim), of the
-        closed form at u = A + X, v = B + Y, from the parts P = (A, X),
-        Q = (B, Y) and the four vectors _quartic(P, Q, vectors=True)
-        returned.
+    def _gradient(self, PQ, vecs):
+        """Euclidean gradients (g_u, g_v), stacked (2, dim, N), of the
+        closed form at u = A + X, v = B + Y, from their stacked parts PQ
+        and the four vectors _quartic(PQ, vectors=True) returned.
 
         The derivative of a weighted squared norm w |V|^2 along h is
         2 w <V, dV>, and dV is a bracket of a part of h with B or Y. By
@@ -171,20 +187,15 @@ class DeformedMetric:
         splitting, its k-part weighted by a (the extra (a - 1) below). The
         closed form is symmetric in u and v and every vector is
         antisymmetric, which gives g_v from g_u."""
-        alg = self.algebra
-        a = self.a
-        w0, w1, w2, w3 = self._terms
-        v0, v1, v2, v3 = vecs
-        s1 = w0 * v0 + w1 * v1 + w2 * v2
-        s2 = a * (w0 * v0 + w1 * v1 + a * w2 * v2) + w3 * v3
-        c = (a - 1.0) * w1 * v1
-        left = np.stack([Q[0], Q[1], Q[0], P[0], P[1], P[0]])
-        right = np.stack([s1, s2, c, s1, s2, c])
-        br = alg.bracket(alg.unflatten(left), alg.unflatten(right))
-        br = br.reshape(br.shape[:-2] + (alg.dim,))
-        br[2::3] = self._parts(br[2::3])[1]
-        grads = br[0::3] + br[1::3]
-        grads += br[2::3]
+        # s1 = w0 V0 + w1 V1 + w2 V2, s2 = a (w0 V0 + w1 V1 + a w2 V2)
+        # + w3 V3 and c = (a - 1) w1 V1
+        s = (self._grad_terms @ vecs.reshape(4, -1)).reshape(3, 1, 3, -1)
+        # [B, s1], [Y, s2] and [B, c] for g_u; [A, s1], [X, s2] and [A, c]
+        # for g_v
+        comps = PQ.reshape(2, 2, 3, -1)[[0, 1, 0], ::-1]
+        br = self.algebra.bracket_rows(comps, s).reshape((3,) + PQ.shape[1:])
+        grads = br[0] + br[1]
+        grads += self._k_part(br[2])
         grads[0] *= 2.0
         grads[1] *= -2.0
         return grads
@@ -194,35 +205,41 @@ class DeformedMetric:
         v, split into m + k here; arbitrary leading sample axes broadcast.
         The value is quartic in the inputs and vanishes when the two
         arguments are proportional."""
-        alg = self.algebra
-        return self._quartic(self._parts(alg.flatten(u)),
-                             self._parts(alg.flatten(v)))
-
-    def _frames(self, F):
-        """Q_a Gram-Schmidt, in place, on flat pairs F = (u, v), each
-        (..., dim), that span planes."""
-        u, v = F
-        u /= np.sqrt(self._inner(u, u))[..., None]
-        v -= self._inner(v, u)[..., None] * u
-        v /= np.sqrt(self._inner(v, v))[..., None]
+        PQ, shape = self._split(u, v)
+        return self._quartic(PQ).reshape(shape)
 
     def _value_and_gradient(self, F):
-        """At Q_a-orthonormal flat pairs F = (u, v): the closed form, which
-        is the sectional curvature of their plane, and the Riemannian
-        gradient of the sectional curvature on the Grassmannian, stacked
-        like F. With g the Euclidean gradient that is
+        """Q_a Gram-Schmidt, in place, on pairs F = (u, v), stacked rows
+        (2, dim, N), that span planes; then at those orthonormal frames the
+        closed form, which is the sectional curvature of their plane, and
+        the Riemannian gradient of the sectional curvature on the
+        Grassmannian, stacked like F. With g the Euclidean gradient that is
         r = G^-1 g - <g, u> u - <g, v> v: G^-1 maps g to Q_a, and as
         Q_a(G^-1 g, w) = <g, w> the last two terms project Q_a-orthogonally
         off span(u, v). The projection also removes what normalizing by the
-        Gram determinant adds, which lies along u and v."""
-        P, Q = self._parts(F[0]), self._parts(F[1])
-        values, vecs = self._quartic(P, Q, vectors=True)
-        grads = self._gradient(P, Q, vecs)
-        along = [np.vecdot(grads, E)[..., None] for E in F]
-        grads, grads_k = self._parts(grads)
+        Gram determinant adds, which lies along u and v.
+
+        The parts are worked out once, before Gram-Schmidt, which then
+        applies the same linear steps to F and to its parts."""
+        PQ = self._parts(F)
+        P, Q = PQ[:, 0], PQ[:, 1]
+        norm = np.sqrt(self._inner_of_parts(P, P))
+        F[0] /= norm
+        P /= norm
+        along = self._inner_of_parts(Q, P)
+        F[1] -= along * F[0]
+        Q -= along * P
+        norm = np.sqrt(self._inner_of_parts(Q, Q))
+        F[1] /= norm
+        Q /= norm
+        values, vecs = self._quartic(PQ, vectors=True)
+        grads = self._gradient(PQ, vecs)
+        along = np.einsum("gij,eij->egj", grads, F)
+        grads_k = self._k_part(grads)
+        grads -= grads_k
         grads += grads_k / self.a              # G^-1 g = g_m + g_k / a
         for E, g_e in zip(F, along):
-            grads -= g_e * E
+            grads -= g_e[:, None] * E
         return values, grads
 
     # -- curvature, Koszul oracle ------------------------------------------
@@ -270,6 +287,7 @@ class DeformedMetric:
     def oracle_agreement(self, samples=64, seed=0):
         """Worst absolute gap between the closed-form curvature and the
         connection-based oracle over seeded random vector pairs."""
+        require_count(samples, "samples", MAX_PLANES)
         _check_seed(seed)
         rng = np.random.default_rng(seed)
         uv = rng.standard_normal((samples, 2, self.algebra.factors, 3))
@@ -299,18 +317,15 @@ class DeformedMetric:
         """Vectorized sectional curvature. Returns (values, valid) where
         valid flags planes whose Gram determinant cleared the threshold;
         invalid slots hold +inf."""
-        alg = self.algebra
-        P, Q = self._parts(alg.flatten(U)), self._parts(alg.flatten(V))
-        nu = np.sqrt(self._inner_of_parts(P, P))
-        nv = np.sqrt(self._inner_of_parts(Q, Q))
-        ok = (nu > 0) & (nv > 0)
-        P /= np.where(nu > 0, nu, 1.0)[..., None]
-        Q /= np.where(nv > 0, nv, 1.0)[..., None]
-        gram = 1.0 - self._inner_of_parts(P, Q) ** 2
+        PQ, shape = self._split(U, V)
+        norm = np.sqrt(self._inner_of_parts(PQ, PQ))
+        ok = np.all(norm > 0, axis=0)
+        PQ /= np.where(norm > 0, norm, 1.0)[:, None]
+        gram = 1.0 - self._inner_of_parts(PQ[:, 0], PQ[:, 1]) ** 2
         ok &= gram >= _GRAM_TOL
-        curv = self._quartic(P, Q)
+        curv = self._quartic(PQ)
         vals = np.where(ok, curv / np.where(ok, gram, 1.0), np.inf)
-        return vals, ok
+        return vals.reshape(shape), ok.reshape(shape)
 
 
 @dataclass
@@ -344,13 +359,11 @@ def _scan_values(metric, U, V):
 
 def scan_min_sectional(metric, n_planes=100_000, seed=0):
     """Minimum sectional curvature over n_planes seeded Gaussian planes."""
-    if n_planes < 1:
-        raise ParameterError("n_planes must be positive")
+    require_count(n_planes, "n_planes", MAX_PLANES)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     alg = metric.algebra
-    U = alg.random(rng, n_planes)
-    V = alg.random(rng, n_planes)
+    U, V = alg.random(rng, (2, n_planes))
     vals, ok = _scan_values(metric, U, V)
     if not np.any(ok):
         raise DegeneratePlaneError("every sampled plane degenerated")
@@ -375,9 +388,9 @@ class PlaneSearchResult:
 def minimize(metric, F, budget, target):
     """Batched Riemannian gradient descent on the Grassmannian of 2-planes
     (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
-    Manifolds, 2008). F = (u, v) holds flat candidate pairs, each
-    (candidates, dim), best first; a pair is overwritten with its
-    Q_a-orthonormal frame once it is evaluated.
+    Manifolds, 2008). F = (u, v) holds the candidate pairs as stacked
+    component-major rows (2, dim, candidates), best first; a pair is
+    overwritten with its Q_a-orthonormal frame once it is evaluated.
 
     _STARTS pairs descend together, and every step evaluates the sectional
     curvature and its gradient at all of them in one call, one evaluation
@@ -390,10 +403,10 @@ def minimize(metric, F, budget, target):
     The descent stops when a value falls below target, when `budget`
     evaluations are spent or when no candidate is left. Returns (values,
     evaluations), +inf for the candidates never evaluated."""
-    def dot(X, Y):
-        return metric._inner(X, Y).sum(axis=0)
+    def dot(PX, PY):
+        return metric._inner_of_parts(PX, PY).sum(axis=0)
 
-    n = F.shape[1]
+    n = F.shape[-1]
     values = np.full(n, np.inf)
     G = np.zeros_like(F)
     floor = np.zeros(n)
@@ -404,23 +417,24 @@ def minimize(metric, F, budget, target):
     while live.size and evals < budget:
         live = live[:budget - evals]
         t = step[live]
-        T = F[:, live] - t[:, None] * G[:, live]
-        metric._frames(T)
+        FL, GL = F[:, :, live], G[:, :, live]
+        T = FL - t * GL
         tvals, tG = metric._value_and_gradient(T)
         evals += live.size
-        tnorm = np.sqrt(dot(tG, tG))
+        PG = metric._parts(tG)
+        tnorm = np.sqrt(dot(PG, PG))
         first = values[live] == np.inf
         floor[live[first]] = _GRAD_RTOL * tnorm[first]
         down = tvals < values[live]
-        s = T - F[:, live]
-        sy = dot(s, tG - G[:, live])
-        bb = np.divide(dot(s, s), sy, out=4.0 * t, where=sy > 0)
+        Ps = metric._parts(T - FL)
+        sy = dot(Ps, metric._parts(tG - GL))
+        bb = np.divide(dot(Ps, Ps), sy, out=4.0 * t, where=sy > 0)
         step[live] = np.where(first, t, np.where(
             down, np.minimum(bb, 4.0 * t), 0.5 * t))
         moved = live[down]
         values[moved] = tvals[down]
-        F[:, moved] = T[:, down]
-        G[:, moved] = tG[:, down]
+        F[:, :, moved] = T[:, :, down]
+        G[:, :, moved] = tG[:, :, down]
         if tvals.min() < target:
             break
         live = live[~down | (tnorm > floor[live])]
@@ -446,6 +460,7 @@ def find_negative_plane(metric, budget=100_000, seed=0):
     negative plane on which the oracle is not negative too, within
     _ORACLE_RTOL of max(1, |value|), raises AssertionError.
     """
+    require_int(budget, "budget")
     if budget < 10:
         raise ParameterError("budget too small to do anything")
     _check_seed(seed)
@@ -453,8 +468,7 @@ def find_negative_plane(metric, budget=100_000, seed=0):
     rng = np.random.default_rng(seed)
 
     scan_n = max(min(budget // 2, 50_000), 10)
-    U = alg.random(rng, scan_n)
-    V = alg.random(rng, scan_n)
+    U, V = alg.random(rng, (2, scan_n))
     vals, ok = _scan_values(metric, U, V)
     if not np.any(ok):
         raise DegeneratePlaneError("every sampled plane degenerated")
@@ -464,16 +478,15 @@ def find_negative_plane(metric, budget=100_000, seed=0):
 
     descend = scan_min >= _NEGATIVE_THRESHOLD and budget > evals
     order = order[:min(budget - evals, int(np.sum(ok))) if descend else 1]
-    F = alg.flatten(np.stack([U[order], V[order]]))
+    F, _ = alg.rows(U[order], V[order])
     if descend:
         values, spent = minimize(metric, F, budget - evals,
                                  _NEGATIVE_THRESHOLD)
         evals += spent
     else:
-        metric._frames(F)
-        values = metric._quartic(metric._parts(F[0]), metric._parts(F[1]))
+        values, _ = metric._value_and_gradient(F)
     best = int(np.argmin(values))
-    u, v = alg.unflatten(F[:, best])
+    u, v = alg.from_rows(F[:, :, best:best + 1])[:, 0]
     value = float(values[best])
     oracle = float(metric.curvature_oracle_of_pair(u, v))
     found = value < _NEGATIVE_THRESHOLD

@@ -7,11 +7,12 @@ cover malformed mathematical input (wrong congruence class, non-orthonormal
 basis); parameter errors cover out-of-range knobs (negative deformation
 scale, missing truncation bound).
 
-The exact layers check their arguments through three helpers kept here,
-next to the exceptions they raise: require_int (a ParameterError unless
-the value is an int and not a bool), require_label (a ValidationError
-unless it is an integer label congruent to 1 mod 4) and as_fraction (the
-exact value of an int or Fraction, None for anything else).
+The layers check their arguments through four helpers kept here, next to
+the exceptions they raise: require_int (a ParameterError unless the value
+is an int and not a bool), require_count (the same, and the int must lie
+in [1, cap]), require_label (a ValidationError unless it is an integer
+label congruent to 1 mod 4) and as_fraction (the exact value of an int or
+Fraction, None for anything else).
 """
 
 from fractions import Fraction
@@ -53,6 +54,15 @@ def require_int(x, name):
     """Raise ParameterError unless x is an int (bool is not one)."""
     if not isinstance(x, int) or isinstance(x, bool):
         raise ParameterError("{} must be an integer".format(name))
+
+
+def require_count(x, name, cap):
+    """Raise ParameterError unless x is an int (bool is not one) in
+    [1, cap]."""
+    require_int(x, name)
+    if not 1 <= x <= cap:
+        raise ParameterError(
+            "{} must lie in [1, {}], got {}".format(name, cap, x))
 
 
 def require_label(p, name):

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform import scan_min_sectional
+from .deform import MAX_PLANES, scan_min_sectional
 from .errors import (NoFiniteMatchingError, ParameterError, ProfileError,
-                     as_fraction)
+                     as_fraction, require_count)
 
 #: The plateau values F = r sqrt(a/(a-1)) that glue_params accepts: those
 #: on which building, certifying and exporting a capped-sine profile runs
@@ -299,6 +299,7 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
     deformed metric finds no curvature below -1e-9. Returns a certificate
     carrying every clause; passed means all clauses passed.
     """
+    require_count(planes, "planes", MAX_PLANES)
     params = profile.glue
     clauses = []
     a = metric.a

@@ -6,6 +6,13 @@ Elements of su(2)^n are numpy arrays of shape (n, 3): row t holds the
 Q-norm 2 and every factor at deformation scale 1 is a round 3-sphere of
 sectional curvature 1. Batched inputs are allowed everywhere: any leading
 axes in front of the trailing (n, 3) are treated as sample dimensions.
+
+The numeric kernel works on the same vectors laid out component-major: a
+batch of N vectors is a (dim, N) array whose row c n + t holds component c
+of factor t for every sample, so it can be viewed as (3, n, N).
+Su2Power.rows and Su2Power.from_rows convert between the two forms,
+Su2Power.bracket_rows is the one bracket implementation, and
+ReductiveSplit keeps its k basis in both orders.
 """
 
 import math
@@ -59,15 +66,17 @@ class Su2Power:
         """Q-orthonormal basis, shape (dim, factors, 3)."""
         return np.eye(self.dim).reshape(self.dim, self.factors, 3)
 
-    def bracket(self, u, v):
-        u = self.check_element(u)
-        v = self.check_element(v)
-        # 2 * np.cross written out: np.cross costs more than the arithmetic.
-        u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-        v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-        tmp = u2 * v1
-        out = np.empty(tmp.shape + (3,))
-        o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
+    @staticmethod
+    def bracket_rows(u, v):
+        """The bracket on component-major rows: axis -2 of u and v holds
+        the components (i, j, k), the last axis runs over factors and
+        samples, and the axes before them broadcast. It is 2 * np.cross
+        written out as six multiplies and three subtracts on whole rows."""
+        u0, u1, u2 = u[..., 0, :], u[..., 1, :], u[..., 2, :]
+        v0, v1, v2 = v[..., 0, :], v[..., 1, :], v[..., 2, :]
+        tmp = np.multiply(u2, v1)
+        out = np.empty(tmp.shape[:-1] + (3,) + tmp.shape[-1:])
+        o0, o1, o2 = out[..., 0, :], out[..., 1, :], out[..., 2, :]
         np.multiply(u1, v2, out=o0)
         o0 -= tmp
         np.multiply(u2, v0, out=o1)
@@ -78,6 +87,12 @@ class Su2Power:
         o2 -= tmp
         out *= 2.0
         return out
+
+    def bracket(self, u, v):
+        u = self.check_element(u)
+        v = self.check_element(v)
+        return np.swapaxes(self.bracket_rows(np.swapaxes(u, -1, -2),
+                                             np.swapaxes(v, -1, -2)), -1, -2)
 
     def inner(self, u, v):
         u = self.check_element(u)
@@ -108,6 +123,25 @@ class Su2Power:
         x = np.asarray(x, dtype=float)
         return x.reshape(x.shape[:-1] + (self.factors, 3))
 
+    def rows(self, *vectors):
+        """Elements (..., n, 3) -> component-major rows, stacked
+        (len(vectors), dim, N) over the N samples of their broadcast sample
+        axes; also returns those axes' shape."""
+        vectors = [self.check_element(x) for x in vectors]
+        shape = np.broadcast_shapes(*(x.shape[:-2] for x in vectors))
+        ndim = len(shape) + 2
+        out = np.empty((len(vectors), 3, self.factors) + shape)
+        for x, o in zip(vectors, out):
+            # pad the sample axes on the left, then move (n, 3) to the front
+            x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
+            o[...] = x.transpose((ndim - 1, ndim - 2) + tuple(range(ndim - 2)))
+        return out.reshape(len(vectors), self.dim, -1), shape
+
+    def from_rows(self, x):
+        """Component-major rows (..., dim, N) -> elements (..., N, n, 3)."""
+        x = x.reshape(x.shape[:-2] + (3, self.factors, x.shape[-1]))
+        return np.ascontiguousarray(np.swapaxes(x, -1, -3))
+
 
 class ReductiveSplit:
     """Q-orthogonal decomposition g = m + k, with k a subalgebra.
@@ -135,6 +169,11 @@ class ReductiveSplit:
         self.k_basis = k_basis
         self._flat = flat
         self._flat_t = np.ascontiguousarray(flat.T)
+        # the same basis in component-major order, for the kernel's
+        # (r, dim) @ (dim, N) projections
+        self._rows = np.ascontiguousarray(
+            np.swapaxes(k_basis, -1, -2).reshape(r, algebra.dim))
+        self._rows_t = np.ascontiguousarray(self._rows.T)
         self.dim_k = r
         self.dim_m = algebra.dim - r
         # brackets of the basis pairs s < t, read by the closure check here

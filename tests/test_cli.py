@@ -308,6 +308,13 @@ BAD_NUMERIC_INPUTS = [
     ("curvature-scan", ["--budget", "5", "--find-negative"], 3),
     ("curvature-scan", ["--budget", "1.5"], 2),
     ("glue", ["--planes", "0"], 3),
+    # counts past MAX_PLANES: these failed allocating 43.7 TiB, with a
+    # traceback and exit 1
+    ("curvature-scan", ["--budget", "1000000000000"], 3),
+    ("curvature-scan", ["--budget", "1000000000000", "--find-negative"], 3),
+    ("curvature-scan", ["--budget", "1000001"], 3),
+    ("glue", ["--planes", "1000000000000"], 3),
+    ("glue", ["--planes", "1000001"], 3),
     ("glue", ["--planes", "x"], 2),
     ("glue", ["--factors", "0"], 3),
     ("glue", ["--factors", "-1"], 3),

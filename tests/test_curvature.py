@@ -10,6 +10,7 @@ import pytest
 from milnor.deform import (
     A_MAX,
     A_MIN,
+    MAX_PLANES,
     DeformedMetric,
     cheeger_quotient_factors,
     compensating_scale,
@@ -19,6 +20,7 @@ from milnor.deform import (
 )
 from milnor.errors import (DegeneratePlaneError, DimensionMismatchError,
                            ParameterError)
+from milnor.glue import ProfileFunction, nonneg_certificate
 from milnor.liealg import ReductiveSplit, Su2Power
 
 RNG = np.random.default_rng(90125)
@@ -195,13 +197,13 @@ GRADIENT_CASES = [(factors, split, a) for factors in (1, 2, 3)
 
 
 def central_differences(f, X, h=1e-5):
-    """Central differences of f(X), one value per row of the flat samples
-    X (samples, dim), along each coordinate."""
+    """Central differences of f(X), one value per sample, along each
+    coordinate of the stacked component-major rows X (2, dim, samples)."""
     out = np.empty_like(X)
-    for i in range(X.shape[-1]):
+    for idx in np.ndindex(X.shape[:2]):
         E = np.zeros_like(X)
-        E[:, i] = h
-        out[:, i] = (f(X + E) - f(X - E)) / (2.0 * h)
+        E[idx] = h
+        out[idx] = (f(X + E) - f(X - E)) / (2.0 * h)
     return out
 
 
@@ -210,20 +212,20 @@ def test_closed_form_gradient_matches_central_differences(factors, split, a):
     metric = make_metric(factors, split, a)
     alg = metric.algebra
     rng = np.random.default_rng(41)
-    U = alg.flatten(alg.random(rng, 6))
-    V = alg.flatten(alg.random(rng, 6))
+    U = alg.random(rng, 6)
+    V = alg.random(rng, 6)
+    X, _ = alg.rows(U, V)
 
-    def quartic(X, Y):
-        return metric._quartic(metric._parts(X), metric._parts(Y))
+    def quartic(X):
+        return metric._quartic(metric._parts(X))
 
-    P, Q = metric._parts(U), metric._parts(V)
-    _, vecs = metric._quartic(P, Q, vectors=True)
-    g_u, g_v = metric._gradient(P, Q, vecs)
-    want_u = central_differences(lambda X: quartic(X, V), U)
-    want_v = central_differences(lambda Y: quartic(U, Y), V)
-    scale = max(1.0, np.max(np.abs(want_u)), np.max(np.abs(want_v)))
-    assert np.max(np.abs(g_u - want_u)) <= 1e-7 * scale
-    assert np.max(np.abs(g_v - want_v)) <= 1e-7 * scale
+    PQ = metric._parts(X)
+    _, vecs = metric._quartic(PQ, vectors=True)
+    grads = metric._gradient(PQ, vecs)
+    want = central_differences(quartic, X)
+    scale = max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(grads[0] - want[0])) <= 1e-7 * scale
+    assert np.max(np.abs(grads[1] - want[1])) <= 1e-7 * scale
 
 
 @pytest.mark.parametrize("factors, split, a", GRADIENT_CASES)
@@ -234,23 +236,21 @@ def test_riemannian_gradient_matches_sectional_differences(factors, split, a):
     metric = make_metric(factors, split, a)
     alg = metric.algebra
     rng = np.random.default_rng(43)
-    F = alg.flatten(alg.random(rng, (2, 6)))
-    metric._frames(F)
+    F, _ = alg.rows(*alg.random(rng, (2, 6)))
     values, G = metric._value_and_gradient(F)
-    sectional, _ = metric.sectional_batch(alg.unflatten(F[0]),
-                                          alg.unflatten(F[1]))
+    sectional, _ = metric.sectional_batch(*alg.from_rows(F))
     assert np.all(np.abs(values - sectional) <= 1e-12 * np.maximum(1.0, np.abs(sectional)))
+    PG = metric._parts(G)
     for E in F:
-        assert np.max(np.abs(metric._inner(G, E))) <= 1e-12
-    D = alg.flatten(alg.random(rng, (2, 6)))
+        assert np.max(np.abs(metric._inner_of_parts(PG, metric._parts(E)))) <= 1e-12
+    D, _ = alg.rows(*alg.random(rng, (2, 6)))
     h = 1e-5
 
     def sec(t):
-        X = F + t * D
-        return metric.sectional_batch(alg.unflatten(X[0]), alg.unflatten(X[1]))[0]
+        return metric.sectional_batch(*alg.from_rows(F + t * D))[0]
 
     want = (sec(h) - sec(-h)) / (2.0 * h)
-    got = metric._inner(G, D).sum(axis=0)
+    got = metric._inner_of_parts(PG, metric._parts(D)).sum(axis=0)
     assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
 
 
@@ -278,6 +278,122 @@ def test_negative_plane_search_is_pinned(case, pinned):
         assert abs(res.value - value) <= 1e-6 * abs(value)
     else:
         assert res.scan_min >= -1e-9
+
+
+# (algebra factors, split, a, seed) -> (minimum, n_valid, index of the
+# reported plane among the sampled pairs) of a 3000-plane scan, recorded
+# with the row-major kernel the component-major one replaced. The index is
+# None where another sampled plane lies within 1e-9 max(1, |minimum|) of
+# the minimum (su(2)^1 deformed along all of itself, or undeformed, has
+# constant curvature), so rounding picks the plane.
+PINNED_SCANS = [
+    ((1, "diagonal", 0.5, 0), (1.999999999999628, 3000, None)),
+    ((1, "diagonal", 0.5, 1), (1.9999999999986917, 3000, None)),
+    ((1, "diagonal", 1.0, 0), (0.9999999999998128, 3000, None)),
+    ((1, "diagonal", 1.0, 1), (0.9999999999997413, 3000, None)),
+    ((1, "diagonal", 1.05, 0), (0.9523809523807701, 3000, None)),
+    ((1, "diagonal", 1.05, 1), (0.9523809523772565, 3000, None)),
+    ((1, "diagonal", 4 / 3, 0), (0.7499999999999606, 3000, None)),
+    ((1, "diagonal", 4 / 3, 1), (0.7499999999992633, 3000, None)),
+    ((1, "diagonal", 1.5, 0), (0.6666666666664055, 3000, None)),
+    ((1, "diagonal", 1.5, 1), (0.6666666666662369, 3000, None)),
+    ((1, "factor0", 0.5, 0), (1.999999999999628, 3000, None)),
+    ((1, "factor0", 0.5, 1), (1.9999999999986917, 3000, None)),
+    ((1, "factor0", 1.0, 0), (0.9999999999998128, 3000, None)),
+    ((1, "factor0", 1.0, 1), (0.9999999999997413, 3000, None)),
+    ((1, "factor0", 1.05, 0), (0.9523809523807701, 3000, None)),
+    ((1, "factor0", 1.05, 1), (0.9523809523772565, 3000, None)),
+    ((1, "factor0", 4 / 3, 0), (0.7499999999999606, 3000, None)),
+    ((1, "factor0", 4 / 3, 1), (0.7499999999992633, 3000, None)),
+    ((1, "factor0", 1.5, 0), (0.6666666666664055, 3000, None)),
+    ((1, "factor0", 1.5, 1), (0.6666666666662369, 3000, None)),
+    ((1, "span-i", 0.5, 0), (0.5000000007805231, 3000, 2735)),
+    ((1, "span-i", 0.5, 1), (0.5000001699989464, 3000, 929)),
+    ((1, "span-i", 1.0, 0), (0.9999999999998128, 3000, None)),
+    ((1, "span-i", 1.0, 1), (0.9999999999997756, 3000, None)),
+    ((1, "span-i", 1.05, 0), (0.8505097218695924, 3000, 1421)),
+    ((1, "span-i", 1.05, 1), (0.8504022391214661, 3000, 979)),
+    ((1, "span-i", 4 / 3, 0), (0.004312140229325058, 3000, 1421)),
+    ((1, "span-i", 4 / 3, 1), (0.0034033519006405554, 3000, 979)),
+    ((1, "span-i", 1.5, 0), (-0.4927262038907165, 3000, 1421)),
+    ((1, "span-i", 1.5, 1), (-0.4942586755190047, 3000, 979)),
+    ((2, "diagonal", 0.5, 0), (0.041573246780369506, 3000, 2621)),
+    ((2, "diagonal", 0.5, 1), (0.03965106728567295, 3000, 1677)),
+    ((2, "diagonal", 1.0, 0), (0.002081886665257145, 3000, 1104)),
+    ((2, "diagonal", 1.0, 1), (0.015072330638232023, 3000, 1384)),
+    ((2, "diagonal", 1.05, 0), (0.003157443930222411, 3000, 1104)),
+    ((2, "diagonal", 1.05, 1), (0.014213587984179253, 3000, 1384)),
+    ((2, "diagonal", 4 / 3, 0), (-0.02009205518667641, 3000, 1630)),
+    ((2, "diagonal", 4 / 3, 1), (-0.02076360673844756, 3000, 2628)),
+    ((2, "diagonal", 1.5, 0), (-0.19819316767666043, 3000, 931)),
+    ((2, "diagonal", 1.5, 1), (-0.16090821087303903, 3000, 17)),
+    ((2, "factor0", 0.5, 0), (0.003232376472249091, 3000, 1104)),
+    ((2, "factor0", 0.5, 1), (0.026950239476606977, 3000, 670)),
+    ((2, "factor0", 1.0, 0), (0.002081886665257146, 3000, 1104)),
+    ((2, "factor0", 1.0, 1), (0.015072330638232026, 3000, 1384)),
+    ((2, "factor0", 1.05, 0), (0.00202701261069187, 3000, 1104)),
+    ((2, "factor0", 1.05, 1), (0.014425922696987272, 3000, 1384)),
+    ((2, "factor0", 4 / 3, 0), (0.0017936694956690344, 3000, 1104)),
+    ((2, "factor0", 4 / 3, 1), (0.011669074482333393, 3000, 1384)),
+    ((2, "factor0", 1.5, 0), (0.0016975122414018022, 3000, 1104)),
+    ((2, "factor0", 1.5, 1), (0.010529327341862505, 3000, 1384)),
+    ((2, "span-i", 0.5, 0), (0.0014280858008927997, 3000, 1104)),
+    ((2, "span-i", 0.5, 1), (0.012825834470686324, 3000, 539)),
+    ((2, "span-i", 1.0, 0), (0.002081886665257145, 3000, 1104)),
+    ((2, "span-i", 1.0, 1), (0.015072330638232026, 3000, 1384)),
+    ((2, "span-i", 1.05, 0), (0.0021716357211210603, 3000, 1104)),
+    ((2, "span-i", 1.05, 1), (0.014779560759817066, 3000, 1384)),
+    ((2, "span-i", 4 / 3, 0), (0.0026775792655692496, 3000, 642)),
+    ((2, "span-i", 4 / 3, 1), (0.005347816801257647, 3000, 2874)),
+    ((2, "span-i", 1.5, 0), (-0.3466775983371791, 3000, 1158)),
+    ((2, "span-i", 1.5, 1), (-0.28835415522141156, 3000, 2111)),
+    ((3, "diagonal", 0.5, 0), (0.028502876307908088, 3000, 2282)),
+    ((3, "diagonal", 0.5, 1), (0.0276386039283133, 3000, 212)),
+    ((3, "diagonal", 1.0, 0), (0.010660556725076492, 3000, 1034)),
+    ((3, "diagonal", 1.0, 1), (0.010771406319850789, 3000, 2887)),
+    ((3, "diagonal", 1.05, 0), (0.010567575659338309, 3000, 1034)),
+    ((3, "diagonal", 1.05, 1), (0.010173945298508805, 3000, 2887)),
+    ((3, "diagonal", 4 / 3, 0), (0.015005033226629999, 3000, 1956)),
+    ((3, "diagonal", 4 / 3, 1), (-0.0023403686006837894, 3000, 235)),
+    ((3, "diagonal", 1.5, 0), (-0.04514310764439447, 3000, 442)),
+    ((3, "diagonal", 1.5, 1), (-0.048658212530281915, 3000, 2292)),
+    ((3, "factor0", 0.5, 0), (0.01398186858090629, 3000, 1034)),
+    ((3, "factor0", 0.5, 1), (0.009027999042406934, 3000, 2887)),
+    ((3, "factor0", 1.0, 0), (0.010660556725076487, 3000, 1034)),
+    ((3, "factor0", 1.0, 1), (0.010771406319850784, 3000, 2887)),
+    ((3, "factor0", 1.05, 0), (0.01041498292773593, 3000, 1034)),
+    ((3, "factor0", 1.05, 1), (0.010922909748347642, 3000, 2887)),
+    ((3, "factor0", 4 / 3, 0), (0.009217177163620797, 3000, 1034)),
+    ((3, "factor0", 4 / 3, 1), (0.011715469823385815, 3000, 2887)),
+    ((3, "factor0", 1.5, 0), (0.008636418138703658, 3000, 1034)),
+    ((3, "factor0", 1.5, 1), (0.01162790552170985, 3000, 1931)),
+    ((3, "span-i", 0.5, 0), (0.012246831021460708, 3000, 1034)),
+    ((3, "span-i", 0.5, 1), (0.012044273229422246, 3000, 2887)),
+    ((3, "span-i", 1.0, 0), (0.01066055672507649, 3000, 1034)),
+    ((3, "span-i", 1.0, 1), (0.010771406319850782, 3000, 2887)),
+    ((3, "span-i", 1.05, 0), (0.01052717950557025, 3000, 1034)),
+    ((3, "span-i", 1.05, 1), (0.010738206120424745, 3000, 2887)),
+    ((3, "span-i", 4 / 3, 0), (0.006894814528308418, 3000, 2200)),
+    ((3, "span-i", 4 / 3, 1), (0.010856653426225585, 3000, 2887)),
+    ((3, "span-i", 1.5, 0), (-0.17528105080948939, 3000, 1802)),
+    ((3, "span-i", 1.5, 1), (-0.13248045455101756, 3000, 407)),
+]
+
+
+@pytest.mark.parametrize("case, pinned", PINNED_SCANS)
+def test_scan_is_pinned(case, pinned):
+    factors, split, a, seed = case
+    metric = make_metric(factors, split, a)
+    res = scan_min_sectional(metric, n_planes=3000, seed=seed)
+    value, n_valid, index = pinned
+    tol = 1e-10 * max(1.0, abs(value))
+    assert abs(res.min_value - value) <= tol
+    assert res.n_valid == n_valid
+    if index is None:
+        assert abs(metric.sectional(res.u, res.v) - value) <= tol
+    else:
+        U, V = metric.algebra.random(np.random.default_rng(seed), (2, 3000))
+        assert np.array_equal(res.u, U[index]) and np.array_equal(res.v, V[index])
 
 
 @pytest.mark.parametrize("factors, split, a", [
@@ -452,7 +568,32 @@ def test_oracle_agreement_takes_the_worst_gap_over_the_seeded_pairs(monkeypatch)
                         lambda u, v: np.zeros(np.shape(u)[:-2]))
     got = metric.oracle_agreement(samples=40, seed=17)
     assert abs(got - want) <= 1e-12 * want
-    assert metric.oracle_agreement(samples=0, seed=17) == 0.0
+
+
+@pytest.mark.parametrize("count", [0, -1, True, 1.5, 1000.0, "3", None,
+                                   MAX_PLANES + 1, 10 ** 12])
+def test_bad_plane_counts_are_refused_before_sampling(count):
+    """Plane and sample counts are ints in [1, MAX_PLANES]. samples=0 used
+    to report a perfect agreement that checked nothing, and 10**12 planes
+    failed allocating 43.7 TiB."""
+    metric = diag_metric(2, 1.05)
+    profile = ProfileFunction.capped_sine(Fraction(4, 3), 1)
+    calls = (lambda: scan_min_sectional(metric, count),
+             lambda: metric.oracle_agreement(samples=count),
+             lambda: nonneg_certificate(profile, metric, planes=count))
+    if isinstance(count, int) and not isinstance(count, bool):
+        message = r"must lie in \[1, {}\], got {}$".format(MAX_PLANES, count)
+    else:
+        message = "must be an integer$"
+    for call in calls:
+        with pytest.raises(ParameterError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("budget", [9, 0, -1, True, 10.0, "100", None])
+def test_bad_search_budgets_are_refused(budget):
+    with pytest.raises(ParameterError):
+        find_negative_plane(diag_metric(2, 1.05), budget=budget)
 
 
 def test_oracle_does_not_use_the_closed_form_kernel(monkeypatch):
@@ -465,6 +606,7 @@ def test_oracle_does_not_use_the_closed_form_kernel(monkeypatch):
         raise AssertionError("closed-form kernel called")
 
     monkeypatch.setattr(Su2Power, "bracket", refuse)
+    monkeypatch.setattr(Su2Power, "bracket_rows", refuse)
     monkeypatch.setattr(ReductiveSplit, "project_k", refuse)
     metric = DeformedMetric(split, 1.2)  # its Koszul tensors get built here
     assert np.array_equal(metric.curvature_oracle_of_pair(U, V), want)

@@ -152,7 +152,7 @@ def test_factor_index_bounds():
     ((), (40,)),             # one element against a batch
     ((6, 1), (1, 5)),        # two sample axes that broadcast
 ])
-@pytest.mark.parametrize("factors", [1, 3])
+@pytest.mark.parametrize("factors", [1, 2, 3])
 def test_bracket_is_twice_np_cross_bitwise(factors, u_shape, v_shape):
     alg = Su2Power(factors)
     u = alg.random(RNG, u_shape)
@@ -161,6 +161,48 @@ def test_bracket_is_twice_np_cross_bitwise(factors, u_shape, v_shape):
     want = 2.0 * np.cross(u, v)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+def component_major(x):
+    """(..., N, n, 3) -> (..., 3, n N): components on axis -2, then the
+    factors and the samples along the last axis."""
+    x = np.swapaxes(x, -1, -3)
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+@pytest.mark.parametrize("u_shape, v_shape", [
+    ((), ()),                # no leading axis
+    ((2,), (2,)),            # a leading axis
+    ((), (2,)),              # one operand against a stack
+    ((2, 1), (1, 3)),        # two leading axes that broadcast
+])
+@pytest.mark.parametrize("factors", [1, 2, 3])
+def test_bracket_kernel_on_rows_is_twice_np_cross_bitwise(factors, u_shape, v_shape):
+    alg = Su2Power(factors)
+    u = alg.random(RNG, u_shape + (5,))
+    v = alg.random(RNG, v_shape + (5,))
+    got = alg.bracket_rows(component_major(u), component_major(v))
+    want = 2.0 * np.cross(u, v)
+    assert got.shape == want.shape[:-3] + (3, 5 * factors)
+    assert np.array_equal(got, component_major(want))
+
+
+@pytest.mark.parametrize("factors", [1, 2, 3])
+def test_rows_round_trip_and_broadcast(factors):
+    """rows() lays vectors out component-major, row c n + t holding
+    component c of factor t, and from_rows() undoes it."""
+    alg = Su2Power(factors)
+    u = alg.random(RNG, (4, 3))
+    v = alg.random(RNG, 3)
+    X, shape = alg.rows(u, v)
+    assert shape == (4, 3) and X.shape == (2, alg.dim, 12)
+    assert X.flags.c_contiguous
+    for t in range(factors):
+        for c in range(3):
+            assert np.array_equal(X[0, c * factors + t], u[..., t, c].reshape(-1))
+    back = alg.from_rows(X).reshape(2, 4, 3, factors, 3)
+    assert np.array_equal(back[0], u)
+    assert np.array_equal(back[1], np.broadcast_to(v, u.shape))
 
 
 @pytest.mark.parametrize("factory", [

@@ -314,7 +314,11 @@ def cmd_glue(args):
     cert = glue.nonneg_certificate(profile, metric, planes=args.planes,
                                    seed=args.seed)
     if args.csv:
-        profile.export_csv(args.csv)
+        try:
+            profile.export_csv(args.csv)
+        except OSError as exc:
+            raise MilnorError("cannot write {}: {}".format(
+                args.csv, exc.strerror or exc)) from exc
     payload = {
         "a": float(args.a), "r": float(args.r),
         "matching_level": profile.plateau,

@@ -16,9 +16,10 @@ with k abelian the whole expression collapses to
 
 which stays nonnegative exactly up to a = 4/3. That threshold is what the
 disc gluing construction spends, and the curvature_oracle_of_pair method
-provides a completely independent check of the closed form: it assembles
-the curvature tensor from Koszul structure constants on a Q_a-orthonormal
-basis.
+provides a completely independent check of the closed form: it computes
+R(u, v)v from Milnor's formula for the Levi-Civita connection of a
+left-invariant metric, on the m- and k-parts of the vectors, with its own
+bracket and no basis.
 
 The public methods and functions take and return elements of su(2)^n in
 their (..., n, 3) form. Inside, the kernel works on component-major rows
@@ -53,34 +54,69 @@ _SCAN_BLOCK = 2048
 #: The most planes scan_min_sectional (so nonneg_certificate) and the most
 #: sample pairs oracle_agreement take; counts are checked before anything
 #: is drawn. Measured at 1e5 on su(2)^3 (2-core Xeon): a scan holds about
-#: 160 bytes and takes about 1.1 us a plane, oracle_agreement about 850
-#: bytes and 16 us a pair. So at the cap a scan takes about 1 s and 160 MB,
-#: and oracle_agreement about 16 s and 850 MB; ten times the cap would
+#: 160 bytes and takes about 1.1 us a plane, oracle_agreement about 830
+#: bytes and 10 us a pair. So at the cap a scan takes about 1 s and 160 MB,
+#: and oracle_agreement about 10 s and 830 MB; ten times the cap would
 #: exceed the memory of a small host.
 MAX_PLANES = 10 ** 6
 #: How far, relative to max(1, |value|), the connection oracle may stray
 #: from the closed form on a plane the search reports.
 _ORACLE_RTOL = 1e-6
 #: The deformation scales DeformedMetric accepts: those on which the
-#: connection oracle still checks the closed form to _ORACLE_RTOL of its
-#: value.
-#: Measured on every factor0, span-i and diagonal split of su(2)^1..3,
-#: the worst relative gap is about 1e-15 at a = 1. Below 1 it grows about
-#: like 1/a on the Q_a-orthonormal planes that the scan and the search
-#: report (9.5e-7 at 1e-8, 6.7e-8 at 1e-7); above 1 about like a^3 on the
-#: random vector pairs of oracle_agreement (2.5e-7 at 1e3, 1.2e-6 at
-#: 10^3.25). Further out the oracle loses every digit (at a = 1e60 a found
-#: plane's oracle value has the other sign), then the floats overflow:
-#: the oracle gives inf or nan from a = 1e68 and below 1e-74, and the
-#: closed-form weight a (1 - a)^3 / 4 overflows past 1.6e77.
+#: connection oracle still checks the closed form to _ORACLE_RTOL of
+#: max(1, |value|), measured on every factor0, span-i and diagonal split
+#: of su(2)^1..3. Below 1 the oracle sets the bound: on the Q_a-orthonormal
+#: planes the scan and the search report its error grows about like 1/a
+#: (9.2e-8 at 1e-7, 9.2e-7 at 1e-8), as the k-part of [x, G y] + [y, G x],
+#: zero in exact arithmetic, keeps its rounding and is divided by a; on
+#: random pairs it stays near 1e-14. Above 1 the closed form sets it: its
+#: gap on random pairs grows about like a^3 (4.3e-7 at 1e3, 2.4e-6 at
+#: 10^3.25) while the oracle stays within 1e-15 of an exact evaluation.
+#: Further out the closed form loses every digit (at 1e16 the round
+#: sphere su(2), of curvature 1/a, comes out near -2e15) and its weight
+#: a (1 - a)^3 / 4 overflows past 1.6e77.
 A_MIN = 1e-7
 A_MAX = 1e3
 
 
+# Uncalled: the benchmark's traced run still wraps deform.null_space by name.
 def null_space(K):
     """Q-orthonormal rows spanning the complement of the rows of K, which
     are Q-orthonormal: the right singular vectors past the rank."""
     return np.linalg.svd(K)[2][K.shape[0]:]
+
+
+#: Component l + 1 and l + 2 (mod 3) for each component l: per factor the
+#: bracket is [x, y]_l = 2 (x_(l+1) y_(l+2) - x_(l+2) y_(l+1)).
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _koszul_curvature(u, v, projector, a):
+    """Q_a(R(u, v)v, u) for elements u, v (..., n, 3), given the Q-orthogonal
+    projector (dim, dim) onto k, from the Levi-Civita connection alone.
+
+    Milnor's formula nabla_x y = ([x, y] - ad*_x y - ad*_y x) / 2 needs no
+    basis: Q is ad-invariant, so ad*_x = -G^-1 ad_x G with G = Q on m and
+    a Q on k, applied part-wise as x_m + a x_k and its inverse as
+    x_m + x_k / a, never as x + (a - 1) x_k, which cancels for small a.
+    Then R(u, v)v = nabla_u nabla_v v - nabla_v nabla_u v - nabla_[u,v] v.
+    Only ring operations and division by 2 and a are used, so Fraction
+    object arrays give exact values."""
+    inv = 1 / a
+
+    def scaled(x, s):
+        k = (x.reshape(x.shape[:-2] + (-1,)) @ projector).reshape(x.shape)
+        return x - k + s * k
+
+    def bracket(x, y):
+        return 2 * (x[..., _NEXT] * y[..., _AFTER] - x[..., _AFTER] * y[..., _NEXT])
+
+    def nabla(x, y):
+        turned = bracket(x, scaled(y, a)) + bracket(y, scaled(x, a))
+        return (bracket(x, y) + scaled(turned, inv)) / 2
+
+    r = nabla(u, nabla(v, v)) - nabla(v, nabla(u, v)) - nabla(bracket(u, v), v)
+    return np.einsum("...ij,...ij->...", scaled(r, a), u)
 
 
 class DeformedMetric:
@@ -108,7 +144,6 @@ class DeformedMetric:
         self._grad_terms = np.array([[w0, w1, w2, 0.0],
                                      [a * w0, a * w1, a * a * w2, w3],
                                      [0.0, (a - 1.0) * w1, 0.0, 0.0]])
-        self._koszul = None
 
     def __repr__(self):
         return "DeformedMetric(a={:.6g}, dim_k={}, algebra={!r})".format(
@@ -244,45 +279,14 @@ class DeformedMetric:
 
     # -- curvature, Koszul oracle ------------------------------------------
 
-    def _tensors(self):
-        """Structure constants and connection coefficients on a
-        Q_a-orthonormal basis (m-part first, then k-part / sqrt(a))."""
-        if self._koszul is None:
-            alg = self.algebra
-            d = alg.dim
-            K = self.split._flat
-            m_rows = null_space(K)
-            basis = np.vstack([m_rows, K / math.sqrt(self.a)])
-            b3 = alg.unflatten(basis)
-            br = 2.0 * np.cross(b3[:, None, :, :], b3[None, :, :, :])
-            brf = br.reshape(d, d, d)
-            metric_mat = np.eye(d) + (self.a - 1.0) * (K.T @ K)
-            weighted = basis @ metric_mat
-            gamma = np.einsum("ijd,ld->ijl", brf, weighted)
-            chris = 0.5 * (gamma - np.transpose(gamma, (0, 2, 1))
-                           - np.transpose(gamma, (2, 0, 1)))
-            self._koszul = (basis, metric_mat, gamma, chris)
-        return self._koszul
-
     def curvature_oracle_of_pair(self, u, v):
         """Same quantity as curvature_of_pair(), computed the long way
-        round: Christoffel coefficients from the Koszul formula for
-        left-invariant fields, then R(u,v)v = nabla_u nabla_v v -
-        nabla_v nabla_u v - nabla_[u,v] v, contracted back with u."""
+        round by _koszul_curvature from the Levi-Civita connection, with
+        none of the closed form's kernel; leading sample axes broadcast."""
         alg = self.algebra
-        basis, metric_mat, gamma, chris = self._tensors()
-        uf = alg.flatten(alg.check_element(np.asarray(u, dtype=float)))
-        vf = alg.flatten(alg.check_element(np.asarray(v, dtype=float)))
-        coords = (basis @ metric_mat).T
-        cu = uf @ coords
-        cv = vf @ coords
-
-        def nab(x, y):
-            return np.einsum("...i,...j,ijl->...l", x, y, chris)
-
-        lie = np.einsum("...i,...j,ijl->...l", cu, cv, gamma)
-        r_uvv = nab(cu, nab(cv, cv)) - nab(cv, nab(cu, cv)) - nab(lie, cv)
-        return np.einsum("...l,...l->...", r_uvv, cu)
+        K = self.split._flat
+        return _koszul_curvature(alg.check_element(u), alg.check_element(v),
+                                 K.T @ K, self.a)
 
     def oracle_agreement(self, samples=64, seed=0):
         """Worst absolute gap between the closed-form curvature and the

@@ -40,20 +40,15 @@ def matching_level_sq(a, r):
     finite level and r > 0.
     """
     aq, rq = as_fraction(a), as_fraction(r)
-    if aq is not None and rq is not None:
-        if rq <= 0:
-            raise ParameterError("radius r must be positive")
-        if aq <= 1:
-            raise NoFiniteMatchingError(
-                "no finite matching level for a <= 1 (got a = {})".format(aq))
-        return aq * rq * rq / (aq - 1)
-    af, rf = float(a), float(r)
-    if rf <= 0.0:
+    exact = aq is not None and rq is not None
+    a, r = (aq, rq) if exact else (float(a), float(r))
+    if r <= 0:
         raise ParameterError("radius r must be positive")
-    if af <= 1.0:
+    if a <= 1:
         raise NoFiniteMatchingError(
-            "no finite matching level for a <= 1 (got a = {:.6g})".format(af))
-    return af / (af - 1.0) * rf * rf
+            "no finite matching level for a <= 1 (got a = {})".format(
+                a if exact else format(a, ".6g")))
+    return a / (a - 1) * r * r
 
 
 def matching_level(a, r):

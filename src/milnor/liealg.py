@@ -23,6 +23,14 @@ from .errors import DimensionMismatchError, ParameterError, ValidationError
 
 _ORTHO_TOL = 1e-12
 _ABELIAN_TOL = 1e-12
+#: The most su(2) factors Su2Power takes, checked before anything is
+#: allocated. Measured at 1e5 planes on su(2)^1, ^3 and ^6 (2-core Xeon):
+#: a scan holds about 54 bytes a plane per factor and oracle_agreement
+#: about 280 bytes a pair per factor. So deform.MAX_PLANES planes at the
+#: cap take about 0.9 GB in a scan (and 4.5 GB in oracle_agreement);
+#: 10^8 factors used to fail allocating tens of TiB, or with a misleading
+#: message.
+MAX_FACTORS = 16
 
 
 class Su2Power:
@@ -38,6 +46,9 @@ class Su2Power:
         if not isinstance(factors, int) or isinstance(factors, bool) \
                 or factors < 1:
             raise ParameterError("factors must be a positive integer")
+        if factors > MAX_FACTORS:
+            raise ParameterError("factors must be at most {}, got {}".format(
+                MAX_FACTORS, factors))
         self.factors = factors
         self.dim = 3 * factors
 
@@ -114,14 +125,6 @@ class Su2Power:
         else:
             shape = tuple(size) + (self.factors, 3)
         return rng.standard_normal(shape)
-
-    def flatten(self, u):
-        u = self.check_element(u)
-        return u.reshape(u.shape[:-2] + (self.dim,))
-
-    def unflatten(self, x):
-        x = np.asarray(x, dtype=float)
-        return x.reshape(x.shape[:-1] + (self.factors, 3))
 
     def rows(self, *vectors):
         """Elements (..., n, 3) -> component-major rows, stacked

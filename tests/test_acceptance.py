@@ -1,9 +1,10 @@
 """Contract acceptance suite.
 
 Thirteen numbered criteria covering the label arithmetic, the curvature
-certificates, the gluing identity, and the reproduction targets. Each
+certificates, the gluing identity, and the reproduction targets;
+criterion 08 has two tests, in floats and exactly in Fractions. Each
 test states its own runtime budget; conftest prints a one-line verdict
-per criterion at the end of the run.
+per test at the end of the run.
 """
 
 import time
@@ -160,6 +161,69 @@ def test_criterion_08_closed_form_vs_connection_oracle():
     assert total >= 10_000
     assert worst <= 1e-8
     assert time.perf_counter() - start < 60.0
+
+
+def exact_projectors(n_factors):
+    """Q-orthogonal projectors onto the diagonal su(2), the first factor
+    and span(i) in the first factor of su(2)^n, as Fraction matrices on
+    the flat index 3 t + c (factor t, component c)."""
+    dim = 3 * n_factors
+    return [np.array([[Fraction(int(rule(s, t)), den) for t in range(dim)]
+                      for s in range(dim)])
+            for rule, den in ((lambda s, t: s % 3 == t % 3, n_factors),
+                              (lambda s, t: s == t < 3, 1),
+                              (lambda s, t: s == t == 0, 1))]
+
+
+def test_criterion_08_oracle_is_exact_at_rational_points():
+    """The oracle uses only ring operations and division by 2 and a, so on
+    Fraction arrays it equals the closed form of the deform docstring
+    exactly. For fixed u, v and split, a^2 (oracle - closed form) is a
+    polynomial of degree at most 6 in a, so agreement at the 8 values of
+    a below proves the identity at those pairs for every a."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(808)
+    scales = [Fraction(1, 7), Fraction(1, 2), Fraction(9, 10), Fraction(1),
+              Fraction(21, 20), Fraction(4, 3), Fraction(3, 2), Fraction(5)]
+
+    def bracket(x, y):
+        return 2 * np.cross(x, y)
+
+    def sq(x):
+        return np.sum(x * x)
+
+    checked = 0
+    for n_factors in (1, 2, 3):
+        algebra = Su2Power(n_factors)
+        splits = (ReductiveSplit.diagonal(algebra),
+                  ReductiveSplit.factor(algebra, 0), span_i_split(n_factors))
+        for split, proj in zip(splits, exact_projectors(n_factors)):
+            assert np.allclose(proj.astype(float), split._flat.T @ split._flat,
+                               rtol=0, atol=1e-15)
+
+            def k_part(x):
+                return (x.reshape(-1) @ proj).reshape(x.shape)
+
+            for _ in range(3):
+                grid = rng.integers(-2 ** 20, 2 ** 20, (2, n_factors, 3))
+                u, v = np.vectorize(lambda z: Fraction(int(z), 2 ** 20),
+                                    otypes=[object])(grid)
+                X, Y = k_part(u), k_part(v)
+                A, B = u - X, v - Y
+                ab_k = k_part(bracket(A, B))
+                ab_m = bracket(A, B) - ab_k
+                xy = bracket(X, Y)
+                for a in scales:
+                    closed = (sq(ab_m + a * (bracket(X, B) + bracket(A, Y))) / 4
+                              + sq(ab_k + a * a * xy) / 4
+                              + a * (1 - a) ** 3 * sq(xy) / 4
+                              + 3 * (1 - a) * sq(ab_k + a * xy) / 4)
+                    oracle = deform._koszul_curvature(u, v, proj, a)
+                    assert isinstance(oracle, Fraction)
+                    assert oracle == closed
+                    checked += 1
+    assert checked == 216
+    assert time.perf_counter() - start < 3.0
 
 
 def test_criterion_09_nonnegativity_and_negative_witnesses():

@@ -185,6 +185,18 @@ def test_glue_writes_csv(tmp_path, capsys):
     assert len(lines) > 100
 
 
+def test_glue_reports_an_unwritable_csv_path(tmp_path, capsys):
+    """This ended in a FileNotFoundError traceback and exit 1."""
+    target = tmp_path / "missing" / "profile.csv"
+    code, out, err = run(capsys, "glue", "--a", "4/3", "--r", "1",
+                         "--planes", "50", "--csv", str(target))
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err == "error: cannot write {}: No such file or directory\n".format(
+        target)
+    assert not target.parent.exists()
+
+
 def test_glue_rejects_undeformed_metric(capsys):
     code, _, err = run(capsys, "glue", "--a", "1", "--r", "1")
     assert code == cli.EXIT_DOMAIN
@@ -319,6 +331,11 @@ BAD_NUMERIC_INPUTS = [
     ("glue", ["--factors", "0"], 3),
     ("glue", ["--factors", "-1"], 3),
     ("glue", ["--factors", "two"], 2),
+    # factor counts past MAX_FACTORS: these ended in a 43.7 TiB
+    # _ArrayMemoryError traceback, or in "subalgebra basis is not
+    # Q-orthonormal" after building a (3, 10^8, 3) basis
+    ("glue", ["--factors", "100000000"], 3),
+    ("curvature-scan", ["--algebra", "su2^100000000"], 3),
     # algebra and subalgebra strings
     ("curvature-scan", ["--algebra", "su2^0"], 3),
     ("curvature-scan", ["--algebra", "su2^-1"], 3),

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from milnor import deform
 from milnor.deform import (
     A_MAX,
     A_MIN,
@@ -123,7 +124,7 @@ def test_sectional_batch_matches_scalar_path():
         # the Gram determinant of the explicit Q_a matrix.
         K = metric.split.k_basis.reshape(metric.split.dim_k, alg.dim)
         G = np.eye(alg.dim) + (a - 1.0) * K.T @ K
-        uf, vf = alg.flatten(U), alg.flatten(V)
+        uf, vf = U.reshape(5, 10, alg.dim), V.reshape(5, 10, alg.dim)
         gram = (np.einsum("...i,ij,...j->...", uf, G, uf)
                 * np.einsum("...i,ij,...j->...", vf, G, vf)
                 - np.einsum("...i,ij,...j->...", uf, G, vf) ** 2)
@@ -450,7 +451,7 @@ def test_reported_planes_are_orthonormal_frames_of_their_value(factors):
             G = np.eye(split.algebra.dim) + (a - 1.0) * K.T @ K
             for seed in range(2):
                 res = find_negative_plane(metric, budget=600, seed=seed)
-                u, v = metric.algebra.flatten(np.stack([res.u, res.v]))
+                u, v = np.stack([res.u, res.v]).reshape(2, -1)
                 gram = np.array([[x @ G @ y for y in (u, v)] for x in (u, v)])
                 assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
                 want = metric.sectional(res.u, res.v)
@@ -522,12 +523,14 @@ def test_scales_outside_the_measured_range_are_refused(a):
         diag_metric(2, a)
 
 
+@pytest.mark.parametrize("factors", [2, 3])
 @pytest.mark.parametrize("a", [A_MIN, A_MAX])
-def test_the_oracle_still_checks_the_closed_form_at_the_range_ends(a):
+def test_the_oracle_still_checks_the_closed_form_at_the_range_ends(factors, a):
     """At both ends of the accepted range the oracle agrees with the
-    closed form to 1e-6 of the largest value on random pairs, and on the
-    plane a search reports."""
-    alg = Su2Power(2)
+    closed form on random pairs, at A_MIN to 1e-12 of max(1, |value|) and
+    at A_MAX to 1e-6 of the largest value, and to 1e-6 of max(1, |value|)
+    on the plane a search reports."""
+    alg = Su2Power(factors)
     direction = alg.zero()
     direction[0, 0] = 1.0
     for split in (ReductiveSplit.diagonal(alg), ReductiveSplit.factor(alg, 0),
@@ -536,7 +539,10 @@ def test_the_oracle_still_checks_the_closed_form_at_the_range_ends(a):
         U, V = alg.random(RNG, 64), alg.random(RNG, 64)
         closed = metric.curvature_of_pair(U, V)
         gap = np.abs(closed - metric.curvature_oracle_of_pair(U, V))
-        assert np.max(gap) <= 1e-6 * np.max(np.abs(closed))
+        if a == A_MIN:
+            assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(closed)))
+        else:
+            assert np.max(gap) <= 1e-6 * np.max(np.abs(closed))
         res = find_negative_plane(metric, budget=300, seed=1)
         assert math.isfinite(res.value) and math.isfinite(res.scan_min)
         assert abs(res.value - res.oracle_value) <= 1e-6 * max(1.0, abs(res.value))
@@ -597,6 +603,9 @@ def test_bad_search_budgets_are_refused(budget):
 
 
 def test_oracle_does_not_use_the_closed_form_kernel(monkeypatch):
+    """With the closed form's bracket, projections, parts and inner
+    product refused, and the SVD basis helper too, a fresh metric's
+    oracle still gives the same values."""
     alg = Su2Power(3)
     split = ReductiveSplit.diagonal(alg)
     U, V = alg.random(RNG, 20), alg.random(RNG, 20)
@@ -608,7 +617,10 @@ def test_oracle_does_not_use_the_closed_form_kernel(monkeypatch):
     monkeypatch.setattr(Su2Power, "bracket", refuse)
     monkeypatch.setattr(Su2Power, "bracket_rows", refuse)
     monkeypatch.setattr(ReductiveSplit, "project_k", refuse)
-    metric = DeformedMetric(split, 1.2)  # its Koszul tensors get built here
+    for name in ("_quartic", "_k_part", "_parts", "_inner_of_parts"):
+        monkeypatch.setattr(DeformedMetric, name, refuse)
+    monkeypatch.setattr(deform, "null_space", refuse)
+    metric = DeformedMetric(split, 1.2)  # a fresh metric, nothing cached
     assert np.array_equal(metric.curvature_oracle_of_pair(U, V), want)
     with pytest.raises(AssertionError, match="closed-form kernel"):
         metric.curvature_of_pair(U, V)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from milnor.errors import DimensionMismatchError, ParameterError, ValidationError
-from milnor.liealg import ReductiveSplit, Su2Power
+from milnor.liealg import MAX_FACTORS, ReductiveSplit, Su2Power
 
 RNG = np.random.default_rng(414243)
 
@@ -77,6 +77,14 @@ def test_basis_is_orthonormal():
 @pytest.mark.parametrize("factors", [True, False, 0, -2, 2.0, "2"])
 def test_factor_count_must_be_a_positive_integer(factors):
     with pytest.raises(ParameterError, match="factors must be a positive integer"):
+        Su2Power(factors)
+
+
+@pytest.mark.parametrize("factors", [MAX_FACTORS + 1, 10 ** 8, 10 ** 400])
+def test_factor_count_is_capped_before_anything_is_allocated(factors):
+    assert Su2Power(MAX_FACTORS).dim == 3 * MAX_FACTORS
+    message = "^factors must be at most {}, got {}$".format(MAX_FACTORS, factors)
+    with pytest.raises(ParameterError, match=message):
         Su2Power(factors)
 
 

@@ -15,6 +15,8 @@ import pytest
 import milnor
 
 SRC = pathlib.Path(milnor.__file__).resolve().parent
+TESTS = pathlib.Path(__file__).resolve().parent
+TOOLS = TESTS.parent / "tools"
 
 
 def unused_imports(path):
@@ -36,8 +38,11 @@ def unused_imports(path):
 
 
 def test_modules_have_no_unused_imports():
-    modules = sorted(SRC.glob("*.py"))
-    assert modules
+    """The package, the tests and the tools, so that no test keeps
+    importing a name the package has dropped."""
+    groups = [sorted(d.glob("*.py")) for d in (SRC, TESTS, TOOLS)]
+    assert all(groups)
+    modules = [p for group in groups for p in group]
     assert [entry for p in modules for entry in unused_imports(p)] == []
 
 

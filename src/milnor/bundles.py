@@ -10,7 +10,7 @@ exact integer arithmetic.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (ParameterError, ValidationError, require_int,
                      require_label)
@@ -223,13 +223,11 @@ def classify_pair(p_minus, q_minus, p_plus, q_plus):
     return (euler_class(p_minus, p_plus), second_label(q_minus, q_plus))
 
 
-@dataclass(frozen=True)
-class MayerVietorisReport:
+class MayerVietorisReport(namedtuple("MayerVietorisReport",
+                                     "matrix det torsion_order")):
     """Difference map on degree-3 boundary cohomology for the two-disc
     decomposition, and the degree-4 torsion it generates."""
-    matrix: tuple
-    det: int
-    torsion_order: int
+    __slots__ = ()
 
 
 def mayer_vietoris_matrix(p_minus, p_plus):
@@ -266,13 +264,9 @@ def s7_orientation_partner(residue):
     return (-residue) % 12
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
-    kind: str
-    label: tuple
-    groups: tuple
-    ring_note: str
-    notes: tuple
+class CohomologyReport(namedtuple("CohomologyReport",
+                                  "kind label groups ring_note notes")):
+    __slots__ = ()
 
     def group(self, degree):
         for deg, desc in self.groups:

@@ -7,7 +7,7 @@ orientation flip), the link spheres of the two-variable singularities in
 odd dimensions, and the free-involution quotients in dimension 5.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import OutOfRegimeError, ParameterError, require_int
 
@@ -77,13 +77,9 @@ def diffeo_equiv(k, m):
     return direct
 
 
-@dataclass(frozen=True)
-class BrieskornClass:
-    n: int
-    d: int
-    dimension: int
-    verdict: str
-    exotic: bool
+class BrieskornClass(namedtuple("BrieskornClass",
+                                "n d dimension verdict exotic")):
+    __slots__ = ()
 
 
 def brieskorn_classify(n, d):
@@ -119,13 +115,10 @@ def _is_power_of_two(x):
     return x >= 1 and (x & (x - 1)) == 0
 
 
-@dataclass(frozen=True)
-class InvolutionQuotientType:
-    d: int
-    diffeo_residue: int
-    homeo_residue: int
-    exotic_candidate: bool
-    caveat: str
+class InvolutionQuotientType(namedtuple(
+        "InvolutionQuotientType",
+        "d diffeo_residue homeo_residue exotic_candidate caveat")):
+    __slots__ = ()
 
 
 _RP5_CAVEAT = (

@@ -6,20 +6,20 @@ with equal inputs are byte-identical. Exit codes: 0 success, 2 usage
 errors (argparse), 3 domain errors (bad labels, out-of-regime inputs),
 4 failed certificates, failed searches, and reproduction mismatches.
 
-Only the integer layers are imported here. The numeric layers (liealg,
-deform, glue), and with them numpy, are imported inside the handlers of
-`curvature-scan` and `glue`, so the other subcommands never load numpy.
-numpy is the only numeric dependency: the plane search of
-`curvature-scan --find-negative` is a gradient descent written in numpy.
+No layer of the package is imported here, only the stored-data reader
+and the exceptions: each handler imports the layers it calls. So an
+integer subcommand loads argparse, json and the integer modules it calls,
+and the numeric layers (liealg, deform, glue), and with them numpy, load
+only for `curvature-scan` and `glue`. numpy is the only numeric
+dependency: the plane search of `curvature-scan --find-negative` is a
+gradient descent written in numpy.
 """
 
 import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
-from . import bundles, classify, isotropy
 from .data import load_expected
 from .errors import MilnorError
 
@@ -42,6 +42,8 @@ def _emit(args, payload, lines):
 def _fraction(text):
     """Accept '4/3', '1.25', '2'. Fractions stay exact; a float that
     overflows to infinity, such as '1e400', is a bad number."""
+    from fractions import Fraction
+
     try:
         if "/" in text:
             return Fraction(text)
@@ -56,6 +58,8 @@ def _fraction(text):
 
 
 def _type_set_payload(ts):
+    from . import isotropy
+
     return {
         "types": ts.sorted_labels(),
         "dihedral_orders": list(ts.orders),
@@ -68,6 +72,8 @@ def _type_set_payload(ts):
 
 
 def cmd_solve(args):
+    from . import bundles
+
     sols = bundles.solve_euler(args.k, bound=args.bound)
     payload = {"k": args.k, "solutions": [list(s) for s in sols]}
     lines = ["(p_-, p_+) with (p_-^2 - p_+^2)/8 = {}:".format(args.k)]
@@ -79,6 +85,8 @@ def cmd_solve(args):
 
 
 def cmd_canonical(args):
+    from . import bundles
+
     sol = bundles.canonical_solution(args.k)
     _emit(args, {"k": args.k, "solution": list(sol)},
           ["canonical (p_-, p_+) for k = {}: ({}, {})".format(args.k, *sol)])
@@ -86,6 +94,8 @@ def cmd_canonical(args):
 
 
 def cmd_euler(args):
+    from . import bundles
+
     k = bundles.euler_class(args.p_minus, args.p_plus)
     _emit(args, {"p_minus": args.p_minus, "p_plus": args.p_plus, "k": k},
           ["(p_-^2 - p_+^2)/8 = {}".format(k)])
@@ -93,6 +103,8 @@ def cmd_euler(args):
 
 
 def cmd_classify(args):
+    from . import bundles, classify
+
     k, l = bundles.classify_pair(args.p_minus, args.q_minus,
                                  args.p_plus, args.q_plus)
     mv = bundles.mayer_vietoris_matrix(args.p_minus, args.p_plus)
@@ -114,6 +126,8 @@ def cmd_classify(args):
 
 
 def cmd_isotropy(args):
+    from . import isotropy
+
     ts = isotropy.orbit_types(args.p_minus, args.q_minus,
                               args.p_plus, args.q_plus)
     payload = _type_set_payload(ts)
@@ -129,6 +143,8 @@ def cmd_isotropy(args):
 
 
 def cmd_table42(args):
+    from . import isotropy
+
     ts = isotropy.table_42(args.k, args.l, n=args.n)
     closed = isotropy.table_42_orders(args.k, args.l, n=args.n)
     payload = _type_set_payload(ts)
@@ -151,6 +167,8 @@ def cmd_table42(args):
 
 
 def cmd_ek(args):
+    from . import classify
+
     v = classify.eells_kuiper(args.k)
     payload = {
         "k": args.k, "class_mod_28": v,
@@ -166,6 +184,8 @@ def cmd_ek(args):
 
 
 def cmd_diffeo(args):
+    from . import classify
+
     same = classify.diffeo_equiv(args.k, args.m)
     _emit(args, {"k": args.k, "m": args.m, "diffeomorphic": same},
           ["boundaries of (k, 1-k) and (m, 1-m) diffeomorphic: {}".format(same)])
@@ -173,6 +193,8 @@ def cmd_diffeo(args):
 
 
 def cmd_brieskorn(args):
+    from . import classify
+
     res = classify.brieskorn_classify(args.n, args.d)
     payload = {"n": args.n, "d": args.d, "dimension": res.dimension,
                "verdict": res.verdict, "exotic": res.exotic}
@@ -184,6 +206,8 @@ def cmd_brieskorn(args):
 
 
 def cmd_rp5(args):
+    from . import classify
+
     res = classify.rp5_type(args.d)
     payload = {"d": args.d, "diffeo_residue": res.diffeo_residue,
                "homeo_residue": res.homeo_residue,
@@ -200,6 +224,8 @@ def cmd_rp5(args):
 
 
 def cmd_s7class(args):
+    from . import bundles
+
     r = bundles.s7_bundle_class(args.k)
     payload = {"k": args.k, "class_mod_12": r,
                "orientation_partner": bundles.s7_orientation_partner(r),
@@ -213,6 +239,8 @@ def cmd_s7class(args):
 
 
 def cmd_cohomology(args):
+    from . import bundles
+
     rep = bundles.cohomology_report(args.kind, args.k, l=args.l)
     payload = {
         "kind": rep.kind, "label": list(rep.label),
@@ -346,12 +374,16 @@ def cmd_glue(args):
 
 
 def _repro_k105(expected):
+    from . import bundles
+
     want = [tuple(s) for s in expected["euler105"]]
     got = bundles.solve_euler(105)
     return want == got, {"want": want, "got": got}
 
 
 def _repro_ek16(expected):
+    from . import classify
+
     want_r = sorted(expected["ek_realized"])
     want_f = sorted(expected["ek_folded"])
     got_r = sorted(classify.realized_classes())
@@ -361,6 +393,8 @@ def _repro_ek16(expected):
 
 
 def _repro_thm45(expected):
+    from . import isotropy
+
     mism = []
     for key, want in sorted(expected["hopf_orbit_types"].items(),
                             key=lambda kv: int(kv[0])):
@@ -372,6 +406,8 @@ def _repro_thm45(expected):
 
 
 def _repro_table42(expected):
+    from . import isotropy
+
     mism = []
     for row in expected["table42_grid"]:
         n = row.get("n")
@@ -384,6 +420,8 @@ def _repro_table42(expected):
 
 
 def _repro_s7(expected):
+    from . import bundles
+
     want = sorted(expected["s7_residues"])
     got = sorted(bundles.TOTAL_SPACE_RESIDUES)
     live = sorted({bundles.s7_bundle_class(k) for k in range(-144, 145)})

@@ -6,10 +6,11 @@ main code paths), so `milnor repro` genuinely diffs two routes.
 """
 
 import json
-from importlib import resources
+import os
 
 
 def load_expected():
-    with resources.files(__package__).joinpath("expected.json").open(
-            encoding="utf-8") as fh:
-        return json.load(fh)
+    # Read through the package's own loader, which also reads from a zip:
+    # importlib.resources would load typing, pathlib, zipfile and tempfile.
+    path = os.path.join(os.path.dirname(__file__), "expected.json")
+    return json.loads(__spec__.loader.get_data(path).decode("utf-8"))

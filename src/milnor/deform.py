@@ -30,7 +30,7 @@ public entry point converts its inputs once.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -54,10 +54,10 @@ _SCAN_BLOCK = 2048
 #: The most planes scan_min_sectional (so nonneg_certificate) and the most
 #: sample pairs oracle_agreement take; counts are checked before anything
 #: is drawn. Measured at 1e5 on su(2)^3 (2-core Xeon): a scan holds about
-#: 160 bytes and takes about 1.1 us a plane, oracle_agreement about 830
-#: bytes and 10 us a pair. So at the cap a scan takes about 1 s and 160 MB,
-#: and oracle_agreement about 10 s and 830 MB; ten times the cap would
-#: exceed the memory of a small host.
+#: 160 bytes and takes about 1.1 us a plane, oracle_agreement about 160
+#: bytes (144 of them its one draw of the pairs) and 1.8 us a pair, on the
+#: diagonal and the span-i split alike. So at the cap each takes about 1-2
+#: s and 160 MB; ten times the cap would exceed the memory of a small host.
 MAX_PLANES = 10 ** 6
 #: How far, relative to max(1, |value|), the connection oracle may stray
 #: from the closed form on a plane the search reports.
@@ -290,15 +290,19 @@ class DeformedMetric:
 
     def oracle_agreement(self, samples=64, seed=0):
         """Worst absolute gap between the closed-form curvature and the
-        connection-based oracle over seeded random vector pairs."""
+        connection-based oracle over seeded random vector pairs, drawn at
+        once and compared _SCAN_BLOCK pairs at a time; blocking changes no
+        value."""
         require_count(samples, "samples", MAX_PLANES)
         _check_seed(seed)
         rng = np.random.default_rng(seed)
         uv = rng.standard_normal((samples, 2, self.algebra.factors, 3))
-        u, v = uv[:, 0], uv[:, 1]
-        gap = np.abs(self.curvature_of_pair(u, v)
-                     - self.curvature_oracle_of_pair(u, v))
-        return float(np.max(gap, initial=0.0))
+        gaps = []
+        for i in range(0, samples, _SCAN_BLOCK):
+            u, v = uv[i:i + _SCAN_BLOCK, 0], uv[i:i + _SCAN_BLOCK, 1]
+            gaps.append(np.max(np.abs(self.curvature_of_pair(u, v)
+                                      - self.curvature_oracle_of_pair(u, v))))
+        return float(np.max(gaps))
 
     # -- sectional curvature ------------------------------------------------
 
@@ -332,15 +336,10 @@ class DeformedMetric:
         return vals.reshape(shape), ok.reshape(shape)
 
 
-@dataclass
-class ScanResult:
+class ScanResult(namedtuple("ScanResult",
+                            "min_value u v n_planes n_valid seed")):
     """Outcome of a seeded random-plane curvature scan."""
-    min_value: float
-    u: np.ndarray
-    v: np.ndarray
-    n_planes: int
-    n_valid: int
-    seed: int
+    __slots__ = ()
 
 
 def _check_seed(seed):
@@ -376,17 +375,12 @@ def scan_min_sectional(metric, n_planes=100_000, seed=0):
                       n_planes=n_planes, n_valid=int(np.sum(ok)), seed=seed)
 
 
-@dataclass
-class PlaneSearchResult:
+class PlaneSearchResult(namedtuple(
+        "PlaneSearchResult",
+        "found value u v oracle_value evaluations scan_min")):
     """Outcome of the negative-plane search. When found is False, value and
     (u, v) still describe the most negative plane encountered."""
-    found: bool
-    value: float
-    u: np.ndarray
-    v: np.ndarray
-    oracle_value: float
-    evaluations: int
-    scan_min: float
+    __slots__ = ()
 
 
 def minimize(metric, F, budget, target):

@@ -15,8 +15,6 @@ label congruent to 1 mod 4) and as_fraction (the exact value of an int or
 Fraction, None for anything else).
 """
 
-from fractions import Fraction
-
 
 class MilnorError(Exception):
     """Base class for all deliberate failures."""
@@ -77,6 +75,8 @@ def require_label(p, name):
 def as_fraction(x):
     """x as an exact Fraction when it is an int or a Fraction (bool is
     neither), otherwise None."""
+    from fractions import Fraction  # the integer layers never load it
+
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):

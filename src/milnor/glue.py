@@ -16,7 +16,7 @@ the whole construction lives in the window 1 < a <= 4/3.
 
 import csv
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -57,15 +57,11 @@ def matching_level(a, r):
     return glue_params(a, r).plateau
 
 
-@dataclass(frozen=True)
-class GlueParams:
+class GlueParams(namedtuple("GlueParams",
+                            "a r plateau plateau_sq t_plateau")):
     """Gluing data: subalgebra scale a, gluing-circle radius r, and the
     derived plateau. plateau_sq is kept exact when a, r are rational."""
-    a: object
-    r: object
-    plateau: float
-    plateau_sq: object
-    t_plateau: float
+    __slots__ = ()
 
 
 def _show(x):
@@ -258,19 +254,14 @@ def orbit_metric_factor(profile, t):
     return _orbit_factor(profile.value_sq(t), params.a, params.r)
 
 
-@dataclass(frozen=True)
-class ClauseResult:
-    name: str
-    passed: bool
-    value: float
-    tolerance: float
-    detail: str = ""
+class ClauseResult(namedtuple("ClauseResult",
+                              "name passed value tolerance detail",
+                              defaults=("",))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GluingCertificate:
-    passed: bool
-    clauses: tuple
+class GluingCertificate(namedtuple("GluingCertificate", "passed clauses")):
+    __slots__ = ()
 
     def failed(self):
         return [c for c in self.clauses if not c.passed]

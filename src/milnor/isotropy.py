@@ -15,7 +15,7 @@ order 1 collapses into Z2. The congruence class makes the sum orders odd
 and the difference orders even, which the code asserts.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bundles import canonical_solution, classify_pair, solve_euler
 from .errors import ParameterError, require_int, require_label
@@ -45,12 +45,10 @@ def _rank(label):
     return (2, int(label[1:]))
 
 
-@dataclass(frozen=True)
-class OrbitTypeSet:
+class OrbitTypeSet(namedtuple("OrbitTypeSet", "types orders")):
     """Orbit types as canonical labels plus the raw dihedral orders (the
     four numbers |p +- q|/2 before degeneration) they came from."""
-    types: frozenset
-    orders: tuple
+    __slots__ = ()
 
     def sorted_labels(self):
         return sorted(self.types, key=_rank)

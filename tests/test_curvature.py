@@ -576,6 +576,31 @@ def test_oracle_agreement_takes_the_worst_gap_over_the_seeded_pairs(monkeypatch)
     assert abs(got - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("make, factors, a", [
+    (diag_metric, 3, 1.2), (span_i_metric, 2, 0.5), (span_i_metric, 3, 1e3)])
+def test_oracle_agreement_in_blocks_equals_one_call(monkeypatch, make,
+                                                    factors, a):
+    """Over more pairs than _SCAN_BLOCK, oracle_agreement compares at most
+    _SCAN_BLOCK pairs per call, and its value is bit for bit the one of a
+    single call on all the pairs."""
+    metric = make(factors, a)
+    samples = 2 * deform._SCAN_BLOCK + 7
+    uv = np.random.default_rng(11).standard_normal((samples, 2, factors, 3))
+    u, v = uv[:, 0], uv[:, 1]
+    want = float(np.max(np.abs(metric.curvature_of_pair(u, v)
+                               - metric.curvature_oracle_of_pair(u, v))))
+    sizes = []
+    closed = metric.curvature_of_pair
+
+    def recording(u, v):
+        sizes.append(len(u))
+        return closed(u, v)
+
+    monkeypatch.setattr(metric, "curvature_of_pair", recording)
+    assert metric.oracle_agreement(samples=samples, seed=11) == want
+    assert sizes == [deform._SCAN_BLOCK, deform._SCAN_BLOCK, 7]
+
+
 @pytest.mark.parametrize("count", [0, -1, True, 1.5, 1000.0, "3", None,
                                    MAX_PLANES + 1, 10 ** 12])
 def test_bad_plane_counts_are_refused_before_sampling(count):

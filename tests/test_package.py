@@ -97,31 +97,75 @@ def imported_modules(path, module_level=False):
     return found
 
 
-def test_bundles_imports_only_math_dataclasses_and_errors():
+def test_bundles_imports_only_math_collections_and_errors():
     """The factorizer is deterministic (no `random`) and the integer CLI
     loads no module beyond these."""
     assert imported_modules(SRC / "bundles.py") == {
-        "math", "dataclasses", ".errors"}
+        "math", "collections", ".errors"}
 
 
 def test_cli_imports_no_numeric_layer_at_module_level():
-    """numpy, liealg, deform and glue are imported inside the handlers of
-    curvature-scan and glue, so the integer subcommands never load them."""
+    """Every layer, integer or numeric, is imported inside the handlers
+    that call it, so a subcommand loads only the layers it runs."""
     assert imported_modules(SRC / "cli.py", module_level=True) == {
-        "argparse", "json", "math", "sys", "fractions",
-        ".bundles", ".classify", ".isotropy", ".data", ".errors"}
+        "argparse", "json", "math", "sys", ".data", ".errors"}
 
 
-NUMERIC_MODULES = ("numpy", "scipy", "scipy.linalg", "scipy.optimize")
+def test_no_module_imports_dataclasses():
+    """The result records are named tuples: dataclasses would load
+    inspect, ast, dis and tokenize into every integer CLI call."""
+    found = ["{} {}".format(path.relative_to(SRC), name)
+             for path in sorted(SRC.rglob("*.py"))
+             for name in imported_modules(path)
+             if name.split(".")[0] == "dataclasses"]
+    assert found == []
 
 
-def run_fresh(code):
-    """Run `code` in a fresh interpreter that imports milnor from this
-    checkout; return its stderr."""
+#: Every result record and its fields, in order.
+RECORD_FIELDS = {
+    "MayerVietorisReport": ("matrix", "det", "torsion_order"),
+    "CohomologyReport": ("kind", "label", "groups", "ring_note", "notes"),
+    "BrieskornClass": ("n", "d", "dimension", "verdict", "exotic"),
+    "InvolutionQuotientType": ("d", "diffeo_residue", "homeo_residue",
+                               "exotic_candidate", "caveat"),
+    "OrbitTypeSet": ("types", "orders"),
+    "ScanResult": ("min_value", "u", "v", "n_planes", "n_valid", "seed"),
+    "PlaneSearchResult": ("found", "value", "u", "v", "oracle_value",
+                          "evaluations", "scan_min"),
+    "GlueParams": ("a", "r", "plateau", "plateau_sq", "t_plateau"),
+    "ClauseResult": ("name", "passed", "value", "tolerance", "detail"),
+    "GluingCertificate": ("passed", "clauses"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FIELDS))
+def test_result_records_are_immutable_named_tuples(name):
+    """Keyword construction, the Name(field=...) repr, and no assignment
+    to a field or a new attribute."""
+    fields = RECORD_FIELDS[name]
+    record = getattr(milnor, name)(**{f: i for i, f in enumerate(fields)})
+    assert record == tuple(range(len(fields)))
+    assert repr(record) == "{}({})".format(
+        name, ", ".join("{}={}".format(f, i) for i, f in enumerate(fields)))
+    for attr in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+
+
+def test_clause_detail_defaults_to_empty():
+    assert milnor.ClauseResult("x", True, 0.0, 1e-9).detail == ""
+
+
+NUMERIC_MODULES =("numpy", "scipy", "scipy.linalg", "scipy.optimize")
+
+
+def run_fresh(code, flags=()):
+    """Run `code` in a fresh interpreter, started with the given flags,
+    that imports milnor from this checkout; return its stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
-    res = subprocess.run([sys.executable, "-c", code], env=env,
+    res = subprocess.run([sys.executable, *flags, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     return res.stderr
@@ -184,6 +228,25 @@ def test_integer_commands_run_where_numpy_cannot_be_imported():
     exits 0."""
     run_fresh("\n".join(["import sys", "sys.modules['numpy'] = None"]
                         + [cli_code(*argv) for argv in INTEGER_COMMANDS.values()]))
+
+
+#: Standard-library modules the integer path does without: dataclasses
+#: loads inspect, ast, dis and tokenize, fractions loads decimal, and
+#: importlib.resources loads typing, pathlib, zipfile and tempfile.
+HEAVY_STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "typing",
+                "importlib.resources")
+
+
+def test_integer_commands_run_where_heavy_stdlib_cannot_be_imported():
+    """Started with -S, so that no site .pth file preloads anything, and
+    with HEAVY_STDLIB made to fail on import, the integer names still
+    import and every integer subcommand still exits 0."""
+    run_fresh("\n".join(
+        ["import sys"]
+        + ["sys.modules[{!r}] = None".format(name) for name in HEAVY_STDLIB]
+        + ["from milnor import solve_euler, orbit_types, diffeo_equiv"]
+        + [cli_code(*argv) for argv in INTEGER_COMMANDS.values()]),
+        flags=["-S"])
 
 
 @pytest.mark.parametrize("code", [

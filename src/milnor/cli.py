@@ -13,6 +13,11 @@ and the numeric layers (liealg, deform, glue), and with them numpy, load
 only for `curvature-scan` and `glue`. numpy is the only numeric
 dependency: the plane search of `curvature-scan --find-negative` is a
 gradient descent written in numpy.
+
+The subcommands live in one table, `_COMMANDS`. A call that names its
+subcommand first builds the parser for that subcommand alone; any other
+call (no subcommand, a leading option, an unknown word) gets the full
+parser. Help, usage and error text are the same either way.
 """
 
 import argparse
@@ -457,104 +462,109 @@ def cmd_repro(args):
 
 # -- parser -------------------------------------------------------------------
 
+def _ints(*names):
+    """Integer positionals, as _COMMANDS lists arguments."""
+    return [((name,), {"type": int}) for name in names]
 
-def build_parser():
+#: name -> (handler, help, arguments after --json as (flags, options)), in
+#: the order the help lists them
+_COMMANDS = {
+    "solve": (cmd_solve, "all (p_-, p_+) with (p_-^2 - p_+^2)/8 = k",
+              _ints("k") + [(("--bound",), {
+                  "type": int, "default": None,
+                  "help": "label bound, required for k = 0"})]),
+    "canonical": (cmd_canonical, "distinguished solution for k", _ints("k")),
+    "euler": (cmd_euler, "(p_-^2 - p_+^2)/8 for a label pair",
+              _ints("p_minus", "p_plus")),
+    "classify": (cmd_classify, "bundle pair (k, l) of a label tuple",
+                 _ints("p_minus", "q_minus", "p_plus", "q_plus")),
+    "isotropy": (cmd_isotropy, "orbit types of a label tuple",
+                 _ints("p_minus", "q_minus", "p_plus", "q_plus")),
+    "table42": (cmd_table42, "orbit types for a bundle pair (k, l)",
+                _ints("k", "l") + [(("--n",), {
+                    "type": int, "default": None,
+                    "help": "family index, required when l = 0"})]),
+    "ek": (cmd_ek, "boundary diffeomorphism class of (k, 1-k)", _ints("k")),
+    "diffeo": (cmd_diffeo, "are two boundary spheres diffeomorphic",
+               _ints("k", "m")),
+    "brieskorn": (cmd_brieskorn, "odd-dimensional link classification",
+                  _ints("n", "d")),
+    "rp5": (cmd_rp5, "involution quotient types in dimension 5", _ints("d")),
+    "s7class": (cmd_s7class, "principal total-space class mod 12",
+                _ints("k")),
+    "cohomology": (cmd_cohomology, "cohomology of a bundle total space", [
+        (("kind",), {"choices": ["principal3", "sphere2", "sphere3",
+                                 "principal33"]}),
+        (("k",), {"type": int}),
+        (("l",), {"type": int, "nargs": "?", "default": None}),
+    ]),
+    "curvature-scan": (
+        cmd_curvature_scan, "scan sectional curvature of a deformed metric", [
+            (("--algebra",), {"default": "su2^2",
+                              "help": "su2 or su2^N (default su2^2)"}),
+            (("--subalgebra",), {"default": "diagonal",
+                                 "help": "diagonal, factorN, or span-i/j/k"}),
+            (("--a",), {"type": _fraction, "required": True,
+                        "help": "deformation parameter (fraction or float)"}),
+            (("--seed",), {"type": int, "default": 0}),
+            (("--budget",), {"type": int, "default": 20000,
+                             "help": "number of sampled planes"}),
+            (("--find-negative",), {
+                "action": "store_true",
+                "help": "also search for a certified negative plane"}),
+        ]),
+    "glue": (cmd_glue, "build and certify a disc-gluing profile", [
+        (("--a",), {"type": _fraction, "required": True}),
+        (("--r",), {"type": _fraction, "required": True}),
+        (("--planes",), {"type": int, "default": 10000}),
+        (("--seed",), {"type": int, "default": 0}),
+        (("--factors",), {
+            "type": int, "default": 1,
+            "help": "number of quaternion factors in the scanned group"}),
+        (("--csv",), {"default": None, "help": "write the profile as CSV"}),
+    ]),
+    "repro": (
+        cmd_repro,
+        "recompute pinned tables and lists, diff against stored values",
+        [(("target",), {"choices": sorted(_REPRO) + ["all"]})]),
+}
+
+
+def build_parser(command=None):
+    """The milnor parser with every subcommand, or with `command` alone.
+
+    A one-command parser names all of them in its usage line, so the
+    usage it prints with a top-level error is the full parser's."""
     parser = argparse.ArgumentParser(
         prog="milnor",
         description="Label arithmetic, curvature checks, and orbit-type "
                     "calculus for 3-sphere bundles over the 4-sphere.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    if command is None:
+        names = list(_COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        names = [command]
+        sub = parser.add_subparsers(
+            dest="command", required=True,
+            metavar="{" + ",".join(_COMMANDS) + "}")
+    for name in names:
+        handler, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true",
                        help="emit deterministic JSON")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("solve", cmd_solve, "all (p_-, p_+) with (p_-^2 - p_+^2)/8 = k")
-    p.add_argument("k", type=int)
-    p.add_argument("--bound", type=int, default=None,
-                   help="label bound, required for k = 0")
-
-    p = add("canonical", cmd_canonical, "distinguished solution for k")
-    p.add_argument("k", type=int)
-
-    p = add("euler", cmd_euler, "(p_-^2 - p_+^2)/8 for a label pair")
-    p.add_argument("p_minus", type=int)
-    p.add_argument("p_plus", type=int)
-
-    p = add("classify", cmd_classify, "bundle pair (k, l) of a label tuple")
-    for name in ("p_minus", "q_minus", "p_plus", "q_plus"):
-        p.add_argument(name, type=int)
-
-    p = add("isotropy", cmd_isotropy, "orbit types of a label tuple")
-    for name in ("p_minus", "q_minus", "p_plus", "q_plus"):
-        p.add_argument(name, type=int)
-
-    p = add("table42", cmd_table42, "orbit types for a bundle pair (k, l)")
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int)
-    p.add_argument("--n", type=int, default=None,
-                   help="family index, required when l = 0")
-
-    p = add("ek", cmd_ek, "boundary diffeomorphism class of (k, 1-k)")
-    p.add_argument("k", type=int)
-
-    p = add("diffeo", cmd_diffeo, "are two boundary spheres diffeomorphic")
-    p.add_argument("k", type=int)
-    p.add_argument("m", type=int)
-
-    p = add("brieskorn", cmd_brieskorn, "odd-dimensional link classification")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
-
-    p = add("rp5", cmd_rp5, "involution quotient types in dimension 5")
-    p.add_argument("d", type=int)
-
-    p = add("s7class", cmd_s7class, "principal total-space class mod 12")
-    p.add_argument("k", type=int)
-
-    p = add("cohomology", cmd_cohomology,
-            "cohomology of a bundle total space")
-    p.add_argument("kind",
-                   choices=["principal3", "sphere2", "sphere3", "principal33"])
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int, nargs="?", default=None)
-
-    p = add("curvature-scan", cmd_curvature_scan,
-            "scan sectional curvature of a deformed metric")
-    p.add_argument("--algebra", default="su2^2",
-                   help="su2 or su2^N (default su2^2)")
-    p.add_argument("--subalgebra", default="diagonal",
-                   help="diagonal, factorN, or span-i/j/k")
-    p.add_argument("--a", type=_fraction, required=True,
-                   help="deformation parameter (fraction or float)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=20000,
-                   help="number of sampled planes")
-    p.add_argument("--find-negative", action="store_true",
-                   help="also search for a certified negative plane")
-
-    p = add("glue", cmd_glue, "build and certify a disc-gluing profile")
-    p.add_argument("--a", type=_fraction, required=True)
-    p.add_argument("--r", type=_fraction, required=True)
-    p.add_argument("--planes", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--factors", type=int, default=1,
-                   help="number of quaternion factors in the scanned group")
-    p.add_argument("--csv", default=None, help="write the profile as CSV")
-
-    p = add("repro", cmd_repro,
-            "recompute pinned tables and lists, diff against stored values")
-    p.add_argument("target", choices=sorted(_REPRO) + ["all"])
-
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A leading command word gets a parser holding that subcommand alone;
+    # anything else (no word, an option, an unknown word) gets the full
+    # one, whose help and errors list every subcommand.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except MilnorError as exc:

@@ -29,6 +29,11 @@ def canonical_type_labels(order):
     require_int(order, "order")
     if order < 0:
         raise ParameterError("orders are absolute values, got {}".format(order))
+    return _type_labels(order)
+
+
+def _type_labels(order):
+    """canonical_type_labels on an order known to be a non-negative int."""
     if order == 0:
         return ("SO(2)", "O(2)")
     if order == 1:
@@ -67,6 +72,13 @@ def orbit_types(p_minus, q_minus, p_plus, q_plus):
     for val, name in ((p_minus, "p_minus"), (q_minus, "q_minus"),
                       (p_plus, "p_plus"), (q_plus, "q_plus")):
         require_label(val, name)
+    return _orbit_types(p_minus, q_minus, p_plus, q_plus)
+
+
+def _orbit_types(p_minus, q_minus, p_plus, q_plus):
+    """orbit_types without the label checks, for labels that are integers
+    congruent to 1 mod 4 by construction; the order parities are still
+    asserted."""
     sums = (abs(p_minus + q_minus), abs(p_plus + q_plus))
     diffs = (abs(p_minus - q_minus), abs(p_plus - q_plus))
     if any(s % 2 for s in sums + diffs):
@@ -78,7 +90,7 @@ def orbit_types(p_minus, q_minus, p_plus, q_plus):
         raise AssertionError("difference orders must be even")
     labels = set(BASE_TYPES)
     for order in orders:
-        labels.update(canonical_type_labels(order))
+        labels.update(_type_labels(order))
     return OrbitTypeSet(types=frozenset(labels), orders=orders)
 
 
@@ -123,7 +135,9 @@ def table_42(k, l, n=None):
         q_minus = q_plus = 4 * n + 1
     else:
         q_plus, q_minus = canonical_solution(l)
-    return orbit_types(p_minus, q_minus, p_plus, q_plus)
+    # canonical_solution checks its pairs through euler_class, and 4n + 1
+    # is a label by construction
+    return _orbit_types(p_minus, q_minus, p_plus, q_plus)
 
 
 def table_42_orders(k, l, n=None):
@@ -162,7 +176,7 @@ def hopf_family(n):
     types (1), (Z2), (D2) plus D|2n-1|, D|2n|, D|2n+1|, D|2n+2| after
     degeneration. Almost free iff n not in {0, -1}."""
     require_int(n, "n")
-    ts = orbit_types(-3, 4 * n + 1, 1, 4 * n + 1)
+    ts = _orbit_types(-3, 4 * n + 1, 1, 4 * n + 1)
     expected = tuple(sorted((abs(2 * n - 1), abs(2 * n),
                              abs(2 * n + 1), abs(2 * n + 2))))
     if tuple(sorted(ts.orders)) != expected:

@@ -24,12 +24,12 @@ from .errors import DimensionMismatchError, ParameterError, ValidationError
 _ORTHO_TOL = 1e-12
 _ABELIAN_TOL = 1e-12
 #: The most su(2) factors Su2Power takes, checked before anything is
-#: allocated. Measured at 1e5 planes on su(2)^1, ^3 and ^6 (2-core Xeon):
-#: a scan holds about 54 bytes a plane per factor and oracle_agreement
-#: about 280 bytes a pair per factor. So deform.MAX_PLANES planes at the
-#: cap take about 0.9 GB in a scan (and 4.5 GB in oracle_agreement);
-#: 10^8 factors used to fail allocating tens of TiB, or with a misleading
-#: message.
+#: allocated. Measured with tracemalloc at 1e5 planes on the diagonal
+#: split of su(2)^1, ^3 and ^6: a scan peaks at about 54 bytes a plane per
+#: factor and oracle_agreement, which works in blocks like the scan, at
+#: about 53 bytes a pair per factor. So deform.MAX_PLANES planes or pairs
+#: at the cap take about 0.9 GB; 10^8 factors used to fail allocating tens
+#: of TiB, or with a misleading message.
 MAX_FACTORS = 16
 
 

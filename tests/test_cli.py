@@ -437,3 +437,93 @@ def test_glue_clauses_report_tolerance_and_detail(capsys):
     plateau = next(c for c in clauses if c["name"] == "plateau_match")
     assert plateau["detail"] == "no finite matching level outside the window"
     assert plateau["value"] is None
+
+
+# -- one-command parsers ----------------------------------------------------
+
+COMMAND_NAMES = list(cli._COMMANDS)
+ALL_CHOICES = "{" + ",".join(COMMAND_NAMES) + "}"
+
+
+def subparsers(parser):
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def exit_two(capsys, call, argv):
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("name", COMMAND_NAMES)
+def test_one_command_parser_prints_the_full_parsers_help(
+        monkeypatch, name, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    alone = subparsers(cli.build_parser(name)).choices[name]
+    full = subparsers(cli.build_parser()).choices[name]
+    assert alone.format_help() == full.format_help()
+    assert alone.format_usage() == full.format_usage()
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("name", COMMAND_NAMES)
+def test_one_command_parser_prints_the_full_parsers_errors(
+        capsys, monkeypatch, name, columns):
+    """main builds one subparser for a leading command word; its usage
+    errors read as the full parser's."""
+    monkeypatch.setenv("COLUMNS", columns)
+    full = cli.build_parser().parse_args
+    # five words: a bad positional or one too many for every subcommand
+    for argv in ([name], [name, "--no-such-flag"], [name] + ["x"] * 5):
+        assert exit_two(capsys, cli.main, argv) == exit_two(capsys, full, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "1", "--no-such-flag"],
+    ["solve", "1", "canonical"],
+    ["repro", "all", "--json", "extra"],
+    ["glue", "--a", "4/3", "--r", "1", "--no-such-flag"],
+])
+def test_top_level_errors_after_one_command_name_every_choice(
+        capsys, monkeypatch, argv):
+    """Words the subcommand leaves over are reported by the top-level
+    parser, whose usage line lists all subcommands either way."""
+    monkeypatch.setenv("COLUMNS", "200")
+    err = exit_two(capsys, cli.main, argv)
+    assert err == exit_two(capsys, cli.build_parser().parse_args, argv)
+    assert err.startswith("usage: milnor [-h] {} ...\n".format(ALL_CHOICES))
+    assert "unrecognized arguments: " + argv[-1] in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["no-such-command"],
+     "argument command: invalid choice: 'no-such-command'"),
+    (["--json", "solve", "1"], "unrecognized arguments: --json"),
+])
+def test_no_leading_command_gets_every_choice(capsys, monkeypatch, argv,
+                                              message):
+    monkeypatch.setenv("COLUMNS", "200")
+    err = exit_two(capsys, cli.main, argv)
+    assert err.startswith("usage: milnor [-h] {} ...\n".format(ALL_CHOICES))
+    assert message in err
+
+
+def test_one_command_parser_holds_one_choice():
+    assert list(subparsers(cli.build_parser("solve")).choices) == ["solve"]
+    assert len(COMMAND_NAMES) == 15
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    """The `milnor` console script calls main() with no arguments."""
+    expected = run(capsys, "solve", "105", "--json")
+    monkeypatch.setattr("sys.argv", ["milnor", "solve", "105", "--json"])
+    code = cli.main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    assert json.loads(captured.out)["k"] == 105

@@ -84,6 +84,30 @@ def test_orbit_type_order_parities(p_minus, q_minus, p_plus, q_plus):
     assert orders[1] % 2 == 0 and orders[3] % 2 == 0
 
 
+@DETERMINISTIC
+@given(k=st.integers(-10 ** 6, 10 ** 6).filter(bool),
+       l=st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6).filter(bool)),
+       n=st.integers(-10 ** 4, 10 ** 4))
+def test_table_42_is_orbit_types_of_the_canonical_labels(k, l, n):
+    """table_42 skips orbit_types' label checks; its labels must still be
+    the canonical ones, q-slots swapped, or 4n + 1 twice when l = 0."""
+    p_minus, p_plus = bundles.canonical_solution(k)
+    if l == 0:
+        q_minus = q_plus = 4 * n + 1
+    else:
+        q_plus, q_minus = bundles.canonical_solution(l)
+        n = None
+    assert isotropy.table_42(k, l, n=n) == isotropy.orbit_types(
+        p_minus, q_minus, p_plus, q_plus)
+
+
+@DETERMINISTIC
+@given(st.integers(-10 ** 6, 10 ** 6))
+def test_hopf_family_is_orbit_types_of_its_labels(n):
+    assert isotropy.hopf_family(n) == isotropy.orbit_types(
+        -3, 4 * n + 1, 1, 4 * n + 1)
+
+
 # -- argument checks ----------------------------------------------------------
 
 # (entry point, a valid call's positional and keyword arguments); every

@@ -2,17 +2,20 @@
 
 A DeformedMetric scales the reference bi-invariant product Q by a factor
 a > 0 on a chosen subalgebra k and leaves it alone on the orthogonal
-complement m. The unnormalized curvature of a pair (A + X, B + Y) with
-A, B in m and X, Y in k has the closed form
+complement m. For a pair (A + X, B + Y) with A, B in m and X, Y in k,
+write P = [A,B]_k, Z = [X,Y] and W = [A,B]_m + a([X,B] + [A,Y]); W lies
+in m, P and Z in k. The unnormalized curvature of the pair has the closed
+form
 
-    1/4 |[A,B]_m + a([X,B] + [A,Y])|^2  +  1/4 |[A,B]_k + a^2 [X,Y]|^2
-    + 1/4 a (1-a)^3 |[X,Y]|^2           +  3/4 (1-a) |[A,B]_k + a [X,Y]|^2
+    1/4 |W|^2  +  (1 - 3a/4) |P|^2  +  a (3/2 - a) <P, Z>  +  a/4 |Z|^2
 
-with all norms taken in Q. Every term is nonnegative for a <= 1. For
-a > 1 the third term is negative and can dominate unless k is abelian;
-with k abelian the whole expression collapses to
+with all norms taken in Q, and no terms that cancel as a grows. The
+(P, Z) block has determinant -a (a - 1)^3 / 4: for a <= 1 it is positive
+semidefinite and the curvature nonnegative. For a > 1 the block is
+indefinite and the curvature can be negative unless k is abelian; with k
+abelian, Z = 0 and the whole expression collapses to
 
-    1/4 |[A,B]_m + a([X,B] + [A,Y])|^2  +  (1 - 3a/4) |[A,B]_k|^2
+    1/4 |W|^2  +  (1 - 3a/4) |P|^2
 
 which stays nonnegative exactly up to a = 4/3. That threshold is what the
 disc gluing construction spends, and the curvature_oracle_of_pair method
@@ -64,19 +67,19 @@ MAX_PLANES = 10 ** 6
 _ORACLE_RTOL = 1e-6
 #: The deformation scales DeformedMetric accepts: those on which the
 #: connection oracle still checks the closed form to _ORACLE_RTOL of
-#: max(1, |value|), measured on every factor0, span-i and diagonal split
-#: of su(2)^1..3. Below 1 the oracle sets the bound: on the Q_a-orthonormal
-#: planes the scan and the search report its error grows about like 1/a
-#: (9.2e-8 at 1e-7, 9.2e-7 at 1e-8), as the k-part of [x, G y] + [y, G x],
-#: zero in exact arithmetic, keeps its rounding and is divided by a; on
-#: random pairs it stays near 1e-14. Above 1 the closed form sets it: its
-#: gap on random pairs grows about like a^3 (4.3e-7 at 1e3, 2.4e-6 at
-#: 10^3.25) while the oracle stays within 1e-15 of an exact evaluation.
-#: Further out the closed form loses every digit (at 1e16 the round
-#: sphere su(2), of curvature 1/a, comes out near -2e15) and its weight
-#: a (1 - a)^3 / 4 overflows past 1.6e77.
+#: max(1, |value|), measured on every diagonal, factorN and span-i/j/k
+#: split of su(2)^1..3, on 4000 standard-normal pairs per split and on the
+#: planes the search reports. The oracle sets both ends. Below 1: on the
+#: Q_a-orthonormal planes the scan and the search report its error grows
+#: about like 1/a (9.2e-8 at 1e-7, 9.2e-7 at 1e-8), as the k-part of
+#: [x, G y] + [y, G x], zero in exact arithmetic, keeps its rounding and
+#: is divided by a; on random pairs it stays near 1e-14. Above 1: on
+#: random pairs its error grows about like a, largest on the pairs whose
+#: value is small beside its terms (worst over four draws 4.7e-7 at 1e6,
+#: 2.6e-6 at 2e6, 2.5e-6 at 1e7), while on the reported planes it stays
+#: small (4.2e-11 at 1e6, 1.5e-9 at 1e8).
 A_MIN = 1e-7
-A_MAX = 1e3
+A_MAX = 1e6
 
 
 # Uncalled: the benchmark's traced run still wraps deform.null_space by name.
@@ -135,15 +138,13 @@ class DeformedMetric:
         self.split = split
         self.algebra = split.algebra
         self.a = a
-        # weights of the closed form's four squared norms, in the order
-        # _quartic leaves the vectors in
-        self._terms = np.array([0.75 * (1.0 - a), 0.25, 0.25,
-                                0.25 * a * (1.0 - a) ** 3])
-        # _gradient's three combinations of those vectors (see there)
-        w0, w1, w2, w3 = self._terms
-        self._grad_terms = np.array([[w0, w1, w2, 0.0],
-                                     [a * w0, a * w1, a * a * w2, w3],
-                                     [0.0, (a - 1.0) * w1, 0.0, 0.0]])
+        # the closed form's weights of |W|^2, |P|^2, |Z|^2 and <P,Z>
+        self._terms = np.array([0.25, 1.0 - 0.75 * a, 0.25 * a, a * (1.5 - a)])
+        # _gradient's three combinations of (W, P, Z) (see there)
+        w, c_p, c_z, c_pz = self._terms
+        self._grad_terms = np.array([[w, c_p, 0.5 * c_pz],
+                                     [a * w, 0.5 * c_pz, c_z],
+                                     [(a - 1.0) * w, 0.0, 0.0]])
 
     def __repr__(self):
         return "DeformedMetric(a={:.6g}, dim_k={}, algebra={!r})".format(
@@ -180,51 +181,48 @@ class DeformedMetric:
 
     # -- curvature, closed form -------------------------------------------
 
-    def _quartic(self, PQ, vectors=False):
+    def _quartic(self, PQ):
         """The closed form on the stacked parts PQ, (2, 2, dim, N), of the
         pairs u = A + X, v = B + Y: PQ[0] holds the m-parts (A, B) and
         PQ[1] the k-parts (X, Y). Every closed-form value in this module
-        comes from here. With vectors=True also return the four vectors
-        whose squared norms it weighs, stacked (4, dim, N) in the order of
-        self._terms."""
-        a = self.a
+        comes from here. Returns the values and the vectors (W, P, Z) they
+        weigh, stacked (3, dim, N)."""
         comps = PQ.reshape(2, 2, 3, -1)        # components on axis -2
         # br[s, t] = [P[s], Q[t]] for P = (A, X), Q = (B, Y), in one call on
         # (2, 1, 3, n N) x (1, 2, 3, n N): ([A,B], [A,Y]), ([X,B], [X,Y])
         br = self.algebra.bracket_rows(comps[:, None, 0], comps[None, :, 1])
         br = br.reshape((4,) + PQ.shape[-2:])
         ab, ay, xb, xy = br
-        ab_k = self._k_part(ab)
-        # Overwrite br with the four vectors whose squared norms the closed
-        # form weighs; in place, so a batch allocates no more rows.
+        # Overwrite br[1:] with (W, P, Z); in place, so a batch allocates
+        # no more rows.
         ay += xb
-        ay *= a
-        ab -= ab_k
-        ay += ab                           # [A,B]_m + a([X,B] + [A,Y])
-        np.multiply(xy, a * a, out=xb)
-        xb += ab_k                         # [A,B]_k + a^2 [X,Y]
-        np.multiply(xy, a, out=ab)
-        ab += ab_k                         # [A,B]_k + a [X,Y]
-        values = self._terms @ np.einsum("kij,kij->kj", br, br)
-        return (values, br) if vectors else values
+        ay *= self.a
+        self._k_part(ab, out=xb)               # P = [A,B]_k
+        ab -= xb
+        ay += ab                               # W = [A,B]_m + a([X,B] + [A,Y])
+        vecs = br[1:]                          # (W, P, Z)
+        values = self._terms[:3] @ np.einsum("kij,kij->kj", vecs, vecs)
+        values += self._terms[3] * np.einsum("ij,ij->j", vecs[1], vecs[2])
+        return values, vecs
 
     def _gradient(self, PQ, vecs):
         """Euclidean gradients (g_u, g_v), stacked (2, dim, N), of the
         closed form at u = A + X, v = B + Y, from their stacked parts PQ
-        and the four vectors _quartic(PQ, vectors=True) returned.
+        and the vectors (W, P, Z) _quartic(PQ) returned.
 
-        The derivative of a weighted squared norm w |V|^2 along h is
-        2 w <V, dV>, and dV is a bracket of a part of h with B or Y. By
-        ad-invariance, <[x, y], z> = <x, [y, z]>, so <V, [h, y]> =
-        <h, [y, V]>: each term's gradient is a bracket with the vector
-        itself. Of the four vectors only V1 = [A,B]_m + a([X,B] + [A,Y])
-        lies in m; as [k, m] lies in m and [k, k] in k, only [B, V1] needs
-        splitting, its k-part weighted by a (the extra (a - 1) below). The
-        closed form is symmetric in u and v and every vector is
-        antisymmetric, which gives g_v from g_u."""
-        # s1 = w0 V0 + w1 V1 + w2 V2, s2 = a (w0 V0 + w1 V1 + a w2 V2)
-        # + w3 V3 and c = (a - 1) w1 V1
-        s = (self._grad_terms @ vecs.reshape(4, -1)).reshape(3, 1, 3, -1)
+        Along h = h_m + h_k the vectors change by dW = [h_m,B]_m +
+        a([h_k,B] + [h_m,Y]), dP = [h_m,B]_k and dZ = [h_k,Y]; the
+        derivative of w |V|^2 is 2 w <V, dV> and that of c <P, Z> is
+        c (<dP, Z> + <P, dZ>). By ad-invariance, <[x, y], z> = <x, [y, z]>,
+        so <V, [h, y]> = <h, [y, V]>: each term's gradient is a bracket
+        with the vector itself. W lies in m and P, Z in k; as [k, m] lies
+        in m and [k, k] in k, only [B, W] needs splitting, its k-part
+        weighted by a (the extra (a - 1) below). The closed form is
+        symmetric in u and v and every vector is antisymmetric, which
+        gives g_v from g_u."""
+        # s1 = W/4 + c_P P + c_PZ Z/2, s2 = a W/4 + c_PZ P/2 + c_Z Z and
+        # c = (a - 1) W/4
+        s = (self._grad_terms @ vecs.reshape(3, -1)).reshape(3, 1, 3, -1)
         # [B, s1], [Y, s2] and [B, c] for g_u; [A, s1], [X, s2] and [A, c]
         # for g_v
         comps = PQ.reshape(2, 2, 3, -1)[[0, 1, 0], ::-1]
@@ -241,7 +239,7 @@ class DeformedMetric:
         The value is quartic in the inputs and vanishes when the two
         arguments are proportional."""
         PQ, shape = self._split(u, v)
-        return self._quartic(PQ).reshape(shape)
+        return self._quartic(PQ)[0].reshape(shape)
 
     def _value_and_gradient(self, F):
         """Q_a Gram-Schmidt, in place, on pairs F = (u, v), stacked rows
@@ -267,7 +265,7 @@ class DeformedMetric:
         norm = np.sqrt(self._inner_of_parts(Q, Q))
         F[1] /= norm
         Q /= norm
-        values, vecs = self._quartic(PQ, vectors=True)
+        values, vecs = self._quartic(PQ)
         grads = self._gradient(PQ, vecs)
         along = np.einsum("gij,eij->egj", grads, F)
         grads_k = self._k_part(grads)
@@ -331,7 +329,7 @@ class DeformedMetric:
         PQ /= np.where(norm > 0, norm, 1.0)[:, None]
         gram = 1.0 - self._inner_of_parts(PQ[:, 0], PQ[:, 1]) ** 2
         ok &= gram >= _GRAM_TOL
-        curv = self._quartic(PQ)
+        curv = self._quartic(PQ)[0]
         vals = np.where(ok, curv / np.where(ok, gram, 1.0), np.inf)
         return vals.reshape(shape), ok.reshape(shape)
 
@@ -500,14 +498,15 @@ def negative_plane_witness(metric):
     """Explicit negatively curved plane for the diagonal subalgebra of
     su(2)^2 at any a > 1.
 
-    The recipe kills both square terms of the closed form: pick
+    The recipe makes W = 0 and P = -a^2 Z in the closed form: pick
     noncommuting X, Y in k and A, B in m with [A,B] = -a^2 [X,Y] and
     [X,B] + [A,Y] = 0. Here X = (i,i), Y = (k,k), A = a(i,-i),
     B = -a(k,-k), leaving curvature
 
-        1/4 a (1-a)^3 (1+3a) |[X,Y]|^2  < 0   for a > 1,
+        (a^4 (1 - 3a/4) - a^3 (3/2 - a) + a/4) |Z|^2
+            = 1/4 a (1-a)^3 (1+3a) |Z|^2  < 0   for a > 1,
 
-    with |[X,Y]|^2 = 8 in the reference normalization. Returns (A, X, B, Y).
+    with |Z|^2 = 8 in the reference normalization. Returns (A, X, B, Y).
     """
     alg = metric.algebra
     a = metric.a

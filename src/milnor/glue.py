@@ -27,8 +27,9 @@ from .errors import (NoFiniteMatchingError, ParameterError, ProfileError,
 #: The plateau values F = r sqrt(a/(a-1)) that glue_params accepts: those
 #: on which building, certifying and exporting a capped-sine profile runs
 #: in floats without overflow. Measured with `milnor glue --csv` under
-#: warnings-as-errors for a from 1 + 1e-9 to 1e3: at F = 1e-155 the disc
-#: curvature -f''/f = 1/F^2 overflows, and past about 1.3e154 so does F^2.
+#: warnings-as-errors for a from 1 + 1e-9 to 1e3, and for 1e5 and 1e6
+#: near both ends: at F = 1e-155 the disc curvature -f''/f = 1/F^2
+#: overflows, and past about 1.3e154 so does F^2.
 PLATEAU_MIN = 1e-154
 PLATEAU_MAX = 1e154
 

@@ -2,7 +2,8 @@
 
 Thirteen numbered criteria covering the label arithmetic, the curvature
 certificates, the gluing identity, and the reproduction targets;
-criterion 08 has two tests, in floats and exactly in Fractions. Each
+criterion 08 has three tests: in floats, exactly in Fractions, and the
+float closed form against the exact oracle at large scales. Each
 test states its own runtime budget; conftest prints a one-line verdict
 per test at the end of the run.
 """
@@ -178,9 +179,10 @@ def exact_projectors(n_factors):
 def test_criterion_08_oracle_is_exact_at_rational_points():
     """The oracle uses only ring operations and division by 2 and a, so on
     Fraction arrays it equals the closed form of the deform docstring
-    exactly. For fixed u, v and split, a^2 (oracle - closed form) is a
-    polynomial of degree at most 6 in a, so agreement at the 8 values of
-    a below proves the identity at those pairs for every a."""
+    exactly, and so does the equivalent four-norm form. For fixed u, v
+    and split, a^2 (oracle - closed form) is a polynomial of degree at
+    most 6 in a, so agreement at the 8 values of a below proves the
+    identity at those pairs for every a."""
     start = time.perf_counter()
     rng = np.random.default_rng(808)
     scales = [Fraction(1, 7), Fraction(1, 2), Fraction(9, 10), Fraction(1),
@@ -214,15 +216,47 @@ def test_criterion_08_oracle_is_exact_at_rational_points():
                 ab_m = bracket(A, B) - ab_k
                 xy = bracket(X, Y)
                 for a in scales:
-                    closed = (sq(ab_m + a * (bracket(X, B) + bracket(A, Y))) / 4
-                              + sq(ab_k + a * a * xy) / 4
-                              + a * (1 - a) ** 3 * sq(xy) / 4
-                              + 3 * (1 - a) * sq(ab_k + a * xy) / 4)
+                    W = ab_m + a * (bracket(X, B) + bracket(A, Y))
+                    closed = (sq(W) / 4 + (1 - 3 * a / 4) * sq(ab_k)
+                              + a * (Fraction(3, 2) - a) * np.sum(ab_k * xy)
+                              + a * sq(xy) / 4)
+                    four_norms = (sq(W) / 4 + sq(ab_k + a * a * xy) / 4
+                                  + a * (1 - a) ** 3 * sq(xy) / 4
+                                  + 3 * (1 - a) * sq(ab_k + a * xy) / 4)
                     oracle = deform._koszul_curvature(u, v, proj, a)
                     assert isinstance(oracle, Fraction)
-                    assert oracle == closed
+                    assert oracle == closed == four_norms
                     checked += 1
     assert checked == 216
+    assert time.perf_counter() - start < 3.0
+
+
+def test_criterion_08_closed_form_is_exact_at_large_scales():
+    """The float closed form stays within 1e-12, relative to the value, of
+    the exact oracle on rational pairs up to deform.A_MAX, as none of its
+    terms cancel as a grows."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(809)
+    worst = 0.0
+    checked = 0
+    for n_factors in (1, 2, 3):
+        algebra = Su2Power(n_factors)
+        splits = (ReductiveSplit.diagonal(algebra),
+                  ReductiveSplit.factor(algebra, 0), span_i_split(n_factors))
+        for split, proj in zip(splits, exact_projectors(n_factors)):
+            grid = rng.integers(-2 ** 20, 2 ** 20, (3, 2, n_factors, 3))
+            exact = np.vectorize(lambda z: Fraction(int(z), 2 ** 20),
+                                 otypes=[object])(grid)
+            U, V = np.moveaxis(grid / 2 ** 20, 1, 0)
+            for a in (10 ** 3, 10 ** 5, deform.A_MAX):
+                metric = deform.DeformedMetric(split, a)
+                values = metric.curvature_of_pair(U, V)
+                for (u, v), value in zip(exact, values):
+                    oracle = deform._koszul_curvature(u, v, proj, Fraction(a))
+                    worst = max(worst, abs(Fraction(value) / oracle - 1))
+                    checked += 1
+    assert checked == 81
+    assert worst <= 1e-12
     assert time.perf_counter() - start < 3.0
 
 

@@ -12,13 +12,15 @@ form
 with all norms taken in Q, and no terms that cancel as a grows. The
 (P, Z) block has determinant -a (a - 1)^3 / 4: for a <= 1 it is positive
 semidefinite and the curvature nonnegative. For a > 1 the block is
-indefinite and the curvature can be negative unless k is abelian; with k
-abelian, Z = 0 and the whole expression collapses to
+indefinite and the curvature can be negative unless k is an ideal, where
+P = 0, or abelian; with k abelian, Z = 0 and the whole expression
+collapses to
 
     1/4 |W|^2  +  (1 - 3a/4) |P|^2
 
-which stays nonnegative exactly up to a = 4/3. That threshold is what the
-disc gluing construction spends, and the curvature_oracle_of_pair method
+which stays nonnegative exactly up to a = 4/3. _nonnegative_rule decides
+these three cases exactly. The 4/3 threshold is what the disc gluing
+construction spends, and the curvature_oracle_of_pair method
 provides a completely independent check of the closed form: it computes
 R(u, v)v from Milnor's formula for the Levi-Civita connection of a
 left-invariant metric, on the m- and k-parts of the vectors, with its own
@@ -127,6 +129,7 @@ class DeformedMetric:
     [A_MIN, A_MAX]."""
 
     def __init__(self, split, a):
+        exact = as_fraction(a)
         try:
             a = float(a)
         except OverflowError:
@@ -135,9 +138,17 @@ class DeformedMetric:
             raise ParameterError(
                 "deformation scale a must lie in [{:g}, {:g}], got {:g}".format(
                     A_MIN, A_MAX, a))
+        if exact is None:
+            from fractions import Fraction  # `import milnor.deform` never loads it
+
+            exact = Fraction(a)
         self.split = split
         self.algebra = split.algebra
         self.a = a
+        #: The exact scale: an int or Fraction as given, otherwise the exact
+        #: value of the float a. The kernels compute with the float; the
+        #: sign rules (see _nonnegative_rule) decide on this.
+        self.a_exact = exact
         # the closed form's weights of |W|^2, |P|^2, |Z|^2 and <P,Z>
         self._terms = np.array([0.25, 1.0 - 0.75 * a, 0.25 * a, a * (1.5 - a)])
         # _gradient's three combinations of (W, P, Z) (see there)
@@ -369,8 +380,10 @@ def scan_min_sectional(metric, n_planes=100_000, seed=0):
     if not np.any(ok):
         raise DegeneratePlaneError("every sampled plane degenerated")
     idx = int(np.argmin(vals))
-    return ScanResult(min_value=float(vals[idx]), u=U[idx], v=V[idx],
-                      n_planes=n_planes, n_valid=int(np.sum(ok)), seed=seed)
+    # copies, so that the result does not keep the whole draw alive
+    return ScanResult(min_value=float(vals[idx]), u=U[idx].copy(),
+                      v=V[idx].copy(), n_planes=n_planes,
+                      n_valid=int(np.sum(ok)), seed=seed)
 
 
 class PlaneSearchResult(namedtuple(
@@ -379,6 +392,50 @@ class PlaneSearchResult(namedtuple(
     """Outcome of the negative-plane search. When found is False, value and
     (u, v) still describe the most negative plane encountered."""
     __slots__ = ()
+
+
+def _nonnegative_rule(metric):
+    """The rule that proves every sectional curvature of the metric
+    nonnegative: "a <= 1", "ideal" or "abelian", or None when none
+    applies. Each reads the closed form's weights (module docstring) and
+    is decided exactly, on metric.a_exact and on the entries of the
+    stored k basis; a case that only a tolerance could decide is no
+    proof.
+
+    - a <= 1: the (P, Z) block is positive semidefinite.
+    - k an ideal: m is one too, so P = [A,B]_k = 0 and the rest is a sum
+      of squares for every a. The ideals of su(2)^n are the sums of whole
+      factors, so k is one exactly when its basis has nonzero entries on
+      exactly dim_k / 3 factors.
+    - k abelian and a <= 4/3: Z = 0 and 1 - 3a/4 >= 0. k is abelian when
+      it has rank 1 or when every pair of its basis vectors brackets to
+      exactly zero (_basis_commutes)."""
+    a = metric.a_exact
+    if a <= 1:
+        return "a <= 1"
+    split = metric.split
+    if 3 * np.count_nonzero(split.k_basis.any(axis=(0, 2))) == split.dim_k:
+        return "ideal"
+    if 3 * a <= 4 and (split.dim_k == 1 or _basis_commutes(split)):
+        return "abelian"
+    return None
+
+
+def _basis_commutes(split):
+    """Whether every pair of the split's k basis vectors brackets to
+    exactly zero, in exact arithmetic on their float entries: per factor
+    the bracket 2 x * y vanishes exactly when x_l y_m = x_m y_l for each
+    pair of components l, m. Equal products round to equal floats, so a
+    pair whose float bracket is nonzero does not commute."""
+    if split._pair_brackets.any():
+        return False
+    from fractions import Fraction
+
+    basis = [[[Fraction(c) for c in row] for row in x]
+             for x in split.k_basis.tolist()]
+    return all(x[l] * y[m] == x[m] * y[l]
+               for s, X in enumerate(basis) for Y in basis[s + 1:]
+               for x, y in zip(X, Y) for l, m in ((0, 1), (1, 2), (2, 0)))
 
 
 def minimize(metric, F, budget, target):
@@ -447,7 +504,10 @@ def find_negative_plane(metric, budget=100_000, seed=0):
     planes, best first, by minimize(): a batched Riemannian descent on the
     Grassmannian with the closed form's analytic gradient, _STARTS planes
     at a time, until a plane falls below the threshold or the evaluation
-    budget runs out. An evaluation is one plane's value, in phase two with
+    budget runs out. Phase two is skipped when the scan already found a
+    plane below the threshold, and when _nonnegative_rule proves that no
+    such plane exists: then the search ends at its scan, which is all of
+    its evaluations. An evaluation is one plane's value, in phase two with
     its gradient; the search spends at most `budget`. The reported plane
     is a Q_a-orthonormal pair and its value the closed form there: the
     most negative value seen when found is False. Deterministic for a
@@ -472,7 +532,8 @@ def find_negative_plane(metric, budget=100_000, seed=0):
     order = np.argsort(vals)
     scan_min = float(vals[order[0]])
 
-    descend = scan_min >= _NEGATIVE_THRESHOLD and budget > evals
+    descend = (scan_min >= _NEGATIVE_THRESHOLD and budget > evals
+               and _nonnegative_rule(metric) is None)
     order = order[:min(budget - evals, int(np.sum(ok))) if descend else 1]
     F, _ = alg.rows(U[order], V[order])
     if descend:

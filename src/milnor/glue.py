@@ -291,7 +291,9 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
     clauses = []
     a = metric.a
 
-    in_window = 1.0 < a <= 4.0 / 3.0 + 1e-12
+    # decided on the exact scale: a float just past 4/3 is past it
+    exact = metric.a_exact
+    in_window = 1 < exact and 3 * exact <= 4
     clauses.append(ClauseResult(
         "deformation_range", in_window, a, 4.0 / 3.0,
         "need 1 < a <= 4/3"))

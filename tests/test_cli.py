@@ -174,6 +174,18 @@ def test_glue_certificate_passes(capsys):
     assert "plateau_match" in names
 
 
+def test_glue_decides_the_window_on_the_exact_scale(capsys):
+    """a = 1.3333333333334 lies past 4/3, where the j, k plane of factor 0
+    has curvature 4 - 3a < 0. The window used to end at 4/3 + 1e-12 in
+    floats, and this call printed PASS."""
+    code, payload, _ = run_json(capsys, "glue", "--a",
+                                "13333333333334/10000000000000", "--r", "1")
+    assert code == cli.EXIT_FAILED
+    assert payload["passed"] is False
+    clauses = {c["name"]: c for c in payload["clauses"]}
+    assert clauses["deformation_range"]["passed"] is False
+
+
 def test_glue_writes_csv(tmp_path, capsys):
     target = tmp_path / "profile.csv"
     code, out, _ = run(capsys, "glue", "--a", "4/3", "--r", "1",
@@ -411,7 +423,8 @@ def test_curvature_scan_reports_the_scan_and_search_counters(capsys):
     assert first == second
     payload = json.loads(first)
     res = deform.find_negative_plane(metric, budget=300, seed=5)
-    assert payload["evaluations"] == res.evaluations == 300
+    # a <= 1 proves the metric nonnegative: the search ends at its scan
+    assert payload["evaluations"] == res.evaluations == 150
     assert payload["scan_min"] == res.scan_min
     assert payload["negative_plane_found"] is False
 

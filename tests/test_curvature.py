@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_acceptance import exact_projectors
 
 from milnor import deform
 from milnor.deform import (
@@ -154,6 +157,131 @@ def test_blocked_scan_equals_one_whole_batch(n):
     assert np.array_equal(res.u, U[idx]) and np.array_equal(res.v, V[idx])
 
 
+def test_scan_results_own_their_planes():
+    """The reported plane is copied out of the scan's draw, so the result
+    does not keep every sampled pair alive; its values are the drawn
+    ones (index 407 of PINNED_SCANS)."""
+    metric = span_i_metric(3, 1.5)
+    res = scan_min_sectional(metric, n_planes=3000, seed=1)
+    U, V = metric.algebra.random(np.random.default_rng(1), (2, 3000))
+    for got, want in ((res.u, U[407]), (res.v, V[407])):
+        assert got.base is None and got.flags.owndata
+        assert got.nbytes == 72 and np.array_equal(got, want)
+
+
+def test_metrics_keep_the_exact_scale():
+    """a_exact is an int or Fraction as given and otherwise the exact value
+    of the float the kernels use, which for 4/3 lies below 4/3."""
+    for a in (2, Fraction(4, 3), Fraction(10 ** 20 + 1, 10 ** 20)):
+        metric = diag_metric(2, a)
+        assert metric.a_exact == a and isinstance(metric.a_exact, Fraction)
+        assert metric.a == float(a)
+    for a in (4.0 / 3.0, np.float64(1.05), 1e-7):
+        metric = diag_metric(2, a)
+        assert metric.a_exact == Fraction(float(a)) and metric.a == a
+    assert diag_metric(2, 4.0 / 3.0).a_exact < Fraction(4, 3)
+
+
+#: The splits of exact_projectors, in its order.
+EXACT_SPLITS = ("diagonal", "factor0", "span-i")
+
+
+def exact_closed_form(u, v, projector, a):
+    """The closed form of the deform docstring on Fraction arrays u, v
+    (n, 3), with the exact projector onto k; as in criterion 08."""
+    def bracket(x, y):
+        return 2 * np.cross(x, y)
+
+    def k_part(x):
+        return (x.reshape(-1) @ projector).reshape(x.shape)
+
+    def sq(x):
+        return np.sum(x * x)
+
+    X, Y = k_part(u), k_part(v)
+    A, B = u - X, v - Y
+    P = k_part(bracket(A, B))
+    Z = bracket(X, Y)
+    W = bracket(A, B) - P + a * (bracket(X, B) + bracket(A, Y))
+    return (sq(W) / 4 + (1 - 3 * a / 4) * sq(P)
+            + a * (Fraction(3, 2) - a) * np.sum(P * Z) + a * sq(Z) / 4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(factors=st.integers(1, 3), which=st.integers(0, 2),
+       a=st.fractions(Fraction(1, 100), Fraction(3), max_denominator=300),
+       entries=st.lists(st.integers(-3, 3), min_size=18, max_size=18))
+# the j, k plane of factor 0 at the abelian window's edge: curvature 0
+@example(factors=2, which=2, a=Fraction(4, 3),
+         entries=[0, 1, 0] + [0] * 5 + [1] + [0] * 9)
+def test_the_nonnegative_rules_are_sound_in_exact_arithmetic(factors, which,
+                                                             a, entries):
+    """On the named splits a rule applies exactly where the closed form
+    proves the metric nonnegative: for a <= 1, for su(2) itself (an
+    ideal), and on span-i, which is abelian, for a <= 4/3. Where one
+    applies, the closed form in Fractions is >= 0 at the drawn rational
+    pair."""
+    name = EXACT_SPLITS[which]
+    metric = make_metric(factors, name, a)
+    rule = deform._nonnegative_rule(metric)
+    if a <= 1:
+        assert rule == "a <= 1"
+    elif name == "factor0" or factors == 1 and name == "diagonal":
+        assert rule == "ideal"
+    elif name == "span-i" and a <= Fraction(4, 3):
+        assert rule == "abelian"
+    else:
+        assert rule is None
+        return
+    u, v = np.array([Fraction(e) for e in entries[:6 * factors]],
+                    dtype=object).reshape(2, factors, 3)
+    projector = exact_projectors(factors)[which]
+    assert exact_closed_form(u, v, projector, metric.a_exact) >= 0
+
+
+def test_the_nonnegative_rules_refuse_metrics_with_a_negative_plane():
+    """Past a = 1 on the diagonal of su(2)^2 negative_plane_witness gives
+    a negative plane, and past 4/3 on span-i the j, k plane of factor 0
+    does, in exact arithmetic; the last scale rounds to a float at or
+    below 4/3, yet the exact scale decides."""
+    for a in (1.05, Fraction(21, 20), 4.0 / 3.0 + 0.01, 3.0):
+        metric = diag_metric(2, a)
+        assert deform._nonnegative_rule(metric) is None
+        A, X, B, Y = negative_plane_witness(metric)
+        assert metric.curvature_of_pair(A + X, B + Y) < 0
+    edge = Fraction(4, 3) + Fraction(1, 10 ** 20)
+    for a in (4.0 / 3.0 + 0.01, Fraction(4, 3) + Fraction(1, 100), edge):
+        for factors in (1, 2, 3):
+            metric = span_i_metric(factors, a)
+            assert deform._nonnegative_rule(metric) is None
+            j, k = np.zeros((2, factors, 3), dtype=object) + Fraction(0)
+            j[0, 1] = k[0, 2] = Fraction(1)
+            value = exact_closed_form(j, k, exact_projectors(factors)[2],
+                                      metric.a_exact)
+            assert value == 4 - 3 * metric.a_exact < 0
+    assert span_i_metric(3, edge).a <= 4.0 / 3.0
+    assert deform._nonnegative_rule(span_i_metric(3, float(edge))) == "abelian"
+
+
+def test_the_abelian_rule_reads_every_basis_bracket():
+    """A torus of rank 2 is abelian up to 4/3. A rank-2 basis whose float
+    brackets vanish only by rounding is not: in factor 0, (1 + 2^-52)
+    (1 + 2^-52) and (1 + 2^-51) 1 round to the same float, and differ by
+    2^-104."""
+    alg = Su2Power(2)
+    r = 1 / math.sqrt(2.0)
+    torus = ReductiveSplit(alg, [[[r, 0, 0], [r, 0, 0]],
+                                 [[r, 0, 0], [-r, 0, 0]]])
+    assert deform._nonnegative_rule(DeformedMetric(torus, 4.0 / 3.0)) == "abelian"
+    assert deform._nonnegative_rule(DeformedMetric(torus, 1.34)) is None
+    e = 2.0 ** -52
+    rounded = ReductiveSplit(alg, np.array([
+        [[1 + e, 1 + 2 * e, 0], [1, 1, 0]],
+        [[1, 1 + e, 0], [-1, -1, 0]]]) / 2)
+    assert rounded.is_abelian() and not np.any(rounded._pair_brackets)
+    assert deform._nonnegative_rule(DeformedMetric(rounded, 1.2)) is None
+
+
 def test_witness_plane_is_negative_past_the_threshold():
     for a in (1.05, 1.2, 4.0 / 3.0 + 0.01):
         metric = diag_metric(2, a)
@@ -261,15 +389,17 @@ def test_riemannian_gradient_matches_sectional_differences(factors, split, a):
 
 # (algebra factors, split, a, seed) -> (found, evaluations, value) at budget
 # 2000. A change to the arithmetic that moves only the last bits of the
-# objective keeps these; a change in a search trajectory shows here.
+# objective keeps these; a change in a search trajectory shows here. The
+# controls are proven nonnegative (a <= 1; k an ideal), so their searches
+# end at the 1000-plane scan.
 PINNED_SEARCHES = [
     ((2, "span-i", 1.5, 1), (True, 1000, -0.22590466269159692)),       # scan hit
     ((2, "diagonal", 1.001, 1), (True, 1192, -4.316760649652057e-10)),  # descent hit
     ((3, "diagonal", 1.05, 1), (True, 1256, -2.26964746685297e-05)),    # descent hit
     # descent hit on the shallow planes just past a = 4/3
     ((2, "span-i", 4.0 / 3.0 + 0.01, 8803), (True, 1128, -0.009680347580650181)),
-    ((3, "diagonal", 1.0, 8803), (False, 2000, None)),                  # control
-    ((2, "factor0", 1.5, 1), (False, 2000, None)),                      # control
+    ((3, "diagonal", 1.0, 8803), (False, 1000, None)),                  # control
+    ((2, "factor0", 1.5, 1), (False, 1000, None)),                      # control
 ]
 
 
@@ -426,13 +556,31 @@ def test_search_finds_the_shallow_planes_for_every_seed(factors, split, a):
 def test_search_never_finds_a_plane_where_none_exists(factors, split, a):
     """A product of round factors, the undeformed metric and the abelian
     window's edge a = 4/3 have nonnegative curvature; su(2) deformed along
-    all of itself is a round 3-sphere."""
+    all of itself is a round 3-sphere. A rule proves each, so the search
+    ends at its scan, and the descent, run anyway, finds nothing either."""
     metric = make_metric(factors, split, a)
     for seed in range(24):
         res = find_negative_plane(metric, budget=2000, seed=seed)
         assert not res.found
-        assert res.evaluations == 2000
+        assert res.evaluations == 1000
         assert res.value >= -1e-10
+        values, spent = descend_from_the_scan(metric, budget=2000, seed=seed)
+        assert spent == 1000
+        assert values.min() >= -1e-10
+
+
+def descend_from_the_scan(metric, budget, seed):
+    """find_negative_plane's descent, run whatever the metric: minimize()
+    from the search's scanned planes, best first, with the budget the scan
+    leaves. Returns minimize's (values, evaluations)."""
+    alg = metric.algebra
+    scan_n = budget // 2
+    U, V = alg.random(np.random.default_rng(seed), (2, scan_n))
+    vals, ok = metric.sectional_batch(U, V)
+    order = np.argsort(vals)[:min(budget - scan_n, int(ok.sum()))]
+    F, _ = alg.rows(U[order], V[order])
+    return deform.minimize(metric, F, budget - scan_n,
+                           deform._NEGATIVE_THRESHOLD)
 
 
 def named_splits(factors):
@@ -467,12 +615,16 @@ def test_reported_planes_are_orthonormal_frames_of_their_value(factors):
 def test_round_sphere_search_reports_curvature_one_over_a(a):
     """Deformed along all of su(2), every plane has sectional curvature
     1/a, and the gradient the descent follows is rounding noise. No
-    numeric warning may fire and the reported value stays 1/a."""
+    numeric warning may fire and the reported value stays 1/a, in the
+    search, which k being an ideal ends at its scan, and in the descent."""
     metric = make_metric(1, "factor0", a)
     for seed in range(12):
         res = find_negative_plane(metric, budget=2000, seed=seed)
-        assert not res.found and res.evaluations == 2000
+        assert not res.found and res.evaluations == 1000
         assert abs(res.value * a - 1.0) <= 1e-12
+        values, spent = descend_from_the_scan(metric, budget=2000, seed=seed)
+        assert spent == 1000
+        assert abs(values.min() * a - 1.0) <= 1e-12
 
 
 def test_search_refuses_a_plane_the_oracle_disputes(monkeypatch):

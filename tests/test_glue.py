@@ -150,6 +150,20 @@ def test_certificate_rejects_overshooting_deformation():
     assert not cert.clause("deformation_range").passed
 
 
+@pytest.mark.parametrize("a, inside", [
+    (4.0 / 3.0, True), (Fraction(4, 3), True),
+    (Fraction(4, 3) + Fraction(1, 10 ** 20), False),
+    (Fraction(13333333333334, 10 ** 13), False), (1.3333333333334, False)])
+def test_certificate_decides_the_window_on_the_exact_scale(a, inside):
+    """The float 4.0 / 3.0 lies below 4/3; 4/3 + 10^-20 rounds to that
+    float, yet lies past 4/3, as does 1.3333333333334, which the window's
+    old float bound 4/3 + 1e-12 let in."""
+    profile = ProfileFunction.capped_sine(a, 1)
+    cert = nonneg_certificate(profile, circle_metric(a), planes=1000, seed=0)
+    assert cert.clause("deformation_range").passed is inside
+    assert cert.passed is inside
+
+
 def test_certificate_rejects_nonabelian_block():
     alg = Su2Power(2)
     metric = DeformedMetric(ReductiveSplit.diagonal(alg), Fraction(4, 3))

@@ -111,6 +111,15 @@ def test_cli_imports_no_numeric_layer_at_module_level():
         "argparse", "json", "math", "sys", ".data", ".errors"}
 
 
+def test_deform_imports_fractions_only_where_it_uses_it():
+    """The exact scale and the abelian rule import fractions inside the
+    functions that use them, as errors.as_fraction does, so that
+    `import milnor.deform` does not load fractions and decimal."""
+    assert "fractions" not in imported_modules(SRC / "deform.py",
+                                               module_level=True)
+    assert "fractions" in imported_modules(SRC / "deform.py")
+
+
 def test_no_module_imports_dataclasses():
     """The result records are named tuples: dataclasses would load
     inspect, ast, dis and tokenize into every integer CLI call."""
@@ -263,10 +272,11 @@ def test_only_the_optimizer_loads_scipy_optimize(code):
 
 
 def test_descending_plane_search_loads_no_scipy():
-    """A search that the scan does not settle descends, in numpy only."""
-    code = cli_code("curvature-scan", "--algebra", "su2", "--subalgebra",
-                    "span-i", "--a", "1", "--budget", "300", "--find-negative",
-                    code=4)
+    """A search that the scan does not settle, on a metric that no rule
+    proves nonnegative, descends, in numpy only."""
+    code = cli_code("curvature-scan", "--algebra", "su2^3", "--subalgebra",
+                    "diagonal", "--a", "21/20", "--budget", "300",
+                    "--find-negative", code=4)
     assert numeric_modules_after(code) == ["numpy"]
 
 

@@ -138,15 +138,20 @@ def solve_euler(k, bound=None):
 
     Writing p_- = 2m + n and p_+ = n - 2m turns the equation into
     k = n m with n odd, so the finite solution list for k != 0 comes from
-    the odd divisors of k (both signs). These are read off the prime
-    factorization of k: trial division by the odd primes below 100, then
-    Pollard-Brent splitting with deterministic Miller-Rabin on each piece.
-    That primality test is proven only below MAX_EULER, so |k| at or
-    above it raises ParameterError. For k = 0 the solutions form the
-    infinite family (p, p) and a bound on |p|, at most MAX_FAMILY_BOUND,
-    is required. Results are sorted by (|p_-|, |p_+|, p_-, p_+), which
-    reproduces printed solution lists. Every returned pair is checked
-    against the equation before it is returned.
+    the odd divisors of k: one pair per positive odd divisor d. With
+    m = k // d, the pair (2m + d, d - 2m) and its negation are the
+    candidates for n = d and n = -d. Their entries are odd and sum to
+    +-2d, which is 2 mod 4, so exactly one of the two has both entries
+    1 mod 4; and distinct d give distinct pairs, since |p_- + p_+| = 2d.
+    The odd divisors are read off the prime factorization of k: trial
+    division by the odd primes below 100, then Pollard-Brent splitting
+    with deterministic Miller-Rabin on each piece. That primality test is
+    proven only below MAX_EULER, so |k| at or above it raises
+    ParameterError. For k = 0 the solutions form the infinite family
+    (p, p) and a bound on |p|, at most MAX_FAMILY_BOUND, is required.
+    Results are sorted by (|p_-|, |p_+|, p_-, p_+), which reproduces
+    printed solution lists. Every returned pair is checked against the
+    equation before it is returned.
     """
     require_int(k, "k")
     if abs(k) >= MAX_EULER:
@@ -167,15 +172,14 @@ def solve_euler(k, bound=None):
         sols = [(m, m) if m % 4 == 1 else (-m, -m)
                 for m in range(1, bound + 1, 2)]
     else:
-        found = set()
+        sols = []
         for d in _odd_divisors(k):
-            for n in (d, -d):
-                m = k // n
-                p_minus = 2 * m + n
-                if p_minus % 4 == 1:
-                    found.add((p_minus, n - 2 * m))
-        sols = sorted(found, key=lambda pq: (abs(pq[0]), abs(pq[1]),
-                                             pq[0], pq[1]))
+            m = k // d
+            p_minus, p_plus = 2 * m + d, d - 2 * m
+            if p_minus % 4 != 1:
+                p_minus, p_plus = -p_minus, -p_plus
+            sols.append((p_minus, p_plus))
+        sols.sort(key=lambda pq: (abs(pq[0]), abs(pq[1]), pq[0], pq[1]))
     _check_solutions(sols, k)
     return sols
 
@@ -201,7 +205,9 @@ def canonical_solution(k):
         pair = (-k - 2, -k + 2)
     else:
         pair = (k + 2, k - 2)
-    if euler_class(*pair) != k:
+    p_minus, p_plus = pair
+    if (p_minus % 4 != 1 or p_plus % 4 != 1
+            or p_minus * p_minus - p_plus * p_plus != 8 * k):
         raise AssertionError("canonical pair fails its own equation")
     return pair
 

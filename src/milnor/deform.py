@@ -578,8 +578,12 @@ def negative_plane_witness(metric):
     if not metric.split.contains(probe, tol=1e-12):
         raise ParameterError(
             "witness construction needs the diagonal subalgebra of su(2)^2")
-    if a <= 1.0:
+    if metric.a_exact <= 1:
         raise ParameterError("no negative plane exists for a <= 1")
+    if a <= 1.0:
+        raise ParameterError(
+            "a = {} is past 1 but its float is 1.0; the float recipe cannot "
+            "resolve that scale".format(metric.a_exact))
     X = alg.element((1, 0, 0), (1, 0, 0))
     Y = alg.element((0, 0, 1), (0, 0, 1))
     A = a * alg.element((1, 0, 0), (-1, 0, 0))

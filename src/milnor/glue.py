@@ -16,6 +16,7 @@ the whole construction lives in the window 1 < a <= 4/3.
 
 import csv
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -304,10 +305,17 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
         "shrunk subalgebra must be abelian for nonnegativity at a > 1"))
 
     if params is not None:
-        scale_gap = abs(float(params.a) - a)
+        # exact too: a profile just past 4/3 must not match a metric at 4/3
+        scale = as_fraction(params.a)
+        if scale is None:
+            from fractions import Fraction  # loaded already by a_exact
+
+            scale = Fraction(float(params.a))
+        scale_gap = abs(scale - exact)
+        shown = float(scale_gap) if scale_gap <= sys.float_info.max else math.inf
         clauses.append(ClauseResult(
-            "scale_match", scale_gap <= 1e-12, scale_gap, 1e-12,
-            "profile and metric must use the same deformation scale"))
+            "scale_match", scale_gap == 0, shown, 0.0,
+            "profile and metric must use the same exact deformation scale"))
         if in_window:
             gap = float(abs(profile.value_sq(profile.t_plateau) - params.plateau_sq))
             clauses.append(ClauseResult(
@@ -319,7 +327,7 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
                 "no finite matching level outside the window"))
     else:
         clauses.append(ClauseResult(
-            "scale_match", False, math.inf, 1e-12, "no gluing parameters"))
+            "scale_match", False, math.inf, 0.0, "no gluing parameters"))
         clauses.append(ClauseResult(
             "plateau_match", False, math.inf, 1e-8, "no gluing parameters"))
 

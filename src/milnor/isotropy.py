@@ -29,11 +29,6 @@ def canonical_type_labels(order):
     require_int(order, "order")
     if order < 0:
         raise ParameterError("orders are absolute values, got {}".format(order))
-    return _type_labels(order)
-
-
-def _type_labels(order):
-    """canonical_type_labels on an order known to be a non-negative int."""
     if order == 0:
         return ("SO(2)", "O(2)")
     if order == 1:
@@ -45,9 +40,18 @@ _TYPE_RANK = {"1": (0, 0), "Z2": (1, 0), "SO(2)": (3, 0), "O(2)": (3, 1)}
 
 
 def _rank(label):
+    """Sort rank of a type label: the base types 1 and Z2, the dihedral
+    types by order, then the circle pair; the reference for _label_key."""
     if label in _TYPE_RANK:
         return _TYPE_RANK[label]
     return (2, int(label[1:]))
+
+
+def _label_key(label):
+    """_rank's order without parsing the order: the dihedral labels that
+    _orbit_types writes carry a decimal order without leading zeros, so
+    comparing digit counts and then digits compares the orders."""
+    return _TYPE_RANK.get(label) or (2, len(label), label)
 
 
 class OrbitTypeSet(namedtuple("OrbitTypeSet", "types orders")):
@@ -56,7 +60,7 @@ class OrbitTypeSet(namedtuple("OrbitTypeSet", "types orders")):
     __slots__ = ()
 
     def sorted_labels(self):
-        return sorted(self.types, key=_rank)
+        return sorted(self.types, key=_label_key)
 
     @property
     def almost_free(self):
@@ -79,18 +83,24 @@ def _orbit_types(p_minus, q_minus, p_plus, q_plus):
     """orbit_types without the label checks, for labels that are integers
     congruent to 1 mod 4 by construction; the order parities are still
     asserted."""
-    sums = (abs(p_minus + q_minus), abs(p_plus + q_plus))
-    diffs = (abs(p_minus - q_minus), abs(p_plus - q_plus))
-    if any(s % 2 for s in sums + diffs):
+    s_minus, d_minus = p_minus + q_minus, p_minus - q_minus
+    s_plus, d_plus = p_plus + q_plus, p_plus - q_plus
+    if (s_minus | d_minus | s_plus | d_plus) & 1:
         raise AssertionError("labels in 1 mod 4 must have even sums and differences")
-    orders = (sums[0] // 2, diffs[0] // 2, sums[1] // 2, diffs[1] // 2)
-    if orders[0] % 2 != 1 or orders[2] % 2 != 1:
+    orders = (abs(s_minus) >> 1, abs(d_minus) >> 1,
+              abs(s_plus) >> 1, abs(d_plus) >> 1)
+    if not orders[0] & orders[2] & 1:
         raise AssertionError("sum orders must be odd")
-    if orders[1] % 2 != 0 or orders[3] % 2 != 0:
+    if (orders[1] | orders[3]) & 1:
         raise AssertionError("difference orders must be even")
-    labels = set(BASE_TYPES)
+    # BASE_TYPES plus canonical_type_labels of each order; order 1 adds Z2,
+    # already a base type
+    labels = ["1", "Z2", "D2"]
     for order in orders:
-        labels.update(_type_labels(order))
+        if order > 1:
+            labels.append("D{}".format(order))
+        elif order == 0:
+            labels += ("SO(2)", "O(2)")
     return OrbitTypeSet(types=frozenset(labels), orders=orders)
 
 
@@ -135,7 +145,7 @@ def table_42(k, l, n=None):
         q_minus = q_plus = 4 * n + 1
     else:
         q_plus, q_minus = canonical_solution(l)
-    # canonical_solution checks its pairs through euler_class, and 4n + 1
+    # canonical_solution checks its pairs against the equation, and 4n + 1
     # is a label by construction
     return _orbit_types(p_minus, q_minus, p_plus, q_plus)
 

@@ -295,10 +295,21 @@ def test_witness_plane_is_negative_past_the_threshold():
 
 
 def test_witness_requires_the_deformation_to_overshoot():
-    with pytest.raises(ParameterError):
-        negative_plane_witness(diag_metric(2, 1.0))
+    for a in (1.0, Fraction(1), Fraction(99, 100)):
+        with pytest.raises(ParameterError, match="no negative plane exists"):
+            negative_plane_witness(diag_metric(2, a))
     with pytest.raises(ParameterError):
         negative_plane_witness(span_i_metric(2, 1.5))
+
+
+def test_witness_decides_on_the_exact_scale():
+    """1 + 10^-20 is past 1, so a negative plane exists, but its float is
+    1.0 and the float recipe would give a plane of curvature 0: refused
+    as unresolvable, not as a scale without negative planes."""
+    metric = diag_metric(2, Fraction(1) + Fraction(1, 10 ** 20))
+    assert metric.a == 1.0 and metric.a_exact > 1
+    with pytest.raises(ParameterError, match="cannot resolve that scale"):
+        negative_plane_witness(metric)
 
 
 def test_negative_plane_search_finds_certified_planes():

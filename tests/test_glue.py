@@ -293,6 +293,30 @@ def test_certificate_plateau_match_fails_off_window(tmp_path):
     assert not cert.clause("scale_match").passed
 
 
+def test_certificate_compares_the_exact_scales():
+    """A profile just past 4/3 against a metric at the float 4/3: the two
+    scales agree to 1e-16, but only the metric's lies in the window, so
+    scale_match must fail; a float profile scale counts at its exact
+    value and matches the same float."""
+    metric = circle_metric(4.0 / 3.0, factors=2)
+    past = ProfileFunction.capped_sine(Fraction(4, 3) + Fraction(1, 10 ** 20), 1)
+    cert = nonneg_certificate(past, metric, planes=200, seed=0)
+    assert cert.clause("deformation_range").passed
+    assert not cert.clause("scale_match").passed
+    assert not cert.passed
+    same = ProfileFunction.capped_sine(4.0 / 3.0, 1)
+    assert nonneg_certificate(same, metric, planes=200, seed=0).passed
+    exact = ProfileFunction.capped_sine(Fraction(4, 3), 1)
+    assert not nonneg_certificate(exact, metric, planes=200,
+                                  seed=0).clause("scale_match").passed
+    # a scale past the float range fails with an infinite gap, not an
+    # OverflowError
+    huge = ProfileFunction.capped_sine(10 ** 400, 1)
+    clause = nonneg_certificate(huge, metric, planes=200,
+                                seed=0).clause("scale_match")
+    assert not clause.passed and clause.value == math.inf
+
+
 def test_profile_csv_export(tmp_path):
     profile = ProfileFunction.capped_sine(Fraction(4, 3), 1)
     path = tmp_path / "profile.csv"

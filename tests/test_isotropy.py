@@ -38,6 +38,22 @@ def test_worked_orbit_type_sets():
     assert classify_pair(-7, 5, 5, -3) == (3, -2)
 
 
+def test_orbit_types_asserts_the_order_parities():
+    """Integers outside the label class trip each of _orbit_types' three
+    assertions, on either side of the tuple."""
+    for args in ((1, 2, 1, 1), (1, 1, 4, 1)):
+        with pytest.raises(AssertionError, match="even sums and differences"):
+            isotropy._orbit_types(*args)
+    # even sums and differences, but the sum order (1 + 3)/2 = 2 is even
+    for args in ((1, 3, 1, 1), (1, 1, 3, 1)):
+        with pytest.raises(AssertionError, match="sum orders must be odd"):
+            isotropy._orbit_types(*args)
+    # sum orders 1, but the difference order (2 - 0)/2 = 1 is odd
+    for args in ((2, 0, 1, 1), (1, 1, 2, 0)):
+        with pytest.raises(AssertionError, match="difference orders must be even"):
+            isotropy._orbit_types(*args)
+
+
 def test_base_types_always_present():
     for _ in range(300):
         labels = [random_label(RNG) for _ in range(4)]

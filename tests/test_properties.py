@@ -59,6 +59,18 @@ def test_solve_euler_matches_brute_force(k):
 
 
 @DETERMINISTIC
+@given(st.integers(-10 ** 18 + 1, 10 ** 18 - 1).filter(bool))
+@example(200560490130)
+def test_solve_euler_has_one_pair_per_odd_divisor(k):
+    """For k != 0 each odd divisor d > 0 gives exactly one pair, with
+    |p_- + p_+| = 2d, so the list is as long as the divisor list."""
+    sols = bundles.solve_euler(k)
+    divisors = bundles._odd_divisors(k)
+    assert len(sols) == len(divisors)
+    assert sorted(abs(p_minus + p_plus) // 2 for p_minus, p_plus in sols) == divisors
+
+
+@DETERMINISTIC
 @given(k=st.integers(-10 ** 6, 10 ** 6), j=st.integers(-10 ** 6, 10 ** 6),
        pick=st.integers(0, 55), periods=st.integers(-10 ** 4, 10 ** 4))
 def test_diffeo_equiv_is_an_equivalence(k, j, pick, periods):
@@ -106,6 +118,17 @@ def test_table_42_is_orbit_types_of_the_canonical_labels(k, l, n):
 def test_hopf_family_is_orbit_types_of_its_labels(n):
     assert isotropy.hopf_family(n) == isotropy.orbit_types(
         -3, 4 * n + 1, 1, 4 * n + 1)
+
+
+@DETERMINISTIC
+@given(labels, labels, labels, labels)
+@example(1, 17, 21, 1)   # D8, D9, D10, D11
+@example(1, 1, 5, 5)     # the circle pair and D5
+def test_sorted_labels_follow_the_rank_order(p_minus, q_minus, p_plus, q_plus):
+    """sorted_labels' key skips _rank's parse of the order; it must still
+    sort by _rank, numerically among the dihedral labels (D9 before D10)."""
+    ts = isotropy.orbit_types(p_minus, q_minus, p_plus, q_plus)
+    assert ts.sorted_labels() == sorted(ts.types, key=isotropy._rank)
 
 
 # -- argument checks ----------------------------------------------------------

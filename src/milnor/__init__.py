@@ -28,11 +28,10 @@ _EXPORTS = {
         "s7_orientation_partner", "second_label", "solve_euler",
     ),
     "classify": (
-        "GENERATOR_LABEL", "SPHERE7_GROUP_ORDER", "BrieskornClass",
-        "InvolutionQuotientType", "brieskorn_classify", "diffeo_equiv",
-        "eells_kuiper", "euler_number", "is_homotopy_sphere",
-        "orientation_fold", "realized_classes", "realized_folded_classes",
-        "rp5_type",
+        "SPHERE7_GROUP_ORDER", "BrieskornClass", "InvolutionQuotientType",
+        "brieskorn_classify", "diffeo_equiv", "eells_kuiper", "euler_number",
+        "is_homotopy_sphere", "orientation_fold", "realized_classes",
+        "realized_folded_classes", "rp5_type",
     ),
     "deform": (
         "DeformedMetric", "PlaneSearchResult", "ScanResult",
@@ -46,13 +45,13 @@ _EXPORTS = {
     ),
     "glue": (
         "ClauseResult", "GlueParams", "GluingCertificate", "ProfileFunction",
-        "glue_params", "matching_level", "matching_level_sq",
-        "nonneg_certificate", "orbit_metric_factor",
+        "glue_params", "matching_level_sq", "nonneg_certificate",
+        "orbit_metric_factor",
     ),
     "isotropy": (
         "BASE_TYPES", "OrbitTypeSet", "cor_47_families",
-        "find_almost_free_lift", "hopf_family", "is_almost_free",
-        "oliver_obstruction", "orbit_types", "table_42", "table_42_orders",
+        "find_almost_free_lift", "hopf_family", "oliver_obstruction",
+        "orbit_types", "table_42", "table_42_orders",
     ),
     "liealg": ("ReductiveSplit", "Su2Power"),
 }

@@ -53,11 +53,6 @@ def realized_folded_classes():
     return frozenset(orientation_fold(v) for v in realized_classes())
 
 
-#: This label's member generates the order-28 group under connected sum
-#: (its class is 1).
-GENERATOR_LABEL = 2
-
-
 def diffeo_equiv(k, m):
     """Whether the unit-Euler-number members with labels k and m are
     oriented diffeomorphic.

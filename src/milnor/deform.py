@@ -39,8 +39,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import (DegeneratePlaneError, DimensionMismatchError,
-                     ParameterError, as_fraction, require_count, require_int)
+from .errors import (DegeneratePlaneError, ParameterError, as_fraction,
+                     require_count, require_int)
 
 _GRAM_TOL = 1e-12
 _NEGATIVE_THRESHOLD = -1e-10
@@ -315,21 +315,6 @@ class DeformedMetric:
 
     # -- sectional curvature ------------------------------------------------
 
-    def sectional(self, u, v):
-        """Curvature of the plane spanned by u and v, normalized by the
-        Q_a Gram determinant. Raises for (numerically) dependent inputs."""
-        alg = self.algebra
-        u = alg.check_element(np.asarray(u, dtype=float))
-        v = alg.check_element(np.asarray(v, dtype=float))
-        if u.ndim != 2 or v.ndim != 2:
-            raise DimensionMismatchError("sectional takes one pair")
-        value, ok = self.sectional_batch(u, v)
-        if not ok:
-            raise DegeneratePlaneError(
-                "u and v span no plane (a zero vector, or a Gram determinant "
-                "below {:.0e})".format(_GRAM_TOL))
-        return float(value)
-
     def sectional_batch(self, U, V):
         """Vectorized sectional curvature. Returns (values, valid) where
         valid flags planes whose Gram determinant cleared the threshold;
@@ -360,25 +345,25 @@ def _check_seed(seed):
         raise ParameterError("seed must be non-negative, got {}".format(seed))
 
 
-def _scan_values(metric, U, V):
-    """sectional_batch over n sampled pairs U, V, each (n, factors, 3),
-    _SCAN_BLOCK planes at a time."""
+def _scan(metric, n, seed):
+    """The random-plane scan: n seeded Gaussian pairs U, V, each (n,
+    factors, 3), and their sectional_batch values and valid flags, computed
+    _SCAN_BLOCK planes at a time. Raises when every plane degenerates."""
+    _check_seed(seed)
+    U, V = metric.algebra.random(np.random.default_rng(seed), (2, n))
     blocks = [metric.sectional_batch(U[i:i + _SCAN_BLOCK], V[i:i + _SCAN_BLOCK])
-              for i in range(0, len(U), _SCAN_BLOCK)]
-    return (np.concatenate([vals for vals, _ in blocks]),
-            np.concatenate([ok for _, ok in blocks]))
+              for i in range(0, n, _SCAN_BLOCK)]
+    vals = np.concatenate([vals for vals, _ in blocks])
+    ok = np.concatenate([ok for _, ok in blocks])
+    if not np.any(ok):
+        raise DegeneratePlaneError("every sampled plane degenerated")
+    return U, V, vals, ok
 
 
 def scan_min_sectional(metric, n_planes=100_000, seed=0):
     """Minimum sectional curvature over n_planes seeded Gaussian planes."""
     require_count(n_planes, "n_planes", MAX_PLANES)
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    alg = metric.algebra
-    U, V = alg.random(rng, (2, n_planes))
-    vals, ok = _scan_values(metric, U, V)
-    if not np.any(ok):
-        raise DegeneratePlaneError("every sampled plane degenerated")
+    U, V, vals, ok = _scan(metric, n_planes, seed)
     idx = int(np.argmin(vals))
     # copies, so that the result does not keep the whole draw alive
     return ScanResult(min_value=float(vals[idx]), u=U[idx].copy(),
@@ -409,33 +394,16 @@ def _nonnegative_rule(metric):
       exactly dim_k / 3 factors.
     - k abelian and a <= 4/3: Z = 0 and 1 - 3a/4 >= 0. k is abelian when
       it has rank 1 or when every pair of its basis vectors brackets to
-      exactly zero (_basis_commutes)."""
+      exactly zero (ReductiveSplit.is_abelian)."""
     a = metric.a_exact
     if a <= 1:
         return "a <= 1"
     split = metric.split
     if 3 * np.count_nonzero(split.k_basis.any(axis=(0, 2))) == split.dim_k:
         return "ideal"
-    if 3 * a <= 4 and (split.dim_k == 1 or _basis_commutes(split)):
+    if 3 * a <= 4 and split.is_abelian():
         return "abelian"
     return None
-
-
-def _basis_commutes(split):
-    """Whether every pair of the split's k basis vectors brackets to
-    exactly zero, in exact arithmetic on their float entries: per factor
-    the bracket 2 x * y vanishes exactly when x_l y_m = x_m y_l for each
-    pair of components l, m. Equal products round to equal floats, so a
-    pair whose float bracket is nonzero does not commute."""
-    if split._pair_brackets.any():
-        return False
-    from fractions import Fraction
-
-    basis = [[[Fraction(c) for c in row] for row in x]
-             for x in split.k_basis.tolist()]
-    return all(x[l] * y[m] == x[m] * y[l]
-               for s, X in enumerate(basis) for Y in basis[s + 1:]
-               for x, y in zip(X, Y) for l, m in ((0, 1), (1, 2), (2, 0)))
 
 
 def minimize(metric, F, budget, target):
@@ -519,15 +487,9 @@ def find_negative_plane(metric, budget=100_000, seed=0):
     require_int(budget, "budget")
     if budget < 10:
         raise ParameterError("budget too small to do anything")
-    _check_seed(seed)
     alg = metric.algebra
-    rng = np.random.default_rng(seed)
-
     scan_n = max(min(budget // 2, 50_000), 10)
-    U, V = alg.random(rng, (2, scan_n))
-    vals, ok = _scan_values(metric, U, V)
-    if not np.any(ok):
-        raise DegeneratePlaneError("every sampled plane degenerated")
+    U, V, vals, ok = _scan(metric, scan_n, seed)
     evals = scan_n
     order = np.argsort(vals)
     scan_min = float(vals[order[0]])

@@ -53,12 +53,6 @@ def matching_level_sq(a, r):
     return a / (a - 1) * r * r
 
 
-def matching_level(a, r):
-    """Plateau value F = r sqrt(a/(a-1)) (always a float), for the (a, r)
-    glue_params accepts."""
-    return glue_params(a, r).plateau
-
-
 class GlueParams(namedtuple("GlueParams",
                             "a r plateau plateau_sq t_plateau")):
     """Gluing data: subalgebra scale a, gluing-circle radius r, and the
@@ -316,15 +310,10 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
         clauses.append(ClauseResult(
             "scale_match", scale_gap == 0, shown, 0.0,
             "profile and metric must use the same exact deformation scale"))
-        if in_window:
-            gap = float(abs(profile.value_sq(profile.t_plateau) - params.plateau_sq))
-            clauses.append(ClauseResult(
-                "plateau_match", gap <= 1e-8, gap, 1e-8,
-                "plateau square must equal a r^2/(a-1)"))
-        else:
-            clauses.append(ClauseResult(
-                "plateau_match", False, math.inf, 1e-8,
-                "no finite matching level outside the window"))
+        gap = float(abs(profile.value_sq(profile.t_plateau) - params.plateau_sq))
+        clauses.append(ClauseResult(
+            "plateau_match", gap <= 1e-8, gap, 1e-8,
+            "plateau square must equal a r^2/(a-1)"))
     else:
         clauses.append(ClauseResult(
             "scale_match", False, math.inf, 0.0, "no gluing parameters"))

@@ -95,18 +95,13 @@ def _orbit_types(p_minus, q_minus, p_plus, q_plus):
         raise AssertionError("difference orders must be even")
     # BASE_TYPES plus canonical_type_labels of each order; order 1 adds Z2,
     # already a base type
-    labels = ["1", "Z2", "D2"]
+    labels = [*BASE_TYPES]
     for order in orders:
         if order > 1:
             labels.append("D{}".format(order))
         elif order == 0:
             labels += ("SO(2)", "O(2)")
     return OrbitTypeSet(types=frozenset(labels), orders=orders)
-
-
-def is_almost_free(type_set):
-    """No circle isotropy anywhere."""
-    return type_set.almost_free
 
 
 def oliver_obstruction(type_set):
@@ -121,7 +116,7 @@ def oliver_obstruction(type_set):
     produce a standalone Z3, so in practice the D3 test decides; both are
     scanned anyway.
     """
-    if not is_almost_free(type_set):
+    if not type_set.almost_free:
         return "not_applicable"
     if "D3" in type_set.types or "Z3" in type_set.types:
         return "inconclusive"

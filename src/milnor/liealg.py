@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DimensionMismatchError, ParameterError, ValidationError
 
 _ORTHO_TOL = 1e-12
-_ABELIAN_TOL = 1e-12
 #: The most su(2) factors Su2Power takes, checked before anything is
 #: allocated. Measured with tracemalloc at 1e5 planes on the diagonal
 #: split of su(2)^1, ^3 and ^6: a scan peaks at about 54 bytes a plane per
@@ -73,10 +72,6 @@ class Su2Power:
                 "need {} factor rows, got {}".format(self.factors, len(rows)))
         return np.array([[float(c) for c in row] for row in rows])
 
-    def basis(self):
-        """Q-orthonormal basis, shape (dim, factors, 3)."""
-        return np.eye(self.dim).reshape(self.dim, self.factors, 3)
-
     @staticmethod
     def bracket_rows(u, v):
         """The bracket on component-major rows: axis -2 of u and v holds
@@ -110,11 +105,8 @@ class Su2Power:
         v = self.check_element(v)
         return np.sum(u * v, axis=(-2, -1))
 
-    def norm_sq(self, u):
-        return self.inner(u, u)
-
     def norm(self, u):
-        return np.sqrt(self.norm_sq(u))
+        return np.sqrt(self.inner(u, u))
 
     def random(self, rng, size=None):
         """Standard normal sample(s); size prepends sample axes."""
@@ -226,13 +218,22 @@ class ReductiveSplit:
     def project_m(self, u):
         return self.algebra.check_element(u) - self.project_k(u)
 
-    def split(self, u):
-        """u -> (m-part, k-part); the two recompose to u exactly."""
-        uk = self.project_k(u)
-        return u - uk, uk
-
     def is_abelian(self):
-        return bool(np.all(self.algebra.norm(self._pair_brackets) <= _ABELIAN_TOL))
+        """Whether every pair of k basis vectors brackets to exactly zero,
+        in exact arithmetic on their float entries: per factor the bracket
+        2 x * y vanishes exactly when x_l y_m = x_m y_l for each pair of
+        components l, m. Equal products round to equal floats, so a pair
+        whose float bracket is nonzero does not commute. A rank-1 k has no
+        pair and is abelian."""
+        if self._pair_brackets.any():
+            return False
+        from fractions import Fraction  # `import milnor.liealg` never loads it
+
+        basis = self.k_basis.tolist()
+        return all(Fraction(x[l]) * Fraction(y[m])
+                   == Fraction(x[m]) * Fraction(y[l])
+                   for s, X in enumerate(basis) for Y in basis[s + 1:]
+                   for x, y in zip(X, Y) for l, m in ((0, 1), (1, 2), (2, 0)))
 
     def contains(self, u, tol=1e-9):
         u = self.algebra.check_element(u)

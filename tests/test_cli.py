@@ -412,7 +412,7 @@ def test_curvature_scan_reports_the_scan_and_search_counters(capsys):
     assert set(payload) == {"algebra", "subalgebra", "a", "planes", "seed",
                             "min_sectional", "n_valid", "oracle_max_gap"}
     metric = deform.DeformedMetric(
-        ReductiveSplit.circle(Su2Power(1), Su2Power(1).basis()[0]), 1)
+        ReductiveSplit.circle(Su2Power(1), Su2Power(1).element((1, 0, 0))), 1)
     scan = deform.scan_min_sectional(metric, n_planes=300, seed=5)
     assert payload["n_valid"] == scan.n_valid
     assert payload["min_sectional"] == scan.min_value
@@ -440,16 +440,18 @@ def test_glue_clauses_report_tolerance_and_detail(capsys):
     assert first == second
     clauses = json.loads(first)["clauses"]
     profile = glue.ProfileFunction.capped_sine(Fraction(3, 2), Fraction(1))
-    split = ReductiveSplit.circle(Su2Power(1), Su2Power(1).basis()[0])
+    split = ReductiveSplit.circle(Su2Power(1), Su2Power(1).element((1, 0, 0)))
     cert = glue.nonneg_certificate(
         profile, deform.DeformedMetric(split, Fraction(3, 2)), planes=500)
     assert [set(c) for c in clauses] == [
         {"name", "passed", "value", "tolerance", "detail"}] * len(cert.clauses)
     assert [(c["name"], c["tolerance"], c["detail"]) for c in clauses] == [
         (c.name, c.tolerance, c.detail) for c in cert.clauses]
+    # past 4/3 the matching level still exists and the plateau reaches it
     plateau = next(c for c in clauses if c["name"] == "plateau_match")
-    assert plateau["detail"] == "no finite matching level outside the window"
-    assert plateau["value"] is None
+    assert plateau["detail"] == "plateau square must equal a r^2/(a-1)"
+    assert plateau["passed"] is True
+    assert plateau["value"] == cert.clause("plateau_match").value == 0.0
 
 
 # -- one-command parsers ----------------------------------------------------

@@ -22,8 +22,7 @@ from milnor.deform import (
     negative_plane_witness,
     scan_min_sectional,
 )
-from milnor.errors import (DegeneratePlaneError, DimensionMismatchError,
-                           ParameterError)
+from milnor.errors import ParameterError
 from milnor.glue import ProfileFunction, nonneg_certificate
 from milnor.liealg import ReductiveSplit, Su2Power
 
@@ -40,6 +39,14 @@ def span_i_metric(factors, a):
     direction = alg.zero()
     direction[0, 0] = 1.0
     return DeformedMetric(ReductiveSplit.circle(alg, direction), a)
+
+
+def sectional(metric, u, v):
+    """The sectional curvature of the plane one pair u, v spans, through
+    sectional_batch; the pair must span a plane."""
+    value, ok = metric.sectional_batch(u, v)
+    assert ok
+    return float(value)
 
 
 def test_undeformed_metric_gives_quarter_norm_curvature():
@@ -84,7 +91,7 @@ def test_closed_form_broadcasts_sample_axes_of_different_rank():
     vals, ok = metric.sectional_batch(U, V)
     assert vals.shape == ok.shape == (4, 3) and ok.all()
     for i, j in np.ndindex(4, 3):
-        single = metric.sectional(U[i, j], V[j])
+        single = sectional(metric, U[i, j], V[j])
         assert abs(vals[i, j] - single) <= 1e-12 * max(1.0, abs(single))
 
 
@@ -96,19 +103,17 @@ def test_su2_circle_sectional_closed_form():
         alg = metric.algebra
         j = alg.element([0.0, 1.0, 0.0])
         k = alg.element([0.0, 0.0, 1.0])
-        assert abs(metric.sectional(j, k) - (4.0 - 3.0 * a)) < 1e-9
+        assert abs(sectional(metric, j, k) - (4.0 - 3.0 * a)) < 1e-9
 
 
 def test_sectional_rejects_degenerate_planes():
     metric = diag_metric(2, 1.0)
     alg = metric.algebra
     u = alg.random(RNG)
-    with pytest.raises(DegeneratePlaneError):
-        metric.sectional(u, 2.0 * u)
-    with pytest.raises(DegeneratePlaneError):
-        metric.sectional(u, alg.zero())
-    with pytest.raises(DimensionMismatchError):
-        metric.sectional(alg.random(RNG, 3), alg.random(RNG, 3))
+    vals, ok = metric.sectional_batch(np.stack([u, u, u]),
+                                      np.stack([2.0 * u, alg.zero(), alg.random(RNG)]))
+    assert ok.tolist() == [False, False, True]
+    assert np.all(vals[:2] == np.inf) and np.isfinite(vals[2])
 
 
 def test_sectional_batch_matches_scalar_path():
@@ -121,7 +126,7 @@ def test_sectional_batch_matches_scalar_path():
         assert vals.shape == ok.shape == (5, 10)
         assert ok.all()
         for idx in np.ndindex(5, 10):
-            single = metric.sectional(U[idx], V[idx])
+            single = sectional(metric, U[idx], V[idx])
             assert abs(vals[idx] - single) <= 1e-12 * max(1.0, abs(single))
         # Reference outside the closed-form path: the Koszul oracle over
         # the Gram determinant of the explicit Q_a matrix.
@@ -263,23 +268,41 @@ def test_the_nonnegative_rules_refuse_metrics_with_a_negative_plane():
     assert deform._nonnegative_rule(span_i_metric(3, float(edge))) == "abelian"
 
 
+def rounded_split():
+    """A rank-2 split of su(2)^2 whose float brackets vanish only by
+    rounding: in factor 0, (1 + 2^-52) (1 + 2^-52) and (1 + 2^-51) 1
+    round to the same float, and differ by 2^-104."""
+    e = 2.0 ** -52
+    return ReductiveSplit(Su2Power(2), np.array([
+        [[1 + e, 1 + 2 * e, 0], [1, 1, 0]],
+        [[1, 1 + e, 0], [-1, -1, 0]]]) / 2)
+
+
 def test_the_abelian_rule_reads_every_basis_bracket():
-    """A torus of rank 2 is abelian up to 4/3. A rank-2 basis whose float
-    brackets vanish only by rounding is not: in factor 0, (1 + 2^-52)
-    (1 + 2^-52) and (1 + 2^-51) 1 round to the same float, and differ by
-    2^-104."""
+    """A torus of rank 2 is abelian up to 4/3; the rounded split is not
+    abelian at all."""
     alg = Su2Power(2)
     r = 1 / math.sqrt(2.0)
     torus = ReductiveSplit(alg, [[[r, 0, 0], [r, 0, 0]],
                                  [[r, 0, 0], [-r, 0, 0]]])
     assert deform._nonnegative_rule(DeformedMetric(torus, 4.0 / 3.0)) == "abelian"
     assert deform._nonnegative_rule(DeformedMetric(torus, 1.34)) is None
-    e = 2.0 ** -52
-    rounded = ReductiveSplit(alg, np.array([
-        [[1 + e, 1 + 2 * e, 0], [1, 1, 0]],
-        [[1, 1 + e, 0], [-1, -1, 0]]]) / 2)
-    assert rounded.is_abelian() and not np.any(rounded._pair_brackets)
+    rounded = rounded_split()
+    assert not rounded.is_abelian() and not np.any(rounded._pair_brackets)
     assert deform._nonnegative_rule(DeformedMetric(rounded, 1.2)) is None
+
+
+def test_the_certificate_and_the_abelian_rule_agree_on_a_rounded_block():
+    """The certificate's abelian_block clause and the search's abelian
+    rule decide with the same exact test, so a block abelian only up to
+    rounding passes neither."""
+    a = Fraction(6, 5)
+    metric = DeformedMetric(rounded_split(), a)
+    cert = nonneg_certificate(ProfileFunction.capped_sine(a, 1), metric,
+                              planes=500)
+    assert not cert.clause("abelian_block").passed
+    assert not cert.passed
+    assert deform._nonnegative_rule(metric) is None
 
 
 def test_witness_plane_is_negative_past_the_threshold():
@@ -536,7 +559,7 @@ def test_scan_is_pinned(case, pinned):
     assert abs(res.min_value - value) <= tol
     assert res.n_valid == n_valid
     if index is None:
-        assert abs(metric.sectional(res.u, res.v) - value) <= tol
+        assert abs(sectional(metric, res.u, res.v) - value) <= tol
     else:
         U, V = metric.algebra.random(np.random.default_rng(seed), (2, 3000))
         assert np.array_equal(res.u, U[index]) and np.array_equal(res.v, V[index])
@@ -599,7 +622,8 @@ def named_splits(factors):
     alg = Su2Power(factors)
     splits = [ReductiveSplit.diagonal(alg)]
     splits += [ReductiveSplit.factor(alg, i) for i in range(factors)]
-    splits += [ReductiveSplit.circle(alg, alg.basis()[axis]) for axis in range(3)]
+    basis = np.eye(alg.dim).reshape(alg.dim, factors, 3)
+    splits += [ReductiveSplit.circle(alg, basis[axis]) for axis in range(3)]
     return splits
 
 
@@ -617,7 +641,7 @@ def test_reported_planes_are_orthonormal_frames_of_their_value(factors):
                 u, v = np.stack([res.u, res.v]).reshape(2, -1)
                 gram = np.array([[x @ G @ y for y in (u, v)] for x in (u, v)])
                 assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
-                want = metric.sectional(res.u, res.v)
+                want = sectional(metric, res.u, res.v)
                 assert abs(res.value - want) <= 1e-12 * max(1.0, abs(want))
 
 

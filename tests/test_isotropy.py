@@ -12,7 +12,6 @@ from milnor.isotropy import (
     cor_47_families,
     find_almost_free_lift,
     hopf_family,
-    is_almost_free,
     oliver_obstruction,
     orbit_types,
     table_42,
@@ -69,13 +68,13 @@ def test_order_parity_and_almost_freeness():
         assert sum_minus % 2 == 1 and sum_plus % 2 == 1
         assert diff_minus % 2 == 0 and diff_plus % 2 == 0
         expected_free = p_minus != q_minus and p_plus != q_plus
-        assert is_almost_free(ts) == expected_free
+        assert ts.almost_free == expected_free
 
 
 def test_equal_labels_degenerate_to_circles():
     ts = orbit_types(5, 5, 5, 5)
     assert "SO(2)" in ts.types and "O(2)" in ts.types
-    assert not is_almost_free(ts)
+    assert not ts.almost_free
 
 
 def test_orbit_types_validates_labels():
@@ -92,7 +91,7 @@ def test_hopf_family_matches_direct_computation():
         assert ts.types == direct.types
         want = {abs(2 * n - 1), abs(2 * n), abs(2 * n + 1), abs(2 * n + 2)}
         assert set(ts.orders) == want
-        assert is_almost_free(ts) == (n not in (0, -1))
+        assert ts.almost_free == (n not in (0, -1))
 
 
 def test_oliver_obstruction_on_the_hopf_family():
@@ -164,7 +163,7 @@ def test_find_almost_free_lift_homotopy_spheres():
         assert lifts, k
         for tup in lifts[:2]:
             assert classify_pair(*tup) == (k, 1 - k)
-            assert is_almost_free(orbit_types(*tup))
+            assert orbit_types(*tup).almost_free
 
 
 def test_find_almost_free_lift_hopf_case():

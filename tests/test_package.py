@@ -7,6 +7,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -63,6 +64,47 @@ def test_exports_are_listed_and_star_importable():
         milnor.no_such_name
 
 
+def loaded_names(tree):
+    """Names read in a module, as bare names or as attributes, outside the
+    top-level statement that defines them: a def, class or assignment
+    does not count as a use of its own name."""
+    found = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            own = {stmt.name}
+        else:
+            own = {node.id for node in ast.walk(stmt)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        found |= {node.id for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)} - own
+        found |= {node.attr for node in ast.walk(stmt)
+                  if isinstance(node, ast.Attribute)} - own
+    return found
+
+
+#: Exports kept for work still to come: negative_plane_witness for the
+#: metric_nonneg clause's witness, cor_47_families for the label-driven
+#: gluing route.
+UNCALLED_EXPORTS = {"negative_plane_witness", "cor_47_families"}
+
+
+def test_every_export_has_a_reader():
+    """Each public name is read somewhere in the package, named in the
+    README or read by the acceptance criteria, so that a name no
+    production path calls is deleted, not kept alive by its tests."""
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        used |= loaded_names(ast.parse(path.read_text(encoding="utf-8")))
+    used |= loaded_names(ast.parse(
+        (TESTS / "test_acceptance.py").read_text(encoding="utf-8")))
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    unread = [name for name in milnor.__all__
+              if name not in used and name not in UNCALLED_EXPORTS
+              and not re.search(r"\b{}\b".format(name), readme)]
+    assert unread == []
+
+
 def test_no_module_imports_scipy():
     """numpy is the only numeric dependency; scipy is not imported
     anywhere in the package, not even inside a function."""
@@ -112,8 +154,8 @@ def test_cli_imports_no_numeric_layer_at_module_level():
 
 
 def test_deform_imports_fractions_only_where_it_uses_it():
-    """The exact scale and the abelian rule import fractions inside the
-    functions that use them, as errors.as_fraction does, so that
+    """The exact scale imports fractions inside the function that uses
+    it, as errors.as_fraction and ReductiveSplit.is_abelian do, so that
     `import milnor.deform` does not load fractions and decimal."""
     assert "fractions" not in imported_modules(SRC / "deform.py",
                                                module_level=True)

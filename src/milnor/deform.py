@@ -533,11 +533,10 @@ def negative_plane_witness(metric):
     """
     alg = metric.algebra
     a = metric.a
-    if alg.factors != 2 or metric.split.dim_k != 3:
-        raise ParameterError(
-            "witness construction needs the diagonal subalgebra of su(2)^2")
-    probe = alg.element((1, 0, 0), (1, 0, 0)) / math.sqrt(2.0)
-    if not metric.split.contains(probe, tol=1e-12):
+    # (e, e) / sqrt 2 for e = i, j, k: the diagonal, not a twisted copy
+    probes = np.repeat(np.eye(3)[:, None], 2, axis=1) / math.sqrt(2.0)
+    if alg.factors != 2 or metric.split.dim_k != 3 \
+            or not metric.split.contains(probes, tol=1e-12):
         raise ParameterError(
             "witness construction needs the diagonal subalgebra of su(2)^2")
     if metric.a_exact <= 1:

@@ -87,30 +87,26 @@ class ProfileFunction:
 
     value, derivative and second_derivative are vectorized closed forms
     for f, f', f'': a float array goes in, an array of its shape comes
-    out, and a scalar return (``lambda t: 0.0``) is broadcast. Each runs
-    once, on the grid (step grid_step, running past the plateau) and the
-    join points t_plateau -+ 1e-9 t_plateau; validate() and the
-    certificate read those samples. Constructed profiles are validated
-    unless validate=False, which exists so that tests can feed broken
-    profiles to the certificate.
+    out, and a scalar return (``lambda t: 0.0``) is broadcast. glue is
+    the GlueParams the profile is built for; t_plateau, plateau and
+    plateau_sq are read from it. Each closed form runs once, on the grid
+    (step grid_step, running past the plateau) and the join points
+    t_plateau -+ 1e-9 t_plateau; validate() and the certificate read
+    those samples. Construction validates the profile.
     """
 
-    def __init__(self, value, derivative, second_derivative, t_plateau,
-                 plateau, grid_step=None, plateau_sq=None, glue=None,
-                 validate=True):
-        if t_plateau <= 0 or plateau <= 0:
-            raise ParameterError("plateau data must be positive")
+    def __init__(self, value, derivative, second_derivative, glue,
+                 grid_step=None):
         self._f = value
         self._fp = derivative
         self._fpp = second_derivative
-        self.t_plateau = float(t_plateau)
-        self.plateau = float(plateau)
-        self.plateau_sq = plateau_sq if plateau_sq is not None \
-            else float(plateau) ** 2
         self.glue = glue
+        self.t_plateau = glue.t_plateau
+        self.plateau = glue.plateau
+        self.plateau_sq = glue.plateau_sq
         if grid_step is None:
             grid_step = self.t_plateau / 1000.0
-        if grid_step <= 0 or grid_step >= self.t_plateau:
+        if not 0 < grid_step < self.t_plateau:
             raise ParameterError("grid_step must be in (0, t_plateau)")
         self.grid_step = float(grid_step)
         n = int(math.ceil(1.25 * self.t_plateau / self.grid_step))
@@ -123,8 +119,7 @@ class ProfileFunction:
         for row, fn in zip(self._samples, (value, derivative, second_derivative)):
             row[:] = fn(self._ts)
         self._samples.flags.writeable = False
-        if validate:
-            self.validate()
+        self.validate()
 
     @classmethod
     def capped_sine(cls, a, r, grid_step=None):
@@ -147,9 +142,7 @@ class ProfileFunction:
         def second_derivative(t):
             return np.where(t < t0, -np.sin(t / F) / F, 0.0)
 
-        return cls(value, derivative, second_derivative, t_plateau=t0,
-                   plateau=F, grid_step=grid_step,
-                   plateau_sq=params.plateau_sq, glue=params)
+        return cls(value, derivative, second_derivative, params, grid_step)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -214,9 +207,7 @@ class ProfileFunction:
     # -- export -------------------------------------------------------------
 
     def export_csv(self, path):
-        """Write (t, f, orbit_factor) rows; needs attached gluing data."""
-        if self.glue is None:
-            raise ParameterError("profile has no gluing data attached")
+        """Write (t, f, orbit_factor) rows."""
         a, r = self.glue.a, self.glue.r
         ts, fs = self.sample()
         with open(path, "w", newline="") as fh:
@@ -244,10 +235,7 @@ def orbit_metric_factor(profile, t):
     halves glue. Exact in rational arithmetic on the plateau when a, r are
     rational.
     """
-    params = profile.glue
-    if params is None:
-        raise ParameterError("no gluing parameters available")
-    return _orbit_factor(profile.value_sq(t), params.a, params.r)
+    return _orbit_factor(profile.value_sq(t), profile.glue.a, profile.glue.r)
 
 
 class ClauseResult(namedtuple("ClauseResult",
@@ -298,27 +286,21 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
         "abelian_block", abelian, float(metric.split.dim_k), 0.0,
         "shrunk subalgebra must be abelian for nonnegativity at a > 1"))
 
-    if params is not None:
-        # exact too: a profile just past 4/3 must not match a metric at 4/3
-        scale = as_fraction(params.a)
-        if scale is None:
-            from fractions import Fraction  # loaded already by a_exact
+    # exact too: a profile just past 4/3 must not match a metric at 4/3
+    scale = as_fraction(params.a)
+    if scale is None:
+        from fractions import Fraction  # loaded already by a_exact
 
-            scale = Fraction(float(params.a))
-        scale_gap = abs(scale - exact)
-        shown = float(scale_gap) if scale_gap <= sys.float_info.max else math.inf
-        clauses.append(ClauseResult(
-            "scale_match", scale_gap == 0, shown, 0.0,
-            "profile and metric must use the same exact deformation scale"))
-        gap = float(abs(profile.value_sq(profile.t_plateau) - params.plateau_sq))
-        clauses.append(ClauseResult(
-            "plateau_match", gap <= 1e-8, gap, 1e-8,
-            "plateau square must equal a r^2/(a-1)"))
-    else:
-        clauses.append(ClauseResult(
-            "scale_match", False, math.inf, 0.0, "no gluing parameters"))
-        clauses.append(ClauseResult(
-            "plateau_match", False, math.inf, 1e-8, "no gluing parameters"))
+        scale = Fraction(float(params.a))
+    scale_gap = abs(scale - exact)
+    shown = float(scale_gap) if scale_gap <= sys.float_info.max else math.inf
+    clauses.append(ClauseResult(
+        "scale_match", scale_gap == 0, shown, 0.0,
+        "profile and metric must use the same exact deformation scale"))
+    gap = float(abs(profile.value_sq(profile.t_plateau) - params.plateau_sq))
+    clauses.append(ClauseResult(
+        "plateau_match", gap <= 1e-8, gap, 1e-8,
+        "plateau square must equal a r^2/(a-1)"))
 
     try:
         profile.validate()

@@ -142,8 +142,8 @@ class ReductiveSplit:
     """Q-orthogonal decomposition g = m + k, with k a subalgebra.
 
     The subalgebra is given by a Q-orthonormal basis, shape (r, n, 3).
-    Construction fails if the basis is not orthonormal or not closed under
-    the bracket; use the named constructors for the standard cases.
+    Construction fails if the basis is not finite, not orthonormal or not
+    closed under the bracket; use the named constructors for the standard cases.
     """
 
     def __init__(self, algebra, k_basis):
@@ -154,6 +154,8 @@ class ReductiveSplit:
         k_basis = algebra.check_element(k_basis)
         if k_basis.ndim != 3:
             raise DimensionMismatchError("k_basis must be (r, factors, 3)")
+        if not np.isfinite(k_basis).all():
+            raise ValidationError("subalgebra basis must be finite")
         r = k_basis.shape[0]
         if r < 1 or r > algebra.dim:
             raise ValidationError("subalgebra rank out of range")
@@ -170,7 +172,6 @@ class ReductiveSplit:
             np.swapaxes(k_basis, -1, -2).reshape(r, algebra.dim))
         self._rows_t = np.ascontiguousarray(self._rows.T)
         self.dim_k = r
-        self.dim_m = algebra.dim - r
         # brackets of the basis pairs s < t, read by the closure check here
         # and by is_abelian
         s, t = np.triu_indices(r, 1)
@@ -205,6 +206,8 @@ class ReductiveSplit:
     def circle(cls, algebra, direction):
         """k = the line spanned by one element (always abelian)."""
         direction = algebra.check_element(np.asarray(direction, dtype=float))
+        if not np.isfinite(direction).all():
+            raise ValidationError("circle direction must be finite")
         nrm = float(algebra.norm(direction))
         if nrm == 0.0:
             raise ValidationError("circle direction must be nonzero")

@@ -325,6 +325,18 @@ def test_witness_requires_the_deformation_to_overshoot():
         negative_plane_witness(span_i_metric(2, 1.5))
 
 
+def test_witness_refuses_a_twisted_diagonal():
+    """{(x, phi x)} with phi the quarter turn about i is a rank-3
+    subalgebra of su(2)^2 holding (i, i) / sqrt 2 but not the diagonal;
+    there the recipe's plane has curvature +0.465 at a = 1.2."""
+    alg = Su2Power(2)
+    twisted = ReductiveSplit(alg, np.array([
+        [[1, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 1]],
+        [[0, 0, 1], [0, -1, 0]]]) / math.sqrt(2.0))
+    with pytest.raises(ParameterError, match="needs the diagonal subalgebra"):
+        negative_plane_witness(DeformedMetric(twisted, 1.2))
+
+
 def test_witness_decides_on_the_exact_scale():
     """1 + 10^-20 is past 1, so a negative plane exists, but its float is
     1.0 and the float recipe would give a plane of curvature 0: refused

@@ -170,14 +170,18 @@ def test_certificate_rejects_nonabelian_block():
 
 
 def convex_profile():
+    """A convex profile, which construction refuses: built with validate
+    patched out, so that the certificate sees it."""
     params = glue_params(Fraction(4, 3), 1)
     t0 = params.t_plateau
-    return ProfileFunction(
-        value=lambda t: np.minimum(t * t / t0, float(params.plateau)),
-        derivative=lambda t: np.where(t < t0, 2.0 * t / t0, 0.0),
-        second_derivative=lambda t: np.where(t < t0, 2.0 / t0, 0.0),
-        t_plateau=t0, plateau=float(params.plateau),
-        plateau_sq=params.plateau_sq, glue=params, validate=False)
+    closed_forms = (lambda t: np.minimum(t * t / t0, params.plateau),
+                    lambda t: np.where(t < t0, 2.0 * t / t0, 0.0),
+                    lambda t: np.where(t < t0, 2.0 / t0, 0.0))
+    with pytest.raises(ProfileError):
+        ProfileFunction(*closed_forms, params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ProfileFunction, "validate", lambda self: None)
+        return ProfileFunction(*closed_forms, params)
 
 
 def test_certificate_rejects_a_convex_profile():
@@ -196,8 +200,7 @@ def test_profile_validation_catches_broken_shapes():
             value=lambda t: t + 1.0,
             derivative=lambda t: 1.0,
             second_derivative=lambda t: 0.0,
-            t_plateau=params.t_plateau, plateau=float(params.plateau),
-            plateau_sq=params.plateau_sq, glue=params)
+            glue=params)
 
 
 def sine_cap(params, value=None):
@@ -208,7 +211,7 @@ def sine_cap(params, value=None):
         value=value or (lambda t: np.where(t < t0, F * np.sin(t / F), F)),
         derivative=lambda t: np.where(t < t0, np.cos(t / F), 0.0),
         second_derivative=lambda t: np.where(t < t0, -np.sin(t / F) / F, 0.0),
-        t_plateau=t0, plateau=F, plateau_sq=params.plateau_sq, glue=params)
+        glue=params)
 
 
 def test_profile_validation_requires_a_frozen_plateau():
@@ -248,6 +251,15 @@ def test_grid_clauses_match_a_pointwise_recomputation(make):
     assert cert.clause("product_near_boundary").value == want_gap
     ts, fs = profile.sample()
     assert list(fs) == [profile.value(t) for t in ts]
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.pi, 4.0, math.nan, math.inf],
+                         ids=["zero", "negative", "t_plateau", "past", "nan", "inf"])
+def test_grid_step_must_lie_inside_the_plateau_run(step):
+    """t_plateau is pi for a = 4/3, r = 1; a NaN step used to fail in
+    math.ceil with a bare ValueError."""
+    with pytest.raises(ParameterError, match="^grid_step must be in"):
+        ProfileFunction.capped_sine(Fraction(4, 3), 1, grid_step=step)
 
 
 def test_profile_closed_forms_run_a_fixed_number_of_times(tmp_path):

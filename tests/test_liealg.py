@@ -137,6 +137,19 @@ def test_split_requires_orthonormal_basis():
         ReductiveSplit(alg, rows)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_split_refuses_a_nonfinite_basis(bad):
+    """A NaN basis used to pass the orthonormality and closure checks,
+    whose comparisons are False for NaN, and come out abelian; a NaN or
+    infinite circle direction gave an all-NaN basis. Both are refused
+    before any arithmetic, so no RuntimeWarning fires."""
+    alg = Su2Power(2)
+    with pytest.raises(ValidationError, match="^subalgebra basis must be finite"):
+        ReductiveSplit(alg, [[[bad, 0, 0], [0, 0, 0]]])
+    with pytest.raises(ValidationError, match="^circle direction must be finite"):
+        ReductiveSplit.circle(alg, [[1, 0, 0], [0, bad, 0]])
+
+
 def test_diagonal_split_brackets_stay_inside():
     alg = Su2Power(3)
     split = ReductiveSplit.diagonal(alg)

@@ -4,6 +4,7 @@ load no numeric library and nothing in the package needs scipy."""
 
 import argparse
 import ast
+import inspect
 import json
 import os
 import pathlib
@@ -187,6 +188,16 @@ RECORD_FIELDS = {
     "ClauseResult": ("name", "passed", "value", "tolerance", "detail"),
     "GluingCertificate": ("passed", "clauses"),
 }
+
+
+def test_the_profile_constructor_takes_its_plateau_from_the_gluing_data():
+    """ProfileFunction reads t_plateau, plateau and plateau_sq from glue
+    and always validates, so it takes no option for either."""
+    import inspect
+
+    params = inspect.signature(milnor.ProfileFunction).parameters
+    assert tuple(params) == ("value", "derivative", "second_derivative",
+                             "glue", "grid_step")
 
 
 @pytest.mark.parametrize("name", sorted(RECORD_FIELDS))

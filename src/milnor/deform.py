@@ -30,8 +30,13 @@ The public methods and functions take and return elements of su(2)^n in
 their (..., n, 3) form. Inside, the kernel works on component-major rows
 (see liealg): a batch of N vectors is a (dim, N) array, a pair of batches
 is stacked (2, dim, N), and the m- and k-parts of such rows are worked out
-inside each call, as (r, dim) @ (dim, N) products, and never stored. Each
-public entry point converts its inputs once.
+inside each call, as (r, dim) @ (dim, N) products; a metric keeps only the
+split's k basis. Each public entry point converts its inputs once. The
+sectional-curvature kernel, _sectional_block, writes its rows, parts,
+brackets and k-coordinates into slices of one flat workspace passed down
+as out= and scratch= buffers: sectional_batch allocates one per call, and
+a random-plane scan one for its draw and a block, which all its blocks
+reuse.
 """
 
 import math
@@ -41,6 +46,7 @@ import numpy as np
 
 from .errors import (DegeneratePlaneError, ParameterError, as_fraction,
                      require_count, require_int)
+from .liealg import _carve
 
 _GRAM_TOL = 1e-12
 _NEGATIVE_THRESHOLD = -1e-10
@@ -48,21 +54,24 @@ _NEGATIVE_THRESHOLD = -1e-10
 _STARTS = 64
 _FIRST_STEP = 0.5
 _GRAD_RTOL = 1e-6
-#: Planes per sectional_batch call in the random-plane scans; blocking
-#: changes no value. Timed with the component-major kernel in seven 15 s
-#: benchmark runs per size (2-core Xeon): blocks of 1024, 2048 and 4096
-#: gave geometry ops_per_s 291, 279 and 263, certify 193, 219 and 175,
-#: and geometry peak_rss_mb 42.4, 43.0 and 44.5 (the row-major kernel's
-#: 2048 blocks: 43.0). Smaller blocks pay numpy's per-call overhead more
-#: often; larger ones fault in fresh pages for their temporaries.
+#: Planes per _sectional_block call in the random-plane scans, which
+#: reuse one block's workspace; blocking changes no value. Timed with the
+#: workspace kernel in seven 15 s benchmark runs per size (2-core Xeon,
+#: Python 3.11, numpy 2.4): blocks of 1024, 2048 and 4096 gave geometry
+#: ops_per_s 334, 372 and 355, certify 192, 218 and 223, and geometry
+#: peak_rss_mb 41.4, 42.5 and 43.5. Smaller blocks pay numpy's per-call
+#: overhead more often; 4096 gains certify less than the runs spread and
+#: costs geometry time and memory.
 _SCAN_BLOCK = 2048
 #: The most planes scan_min_sectional (so nonneg_certificate) and the most
 #: sample pairs oracle_agreement take; counts are checked before anything
-#: is drawn. Measured at 1e5 on su(2)^3 (2-core Xeon): a scan holds about
-#: 160 bytes and takes about 1.1 us a plane, oracle_agreement about 160
-#: bytes (144 of them its one draw of the pairs) and 1.8 us a pair, on the
-#: diagonal and the span-i split alike. So at the cap each takes about 1-2
-#: s and 160 MB; ten times the cap would exceed the memory of a small host.
+#: is drawn. Measured at 1e5 on su(2)^3 (2-core Xeon): a scan peaks at
+#: about 170 bytes a plane (144 of them its draw) and takes 0.5-0.8 us a
+#: plane, half of it drawing; oracle_agreement about 160 bytes (144 its
+#: draw) and 2.7-3.7 us a pair; the diagonal and span-i splits alike. So
+#: at the cap a scan takes about 1 s and 170 MB and oracle_agreement about
+#: 3 s and 160 MB; ten times the cap would exceed the memory of a small
+#: host.
 MAX_PLANES = 10 ** 6
 #: How far, relative to max(1, |value|), the connection oracle may stray
 #: from the closed form on a plane the search reports.
@@ -163,24 +172,24 @@ class DeformedMetric:
 
     # -- component-major rows ------------------------------------------------
 
-    def _k_part(self, X, out=None):
+    def _k_part(self, X, out=None, scratch=None):
         """The k-part of rows (..., dim, N): two (r, dim) @ (dim, N)
-        products with the split's component-major k basis."""
-        return np.matmul(self.split._rows_t, self.split._rows @ X, out=out)
+        products with the split's component-major k basis. The k-coordinates
+        (..., r, N) between them go to the start of scratch, a flat float
+        buffer (see liealg._carve), when given."""
+        rows = self.split._rows
+        coords = _carve(scratch, X.shape[:-2] + (rows.shape[0], X.shape[-1]))
+        return np.matmul(self.split._rows_t, np.matmul(rows, X, out=coords),
+                         out=out)
 
-    def _parts(self, X):
+    def _parts(self, X, out=None, scratch=None):
         """Rows (..., dim, N) -> stacked parts (2, ..., dim, N): the m-part,
-        then the k-part."""
-        parts = np.empty((2,) + X.shape)
-        self._k_part(X, out=parts[1])
+        then the k-part; at the start of out, and with _k_part's scratch,
+        when those flat buffers are given."""
+        parts = _carve(out, (2,) + X.shape)
+        self._k_part(X, out=parts[1], scratch=scratch)
         np.subtract(X, parts[1], out=parts[0])
         return parts
-
-    def _split(self, *vectors):
-        """Elements (..., n, 3) -> the stacked parts (2, len(vectors), dim,
-        N) of their rows, and the shape of their broadcast sample axes."""
-        X, shape = self.algebra.rows(*vectors)
-        return self._parts(X), shape
 
     def _inner_of_parts(self, PE, PF):
         """Q_a products of rows given by their stacked parts (2, ..., dim,
@@ -192,23 +201,27 @@ class DeformedMetric:
 
     # -- curvature, closed form -------------------------------------------
 
-    def _quartic(self, PQ):
+    def _quartic(self, PQ, out=None, scratch=None):
         """The closed form on the stacked parts PQ, (2, 2, dim, N), of the
         pairs u = A + X, v = B + Y: PQ[0] holds the m-parts (A, B) and
         PQ[1] the k-parts (X, Y). Every closed-form value in this module
         comes from here. Returns the values and the vectors (W, P, Z) they
-        weigh, stacked (3, dim, N)."""
+        weigh, stacked (3, dim, N). The four brackets, PQ.size floats, go
+        to the start of out and the bracket's scratch row, PQ.size / 3
+        floats, then the k-coordinates of P to the start of scratch, when
+        those flat buffers are given."""
         comps = PQ.reshape(2, 2, 3, -1)        # components on axis -2
         # br[s, t] = [P[s], Q[t]] for P = (A, X), Q = (B, Y), in one call on
         # (2, 1, 3, n N) x (1, 2, 3, n N): ([A,B], [A,Y]), ([X,B], [X,Y])
-        br = self.algebra.bracket_rows(comps[:, None, 0], comps[None, :, 1])
+        br = self.algebra.bracket_rows(comps[:, None, 0], comps[None, :, 1],
+                                       out=out, scratch=scratch)
         br = br.reshape((4,) + PQ.shape[-2:])
         ab, ay, xb, xy = br
         # Overwrite br[1:] with (W, P, Z); in place, so a batch allocates
         # no more rows.
         ay += xb
         ay *= self.a
-        self._k_part(ab, out=xb)               # P = [A,B]_k
+        self._k_part(ab, out=xb, scratch=scratch)  # P = [A,B]_k
         ab -= xb
         ay += ab                               # W = [A,B]_m + a([X,B] + [A,Y])
         vecs = br[1:]                          # (W, P, Z)
@@ -249,8 +262,8 @@ class DeformedMetric:
         v, split into m + k here; arbitrary leading sample axes broadcast.
         The value is quartic in the inputs and vanishes when the two
         arguments are proportional."""
-        PQ, shape = self._split(u, v)
-        return self._quartic(PQ)[0].reshape(shape)
+        X, shape = self.algebra.rows(u, v)
+        return self._quartic(self._parts(X))[0].reshape(shape)
 
     def _value_and_gradient(self, F):
         """Q_a Gram-Schmidt, in place, on pairs F = (u, v), stacked rows
@@ -319,15 +332,40 @@ class DeformedMetric:
         """Vectorized sectional curvature. Returns (values, valid) where
         valid flags planes whose Gram determinant cleared the threshold;
         invalid slots hold +inf."""
-        PQ, shape = self._split(U, V)
+        alg = self.algebra
+        U, V = alg.check_element(U), alg.check_element(V)
+        shape = np.broadcast_shapes(U.shape[:-2], V.shape[:-2])
+        work = np.empty(self._block_floats(math.prod(shape)))
+        vals, ok = self._sectional_block(U, V, work)
+        return vals.reshape(shape), ok.reshape(shape)
+
+    def _block_floats(self, N):
+        """The floats _sectional_block's workspace takes for N planes: the
+        brackets (4, dim, N), whose space the rows (2, dim, N) use before
+        them; the stacked parts (2, 2, dim, N); and a scratch for the
+        bracket's row (2, 2, factors N) or, before it, the parts'
+        k-coordinates (2, r, N)."""
+        alg = self.algebra
+        return (8 * alg.dim + max(4 * alg.factors, 2 * self.split.dim_k)) * N
+
+    def _sectional_block(self, U, V, work):
+        """The kernel of sectional_batch and of the random-plane scans: the
+        values and valid flags of the planes spanned by elements U, V
+        (..., n, 3), flat over the N samples of their broadcast sample
+        axes. Every (dim, N) buffer is a slice of work, a flat float buffer
+        of at least _block_floats(N) floats, laid out as that docstring
+        says; the parts are formed before the brackets need the rows'
+        space."""
+        X, _ = self.algebra.rows(U, V, out=work)
+        size = 2 * X.size                      # floats of brackets, of parts
+        PQ = self._parts(X, out=work[size:], scratch=work[2 * size:])
         norm = np.sqrt(self._inner_of_parts(PQ, PQ))
         ok = np.all(norm > 0, axis=0)
         PQ /= np.where(norm > 0, norm, 1.0)[:, None]
         gram = 1.0 - self._inner_of_parts(PQ[:, 0], PQ[:, 1]) ** 2
         ok &= gram >= _GRAM_TOL
-        curv = self._quartic(PQ)[0]
-        vals = np.where(ok, curv / np.where(ok, gram, 1.0), np.inf)
-        return vals.reshape(shape), ok.reshape(shape)
+        curv = self._quartic(PQ, out=work, scratch=work[2 * size:])[0]
+        return np.where(ok, curv / np.where(ok, gram, 1.0), np.inf), ok
 
 
 class ScanResult(namedtuple("ScanResult",
@@ -348,13 +386,21 @@ def _check_seed(seed):
 def _scan(metric, n, seed):
     """The random-plane scan: n seeded Gaussian pairs U, V, each (n,
     factors, 3), and their sectional_batch values and valid flags, computed
-    _SCAN_BLOCK planes at a time. Raises when every plane degenerates."""
+    _SCAN_BLOCK planes at a time. One allocation holds the draw, (2, n,
+    factors, 3), and the workspace of one block, which every block reuses:
+    a scan that freed dozens of block-sized temporaries let the allocator
+    hand them back to the system, and the next scan faulted them in again.
+    Raises when every plane degenerates."""
     _check_seed(seed)
-    U, V = metric.algebra.random(np.random.default_rng(seed), (2, n))
-    blocks = [metric.sectional_batch(U[i:i + _SCAN_BLOCK], V[i:i + _SCAN_BLOCK])
-              for i in range(0, n, _SCAN_BLOCK)]
-    vals = np.concatenate([vals for vals, _ in blocks])
-    ok = np.concatenate([ok for _, ok in blocks])
+    alg = metric.algebra
+    size = 2 * n * alg.dim
+    work = np.empty(size + metric._block_floats(min(n, _SCAN_BLOCK)))
+    U, V = alg.random(np.random.default_rng(seed), (2, n), out=work)
+    vals, ok = np.empty(n), np.empty(n, dtype=bool)
+    for i in range(0, n, _SCAN_BLOCK):
+        block = slice(i, i + _SCAN_BLOCK)
+        vals[block], ok[block] = metric._sectional_block(U[block], V[block],
+                                                         work[size:])
     if not np.any(ok):
         raise DegeneratePlaneError("every sampled plane degenerated")
     return U, V, vals, ok

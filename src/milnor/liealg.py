@@ -24,12 +24,23 @@ from .errors import DimensionMismatchError, ParameterError, ValidationError
 _ORTHO_TOL = 1e-12
 #: The most su(2) factors Su2Power takes, checked before anything is
 #: allocated. Measured with tracemalloc at 1e5 planes on the diagonal
-#: split of su(2)^1, ^3 and ^6: a scan peaks at about 54 bytes a plane per
+#: split of su(2)^3, ^6 and ^16: a scan, its draw (48 bytes a plane per
+#: factor) and one block's workspace, peaks at 53-56 bytes a plane per
 #: factor and oracle_agreement, which works in blocks like the scan, at
-#: about 53 bytes a pair per factor. So deform.MAX_PLANES planes or pairs
+#: about 54 bytes a pair per factor. So deform.MAX_PLANES planes or pairs
 #: at the cap take about 0.9 GB; 10^8 factors used to fail allocating tens
 #: of TiB, or with a misleading message.
 MAX_FACTORS = 16
+
+
+def _carve(buf, shape):
+    """A C-ordered float array of the given shape: a view of the start of
+    buf, a flat float buffer at least that long, or a new array when buf
+    is None. The numeric kernel's out= and scratch= buffers are such
+    slices of one workspace."""
+    if buf is None:
+        return np.empty(shape)
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 class Su2Power:
@@ -73,15 +84,18 @@ class Su2Power:
         return np.array([[float(c) for c in row] for row in rows])
 
     @staticmethod
-    def bracket_rows(u, v):
+    def bracket_rows(u, v, out=None, scratch=None):
         """The bracket on component-major rows: axis -2 of u and v holds
         the components (i, j, k), the last axis runs over factors and
         samples, and the axes before them broadcast. It is 2 * np.cross
-        written out as six multiplies and three subtracts on whole rows."""
+        written out as six multiplies and three subtracts on whole rows.
+        The result goes to the start of out and the one scratch row to the
+        start of scratch, flat float buffers (see _carve), when given."""
         u0, u1, u2 = u[..., 0, :], u[..., 1, :], u[..., 2, :]
         v0, v1, v2 = v[..., 0, :], v[..., 1, :], v[..., 2, :]
-        tmp = np.multiply(u2, v1)
-        out = np.empty(tmp.shape[:-1] + (3,) + tmp.shape[-1:])
+        shape = np.broadcast_shapes(u2.shape, v1.shape)
+        tmp = np.multiply(u2, v1, out=_carve(scratch, shape))
+        out = _carve(out, shape[:-1] + (3,) + shape[-1:])
         o0, o1, o2 = out[..., 0, :], out[..., 1, :], out[..., 2, :]
         np.multiply(u1, v2, out=o0)
         o0 -= tmp
@@ -108,24 +122,27 @@ class Su2Power:
     def norm(self, u):
         return np.sqrt(self.inner(u, u))
 
-    def random(self, rng, size=None):
-        """Standard normal sample(s); size prepends sample axes."""
+    def random(self, rng, size=None, out=None):
+        """Standard normal sample(s); size prepends sample axes. The sample
+        fills the start of the flat float buffer out when it is given, with
+        the numbers a fresh array would get."""
         if size is None:
             shape = (self.factors, 3)
         elif isinstance(size, int):
             shape = (size, self.factors, 3)
         else:
             shape = tuple(size) + (self.factors, 3)
-        return rng.standard_normal(shape)
+        return rng.standard_normal(out=_carve(out, shape))
 
-    def rows(self, *vectors):
+    def rows(self, *vectors, out=None):
         """Elements (..., n, 3) -> component-major rows, stacked
         (len(vectors), dim, N) over the N samples of their broadcast sample
-        axes; also returns those axes' shape."""
+        axes, at the start of the flat float buffer out when it is given;
+        also returns those axes' shape."""
         vectors = [self.check_element(x) for x in vectors]
         shape = np.broadcast_shapes(*(x.shape[:-2] for x in vectors))
         ndim = len(shape) + 2
-        out = np.empty((len(vectors), 3, self.factors) + shape)
+        out = _carve(out, (len(vectors), 3, self.factors) + shape)
         for x, o in zip(vectors, out):
             # pad the sample axes on the left, then move (n, 3) to the front
             x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
@@ -204,14 +221,20 @@ class ReductiveSplit:
 
     @classmethod
     def circle(cls, algebra, direction):
-        """k = the line spanned by one element (always abelian)."""
+        """k = the line spanned by one element (always abelian). The
+        direction is first scaled by the power of two that brings its
+        largest entry into [1/2, 1), so its norm neither overflows nor
+        underflows. The scaling is exact unless it makes an entry
+        subnormal, so a direction whose own norm is finite and nonzero
+        keeps the basis that norm gives."""
         direction = algebra.check_element(np.asarray(direction, dtype=float))
         if not np.isfinite(direction).all():
             raise ValidationError("circle direction must be finite")
-        nrm = float(algebra.norm(direction))
-        if nrm == 0.0:
+        peak = float(np.max(np.abs(direction)))
+        if peak == 0.0:
             raise ValidationError("circle direction must be nonzero")
-        return cls(algebra, (direction / nrm)[None])
+        direction = np.ldexp(direction, -math.frexp(peak)[1])
+        return cls(algebra, (direction / float(algebra.norm(direction)))[None])
 
     def project_k(self, u):
         u = self.algebra.check_element(u)

@@ -2,6 +2,7 @@
 and the quotient scalings the deformation compensates."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -147,11 +148,18 @@ def test_scan_stays_nonnegative_in_the_allowed_window():
         assert res.n_valid > 19000
 
 
+#: Scan metrics whose k has rank 1 and rank 3, so workspaces of either
+#: scratch size: su(2)^1 span-i, su(2)^3 diagonal and su(2)^3 span-i.
+SCAN_METRICS = [(span_i_metric, 1), (diag_metric, 3), (span_i_metric, 3)]
+
+
+@pytest.mark.parametrize("make, factors", SCAN_METRICS)
 @pytest.mark.parametrize("n", [1, 2047, 2048, 2 * 2048 + 5])
-def test_blocked_scan_equals_one_whole_batch(n):
-    # The scans evaluate 2048 planes at a time; every value, and so the
-    # reported minimum, plane and count, must be those of one batch.
-    metric = span_i_metric(3, 1.5)
+def test_blocked_scan_equals_one_whole_batch(make, factors, n):
+    # The scans evaluate 2048 planes at a time in one reused workspace;
+    # every value, and so the reported minimum, plane and count, must be
+    # those of one batch, the ragged last block's too.
+    metric = make(factors, 1.5)
     res = scan_min_sectional(metric, n_planes=n, seed=4)
     rng = np.random.default_rng(4)
     U = metric.algebra.random(rng, n)
@@ -160,6 +168,29 @@ def test_blocked_scan_equals_one_whole_batch(n):
     idx = int(np.argmin(vals))
     assert (res.min_value, res.n_valid) == (float(vals[idx]), int(ok.sum()))
     assert np.array_equal(res.u, U[idx]) and np.array_equal(res.v, V[idx])
+
+
+@pytest.mark.parametrize("make, factors", [(span_i_metric, 1),
+                                           (span_i_metric, 3)])
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_scan_memory_is_the_draw_and_one_block(make, factors, n):
+    """A scan's traced peak is its draw, 2 n dim floats, one block's
+    workspace, the n values and valid flags, and per block plane at most
+    20 floats more: the block's norms, Gram determinants and values, and
+    numpy's iteration buffers. A workspace sized for every plane, or a
+    second copy of the draw, exceeds it."""
+    metric = make(factors, 1.5)
+    scan_min_sectional(metric, n_planes=n, seed=2)
+    block = min(n, deform._SCAN_BLOCK)
+    bound = (8 * (2 * n * metric.algebra.dim + metric._block_floats(block))
+             + 9 * n + 8 * 20 * block)
+    tracemalloc.start()
+    try:
+        scan_min_sectional(metric, n_planes=n, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_scan_results_own_their_planes():

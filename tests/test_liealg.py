@@ -150,6 +150,22 @@ def test_split_refuses_a_nonfinite_basis(bad):
         ReductiveSplit.circle(alg, [[1, 0, 0], [0, bad, 0]])
 
 
+def test_circle_basis_does_not_depend_on_the_direction_scale():
+    """The direction is scaled by a power of two before its norm is taken,
+    so huge and tiny directions neither overflow nor underflow to zero, and
+    a power-of-two multiple of a direction, even a subnormal one, gives
+    exactly its basis. The suite turns a RuntimeWarning into a failure."""
+    alg = Su2Power(3)
+    d = alg.element((-3, 0, 0), (5, 0, 0), (1, 0, 0))
+    basis = ReductiveSplit.circle(alg, d).k_basis
+    for exp in (700, -700, -1060):
+        assert np.array_equal(
+            ReductiveSplit.circle(alg, np.ldexp(d, exp)).k_basis, basis)
+    for scale in (1e200, 1e-170, 1e-200):
+        got = ReductiveSplit.circle(alg, scale * d).k_basis
+        assert np.allclose(got, basis, rtol=1e-15, atol=0)
+
+
 def test_diagonal_split_brackets_stay_inside():
     alg = Su2Power(3)
     split = ReductiveSplit.diagonal(alg)

@@ -30,13 +30,13 @@ The public methods and functions take and return elements of su(2)^n in
 their (..., n, 3) form. Inside, the kernel works on component-major rows
 (see liealg): a batch of N vectors is a (dim, N) array, a pair of batches
 is stacked (2, dim, N), and the m- and k-parts of such rows are worked out
-inside each call, as (r, dim) @ (dim, N) products; a metric keeps only the
-split's k basis. Each public entry point converts its inputs once. The
-sectional-curvature kernel, _sectional_block, writes its rows, parts,
-brackets and k-coordinates into slices of one flat workspace passed down
-as out= and scratch= buffers: sectional_batch allocates one per call, and
-a random-plane scan one for its draw and a block, which all its blocks
-reuse.
+inside each call: the k-part is one (dim, dim) @ (dim, N) product with the
+split's projector onto k, the m-part the rest. Each public entry point
+converts its inputs once. The sectional-curvature kernel,
+_sectional_block, writes its rows, parts and brackets into slices of one
+flat workspace passed down as out= and scratch= buffers: sectional_batch
+allocates one per call, and a random-plane scan one for its draw and a
+block, which all its blocks reuse.
 """
 
 import math
@@ -45,7 +45,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import (DegeneratePlaneError, ParameterError, as_fraction,
-                     require_count, require_int)
+                     require_count, require_int, require_number)
 from .liealg import _carve
 
 _GRAM_TOL = 1e-12
@@ -138,6 +138,7 @@ class DeformedMetric:
     [A_MIN, A_MAX]."""
 
     def __init__(self, split, a):
+        require_number(a, "deformation scale a")
         exact = as_fraction(a)
         try:
             a = float(a)
@@ -172,22 +173,18 @@ class DeformedMetric:
 
     # -- component-major rows ------------------------------------------------
 
-    def _k_part(self, X, out=None, scratch=None):
-        """The k-part of rows (..., dim, N): two (r, dim) @ (dim, N)
-        products with the split's component-major k basis. The k-coordinates
-        (..., r, N) between them go to the start of scratch, a flat float
-        buffer (see liealg._carve), when given."""
-        rows = self.split._rows
-        coords = _carve(scratch, X.shape[:-2] + (rows.shape[0], X.shape[-1]))
-        return np.matmul(self.split._rows_t, np.matmul(rows, X, out=coords),
-                         out=out)
+    def _k_part(self, X, out=None):
+        """The k-part of rows (..., dim, N): one (dim, dim) @ (dim, N)
+        product with the split's component-major projector onto k, into
+        out when it is given."""
+        return np.matmul(self.split._projector_rows, X, out=out)
 
-    def _parts(self, X, out=None, scratch=None):
+    def _parts(self, X, out=None):
         """Rows (..., dim, N) -> stacked parts (2, ..., dim, N): the m-part,
-        then the k-part; at the start of out, and with _k_part's scratch,
-        when those flat buffers are given."""
+        then the k-part; at the start of out, a flat float buffer (see
+        liealg._carve), when it is given."""
         parts = _carve(out, (2,) + X.shape)
-        self._k_part(X, out=parts[1], scratch=scratch)
+        self._k_part(X, out=parts[1])
         np.subtract(X, parts[1], out=parts[0])
         return parts
 
@@ -208,8 +205,7 @@ class DeformedMetric:
         comes from here. Returns the values and the vectors (W, P, Z) they
         weigh, stacked (3, dim, N). The four brackets, PQ.size floats, go
         to the start of out and the bracket's scratch row, PQ.size / 3
-        floats, then the k-coordinates of P to the start of scratch, when
-        those flat buffers are given."""
+        floats, to that of scratch, when those flat buffers are given."""
         comps = PQ.reshape(2, 2, 3, -1)        # components on axis -2
         # br[s, t] = [P[s], Q[t]] for P = (A, X), Q = (B, Y), in one call on
         # (2, 1, 3, n N) x (1, 2, 3, n N): ([A,B], [A,Y]), ([X,B], [X,Y])
@@ -221,7 +217,7 @@ class DeformedMetric:
         # no more rows.
         ay += xb
         ay *= self.a
-        self._k_part(ab, out=xb, scratch=scratch)  # P = [A,B]_k
+        self._k_part(ab, out=xb)               # P = [A,B]_k
         ab -= xb
         ay += ab                               # W = [A,B]_m + a([X,B] + [A,Y])
         vecs = br[1:]                          # (W, P, Z)
@@ -306,9 +302,8 @@ class DeformedMetric:
         round by _koszul_curvature from the Levi-Civita connection, with
         none of the closed form's kernel; leading sample axes broadcast."""
         alg = self.algebra
-        K = self.split._flat
         return _koszul_curvature(alg.check_element(u), alg.check_element(v),
-                                 K.T @ K, self.a)
+                                 self.split._projector, self.a)
 
     def oracle_agreement(self, samples=64, seed=0):
         """Worst absolute gap between the closed-form curvature and the
@@ -342,23 +337,22 @@ class DeformedMetric:
     def _block_floats(self, N):
         """The floats _sectional_block's workspace takes for N planes: the
         brackets (4, dim, N), whose space the rows (2, dim, N) use before
-        them; the stacked parts (2, 2, dim, N); and a scratch for the
-        bracket's row (2, 2, factors N) or, before it, the parts'
-        k-coordinates (2, r, N)."""
+        them; the stacked parts (2, 2, dim, N); and the bracket's scratch
+        row (2, 2, factors N)."""
         alg = self.algebra
-        return (8 * alg.dim + max(4 * alg.factors, 2 * self.split.dim_k)) * N
+        return (8 * alg.dim + 4 * alg.factors) * N
 
     def _sectional_block(self, U, V, work):
         """The kernel of sectional_batch and of the random-plane scans: the
         values and valid flags of the planes spanned by elements U, V
         (..., n, 3), flat over the N samples of their broadcast sample
-        axes. Every (dim, N) buffer is a slice of work, a flat float buffer
-        of at least _block_floats(N) floats, laid out as that docstring
-        says; the parts are formed before the brackets need the rows'
-        space."""
+        axes. The rows, parts, brackets and the bracket's scratch row are
+        slices of work, a flat float buffer of at least _block_floats(N)
+        floats, laid out as that docstring says; the parts are formed
+        before the brackets need the rows' space."""
         X, _ = self.algebra.rows(U, V, out=work)
         size = 2 * X.size                      # floats of brackets, of parts
-        PQ = self._parts(X, out=work[size:], scratch=work[2 * size:])
+        PQ = self._parts(X, out=work[size:])
         norm = np.sqrt(self._inner_of_parts(PQ, PQ))
         ok = np.all(norm > 0, axis=0)
         PQ /= np.where(norm > 0, norm, 1.0)[:, None]

@@ -7,12 +7,12 @@ cover malformed mathematical input (wrong congruence class, non-orthonormal
 basis); parameter errors cover out-of-range knobs (negative deformation
 scale, missing truncation bound).
 
-The layers check their arguments through four helpers kept here, next to
+The layers check their arguments through five helpers kept here, next to
 the exceptions they raise: require_int (a ParameterError unless the value
-is an int and not a bool), require_count (the same, and the int must lie
-in [1, cap]), require_label (a ValidationError unless it is an integer
-label congruent to 1 mod 4) and as_fraction (the exact value of an int or
-Fraction, None for anything else).
+is an int and not a bool), require_number (one for a bool, str or bytes),
+require_count (one unless it is an int in [1, cap]), require_label (a
+ValidationError unless it is an integer label congruent to 1 mod 4) and
+as_fraction (the exact value of an int or Fraction, None otherwise).
 """
 
 
@@ -52,6 +52,13 @@ def require_int(x, name):
     """Raise ParameterError unless x is an int (bool is not one)."""
     if not isinstance(x, int) or isinstance(x, bool):
         raise ParameterError("{} must be an integer".format(name))
+
+
+def require_number(x, name):
+    """Raise ParameterError when x is a bool, a str or bytes: float()
+    reads "1.05" and b"1.2" as numbers and True as 1."""
+    if isinstance(x, (bool, str, bytes, bytearray)):
+        raise ParameterError("{} must be a number, got {!r}".format(name, x))
 
 
 def require_count(x, name, cap):

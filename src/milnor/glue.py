@@ -23,7 +23,7 @@ import numpy as np
 
 from .deform import MAX_PLANES, scan_min_sectional
 from .errors import (NoFiniteMatchingError, ParameterError, ProfileError,
-                     as_fraction, require_count)
+                     as_fraction, require_count, require_number)
 
 #: The plateau values F = r sqrt(a/(a-1)) that glue_params accepts: those
 #: on which building, certifying and exporting a capped-sine profile runs
@@ -41,6 +41,8 @@ def matching_level_sq(a, r):
     Exact (Fraction) when a and r are rational; requires a > 1 for a
     finite level and r > 0.
     """
+    require_number(a, "a")
+    require_number(r, "radius r")
     aq, rq = as_fraction(a), as_fraction(r)
     exact = aq is not None and rq is not None
     a, r = (aq, rq) if exact else (float(a), float(r))

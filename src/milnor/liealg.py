@@ -12,7 +12,7 @@ batch of N vectors is a (dim, N) array whose row c n + t holds component c
 of factor t for every sample, so it can be viewed as (3, n, N).
 Su2Power.rows and Su2Power.from_rows convert between the two forms,
 Su2Power.bracket_rows is the one bracket implementation, and
-ReductiveSplit keeps its k basis in both orders.
+ReductiveSplit keeps the Q-orthogonal projector onto k in both orders.
 """
 
 import math
@@ -181,14 +181,15 @@ class ReductiveSplit:
         if np.max(np.abs(gram - np.eye(r))) > _ORTHO_TOL:
             raise ValidationError("subalgebra basis is not Q-orthonormal")
         self.k_basis = k_basis
-        self._flat = flat
-        self._flat_t = np.ascontiguousarray(flat.T)
-        # the same basis in component-major order, for the kernel's
-        # (r, dim) @ (dim, N) projections
-        self._rows = np.ascontiguousarray(
-            np.swapaxes(k_basis, -1, -2).reshape(r, algebra.dim))
-        self._rows_t = np.ascontiguousarray(self._rows.T)
         self.dim_k = r
+        #: The Q-orthogonal projector K^T K onto k, symmetric (dim, dim), on
+        #: flat elements (index 3 t + c for component c of factor t); the
+        #: only stored form of k besides k_basis.
+        self._projector = flat.T @ flat
+        # the same matrix in component-major order (index c n + t), for the
+        # kernel's (dim, dim) @ (dim, N) products
+        order = np.arange(algebra.dim).reshape(algebra.factors, 3).T.ravel()
+        self._projector_rows = self._projector[np.ix_(order, order)]
         # brackets of the basis pairs s < t, read by the closure check here
         # and by is_abelian
         s, t = np.triu_indices(r, 1)
@@ -239,7 +240,7 @@ class ReductiveSplit:
     def project_k(self, u):
         u = self.algebra.check_element(u)
         flat = u.reshape(u.shape[:-2] + (self.algebra.dim,))
-        return np.dot(np.dot(flat, self._flat_t), self._flat).reshape(u.shape)
+        return (flat @ self._projector).reshape(u.shape)
 
     def project_m(self, u):
         return self.algebra.check_element(u) - self.project_k(u)

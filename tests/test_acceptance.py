@@ -200,7 +200,7 @@ def test_criterion_08_oracle_is_exact_at_rational_points():
         splits = (ReductiveSplit.diagonal(algebra),
                   ReductiveSplit.factor(algebra, 0), span_i_split(n_factors))
         for split, proj in zip(splits, exact_projectors(n_factors)):
-            assert np.allclose(proj.astype(float), split._flat.T @ split._flat,
+            assert np.allclose(proj.astype(float), split._projector,
                                rtol=0, atol=1e-15)
 
             def k_part(x):

@@ -148,8 +148,8 @@ def test_scan_stays_nonnegative_in_the_allowed_window():
         assert res.n_valid > 19000
 
 
-#: Scan metrics whose k has rank 1 and rank 3, so workspaces of either
-#: scratch size: su(2)^1 span-i, su(2)^3 diagonal and su(2)^3 span-i.
+#: Scan metrics whose k has rank 1 and rank 3, and so projectors of either
+#: rank: su(2)^1 span-i, su(2)^3 diagonal and su(2)^3 span-i.
 SCAN_METRICS = [(span_i_metric, 1), (diag_metric, 3), (span_i_metric, 3)]
 
 
@@ -754,6 +754,15 @@ def test_scales_outside_the_measured_range_are_refused(a):
     """The first five used to overflow in the closed-form weights, or to
     give inf and nan from the oracle and the scan."""
     with pytest.raises(ParameterError, match="^deformation scale a must lie"):
+        diag_metric(2, a)
+
+
+@pytest.mark.parametrize("a", [True, False, "1.05", b"1.2", "4/3"])
+def test_non_numeric_scales_are_refused(a):
+    """float() used to read "1.05" and b"1.2" as scales, and True as a = 1,
+    which the "a <= 1" rule then proved nonnegative."""
+    with pytest.raises(ParameterError,
+                       match="^deformation scale a must be a number, got"):
         diag_metric(2, a)
 
 

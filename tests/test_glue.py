@@ -71,6 +71,17 @@ def test_certificate_refuses_a_bad_seed():
                            seed=-1)
 
 
+@pytest.mark.parametrize("a, r", [("2", 1), ("4/3", 1), (b"2", 1), (True, 1),
+                                  (Fraction(4, 3), "1"), (Fraction(4, 3), True)])
+def test_non_numeric_glue_data_are_refused(a, r):
+    """float() used to read a str or bytes a or r, and a bool as 0 or 1:
+    glue_params("2", 1) returned the string as its a, which export_csv then
+    divided by, and "4/3" raised a bare ValueError."""
+    for call in (lambda: matching_level_sq(a, r), lambda: glue_params(a, r)):
+        with pytest.raises(ParameterError, match="must be a number, got"):
+            call()
+
+
 def test_matching_level_needs_an_overshoot():
     with pytest.raises(NoFiniteMatchingError):
         matching_level_sq(1, 1)

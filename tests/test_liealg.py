@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from milnor.deform import DeformedMetric
 from milnor.errors import DimensionMismatchError, ParameterError, ValidationError
 from milnor.liealg import MAX_FACTORS, ReductiveSplit, Su2Power
 
@@ -246,6 +247,7 @@ def test_rows_round_trip_and_broadcast(factors):
     lambda alg: ReductiveSplit.diagonal(alg),
     lambda alg: ReductiveSplit.factor(alg, 1),
     lambda alg: ReductiveSplit.circle(alg, [[0.6, 0.0, 0.8], [0.0, 1.0, 0.0], [0.3, 0.0, 0.0]]),
+    lambda alg: ReductiveSplit.circle(alg, LABEL_CIRCLE),
 ])
 def test_project_k_matches_the_tensordot_form(factory):
     alg = Su2Power(3)
@@ -257,3 +259,43 @@ def test_project_k_matches_the_tensordot_form(factory):
     assert np.max(np.abs(split.project_k(u) - want) / scale) <= 1e-15
     single = split.project_k(u[3, 2])
     assert np.max(np.abs(single - want[3, 2])) <= 1e-15 * float(alg.norm(u[3, 2]))
+
+
+#: The circle along (-3i, 5i, i) in su(2)^3, a label circle whose float
+#: basis is that vector over sqrt 35.
+LABEL_CIRCLE = [[-3, 0, 0], [5, 0, 0], [1, 0, 0]]
+
+
+def named_split(alg, name):
+    """The split the CLI names diagonal, factorN or span-i/j/k, or the
+    label circle."""
+    if name == "diagonal":
+        return ReductiveSplit.diagonal(alg)
+    if name.startswith("factor"):
+        return ReductiveSplit.factor(alg, int(name[6:]))
+    if name == "label":
+        return ReductiveSplit.circle(alg, LABEL_CIRCLE)
+    direction = alg.zero()
+    direction[0, "ijk".index(name[-1])] = 1.0
+    return ReductiveSplit.circle(alg, direction)
+
+
+@pytest.mark.parametrize("factors, name", [
+    (n, name) for n in range(1, 5)
+    for name in ["diagonal", "span-i", "span-j", "span-k"]
+    + ["factor{}".format(t) for t in range(n)]] + [(3, "label")])
+def test_the_projector_is_the_k_part_in_both_orders(factors, name):
+    """The one stored form of k is its Q-orthogonal projector: symmetric,
+    idempotent, of trace dim k; in component-major order it gives the
+    kernel's k-part, and in the flat order project_k's."""
+    alg = Su2Power(factors)
+    split = named_split(alg, name)
+    P = split._projector
+    assert P.shape == (alg.dim, alg.dim)
+    assert np.max(np.abs(P - P.T)) <= 1e-15
+    assert np.max(np.abs(P @ P - P)) <= 1e-15
+    assert abs(np.trace(P) - split.dim_k) <= 1e-15 * split.dim_k
+    u = alg.random(RNG, 50)
+    got = DeformedMetric(split, 1.5)._k_part(alg.rows(u)[0][0])
+    want = alg.rows(split.project_k(u))[0][0]
+    assert np.all(np.abs(got - want) <= 1e-15 * alg.norm(u))

@@ -45,19 +45,21 @@ def _emit(args, payload, lines):
 
 
 def _fraction(text):
-    """Accept '4/3', '1.25', '2'. Fractions stay exact; a float that
-    overflows to infinity, such as '1e400', is a bad number."""
+    """Read '4/3', '1.25', '2e-3' or '2' as the exact Fraction it writes:
+    '1.05' is 21/20. A decimal or exponent literal must lie in the float
+    range: one that overflows, such as '1e400', is a bad number, and one
+    whose float is 0.0 reads as 0 (read exactly, '1e-999999999' would
+    build 10^999999999)."""
     from fractions import Fraction
 
     try:
-        if "/" in text:
-            return Fraction(text)
         if "." in text or "e" in text or "E" in text:
             value = float(text)
             if not math.isfinite(value):
                 raise ValueError("not finite")
-            return value
-        return Fraction(int(text))
+            if not value:
+                return Fraction(0)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError("bad number {!r}".format(text)) from exc
 
@@ -505,7 +507,8 @@ _COMMANDS = {
             (("--subalgebra",), {"default": "diagonal",
                                  "help": "diagonal, factorN, or span-i/j/k"}),
             (("--a",), {"type": _fraction, "required": True,
-                        "help": "deformation parameter (fraction or float)"}),
+                        "help": "deformation parameter, read exactly: "
+                                "4/3, 1.05 or 2"}),
             (("--seed",), {"type": int, "default": 0}),
             (("--budget",), {"type": int, "default": 20000,
                              "help": "number of sampled planes"}),

@@ -40,12 +40,13 @@ block, which all its blocks reuse.
 """
 
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import (DegeneratePlaneError, ParameterError, as_fraction,
-                     require_count, require_int, require_number)
+from .errors import (DegeneratePlaneError, ParameterError, exact_real,
+                     require_count, require_int)
 from .liealg import _carve
 
 _GRAM_TOL = 1e-12
@@ -138,26 +139,19 @@ class DeformedMetric:
     [A_MIN, A_MAX]."""
 
     def __init__(self, split, a):
-        require_number(a, "deformation scale a")
-        exact = as_fraction(a)
-        try:
-            a = float(a)
-        except OverflowError:
-            a = math.inf
+        exact = exact_real(a, "deformation scale a")
+        # the range is read on the float; one past every float reads as inf
+        a = float(exact) if abs(exact) <= sys.float_info.max else math.inf
         if not A_MIN <= a <= A_MAX:
             raise ParameterError(
                 "deformation scale a must lie in [{:g}, {:g}], got {:g}".format(
                     A_MIN, A_MAX, a))
-        if exact is None:
-            from fractions import Fraction  # `import milnor.deform` never loads it
-
-            exact = Fraction(a)
         self.split = split
         self.algebra = split.algebra
         self.a = a
-        #: The exact scale: an int or Fraction as given, otherwise the exact
-        #: value of the float a. The kernels compute with the float; the
-        #: sign rules (see _nonnegative_rule) decide on this.
+        #: The exact scale (see errors.exact_real). The kernels compute
+        #: with its float a; the sign rules (see _nonnegative_rule) decide
+        #: on this.
         self.a_exact = exact
         # the closed form's weights of |W|^2, |P|^2, |Z|^2 and <P,Z>
         self._terms = np.array([0.25, 1.0 - 0.75 * a, 0.25 * a, a * (1.5 - a)])
@@ -596,12 +590,9 @@ def negative_plane_witness(metric):
 
 
 def _positive_lam(lam):
-    """lam as a positive Fraction when it is an int or a Fraction, else as
-    a positive finite float."""
-    value = as_fraction(lam)
-    if value is None:
-        value = float(lam)
-    if not 0 < value < math.inf:
+    """lam as a positive Fraction (see errors.exact_real)."""
+    value = exact_real(lam, "lam")
+    if not value > 0:
         raise ParameterError("lam must be positive")
     return value
 
@@ -609,14 +600,15 @@ def _positive_lam(lam):
 def cheeger_quotient_factors(lam):
     """Block scalings of the metric induced on the quotient of the
     product-with-shrunk-orbit construction: the transverse block keeps its
-    metric, the orbit block shrinks by lam/(lam+1). Exact for rational lam."""
+    metric, the orbit block shrinks by lam/(lam+1). Both are exact
+    Fractions."""
     lam = _positive_lam(lam)
     return (type(lam)(1), lam / (lam + 1))
 
 
 def compensating_scale(lam):
     """The subalgebra scale a = (lam+1)/lam whose quotient shrink lands
-    back on the undeformed metric: a * lam/(lam+1) = 1. Exact for rational
-    lam."""
+    back on the undeformed metric: a * lam/(lam+1) = 1. An exact
+    Fraction."""
     lam = _positive_lam(lam)
     return (lam + 1) / lam

@@ -7,12 +7,14 @@ cover malformed mathematical input (wrong congruence class, non-orthonormal
 basis); parameter errors cover out-of-range knobs (negative deformation
 scale, missing truncation bound).
 
-The layers check their arguments through five helpers kept here, next to
+The layers check their arguments through four helpers kept here, next to
 the exceptions they raise: require_int (a ParameterError unless the value
-is an int and not a bool), require_number (one for a bool, str or bytes),
-require_count (one unless it is an int in [1, cap]), require_label (a
-ValidationError unless it is an integer label congruent to 1 mod 4) and
-as_fraction (the exact value of an int or Fraction, None otherwise).
+is an int and not a bool), require_count (one unless it is an int in
+[1, cap]), require_label (a ValidationError unless it is an integer label
+congruent to 1 mod 4) and exact_real. Every scale, radius, step and lam
+a caller passes is read once, by exact_real, as the Fraction it holds: a
+float 1.05 is the binary number it stores, and the CLI reads the text
+"1.05" as 21/20. Only then do the layers compare or round it.
 """
 
 
@@ -54,13 +56,6 @@ def require_int(x, name):
         raise ParameterError("{} must be an integer".format(name))
 
 
-def require_number(x, name):
-    """Raise ParameterError when x is a bool, a str or bytes: float()
-    reads "1.05" and b"1.2" as numbers and True as 1."""
-    if isinstance(x, (bool, str, bytes, bytearray)):
-        raise ParameterError("{} must be a number, got {!r}".format(name, x))
-
-
 def require_count(x, name, cap):
     """Raise ParameterError unless x is an int (bool is not one) in
     [1, cap]."""
@@ -79,13 +74,25 @@ def require_label(p, name):
             "{} must be congruent to 1 mod 4, got {}".format(name, p))
 
 
-def as_fraction(x):
-    """x as an exact Fraction when it is an int or a Fraction (bool is
-    neither), otherwise None."""
+def exact_real(x, name):
+    """The exact value of the finite real number x, as a Fraction.
+
+    A Fraction is returned as it is, an int or a numpy integer as the
+    Fraction of its value, and a float, a numpy float or a Decimal as the
+    number it holds (so 0.1 is 3602879701896397/36028797018963968). Raise
+    ParameterError for anything else: a bool (float() reads True as 1), a
+    str or bytes, None, a complex number, NaN or an infinity."""
     from fractions import Fraction  # the integer layers never load it
+    from numbers import Integral  # loaded already by fractions
 
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    return None
+    if not isinstance(x, bool):
+        if isinstance(x, Integral):
+            return Fraction(int(x))
+        try:
+            return Fraction(*x.as_integer_ratio())
+        except (AttributeError, ValueError, OverflowError):
+            pass  # no ratio (str, None, complex, np.True_), NaN, infinite
+    raise ParameterError(
+        "{} must be a finite real number, got {!r}".format(name, x))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .deform import MAX_PLANES, scan_min_sectional
 from .errors import (NoFiniteMatchingError, ParameterError, ProfileError,
-                     as_fraction, require_count, require_number)
+                     exact_real, require_count)
 
 #: The plateau values F = r sqrt(a/(a-1)) that glue_params accepts: those
 #: on which building, certifying and exporting a capped-sine profile runs
@@ -36,44 +36,38 @@ PLATEAU_MAX = 1e154
 
 
 def matching_level_sq(a, r):
-    """Square of the plateau value: a r^2 / (a - 1).
-
-    Exact (Fraction) when a and r are rational; requires a > 1 for a
+    """Square of the plateau value, a r^2 / (a - 1), as an exact Fraction
+    of the exact a and r (see errors.exact_real); requires a > 1 for a
     finite level and r > 0.
     """
-    require_number(a, "a")
-    require_number(r, "radius r")
-    aq, rq = as_fraction(a), as_fraction(r)
-    exact = aq is not None and rq is not None
-    a, r = (aq, rq) if exact else (float(a), float(r))
+    a, r = exact_real(a, "a"), exact_real(r, "radius r")
     if r <= 0:
         raise ParameterError("radius r must be positive")
     if a <= 1:
         raise NoFiniteMatchingError(
-            "no finite matching level for a <= 1 (got a = {})".format(
-                a if exact else format(a, ".6g")))
+            "no finite matching level for a <= 1 (got a = {})".format(_show(a)))
     return a / (a - 1) * r * r
 
 
 class GlueParams(namedtuple("GlueParams",
                             "a r plateau plateau_sq t_plateau")):
-    """Gluing data: subalgebra scale a, gluing-circle radius r, and the
-    derived plateau. plateau_sq is kept exact when a, r are rational."""
+    """Gluing data: the exact subalgebra scale a and gluing-circle radius r
+    (Fractions), and the derived plateau: its exact square plateau_sq, and
+    the floats plateau and t_plateau."""
     __slots__ = ()
 
 
-def _show(x):
-    """x to six digits for a message; an exact x may not fit a float."""
-    from decimal import Decimal  # only a refusal pays for the import
+def _show(q):
+    """The Fraction q to six digits for a message; it may not fit a float."""
+    from decimal import Decimal  # loaded already by fractions
 
-    q = as_fraction(x)
-    return "{:.6g}".format(Decimal(x) if q is None
-                           else Decimal(q.numerator) / q.denominator)
+    return "{:.6g}".format(Decimal(q.numerator) / q.denominator)
 
 
 def glue_params(a, r):
     """GlueParams for scale a and radius r; raises ParameterError when the
     plateau lies outside [PLATEAU_MIN, PLATEAU_MAX]."""
+    a, r = exact_real(a, "a"), exact_real(r, "radius r")
     psq = matching_level_sq(a, r)
     if not PLATEAU_MIN ** 2 <= psq <= PLATEAU_MAX ** 2:
         raise ParameterError(
@@ -108,9 +102,11 @@ class ProfileFunction:
         self.plateau_sq = glue.plateau_sq
         if grid_step is None:
             grid_step = self.t_plateau / 1000.0
-        if not 0 < grid_step < self.t_plateau:
+        step = exact_real(grid_step, "grid_step")
+        # exactly, then on the float the grid is built from
+        if not 0 < step < self.t_plateau or not float(step):
             raise ParameterError("grid_step must be in (0, t_plateau)")
-        self.grid_step = float(grid_step)
+        self.grid_step = float(step)
         n = int(math.ceil(1.25 * self.t_plateau / self.grid_step))
         self.grid = np.arange(n + 1) * self.grid_step
         eps = 1e-9 * self.t_plateau
@@ -158,7 +154,7 @@ class ProfileFunction:
         return float(self._fpp(np.asarray(t, dtype=float)))
 
     def value_sq(self, t):
-        """f(t)^2, exact on the plateau when the plateau square is exact."""
+        """f(t)^2: on the plateau the exact plateau square."""
         if float(t) >= self.t_plateau:
             return self.plateau_sq
         return self.value(t) ** 2
@@ -224,7 +220,8 @@ class ProfileFunction:
 
 def _orbit_factor(f2, a, r):
     """f^2 a / (f^2 + a r^2), as f^2 / (f^2 / a + r^2) so that no float
-    exceeds the plateau square; exact when f^2, a and r are rational."""
+    exceeds the plateau square; exact when f^2 is exact, as it is on the
+    plateau."""
     return f2 / (f2 / a + r * r)
 
 
@@ -234,8 +231,7 @@ def orbit_metric_factor(profile, t):
 
     Climbs from 0 at the origin to exactly 1 when f^2 reaches the matching
     level, which is the boundary-matching identity that makes the two
-    halves glue. Exact in rational arithmetic on the plateau when a, r are
-    rational.
+    halves glue. Exact (a Fraction) on the plateau.
     """
     return _orbit_factor(profile.value_sq(t), profile.glue.a, profile.glue.r)
 
@@ -289,12 +285,7 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
         "shrunk subalgebra must be abelian for nonnegativity at a > 1"))
 
     # exact too: a profile just past 4/3 must not match a metric at 4/3
-    scale = as_fraction(params.a)
-    if scale is None:
-        from fractions import Fraction  # loaded already by a_exact
-
-        scale = Fraction(float(params.a))
-    scale_gap = abs(scale - exact)
+    scale_gap = abs(params.a - exact)
     shown = float(scale_gap) if scale_gap <= sys.float_info.max else math.inf
     clauses.append(ClauseResult(
         "scale_match", scale_gap == 0, shown, 0.0,

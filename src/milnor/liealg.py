@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterError, ValidationError
+from .errors import (DimensionMismatchError, ParameterError, ValidationError,
+                     require_int)
 
 _ORTHO_TOL = 1e-12
 #: The most su(2) factors Su2Power takes, checked before anything is
@@ -213,6 +214,7 @@ class ReductiveSplit:
     @classmethod
     def factor(cls, algebra, index):
         """k = one su(2) factor."""
+        require_int(index, "factor index")
         if not 0 <= index < algebra.factors:
             raise ParameterError("factor index out of range")
         rows = np.zeros((3, algebra.factors, 3))

@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from milnor import cli
 
@@ -285,6 +287,47 @@ def test_non_finite_numbers_are_usage_errors(capsys, command, flag, text):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument {}: bad number {!r}".format(flag, text) in err
+
+
+#: Decimal literals: a sign, digits with or without a point, and an
+#: optional exponent reaching past both ends of the float range.
+DECIMAL_LITERALS = st.tuples(
+    st.from_regex(r"[-+]?([0-9]{1,25}(\.[0-9]{0,25})?|\.[0-9]{1,25})",
+                  fullmatch=True),
+    st.one_of(st.just(""), st.integers(-360, 330).map("e{}".format)),
+).map("".join)
+
+
+@given(DECIMAL_LITERALS.filter(lambda text: math.isfinite(float(text))))
+@example("1.05")
+@example("1_0.5")
+@example("1.7976931348623157e308")
+@example("4.9e-324")
+@example("2.4e-324")
+@example("-0.0")
+def test_decimal_literals_keep_the_float_they_had(text):
+    """--a 1.05 is read as 21/20, whose float is the float of the text, so
+    the JSON's a and the kernels' scale are those of float(text)."""
+    value = cli._fraction(text)
+    assert type(value) is Fraction and float(value) == float(text)
+
+
+def test_numbers_are_read_as_the_fractions_they_write():
+    assert cli._fraction("1.05") == Fraction(21, 20)
+    assert cli._fraction("2.5e-3") == Fraction(1, 400)
+    assert cli._fraction("4/3") == Fraction(4, 3)
+    assert cli._fraction("10" * 300) == int("10" * 300)
+    # past the smallest float the text reads as 0, as its float did
+    assert cli._fraction("1e-400") == 0
+
+
+def test_glue_reads_a_decimal_scale_exactly(capsys):
+    """a - 1 was taken in floats, where 1.000000001 - 1 is 8e-8 off."""
+    code, payload, _ = run_json(capsys, "glue", "--a", "1.000000001",
+                                "--r", "1", "--planes", "10")
+    assert code == cli.EXIT_OK
+    assert payload["a"] == 1.000000001
+    assert payload["matching_level"] == 31622.776617495183
 
 
 @pytest.mark.parametrize("flag, text", [

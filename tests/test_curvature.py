@@ -3,6 +3,7 @@ and the quotient scalings the deformation compensates."""
 
 import math
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -206,16 +207,20 @@ def test_scan_results_own_their_planes():
 
 
 def test_metrics_keep_the_exact_scale():
-    """a_exact is an int or Fraction as given and otherwise the exact value
-    of the float the kernels use, which for 4/3 lies below 4/3."""
-    for a in (2, Fraction(4, 3), Fraction(10 ** 20 + 1, 10 ** 20)):
+    """a_exact is the Fraction of the number given: an int or Fraction as
+    it is, a Decimal as the decimal it writes, and a float as the binary
+    number it holds, which for 4.0 / 3.0 lies below 4/3. The kernels use
+    its float."""
+    for a in (2, np.int64(2), Fraction(4, 3), Fraction(10 ** 20 + 1, 10 ** 20)):
         metric = diag_metric(2, a)
-        assert metric.a_exact == a and isinstance(metric.a_exact, Fraction)
+        assert metric.a_exact == a and type(metric.a_exact) is Fraction
         assert metric.a == float(a)
-    for a in (4.0 / 3.0, np.float64(1.05), 1e-7):
+    for a in (4.0 / 3.0, np.float64(1.05), np.float32(1.05), 1e-7):
         metric = diag_metric(2, a)
         assert metric.a_exact == Fraction(float(a)) and metric.a == a
     assert diag_metric(2, 4.0 / 3.0).a_exact < Fraction(4, 3)
+    metric = diag_metric(2, Decimal("1.1"))
+    assert metric.a_exact == Fraction(11, 10) and metric.a == 1.1
 
 
 #: The splits of exact_projectors, in its order.
@@ -752,17 +757,21 @@ def test_bad_seeds_are_parameter_errors(seed):
                                A_MIN * (1 - 1e-15)])
 def test_scales_outside_the_measured_range_are_refused(a):
     """The first five used to overflow in the closed-form weights, or to
-    give inf and nan from the oracle and the scan."""
-    with pytest.raises(ParameterError, match="^deformation scale a must lie"):
+    give inf and nan from the oracle and the scan. inf and nan have no
+    exact value, so they are refused before the range is read."""
+    with pytest.raises(ParameterError, match="^deformation scale a must "
+                                             "(lie in|be a finite real number)"):
         diag_metric(2, a)
 
 
-@pytest.mark.parametrize("a", [True, False, "1.05", b"1.2", "4/3"])
+@pytest.mark.parametrize("a", [True, False, np.True_, "1.05", b"1.2", "4/3",
+                               None, 1j, math.nan, math.inf, Decimal("NaN")])
 def test_non_numeric_scales_are_refused(a):
-    """float() used to read "1.05" and b"1.2" as scales, and True as a = 1,
-    which the "a <= 1" rule then proved nonnegative."""
-    with pytest.raises(ParameterError,
-                       match="^deformation scale a must be a number, got"):
+    """float() used to read "1.05" and b"1.2" as scales, and True and
+    np.True_ as a = 1, which the "a <= 1" rule then proved nonnegative;
+    None and 1j raised a bare TypeError."""
+    with pytest.raises(ParameterError, match="^deformation scale a must be "
+                                             "a finite real number, got"):
         diag_metric(2, a)
 
 
@@ -793,7 +802,13 @@ def test_the_oracle_still_checks_the_closed_form_at_the_range_ends(factors, a):
 
 
 def test_quotient_factors_are_exact():
+    """Every lam is read exactly, so the factors are always Fractions."""
     assert cheeger_quotient_factors(3) == (Fraction(1), Fraction(3, 4))
+    for lam in (3, 0.5, Decimal("0.5"), Fraction(1, 2)):
+        assert all(type(x) is Fraction for x in cheeger_quotient_factors(lam))
+        assert type(compensating_scale(lam)) is Fraction
+    assert cheeger_quotient_factors(0.5) == (Fraction(1), Fraction(1, 3))
+    assert compensating_scale(0.1) == (Fraction(0.1) + 1) / Fraction(0.1)
     assert cheeger_quotient_factors(Fraction(1, 2)) == (Fraction(1), Fraction(1, 3))
     assert compensating_scale(3) == Fraction(4, 3)
     lam = Fraction(7, 2)
@@ -802,6 +817,9 @@ def test_quotient_factors_are_exact():
         cheeger_quotient_factors(0)
     with pytest.raises(ParameterError):
         compensating_scale(-1)
+    for lam in (True, "2", math.inf, math.nan, None):
+        with pytest.raises(ParameterError, match="^lam must be a finite real"):
+            cheeger_quotient_factors(lam)
 
 
 def test_oracle_agreement_takes_the_worst_gap_over_the_seeded_pairs(monkeypatch):

@@ -3,6 +3,7 @@ identity at the plateau, and the nonnegativity certificate."""
 
 import csv
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -71,15 +72,39 @@ def test_certificate_refuses_a_bad_seed():
                            seed=-1)
 
 
-@pytest.mark.parametrize("a, r", [("2", 1), ("4/3", 1), (b"2", 1), (True, 1),
-                                  (Fraction(4, 3), "1"), (Fraction(4, 3), True)])
+@pytest.mark.parametrize("a, r", [
+    ("2", 1), ("4/3", 1), (b"2", 1), (True, 1), (np.True_, 1), (None, 1),
+    (1j, 1), (math.nan, 1), (math.inf, 1), (Decimal("NaN"), 1),
+    (Fraction(4, 3), "1"), (Fraction(4, 3), True), (Fraction(4, 3), np.True_),
+    (Fraction(4, 3), None), (Fraction(4, 3), 1j), (Fraction(4, 3), math.nan),
+    (Fraction(4, 3), math.inf), (Fraction(4, 3), Decimal("NaN"))])
 def test_non_numeric_glue_data_are_refused(a, r):
     """float() used to read a str or bytes a or r, and a bool as 0 or 1:
     glue_params("2", 1) returned the string as its a, which export_csv then
-    divided by, and "4/3" raised a bare ValueError."""
+    divided by, and "4/3" raised a bare ValueError; None and 1j raised a
+    bare TypeError."""
     for call in (lambda: matching_level_sq(a, r), lambda: glue_params(a, r)):
-        with pytest.raises(ParameterError, match="must be a number, got"):
+        with pytest.raises(ParameterError,
+                           match="must be a finite real number, got"):
             call()
+
+
+def test_gluing_data_are_read_exactly():
+    """A float or Decimal a and r are read as the numbers they hold, so
+    the level and the gluing data are Fractions, and the plateau is the
+    root of the float of the exact level. At a = 1 + 10^-9 that is
+    31622.776617495183. The float 1.000000001 lies 8.3e-17 past 1 + 10^-9,
+    so its a - 1 is 8e-8 too large in relative terms, and its plateau is
+    31622.77530925513."""
+    a = 1.000000001
+    psq = matching_level_sq(a, 1)
+    assert type(psq) is Fraction and psq == Fraction(a) / (Fraction(a) - 1)
+    params = glue_params(a, Decimal("0.5"))
+    assert (params.a, params.r) == (Fraction(a), Fraction(1, 2))
+    assert all(type(x) is Fraction for x in (params.a, params.r, params.plateau_sq))
+    assert params.plateau == math.sqrt(float(psq)) / 2
+    assert glue_params(a, 1).plateau == 31622.77530925513
+    assert glue_params(Decimal("1.000000001"), 1).plateau == 31622.776617495183
 
 
 def test_matching_level_needs_an_overshoot():
@@ -264,12 +289,19 @@ def test_grid_clauses_match_a_pointwise_recomputation(make):
     assert list(fs) == [profile.value(t) for t in ts]
 
 
-@pytest.mark.parametrize("step", [0.0, -1.0, math.pi, 4.0, math.nan, math.inf],
-                         ids=["zero", "negative", "t_plateau", "past", "nan", "inf"])
+@pytest.mark.parametrize(
+    "step", [0.0, -1.0, math.pi, 4.0, math.nan, math.inf, "0.1", True,
+             np.True_, Fraction(1, 10 ** 400), 10 ** 400],
+    ids=["zero", "negative", "t_plateau", "past", "nan", "inf", "str",
+         "true", "np_true", "float_underflow", "float_overflow"])
 def test_grid_step_must_lie_inside_the_plateau_run(step):
     """t_plateau is pi for a = 4/3, r = 1; a NaN step used to fail in
-    math.ceil with a bare ValueError."""
-    with pytest.raises(ParameterError, match="^grid_step must be in"):
+    math.ceil with a bare ValueError, "0.1" in the comparison with a bare
+    TypeError, and True and np.True_ were taken as a step of 1.0. A step
+    whose float is 0.0 is refused as well, and one no float holds raises
+    no OverflowError."""
+    with pytest.raises(ParameterError,
+                       match="^grid_step must be (in|a finite real number)"):
         ProfileFunction.capped_sine(Fraction(4, 3), 1, grid_step=step)
 
 

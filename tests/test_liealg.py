@@ -180,6 +180,10 @@ def test_factor_index_bounds():
     alg = Su2Power(2)
     with pytest.raises(ParameterError):
         ReductiveSplit.factor(alg, 2)
+    # numpy reads True as a mask and 1.0 as no index: a bare IndexError
+    for index in (True, 1.0, "1", None):
+        with pytest.raises(ParameterError, match="^factor index must be an integer"):
+            ReductiveSplit.factor(alg, index)
     with pytest.raises(ValidationError):
         ReductiveSplit.circle(alg, alg.zero())
 

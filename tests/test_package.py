@@ -155,12 +155,18 @@ def test_cli_imports_no_numeric_layer_at_module_level():
 
 
 def test_deform_imports_fractions_only_where_it_uses_it():
-    """The exact scale imports fractions inside the function that uses
-    it, as errors.as_fraction and ReductiveSplit.is_abelian do, so that
-    `import milnor.deform` does not load fractions and decimal."""
+    """deform reaches fractions only through errors.exact_real, so
+    `import milnor.deform` does not load fractions and decimal. fractions
+    is imported only inside functions, and only where numbers become
+    exact: errors.exact_real, ReductiveSplit.is_abelian and the CLI's
+    number parser."""
     assert "fractions" not in imported_modules(SRC / "deform.py",
                                                module_level=True)
-    assert "fractions" in imported_modules(SRC / "deform.py")
+    users = sorted(path.name for path in SRC.rglob("*.py")
+                   if "fractions" in imported_modules(path))
+    assert users == ["cli.py", "errors.py", "liealg.py"]
+    assert not [path.name for path in SRC.rglob("*.py")
+                if "fractions" in imported_modules(path, module_level=True)]
 
 
 def test_no_module_imports_dataclasses():

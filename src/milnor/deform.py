@@ -36,7 +36,17 @@ converts its inputs once. The sectional-curvature kernel,
 _sectional_block, writes its rows, parts and brackets into slices of one
 flat workspace passed down as out= and scratch= buffers: sectional_batch
 allocates one per call, and a random-plane scan one for its draw and a
-block, which all its blocks reuse.
+block, which all its blocks reuse. A scan block holds as many planes as
+fit _BLOCK_FLOATS floats, so small algebras take more planes a block.
+
+The kernel normalizes no pair. The closed form at u, v and the Q_a Gram
+determinant |u|^2 |v|^2 - <u, v>^2 are both homogeneous of degree two in
+u and in v, so their quotient is the sectional curvature of the plane
+they span, the value at any Q_a-orthonormal frame of it. Those raw
+products are finite and normal for a scan's standard normal draw;
+sectional_batch first moves each vector into the binade of its largest
+entry (liealg._binade), a scaling by a power of two, which changes no
+quotient and keeps them so for vectors of any size.
 """
 
 import math
@@ -47,7 +57,7 @@ import numpy as np
 
 from .errors import (DegeneratePlaneError, ParameterError, exact_real,
                      require_count, require_int)
-from .liealg import _carve
+from .liealg import _binade, _carve
 
 _GRAM_TOL = 1e-12
 _NEGATIVE_THRESHOLD = -1e-10
@@ -55,21 +65,25 @@ _NEGATIVE_THRESHOLD = -1e-10
 _STARTS = 64
 _FIRST_STEP = 0.5
 _GRAD_RTOL = 1e-6
-#: Planes per _sectional_block call in the random-plane scans, which
-#: reuse one block's workspace; blocking changes no value. Timed with the
-#: workspace kernel in seven 15 s benchmark runs per size (2-core Xeon,
-#: Python 3.11, numpy 2.4): blocks of 1024, 2048 and 4096 gave geometry
-#: ops_per_s 334, 372 and 355, certify 192, 218 and 223, and geometry
-#: peak_rss_mb 41.4, 42.5 and 43.5. Smaller blocks pay numpy's per-call
-#: overhead more often; 4096 gains certify less than the runs spread and
-#: costs geometry time and memory.
-_SCAN_BLOCK = 2048
+#: The floats of one random-plane scan block's workspace (see
+#: _block_floats), which every block of a scan reuses; a metric's scan
+#: block is as many planes as fit, 6144 on su(2)^1, 3072 on su(2)^2 and
+#: 2048 on su(2)^3. Blocking changes no value. Timed in eight 15 s
+#: benchmark runs per size, seeds 21-28 (2-core Xeon, Python 3.11, numpy
+#: 2.4): 1, 1.5 and 2 times this budget gave certify ops_per_s 262, 267
+#: and 272 and geometry 406, 408 and 417, against 222 and 358 with 2048
+#: planes a block on every algebra, and certify peak_rss_mb 42.9, 43.9 and
+#: 44.4 (43.1). In ten more certify pairs twice the budget gained 0.9%,
+#: inside the runs' spread, for 3.2% more memory.
+_BLOCK_FLOATS = 2048 * 84
+#: Pairs per block of oracle_agreement; blocking changes no value.
+_ORACLE_BLOCK = 2048
 #: The most planes scan_min_sectional (so nonneg_certificate) and the most
 #: sample pairs oracle_agreement take; counts are checked before anything
 #: is drawn. Measured at 1e5 on su(2)^3 (2-core Xeon): a scan peaks at
-#: about 170 bytes a plane (144 of them its draw) and takes 0.5-0.8 us a
-#: plane, half of it drawing; oracle_agreement about 160 bytes (144 its
-#: draw) and 2.7-3.7 us a pair; the diagonal and span-i splits alike. So
+#: about 170 bytes a plane (144 of them its draw) and takes 0.5-1.1 us a
+#: plane, about half of it drawing; oracle_agreement about 160 bytes (144
+#: its draw) and 2.4-3.5 us a pair; the diagonal and span-i splits alike. So
 #: at the cap a scan takes about 1 s and 170 MB and oracle_agreement about
 #: 3 s and 160 MB; ten times the cap would exceed the memory of a small
 #: host.
@@ -160,6 +174,8 @@ class DeformedMetric:
         self._grad_terms = np.array([[w, c_p, 0.5 * c_pz],
                                      [a * w, 0.5 * c_pz, c_z],
                                      [(a - 1.0) * w, 0.0, 0.0]])
+        #: Planes per random-plane scan block: as many as fill _BLOCK_FLOATS.
+        self._scan_block = _BLOCK_FLOATS // self._block_floats(1)
 
     def __repr__(self):
         return "DeformedMetric(a={:.6g}, dim_k={}, algebra={!r})".format(
@@ -302,15 +318,15 @@ class DeformedMetric:
     def oracle_agreement(self, samples=64, seed=0):
         """Worst absolute gap between the closed-form curvature and the
         connection-based oracle over seeded random vector pairs, drawn at
-        once and compared _SCAN_BLOCK pairs at a time; blocking changes no
-        value."""
+        once and compared _ORACLE_BLOCK pairs at a time; blocking changes
+        no value."""
         require_count(samples, "samples", MAX_PLANES)
         _check_seed(seed)
         rng = np.random.default_rng(seed)
         uv = rng.standard_normal((samples, 2, self.algebra.factors, 3))
         gaps = []
-        for i in range(0, samples, _SCAN_BLOCK):
-            u, v = uv[i:i + _SCAN_BLOCK, 0], uv[i:i + _SCAN_BLOCK, 1]
+        for i in range(0, samples, _ORACLE_BLOCK):
+            u, v = uv[i:i + _ORACLE_BLOCK, 0], uv[i:i + _ORACLE_BLOCK, 1]
             gaps.append(np.max(np.abs(self.curvature_of_pair(u, v)
                                       - self.curvature_oracle_of_pair(u, v))))
         return float(np.max(gaps))
@@ -318,21 +334,26 @@ class DeformedMetric:
     # -- sectional curvature ------------------------------------------------
 
     def sectional_batch(self, U, V):
-        """Vectorized sectional curvature. Returns (values, valid) where
-        valid flags planes whose Gram determinant cleared the threshold;
-        invalid slots hold +inf."""
+        """Vectorized sectional curvature of the planes spanned by elements
+        U, V (..., n, 3), whose sample axes broadcast. Returns (values,
+        valid) of their broadcast sample shape, valid as _sectional_block
+        decides it; invalid slots hold +inf. Each vector is first moved
+        into the binade of its largest entry (liealg._binade), so vectors
+        of any finite size give the values of their moderate multiples,
+        and a power-of-two multiple of a vector exactly the same values."""
         alg = self.algebra
-        U, V = alg.check_element(U), alg.check_element(V)
+        U, V = (_binade(alg.check_element(x)) for x in (U, V))
         shape = np.broadcast_shapes(U.shape[:-2], V.shape[:-2])
         work = np.empty(self._block_floats(math.prod(shape)))
         vals, ok = self._sectional_block(U, V, work)
         return vals.reshape(shape), ok.reshape(shape)
 
     def _block_floats(self, N):
-        """The floats _sectional_block's workspace takes for N planes: the
-        brackets (4, dim, N), whose space the rows (2, dim, N) use before
-        them; the stacked parts (2, 2, dim, N); and the bracket's scratch
-        row (2, 2, factors N)."""
+        """The floats _sectional_block's workspace takes for N planes, 28
+        a plane per factor: the brackets (4, dim, N), whose space the rows
+        (2, dim, N) use before them; the stacked parts (2, 2, dim, N); and
+        the bracket's scratch row (2, 2, factors N). A scan block is the
+        most planes whose workspace fits _BLOCK_FLOATS."""
         alg = self.algebra
         return (8 * alg.dim + 4 * alg.factors) * N
 
@@ -340,18 +361,25 @@ class DeformedMetric:
         """The kernel of sectional_batch and of the random-plane scans: the
         values and valid flags of the planes spanned by elements U, V
         (..., n, 3), flat over the N samples of their broadcast sample
-        axes. The rows, parts, brackets and the bracket's scratch row are
-        slices of work, a flat float buffer of at least _block_floats(N)
-        floats, laid out as that docstring says; the parts are formed
-        before the brackets need the rows' space."""
+        axes, taken as they are (see the module docstring on their size).
+
+        A plane is valid when |u|^2 |v|^2 > 0 and its Gram determinant
+        |u|^2 |v|^2 - <u, v>^2 is at least _GRAM_TOL |u|^2 |v|^2: when the
+        Q_a sin^2 of the angle between u and v is at least _GRAM_TOL. Its
+        value is then the closed form at u, v over that determinant, every
+        product taken in Q_a; an invalid plane's is +inf. The rows, parts,
+        brackets and the bracket's scratch row are slices of work, a flat
+        float buffer of at least _block_floats(N) floats, laid out as that
+        docstring says; the parts are formed before the brackets need the
+        rows' space."""
         X, _ = self.algebra.rows(U, V, out=work)
         size = 2 * X.size                      # floats of brackets, of parts
         PQ = self._parts(X, out=work[size:])
-        norm = np.sqrt(self._inner_of_parts(PQ, PQ))
-        ok = np.all(norm > 0, axis=0)
-        PQ /= np.where(norm > 0, norm, 1.0)[:, None]
-        gram = 1.0 - self._inner_of_parts(PQ[:, 0], PQ[:, 1]) ** 2
-        ok &= gram >= _GRAM_TOL
+        uu, vv = self._inner_of_parts(PQ, PQ)
+        uv = self._inner_of_parts(PQ[:, 0], PQ[:, 1])
+        norms = uu * vv
+        gram = norms - uv * uv
+        ok = (norms > 0) & (gram >= _GRAM_TOL * norms)
         curv = self._quartic(PQ, out=work, scratch=work[2 * size:])[0]
         return np.where(ok, curv / np.where(ok, gram, 1.0), np.inf), ok
 
@@ -374,19 +402,20 @@ def _check_seed(seed):
 def _scan(metric, n, seed):
     """The random-plane scan: n seeded Gaussian pairs U, V, each (n,
     factors, 3), and their sectional_batch values and valid flags, computed
-    _SCAN_BLOCK planes at a time. One allocation holds the draw, (2, n,
-    factors, 3), and the workspace of one block, which every block reuses:
+    metric._scan_block planes at a time. One allocation holds the draw, (2,
+    n, factors, 3), and the workspace of one block, which every block reuses:
     a scan that freed dozens of block-sized temporaries let the allocator
     hand them back to the system, and the next scan faulted them in again.
     Raises when every plane degenerates."""
     _check_seed(seed)
     alg = metric.algebra
     size = 2 * n * alg.dim
-    work = np.empty(size + metric._block_floats(min(n, _SCAN_BLOCK)))
+    step = metric._scan_block
+    work = np.empty(size + metric._block_floats(min(n, step)))
     U, V = alg.random(np.random.default_rng(seed), (2, n), out=work)
     vals, ok = np.empty(n), np.empty(n, dtype=bool)
-    for i in range(0, n, _SCAN_BLOCK):
-        block = slice(i, i + _SCAN_BLOCK)
+    for i in range(0, n, step):
+        block = slice(i, i + step)
         vals[block], ok[block] = metric._sectional_block(U[block], V[block],
                                                          work[size:])
     if not np.any(ok):

@@ -26,11 +26,12 @@ _ORTHO_TOL = 1e-12
 #: The most su(2) factors Su2Power takes, checked before anything is
 #: allocated. Measured with tracemalloc at 1e5 planes on the diagonal
 #: split of su(2)^3, ^6 and ^16: a scan, its draw (48 bytes a plane per
-#: factor) and one block's workspace, peaks at 53-56 bytes a plane per
-#: factor and oracle_agreement, which works in blocks like the scan, at
-#: about 54 bytes a pair per factor. So deform.MAX_PLANES planes or pairs
-#: at the cap take about 0.9 GB; 10^8 factors used to fail allocating tens
-#: of TiB, or with a misleading message.
+#: factor) and one block's workspace (1.4 MB, see deform._BLOCK_FLOATS),
+#: peaks at 50-56 bytes a plane per factor and oracle_agreement, which
+#: works in blocks like the scan, at about 54 bytes a pair per factor. So
+#: deform.MAX_PLANES planes or pairs at the cap take about 0.9 GB; 10^8
+#: factors used to fail allocating tens of TiB, or with a misleading
+#: message.
 MAX_FACTORS = 16
 
 
@@ -42,6 +43,16 @@ def _carve(buf, shape):
     if buf is None:
         return np.empty(shape)
     return buf[:math.prod(shape)].reshape(shape)
+
+
+def _binade(x):
+    """Elements x (..., n, 3), each scaled by the power of two that brings
+    its largest entry into [1/2, 1), so that its norm and its products
+    with other such elements neither overflow nor underflow. The scaling
+    is exact unless it makes an entry subnormal; zero and non-finite
+    elements are left as they are."""
+    peak = np.max(np.abs(x), axis=(-2, -1), keepdims=True)
+    return np.ldexp(x, -np.frexp(peak)[1])
 
 
 class Su2Power:
@@ -189,17 +200,20 @@ class ReductiveSplit:
         self._projector = flat.T @ flat
         # the same matrix in component-major order (index c n + t), for the
         # kernel's (dim, dim) @ (dim, N) products
-        order = np.arange(algebra.dim).reshape(algebra.factors, 3).T.ravel()
-        self._projector_rows = self._projector[np.ix_(order, order)]
-        # brackets of the basis pairs s < t, read by the closure check here
-        # and by is_abelian
-        s, t = np.triu_indices(r, 1)
-        self._pair_brackets = algebra.bracket(k_basis[s], k_basis[t])
-        resid = self._pair_brackets - self.project_k(self._pair_brackets)
-        worst = float(np.max(algebra.norm(resid), initial=0.0))
-        if worst > 1e-10:
-            raise ValidationError(
-                "basis does not span a subalgebra (closure residual {:.3g})".format(worst))
+        n = algebra.factors
+        self._projector_rows = self._projector.reshape(n, 3, n, 3).transpose(
+            1, 0, 3, 2).reshape(algebra.dim, algebra.dim)
+        # brackets of every pair of basis vectors, read by the closure check
+        # here and by is_abelian; a line has none
+        self._pair_brackets = k_basis[:0]
+        if r > 1:
+            self._pair_brackets = algebra.bracket(k_basis[:, None], k_basis[None])
+            resid = self._pair_brackets - self.project_k(self._pair_brackets)
+            worst = float(np.max(algebra.norm(resid)))
+            if worst > 1e-10:
+                raise ValidationError(
+                    "basis does not span a subalgebra (closure residual "
+                    "{:.3g})".format(worst))
 
     @classmethod
     def diagonal(cls, algebra):
@@ -225,18 +239,16 @@ class ReductiveSplit:
     @classmethod
     def circle(cls, algebra, direction):
         """k = the line spanned by one element (always abelian). The
-        direction is first scaled by the power of two that brings its
-        largest entry into [1/2, 1), so its norm neither overflows nor
-        underflows. The scaling is exact unless it makes an entry
-        subnormal, so a direction whose own norm is finite and nonzero
-        keeps the basis that norm gives."""
+        direction is first moved into the binade of its largest entry (see
+        _binade), so its norm neither overflows nor underflows; a
+        direction whose own norm is finite and nonzero keeps the basis
+        that norm gives."""
         direction = algebra.check_element(np.asarray(direction, dtype=float))
         if not np.isfinite(direction).all():
             raise ValidationError("circle direction must be finite")
-        peak = float(np.max(np.abs(direction)))
-        if peak == 0.0:
+        if not direction.any():
             raise ValidationError("circle direction must be nonzero")
-        direction = np.ldexp(direction, -math.frexp(peak)[1])
+        direction = _binade(direction)
         return cls(algebra, (direction / float(algebra.norm(direction)))[None])
 
     def project_k(self, u):

@@ -26,7 +26,7 @@ from milnor.deform import (
 )
 from milnor.errors import ParameterError
 from milnor.glue import ProfileFunction, nonneg_certificate
-from milnor.liealg import ReductiveSplit, Su2Power
+from milnor.liealg import ReductiveSplit, Su2Power, _carve
 
 RNG = np.random.default_rng(90125)
 
@@ -118,6 +118,77 @@ def test_sectional_rejects_degenerate_planes():
     assert np.all(vals[:2] == np.inf) and np.isfinite(vals[2])
 
 
+def test_sectional_batch_does_not_depend_on_the_input_scale():
+    """sectional_batch moves each vector into the binade of its largest
+    entry before the kernel multiplies, so a power-of-two scaling of the
+    pairs gives bitwise the unscaled values, and scalings far past where
+    the raw norms overflow or underflow give them to the rounding of the
+    scaled input. On the su(2)^2 diagonal at a = 21/20 every plane used to
+    come out degenerate at 1e-170, 7e-4 off at 1e-160 and valid with
+    curvature 0.0 at 1e160 and 1e200, where the norms overflowed. A zero
+    vector stays invalid. The suite turns a RuntimeWarning into a
+    failure."""
+    metric = diag_metric(2, Fraction(21, 20))
+    U, V = metric.algebra.random(np.random.default_rng(8), (2, 64))
+    want, ok = metric.sectional_batch(U, V)
+    assert ok.all()
+    for eu, ev in ((600, 600), (-600, -600), (700, -900)):
+        got, ok = metric.sectional_batch(np.ldexp(U, eu), np.ldexp(V, ev))
+        assert ok.all() and np.array_equal(got, want)
+    for s in (1e-160, 1e200):
+        got, ok = metric.sectional_batch(s * U, s * V)
+        assert ok.all() and np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    got, ok = metric.sectional_batch(np.stack([0.0 * U[0], U[1]]),
+                                     np.stack([V[0], 0.0 * V[1]]))
+    assert not ok.any() and np.all(got == np.inf)
+
+
+def tilted_pairs(metric, sin_sq):
+    """Pairs u, v (len(sin_sq), n, 3) spanning planes on which the Q_a
+    sin^2 of the angle between u and v is each of sin_sq: v = cos u +
+    sin w for a Q_a-unit u and a Q_a-unit w Q_a-orthogonal to it, then u
+    scaled by 1e3 and v by 1e-4, so |u|^2 |v|^2 is 1e-2 and the rule must
+    read the Gram determinant relative to it."""
+    alg = metric.algebra
+    G = np.eye(alg.dim) + (metric.a - 1.0) * metric.split._projector
+
+    def inner(x, y):
+        return x.reshape(-1) @ G @ y.reshape(-1)
+
+    rng = np.random.default_rng(6)
+    u, w = alg.random(rng), alg.random(rng)
+    u /= math.sqrt(inner(u, u))
+    w -= inner(w, u) * u
+    w /= math.sqrt(inner(w, w))
+    sin = np.sqrt(np.asarray(sin_sq))[:, None, None]
+    return 1e3 * np.broadcast_to(u, sin.shape[:1] + u.shape), \
+        1e-4 * (np.sqrt(1.0 - sin ** 2) * u + sin * w)
+
+
+@pytest.mark.parametrize("make, factors, a", [
+    (span_i_metric, 2, 1.5), (diag_metric, 3, 0.5), (span_i_metric, 1, 1e-7)])
+def test_planes_are_valid_by_their_q_a_angle(monkeypatch, make, factors, a):
+    """A plane is valid when the Q_a sin^2 of its angle, the Gram
+    determinant over |u|^2 |v|^2, is at least 1e-12: at 1e-11 it is, at
+    1e-13 it is not, whatever the lengths of u and v, and neither is a
+    pair with a zero vector. The scans, which divide the raw quartic by
+    the raw Gram determinant, and sectional_batch agree on every flag."""
+    metric = make(factors, a)
+    U, V = tilted_pairs(metric, [0.5, 1e-11, 1e-13, 1e-11])
+    U, V = U.copy(), V.copy()
+    V[3] = 0.0
+    want = [True, True, False, False]
+    assert metric.sectional_batch(U, V)[1].tolist() == want
+
+    def drawn(rng, size, out=None):
+        sample = _carve(out, tuple(size) + U.shape[1:])
+        sample[...] = (U, V)
+        return sample
+
+    monkeypatch.setattr(metric.algebra, "random", drawn)
+    assert deform._scan(metric, len(want), seed=0)[3].tolist() == want
+
+
 def test_sectional_batch_matches_scalar_path():
     for make, a in ((diag_metric, 1.3), (span_i_metric, 0.7)):
         metric = make(3, a)
@@ -150,17 +221,21 @@ def test_scan_stays_nonnegative_in_the_allowed_window():
 
 
 #: Scan metrics whose k has rank 1 and rank 3, and so projectors of either
-#: rank: su(2)^1 span-i, su(2)^3 diagonal and su(2)^3 span-i.
-SCAN_METRICS = [(span_i_metric, 1), (diag_metric, 3), (span_i_metric, 3)]
+#: rank, on su(2)^1, ^2 and ^3, whose scan blocks differ.
+SCAN_METRICS = [(span_i_metric, 1), (diag_metric, 2), (span_i_metric, 2),
+                (diag_metric, 3), (span_i_metric, 3)]
 
 
 @pytest.mark.parametrize("make, factors", SCAN_METRICS)
-@pytest.mark.parametrize("n", [1, 2047, 2048, 2 * 2048 + 5])
-def test_blocked_scan_equals_one_whole_batch(make, factors, n):
-    # The scans evaluate 2048 planes at a time in one reused workspace;
-    # every value, and so the reported minimum, plane and count, must be
-    # those of one batch, the ragged last block's too.
+@pytest.mark.parametrize("count", [lambda b: 1, lambda b: b - 1, lambda b: b,
+                                   lambda b: 2 * b + 5],
+                         ids=["1", "B-1", "B", "2B+5"])
+def test_blocked_scan_equals_one_whole_batch(make, factors, count):
+    # The scans evaluate the metric's own block of B planes at a time in
+    # one reused workspace; every value, and so the reported minimum, plane
+    # and count, must be those of one batch, the ragged last block's too.
     metric = make(factors, 1.5)
+    n = count(metric._scan_block)
     res = scan_min_sectional(metric, n_planes=n, seed=4)
     rng = np.random.default_rng(4)
     U = metric.algebra.random(rng, n)
@@ -171,18 +246,28 @@ def test_blocked_scan_equals_one_whole_batch(make, factors, n):
     assert np.array_equal(res.u, U[idx]) and np.array_equal(res.v, V[idx])
 
 
+def test_scan_blocks_fill_one_float_budget():
+    """A scan block is as many planes as the workspace budget holds: 6144
+    on su(2)^1, 3072 on su(2)^2 and 2048 on su(2)^3."""
+    for factors, block in ((1, 6144), (2, 3072), (3, 2048)):
+        metric = span_i_metric(factors, 1.5)
+        assert metric._scan_block == block
+        assert metric._block_floats(block) == deform._BLOCK_FLOATS
+
+
 @pytest.mark.parametrize("make, factors", [(span_i_metric, 1),
+                                           (span_i_metric, 2),
                                            (span_i_metric, 3)])
 @pytest.mark.parametrize("n", [10_000, 100_000])
 def test_scan_memory_is_the_draw_and_one_block(make, factors, n):
     """A scan's traced peak is its draw, 2 n dim floats, one block's
     workspace, the n values and valid flags, and per block plane at most
-    20 floats more: the block's norms, Gram determinants and values, and
-    numpy's iteration buffers. A workspace sized for every plane, or a
-    second copy of the draw, exceeds it."""
+    20 floats more: the block's Q_a products, Gram determinants and
+    values, and numpy's iteration buffers. A workspace sized for every
+    plane, or a second copy of the draw, exceeds it."""
     metric = make(factors, 1.5)
     scan_min_sectional(metric, n_planes=n, seed=2)
-    block = min(n, deform._SCAN_BLOCK)
+    block = min(n, metric._scan_block)
     bound = (8 * (2 * n * metric.algebra.dim + metric._block_floats(block))
              + 9 * n + 8 * 20 * block)
     tracemalloc.start()
@@ -842,11 +927,11 @@ def test_oracle_agreement_takes_the_worst_gap_over_the_seeded_pairs(monkeypatch)
     (diag_metric, 3, 1.2), (span_i_metric, 2, 0.5), (span_i_metric, 3, 1e3)])
 def test_oracle_agreement_in_blocks_equals_one_call(monkeypatch, make,
                                                     factors, a):
-    """Over more pairs than _SCAN_BLOCK, oracle_agreement compares at most
-    _SCAN_BLOCK pairs per call, and its value is bit for bit the one of a
+    """Over more pairs than _ORACLE_BLOCK, oracle_agreement compares at most
+    _ORACLE_BLOCK pairs per call, and its value is bit for bit the one of a
     single call on all the pairs."""
     metric = make(factors, a)
-    samples = 2 * deform._SCAN_BLOCK + 7
+    samples = 2 * deform._ORACLE_BLOCK + 7
     uv = np.random.default_rng(11).standard_normal((samples, 2, factors, 3))
     u, v = uv[:, 0], uv[:, 1]
     want = float(np.max(np.abs(metric.curvature_of_pair(u, v)
@@ -860,7 +945,7 @@ def test_oracle_agreement_in_blocks_equals_one_call(monkeypatch, make,
 
     monkeypatch.setattr(metric, "curvature_of_pair", recording)
     assert metric.oracle_agreement(samples=samples, seed=11) == want
-    assert sizes == [deform._SCAN_BLOCK, deform._SCAN_BLOCK, 7]
+    assert sizes == [deform._ORACLE_BLOCK, deform._ORACLE_BLOCK, 7]
 
 
 @pytest.mark.parametrize("count", [0, -1, True, 1.5, 1000.0, "3", None,

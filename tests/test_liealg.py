@@ -121,13 +121,34 @@ def test_split_projections(factory, rank, abelian):
         assert np.allclose(split.project_k(mu), 0.0, atol=1e-10)
 
 
-def test_split_requires_bracket_closed_subalgebra():
-    alg = Su2Power(1)
-    rows = np.zeros((2, 1, 3))
-    rows[0, 0, 0] = 1.0
-    rows[1, 0, 1] = 1.0
-    with pytest.raises(ValidationError):
-        ReductiveSplit(alg, rows)
+@pytest.mark.parametrize("factors, basis", [
+    (1, [[[1, 0, 0]], [[0, 1, 0]]]),
+    (2, np.array([[[1, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, -1, 0]]]) / np.sqrt(2.0)),
+])
+def test_split_requires_bracket_closed_subalgebra(factors, basis):
+    """Every basis of rank 2 and up is checked for closure: i, j in su(2)
+    and the orthonormal (i, i), (j, -j) in su(2)^2 bracket out of their
+    span."""
+    with pytest.raises(ValidationError, match="^basis does not span a subalgebra"):
+        ReductiveSplit(Su2Power(factors), basis)
+
+
+@pytest.mark.parametrize("factors", [1, 2, 3])
+def test_circles_are_abelian_and_build_no_brackets(factors):
+    """A circle along any nonzero direction, here random integer ones,
+    is abelian; as a line it has no pair of basis vectors to bracket. A
+    zero direction, -0.0 included, is refused."""
+    alg = Su2Power(factors)
+    rng = np.random.default_rng(factors)
+    for _ in range(20):
+        direction = rng.integers(-9, 10, size=(factors, 3))
+        direction[0, 0] = 1 + abs(direction[0, 0])
+        split = ReductiveSplit.circle(alg, direction)
+        assert split.dim_k == 1 and split.is_abelian()
+        assert split._pair_brackets.size == 0
+    for zero in (alg.zero(), -alg.zero()):
+        with pytest.raises(ValidationError, match="^circle direction must be nonzero"):
+            ReductiveSplit.circle(alg, zero)
 
 
 def test_split_requires_orthonormal_basis():

@@ -4,7 +4,9 @@ Every subcommand prints either human-readable lines or, with --json, a
 deterministic JSON document (sorted keys, two-space indent) so that runs
 with equal inputs are byte-identical. Exit codes: 0 success, 2 usage
 errors (argparse), 3 domain errors (bad labels, out-of-regime inputs),
-4 failed certificates, failed searches, and reproduction mismatches.
+4 failed certificates, failed searches, and reproduction mismatches, 141
+(128 + SIGPIPE) when the reader closed stdout before the output was
+written, as in `milnor glue ... | head -1`: then nothing more is printed.
 
 No layer of the package is imported here, only the stored-data reader
 and the exceptions: each handler imports the layers it calls. So an
@@ -31,6 +33,7 @@ from .errors import MilnorError
 EXIT_OK = 0
 EXIT_DOMAIN = 3
 EXIT_FAILED = 4
+EXIT_PIPE = 141
 
 
 def _emit(args, payload, lines):
@@ -569,10 +572,20 @@ def main(argv=None):
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except MilnorError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        # The reader is gone (`| head`): exit quietly, as Unix filters do.
+        # stdout goes to devnull so that the flush at exit cannot raise
+        # again.
+        import os  # loaded at start-up anyway
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

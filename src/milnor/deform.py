@@ -9,8 +9,14 @@ form
 
     1/4 |W|^2  +  (1 - 3a/4) |P|^2  +  a (3/2 - a) <P, Z>  +  a/4 |Z|^2
 
-with all norms taken in Q, and no terms that cancel as a grows. The
-(P, Z) block has determinant -a (a - 1)^3 / 4: for a <= 1 it is positive
+with all norms taken in Q. It has no a^4 terms, but its weights grow
+like a^2 while a plane's value can be far smaller than its terms, so at
+large a digits still cancel: at a = A_MAX, on the planes of seed-1
+10k-plane scans of the circles along i, j and k where the kernel and
+_quartic over the Gram determinant differ most, the kernel's value is up
+to 2.1e-7 of max(1, |value|) off an exact evaluation on su(2)^1 and
+2.4e-9 on su(2)^2 and ^3 (_quartic's: 2.7e-7 and 1.6e-9). The (P, Z)
+block has determinant -a (a - 1)^3 / 4: for a <= 1 it is positive
 semidefinite and the curvature nonnegative. For a > 1 the block is
 indefinite and the curvature can be negative unless k is an ideal, where
 P = 0, or abelian; with k abelian, Z = 0 and the whole expression
@@ -27,36 +33,58 @@ left-invariant metric, on the m- and k-parts of the vectors, with its own
 bracket and no basis.
 
 The public methods and functions take and return elements of su(2)^n in
-their (..., n, 3) form. Inside, the kernel works on component-major rows
-(see liealg): a batch of N vectors is a (dim, N) array, a pair of batches
-is stacked (2, dim, N), and the m- and k-parts of such rows are worked out
-inside each call: the k-part is one (dim, dim) @ (dim, N) product with the
-split's projector onto k, the m-part the rest. Each public entry point
-converts its inputs once. The sectional-curvature kernel,
-_sectional_block, writes its rows, parts and brackets into slices of one
-flat workspace passed down as out= and scratch= buffers: sectional_batch
-allocates one per call, and a random-plane scan one for its draw and a
-block, which all its blocks reuse. A scan block holds as many planes as
-fit _BLOCK_FLOATS floats, so small algebras take more planes a block.
+their (..., n, 3) form. By Milnor (Curvatures of left invariant metrics
+on Lie groups, 1976) the curvature of a left-invariant metric is one
+constant tensor, so the closed form is one quadratic form in the
+bivector u ^ v, whatever the plane. DeformedMetric._operator builds it
+once per metric, on first use: the symmetric matrix M that _quartic's
+(W, P, Z) define on the bivectors of a Q_a-orthonormal frame adapted to
+m + k, kept on the K frame pairs where it is not identically zero (3n
+of the 3n (3n - 1) / 2 on a product split). curvature_of_pair,
+sectional_batch and the random-plane scans all evaluate it, in
+_bivector_form: one matmul takes a batch of pairs to their frame
+coordinates and to those coordinates' entries at the kept pairs, one
+wedge gives b = u ^ v over the kept pairs, and <b, M b> is one (K, K)
+product and row sums. So oracle_agreement checks the kernel the scans
+use. A plane costs about K^2 + 2 dim (dim + 2K) multiply-adds. Timed
+on one scan block against the four brackets it replaced (2-core Xeon):
+27-76 ns against 66-188 ns on the factor and span-i splits of
+su(2)^1..3, 70 and 155 ns against 122 and 185 ns on the su(2)^2 and ^3
+diagonals. A circle along (1, 2, ..., 9) keeps all 36 pairs of su(2)^3
+and takes 199 ns against 170, and on the diagonal of su(2)^n K grows
+like n^2, so from su(2)^5 on a diagonal scan is slower than the brackets
+were, 12 times on su(2)^16.
 
-The kernel normalizes no pair. The closed form at u, v and the Q_a Gram
-determinant |u|^2 |v|^2 - <u, v>^2 are both homogeneous of degree two in
-u and in v, so their quotient is the sectional curvature of the plane
-they span, the value at any Q_a-orthonormal frame of it. Those raw
-products are finite and normal for a scan's standard normal draw;
-sectional_batch first moves each vector into the binade of its largest
-entry (liealg._binade), a scaling by a power of two, which changes no
-quotient and keeps them so for vectors of any size.
+The kernel writes its coordinates, pair entries and M b into one flat
+workspace: sectional_batch allocates one per call, and a random-plane
+scan one for its draw and a block, which all its blocks reuse. A scan
+block holds as many planes as fit _BLOCK_FLOATS floats, 2 (dim + 2K) a
+plane, so small algebras and product splits take more planes a block.
+The plane search's descent, which needs gradients too, calls _quartic on
+component-major rows (see liealg): a batch of N vectors is a (dim, N)
+array, and its k-part is one (dim, dim) @ (dim, N) product with the
+split's projector onto k, its m-part the rest.
+
+The kernel normalizes no pair. <b, M b> and the Q_a Gram determinant
+|u|^2 |v|^2 - <u, v>^2, read on the frame coordinates, in which Q_a is
+the dot product, are both homogeneous of degree two in u and in v, so
+their quotient is the sectional curvature of the plane they span, the
+value at any Q_a-orthonormal frame of it. Those raw products are finite
+and normal for a scan's standard normal draw; sectional_batch first
+moves each vector into the binade of its largest entry
+(liealg._binade), a scaling by a power of two, which changes no quotient
+and keeps them so for vectors of any size.
 """
 
+import functools
 import math
 import sys
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import (DegeneratePlaneError, ParameterError, exact_real,
-                     require_count, require_int)
+from .errors import (DegeneratePlaneError, ParameterError, ValidationError,
+                     exact_real, require_count, require_int)
 from .liealg import _binade, _carve
 
 _GRAM_TOL = 1e-12
@@ -67,25 +95,26 @@ _FIRST_STEP = 0.5
 _GRAD_RTOL = 1e-6
 #: The floats of one random-plane scan block's workspace (see
 #: _block_floats), which every block of a scan reuses; a metric's scan
-#: block is as many planes as fit, 6144 on su(2)^1, 3072 on su(2)^2 and
-#: 2048 on su(2)^3. Blocking changes no value. Timed in eight 15 s
-#: benchmark runs per size, seeds 21-28 (2-core Xeon, Python 3.11, numpy
-#: 2.4): 1, 1.5 and 2 times this budget gave certify ops_per_s 262, 267
-#: and 272 and geometry 406, 408 and 417, against 222 and 358 with 2048
-#: planes a block on every algebra, and certify peak_rss_mb 42.9, 43.9 and
-#: 44.4 (43.1). In ten more certify pairs twice the budget gained 0.9%,
-#: inside the runs' spread, for 3.2% more memory.
-_BLOCK_FLOATS = 2048 * 84
+#: block is as many planes as fit: on span-i 6144 on su(2)^1, 3072 on
+#: su(2)^2 and 2048 on su(2)^3 (54 floats a plane), on the su(2)^3
+#: diagonal 877. Blocking changes no value. Timed in-process, median of
+#: seven alternating rounds of 10k-plane scans on su(2)^1..3 span-i and the
+#: su(2)^2 diagonal and 6k-plane scans on the su(2)^3 diagonal and factor0
+#: (2-core Xeon, Python 3.11, numpy 2.4): budgets of 1024, 2048, 3072 and
+#: 4096 planes of 54 floats took 14.00, 13.45, 13.62 and 13.67 ms for the
+#: six scans, so the budget is flat there and the smallest of the best
+#: is kept.
+_BLOCK_FLOATS = 2048 * 54
 #: Pairs per block of oracle_agreement; blocking changes no value.
 _ORACLE_BLOCK = 2048
 #: The most planes scan_min_sectional (so nonneg_certificate) and the most
 #: sample pairs oracle_agreement take; counts are checked before anything
-#: is drawn. Measured at 1e5 on su(2)^3 (2-core Xeon): a scan peaks at
-#: about 170 bytes a plane (144 of them its draw) and takes 0.5-1.1 us a
-#: plane, about half of it drawing; oracle_agreement about 160 bytes (144
-#: its draw) and 2.4-3.5 us a pair; the diagonal and span-i splits alike. So
-#: at the cap a scan takes about 1 s and 170 MB and oracle_agreement about
-#: 3 s and 160 MB; ten times the cap would exceed the memory of a small
+#: is drawn. Measured at 1e5 on su(2)^3, diagonal and span-i (2-core
+#: Xeon): a scan peaks at about 165 bytes a plane (144 of them its draw)
+#: and takes 0.5-0.9 us a plane, about half of it drawing;
+#: oracle_agreement about 160 bytes (144 its draw) and 3-4 us a pair. So
+#: at the cap a scan takes about 1 s and 165 MB and oracle_agreement about
+#: 4 s and 160 MB; ten times the cap would exceed the memory of a small
 #: host.
 MAX_PLANES = 10 ** 6
 #: How far, relative to max(1, |value|), the connection oracle may stray
@@ -103,7 +132,14 @@ _ORACLE_RTOL = 1e-6
 #: random pairs its error grows about like a, largest on the pairs whose
 #: value is small beside its terms (worst over four draws 4.7e-7 at 1e6,
 #: 2.6e-6 at 2e6, 2.5e-6 at 1e7), while on the reported planes it stays
-#: small (4.2e-11 at 1e6, 1.5e-9 at 1e8).
+#: small (4.2e-11 at 1e6, 1.5e-9 at 1e8). Those are gaps to the kernel,
+#: which is not exact at the top either: at A_MAX its sectional values
+#: are up to 2.1e-7 of max(1, |value|) off an exact evaluation on su(2)^1
+#: and 2.4e-9 on su(2)^2 and ^3 (_quartic over the Gram determinant, the
+#: kernel before the operator: 2.7e-7 and 1.6e-9), measured on the planes
+#: of seed-1 10k-plane scans of the circles along i, j and k where the two
+#: differ most. So a scan at A_MAX is good to about six digits, inside
+#: _ORACLE_RTOL; on the same planes at A_MIN both are within 1.2e-10.
 A_MIN = 1e-7
 A_MAX = 1e6
 
@@ -118,6 +154,33 @@ def null_space(K):
 #: Component l + 1 and l + 2 (mod 3) for each component l: per factor the
 #: bracket is [x, y]_l = 2 (x_(l+1) y_(l+2) - x_(l+2) y_(l+1)).
 _NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+class _Operator(namedtuple("_Operator", "frames pairs matrix")):
+    """A metric's curvature operator on K frame pairs (see
+    DeformedMetric._full_operator): the pairs (2, K), the (K, K) matrix,
+    and frames, (2, dim + 2K, dim): frames[0] maps a flat element u to its
+    frame coordinates x, then x_i, then x_j over the pairs, and frames[1]
+    maps v to y, y_j, y_i; so the product of the two lists past the
+    coordinates is (x_i y_j, x_j y_i), whose difference is b = u ^ v."""
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, coords, pairs, matrix):
+        rows = np.arange(len(coords))
+        first, second = pairs
+        frames = coords[np.array([np.concatenate((rows, first, second)),
+                                  np.concatenate((rows, second, first))])]
+        return cls(frames, pairs, matrix)
+
+
+def _finite_element(algebra, x):
+    """x as an element of the algebra (Su2Power.check_element), refused
+    with ValidationError unless every entry is finite."""
+    x = algebra.check_element(x)
+    if not np.isfinite(x).all():
+        raise ValidationError("vectors must be finite")
+    return x
 
 
 def _koszul_curvature(u, v, projector, a):
@@ -174,8 +237,6 @@ class DeformedMetric:
         self._grad_terms = np.array([[w, c_p, 0.5 * c_pz],
                                      [a * w, 0.5 * c_pz, c_z],
                                      [(a - 1.0) * w, 0.0, 0.0]])
-        #: Planes per random-plane scan block: as many as fill _BLOCK_FLOATS.
-        self._scan_block = _BLOCK_FLOATS // self._block_floats(1)
 
     def __repr__(self):
         return "DeformedMetric(a={:.6g}, dim_k={}, algebra={!r})".format(
@@ -189,11 +250,10 @@ class DeformedMetric:
         out when it is given."""
         return np.matmul(self.split._projector_rows, X, out=out)
 
-    def _parts(self, X, out=None):
+    def _parts(self, X):
         """Rows (..., dim, N) -> stacked parts (2, ..., dim, N): the m-part,
-        then the k-part; at the start of out, a flat float buffer (see
-        liealg._carve), when it is given."""
-        parts = _carve(out, (2,) + X.shape)
+        then the k-part."""
+        parts = np.empty((2,) + X.shape)
         self._k_part(X, out=parts[1])
         np.subtract(X, parts[1], out=parts[0])
         return parts
@@ -208,19 +268,16 @@ class DeformedMetric:
 
     # -- curvature, closed form -------------------------------------------
 
-    def _quartic(self, PQ, out=None, scratch=None):
+    def _quartic(self, PQ):
         """The closed form on the stacked parts PQ, (2, 2, dim, N), of the
         pairs u = A + X, v = B + Y: PQ[0] holds the m-parts (A, B) and
         PQ[1] the k-parts (X, Y). Every closed-form value in this module
         comes from here. Returns the values and the vectors (W, P, Z) they
-        weigh, stacked (3, dim, N). The four brackets, PQ.size floats, go
-        to the start of out and the bracket's scratch row, PQ.size / 3
-        floats, to that of scratch, when those flat buffers are given."""
+        weigh, stacked (3, dim, N)."""
         comps = PQ.reshape(2, 2, 3, -1)        # components on axis -2
         # br[s, t] = [P[s], Q[t]] for P = (A, X), Q = (B, Y), in one call on
         # (2, 1, 3, n N) x (1, 2, 3, n N): ([A,B], [A,Y]), ([X,B], [X,Y])
-        br = self.algebra.bracket_rows(comps[:, None, 0], comps[None, :, 1],
-                                       out=out, scratch=scratch)
+        br = self.algebra.bracket_rows(comps[:, None, 0], comps[None, :, 1])
         br = br.reshape((4,) + PQ.shape[-2:])
         ab, ay, xb, xy = br
         # Overwrite br[1:] with (W, P, Z); in place, so a batch allocates
@@ -264,12 +321,13 @@ class DeformedMetric:
         return grads
 
     def curvature_of_pair(self, u, v):
-        """Unnormalized curvature Q_a(R(u, v)v, u) of arbitrary vectors u,
-        v, split into m + k here; arbitrary leading sample axes broadcast.
-        The value is quartic in the inputs and vanishes when the two
-        arguments are proportional."""
-        X, shape = self.algebra.rows(u, v)
-        return self._quartic(self._parts(X))[0].reshape(shape)
+        """Unnormalized curvature Q_a(R(u, v)v, u) of arbitrary finite
+        vectors u, v; arbitrary leading sample axes broadcast. The value
+        is <b, M b> at their bivector b = u ^ v, the curvature operator's
+        form (see _operator) that the scans evaluate: quartic in the
+        inputs, zero when the two arguments are proportional."""
+        UV, shape = self._pairs(u, v)
+        return self._bivector_form(UV, None)[1].reshape(shape)
 
     def _value_and_gradient(self, F):
         """Q_a Gram-Schmidt, in place, on pairs F = (u, v), stacked rows
@@ -310,10 +368,10 @@ class DeformedMetric:
     def curvature_oracle_of_pair(self, u, v):
         """Same quantity as curvature_of_pair(), computed the long way
         round by _koszul_curvature from the Levi-Civita connection, with
-        none of the closed form's kernel; leading sample axes broadcast."""
-        alg = self.algebra
-        return _koszul_curvature(alg.check_element(u), alg.check_element(v),
-                                 self.split._projector, self.a)
+        none of the closed form's kernel; leading sample axes broadcast.
+        Non-finite vectors are refused, as there."""
+        u, v = (_finite_element(self.algebra, x) for x in (u, v))
+        return _koszul_curvature(u, v, self.split._projector, self.a)
 
     def oracle_agreement(self, samples=64, seed=0):
         """Worst absolute gap between the closed-form curvature and the
@@ -334,54 +392,134 @@ class DeformedMetric:
     # -- sectional curvature ------------------------------------------------
 
     def sectional_batch(self, U, V):
-        """Vectorized sectional curvature of the planes spanned by elements
-        U, V (..., n, 3), whose sample axes broadcast. Returns (values,
-        valid) of their broadcast sample shape, valid as _sectional_block
-        decides it; invalid slots hold +inf. Each vector is first moved
-        into the binade of its largest entry (liealg._binade), so vectors
-        of any finite size give the values of their moderate multiples,
-        and a power-of-two multiple of a vector exactly the same values."""
-        alg = self.algebra
-        U, V = (_binade(alg.check_element(x)) for x in (U, V))
-        shape = np.broadcast_shapes(U.shape[:-2], V.shape[:-2])
-        work = np.empty(self._block_floats(math.prod(shape)))
-        vals, ok = self._sectional_block(U, V, work)
+        """Vectorized sectional curvature of the planes spanned by finite
+        elements U, V (..., n, 3), whose sample axes broadcast. Returns
+        (values, valid) of their broadcast sample shape, valid as
+        _sectional_block decides it; invalid slots hold +inf. Each vector
+        is first moved into the binade of its largest entry
+        (liealg._binade), so vectors of any finite size give the values of
+        their moderate multiples, and a power-of-two multiple of a vector
+        exactly the same values."""
+        UV, shape = self._pairs(U, V, scale=_binade)
+        work = np.empty(self._block_floats(UV.shape[1]))
+        vals, ok = self._sectional_block(UV, work)
         return vals.reshape(shape), ok.reshape(shape)
 
-    def _block_floats(self, N):
-        """The floats _sectional_block's workspace takes for N planes, 28
-        a plane per factor: the brackets (4, dim, N), whose space the rows
-        (2, dim, N) use before them; the stacked parts (2, 2, dim, N); and
-        the bracket's scratch row (2, 2, factors N). A scan block is the
-        most planes whose workspace fits _BLOCK_FLOATS."""
+    def _pairs(self, U, V, scale=None):
+        """Finite elements U, V (..., n, 3), each mapped by scale when it
+        is given, as stacked flat pairs (2, N, dim) over the N samples of
+        their broadcast sample axes; also returns those axes' shape. A
+        non-finite vector is refused with ValidationError."""
         alg = self.algebra
-        return (8 * alg.dim + 4 * alg.factors) * N
+        U, V = (_finite_element(alg, x) for x in (U, V))
+        if scale is not None:
+            U, V = scale(U), scale(V)
+        U, V = np.broadcast_arrays(U, V)
+        return np.stack((U, V)).reshape(2, -1, alg.dim), U.shape[:-2]
 
-    def _sectional_block(self, U, V, work):
+    # -- the curvature operator ---------------------------------------------
+
+    def _full_operator(self):
+        """The curvature operator on the bivectors of a Q_a-orthonormal
+        frame adapted to m + k: (coords, pairs, matrix), the (dim, dim) map
+        from a flat element to its frame coordinates, the D = dim (dim -
+        1) / 2 frame pairs (i, j), i < j, stacked (2, D), and the (D, D)
+        matrix M, symmetric up to rounding, whose form <b, M b> at the
+        bivector b = u ^ v, b_ij = x_i y_j - x_j y_i in frame coordinates
+        x of u and y of v, is the closed form at u, v.
+
+        The frame is an orthonormal basis of m and one of k, numpy's eigh
+        of the projector onto k (eigenvalues 0 on m, 1 on k), the k-basis
+        scaled by 1/sqrt(a); so the coordinates of u are its products with
+        the m-basis and sqrt(a) times those with the k-basis, and no
+        coordinate mixes the parts. _quartic is fed the frame pairs as
+        their parts (the m-basis; the k-basis over sqrt(a)). Its (W, P, Z)
+        are linear in the bivector e_i ^ e_j, and M is the closed form's
+        weights on them."""
+        alg, split = self.algebra, self.split
+        d, r = alg.dim, split.dim_k
+        basis = np.linalg.eigh(split._projector_rows)[1]
+        root = math.sqrt(self.a)
+        parts = np.zeros((2, d, d))
+        parts[0, :, :d - r] = basis[:, :d - r]
+        parts[1, :, d - r:] = basis[:, d - r:] / root
+        rows = np.arange(d)
+        pairs = np.array(np.nonzero(rows[:, None] < rows))
+        vecs = self._quartic(parts[:, :, pairs].transpose(0, 2, 1, 3))[1]
+        # the closed form's weights of (W, P, Z), as a symmetric 3 x 3 form
+        w, c_p, c_z, c_pz = self._terms
+        weights = np.array([[w, 0.0, 0.0], [0.0, c_p, 0.5 * c_pz],
+                            [0.0, 0.5 * c_pz, c_z]])
+        weighted = (weights @ vecs.reshape(3, -1)).reshape(3 * d, -1)
+        matrix = vecs.reshape(3 * d, -1).T @ weighted
+        # component-major columns c n + t to flat element order 3 t + c
+        coords = basis.T.reshape(d, 3, alg.factors).transpose(0, 2, 1).reshape(d, d)
+        coords[d - r:] *= root
+        return coords, pairs, matrix
+
+    @functools.cached_property
+    def _operator(self):
+        """The operator the kernel evaluates, built on the first call and
+        kept: _full_operator restricted to the K pairs on which its matrix
+        is not identically zero, as _Operator. On a product split (a
+        factor, a circle along one axis) those are the 3n pairs within one
+        factor; on the su(2)^2 and su(2)^3 diagonals 12 of 15 and 27 of 36."""
+        coords, pairs, matrix = self._full_operator()
+        kept = np.flatnonzero(matrix.any(axis=0))
+        return _Operator.of(coords, pairs[:, kept], matrix[kept][:, kept])
+
+    def _bivector_form(self, UV, work):
+        """The frame coordinates, (2, dim, N), of stacked flat pairs UV
+        (2, N, dim), and <b, M b> at each pair's bivector b = u ^ v (see
+        _operator): one matmul into the frame, one wedge and one (K, K)
+        product. The coordinates, pair entries and M b are laid out in
+        work, a flat float buffer of at least _block_floats(N) floats
+        (see liealg._carve), or a new array when it is None."""
+        frames, _, matrix = self._operator
+        d, K = self.algebra.dim, len(matrix)
+        XY = np.matmul(frames, UV.transpose(0, 2, 1),
+                       out=_carve(work, (2, d + 2 * K, UV.shape[1])))
+        wedge = XY[0, d:]
+        wedge *= XY[1, d:]                     # (x_i y_j, x_j y_i)
+        b = wedge[:K]
+        b -= wedge[K:]
+        Mb = np.matmul(matrix, b, out=XY[1, d:d + K])
+        return XY[:, :d], np.einsum("kn,kn->n", b, Mb)
+
+    def _block_floats(self, N):
+        """The floats _sectional_block's workspace takes for N planes:
+        2 (dim + 2K) a plane, for the frame coordinates and the kept pairs'
+        entries of u and v, whose space b and M b reuse. A scan block is
+        the most planes whose workspace fits _BLOCK_FLOATS."""
+        return 2 * (self.algebra.dim + 2 * len(self._operator.matrix)) * N
+
+    @property
+    def _scan_block(self):
+        """Planes per random-plane scan block: as many as fill
+        _BLOCK_FLOATS."""
+        return _BLOCK_FLOATS // self._block_floats(1)
+
+    def _sectional_block(self, UV, work):
         """The kernel of sectional_batch and of the random-plane scans: the
-        values and valid flags of the planes spanned by elements U, V
-        (..., n, 3), flat over the N samples of their broadcast sample
-        axes, taken as they are (see the module docstring on their size).
+        values and valid flags of the planes spanned by the stacked flat
+        pairs UV (2, N, dim), taken as they are (see the module docstring
+        on their size).
 
         A plane is valid when |u|^2 |v|^2 > 0 and its Gram determinant
         |u|^2 |v|^2 - <u, v>^2 is at least _GRAM_TOL |u|^2 |v|^2: when the
         Q_a sin^2 of the angle between u and v is at least _GRAM_TOL. Its
-        value is then the closed form at u, v over that determinant, every
-        product taken in Q_a; an invalid plane's is +inf. The rows, parts,
-        brackets and the bracket's scratch row are slices of work, a flat
-        float buffer of at least _block_floats(N) floats, laid out as that
-        docstring says; the parts are formed before the brackets need the
-        rows' space."""
-        X, _ = self.algebra.rows(U, V, out=work)
-        size = 2 * X.size                      # floats of brackets, of parts
-        PQ = self._parts(X, out=work[size:])
-        uu, vv = self._inner_of_parts(PQ, PQ)
-        uv = self._inner_of_parts(PQ[:, 0], PQ[:, 1])
+        value is then <b, M b> (see _bivector_form) over that determinant,
+        both read on the frame coordinates, in which Q_a is the dot
+        product; an invalid plane's is +inf. work is as _bivector_form
+        takes it."""
+        (x, y), form = self._bivector_form(UV, work)
+        uu = np.einsum("in,in->n", x, x)
+        vv = np.einsum("in,in->n", y, y)
+        uv = np.einsum("in,in->n", x, y)
         norms = uu * vv
         gram = norms - uv * uv
         ok = (norms > 0) & (gram >= _GRAM_TOL * norms)
-        curv = self._quartic(PQ, out=work, scratch=work[2 * size:])[0]
-        return np.where(ok, curv / np.where(ok, gram, 1.0), np.inf), ok
+        return np.where(ok, form / np.where(ok, gram, 1.0), np.inf), ok
 
 
 class ScanResult(namedtuple("ScanResult",
@@ -412,15 +550,16 @@ def _scan(metric, n, seed):
     size = 2 * n * alg.dim
     step = metric._scan_block
     work = np.empty(size + metric._block_floats(min(n, step)))
-    U, V = alg.random(np.random.default_rng(seed), (2, n), out=work)
+    UV = alg.random(np.random.default_rng(seed), (2, n), out=work)
+    flat = UV.reshape(2, n, alg.dim)
     vals, ok = np.empty(n), np.empty(n, dtype=bool)
     for i in range(0, n, step):
         block = slice(i, i + step)
-        vals[block], ok[block] = metric._sectional_block(U[block], V[block],
+        vals[block], ok[block] = metric._sectional_block(flat[:, block],
                                                          work[size:])
     if not np.any(ok):
         raise DegeneratePlaneError("every sampled plane degenerated")
-    return U, V, vals, ok
+    return UV[0], UV[1], vals, ok
 
 
 def scan_min_sectional(metric, n_planes=100_000, seed=0):

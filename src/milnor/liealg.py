@@ -26,20 +26,24 @@ _ORTHO_TOL = 1e-12
 #: The most su(2) factors Su2Power takes, checked before anything is
 #: allocated. Measured with tracemalloc at 1e5 planes on the diagonal
 #: split of su(2)^3, ^6 and ^16: a scan, its draw (48 bytes a plane per
-#: factor) and one block's workspace (1.4 MB, see deform._BLOCK_FLOATS),
-#: peaks at 50-56 bytes a plane per factor and oracle_agreement, which
-#: works in blocks like the scan, at about 54 bytes a pair per factor. So
-#: deform.MAX_PLANES planes or pairs at the cap take about 0.9 GB; 10^8
-#: factors used to fail allocating tens of TiB, or with a misleading
-#: message.
+#: factor) and one block's workspace (0.9 MB, see deform._BLOCK_FLOATS),
+#: peaks at 49-54 bytes a plane per factor and oracle_agreement, which
+#: works in blocks like the scan, at 52-81 bytes a pair per factor (on
+#: su(2)^16 each 2048-pair block's curvature_of_pair takes a 52 MB
+#: workspace). So deform.MAX_PLANES planes or pairs at the cap take about
+#: 0.9 GB; 10^8 factors used to fail allocating tens of TiB, or with a
+#: misleading message. The curvature operator grows faster than the
+#: algebra: on the su(2)^16 diagonal it keeps 768 of 1128 frame pairs, a
+#: 4.7 MB matrix, and a scan takes about 57 us a plane (4.6 us with the
+#: brackets it replaced), so about a minute at the cap.
 MAX_FACTORS = 16
 
 
 def _carve(buf, shape):
     """A C-ordered float array of the given shape: a view of the start of
     buf, a flat float buffer at least that long, or a new array when buf
-    is None. The numeric kernel's out= and scratch= buffers are such
-    slices of one workspace."""
+    is None. A scan's draw and its kernel's workspace are such slices of
+    one allocation."""
     if buf is None:
         return np.empty(shape)
     return buf[:math.prod(shape)].reshape(shape)
@@ -96,18 +100,16 @@ class Su2Power:
         return np.array([[float(c) for c in row] for row in rows])
 
     @staticmethod
-    def bracket_rows(u, v, out=None, scratch=None):
+    def bracket_rows(u, v):
         """The bracket on component-major rows: axis -2 of u and v holds
         the components (i, j, k), the last axis runs over factors and
         samples, and the axes before them broadcast. It is 2 * np.cross
-        written out as six multiplies and three subtracts on whole rows.
-        The result goes to the start of out and the one scratch row to the
-        start of scratch, flat float buffers (see _carve), when given."""
+        written out as six multiplies and three subtracts on whole rows."""
         u0, u1, u2 = u[..., 0, :], u[..., 1, :], u[..., 2, :]
         v0, v1, v2 = v[..., 0, :], v[..., 1, :], v[..., 2, :]
         shape = np.broadcast_shapes(u2.shape, v1.shape)
-        tmp = np.multiply(u2, v1, out=_carve(scratch, shape))
-        out = _carve(out, shape[:-1] + (3,) + shape[-1:])
+        tmp = np.multiply(u2, v1)
+        out = np.empty(shape[:-1] + (3,) + shape[-1:])
         o0, o1, o2 = out[..., 0, :], out[..., 1, :], out[..., 2, :]
         np.multiply(u1, v2, out=o0)
         o0 -= tmp
@@ -146,15 +148,14 @@ class Su2Power:
             shape = tuple(size) + (self.factors, 3)
         return rng.standard_normal(out=_carve(out, shape))
 
-    def rows(self, *vectors, out=None):
+    def rows(self, *vectors):
         """Elements (..., n, 3) -> component-major rows, stacked
         (len(vectors), dim, N) over the N samples of their broadcast sample
-        axes, at the start of the flat float buffer out when it is given;
-        also returns those axes' shape."""
+        axes; also returns those axes' shape."""
         vectors = [self.check_element(x) for x in vectors]
         shape = np.broadcast_shapes(*(x.shape[:-2] for x in vectors))
         ndim = len(shape) + 2
-        out = _carve(out, (len(vectors), 3, self.factors) + shape)
+        out = np.empty((len(vectors), 3, self.factors) + shape)
         for x, o in zip(vectors, out):
             # pad the sample axes on the left, then move (n, 3) to the front
             x = x.reshape((1,) * (ndim - x.ndim) + x.shape)

@@ -585,3 +585,42 @@ def test_console_script_reads_sys_argv(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == expected
     assert json.loads(captured.out)["k"] == 105
+
+
+def cli_process(*argv):
+    """A fresh `python -m milnor.cli` process, importing milnor from this
+    checkout, whose stdout and stderr are pipes."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(cli.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.Popen([sys.executable, "-m", "milnor.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("glue", "--a", "4/3", "--r", "1", "--json"), 0),
+    (("glue", "--a", "4/3", "--r", "1"), 0),
+    (("solve", "0", "--bound", "100000", "--json"), 1),
+    (("solve", "0", "--bound", "100000"), 1),
+])
+def test_a_closed_pipe_ends_the_call_quietly(argv, lines):
+    """`milnor ... | head -1`: the reader takes `lines` lines and closes
+    the pipe. glue's document is written at once, so its reader closes
+    before anything is written; solve's listing is many times the pipe's
+    capacity, so it is still writing when its reader goes. Either way
+    the call exits EXIT_PIPE with nothing on stderr, where it used to end
+    in a BrokenPipeError traceback."""
+    proc = cli_process(*argv)
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == cli.EXIT_PIPE
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

@@ -24,7 +24,7 @@ from milnor.deform import (
     negative_plane_witness,
     scan_min_sectional,
 )
-from milnor.errors import ParameterError
+from milnor.errors import ParameterError, ValidationError
 from milnor.glue import ProfileFunction, nonneg_certificate
 from milnor.liealg import ReductiveSplit, Su2Power, _carve
 
@@ -247,24 +247,33 @@ def test_blocked_scan_equals_one_whole_batch(make, factors, count):
 
 
 def test_scan_blocks_fill_one_float_budget():
-    """A scan block is as many planes as the workspace budget holds: 6144
-    on su(2)^1, 3072 on su(2)^2 and 2048 on su(2)^3."""
+    """A scan block is as many planes as the workspace budget holds, and a
+    plane takes 2 (dim + 2K) floats for the K pairs its operator keeps:
+    on span-i 6144 planes on su(2)^1, 3072 on su(2)^2 and 2048 on su(2)^3
+    (K = 3n); on the su(2)^3 diagonal (K = 27) 877."""
     for factors, block in ((1, 6144), (2, 3072), (3, 2048)):
         metric = span_i_metric(factors, 1.5)
         assert metric._scan_block == block
         assert metric._block_floats(block) == deform._BLOCK_FLOATS
+    metric = diag_metric(3, 1.5)
+    assert metric._block_floats(1) == 2 * (9 + 2 * 27)
+    assert metric._scan_block == 877
+    assert metric._block_floats(877) <= deform._BLOCK_FLOATS < metric._block_floats(878)
 
 
 @pytest.mark.parametrize("make, factors", [(span_i_metric, 1),
                                            (span_i_metric, 2),
-                                           (span_i_metric, 3)])
+                                           (span_i_metric, 3),
+                                           (diag_metric, 3)])
 @pytest.mark.parametrize("n", [10_000, 100_000])
 def test_scan_memory_is_the_draw_and_one_block(make, factors, n):
     """A scan's traced peak is its draw, 2 n dim floats, one block's
-    workspace, the n values and valid flags, and per block plane at most
-    20 floats more: the block's Q_a products, Gram determinants and
-    values, and numpy's iteration buffers. A workspace sized for every
-    plane, or a second copy of the draw, exceeds it."""
+    workspace (frame coordinates and pair entries, see _block_floats), the
+    n values and valid flags, and per block plane at most 20 floats more:
+    the block's forms, Q_a products, Gram determinants and values, and
+    numpy's iteration buffers. The operator, built before the trace
+    starts, is the metric's own. A workspace sized for every plane, or a
+    second copy of the draw, exceeds it."""
     metric = make(factors, 1.5)
     scan_min_sectional(metric, n_planes=n, seed=2)
     block = min(n, metric._scan_block)
@@ -996,3 +1005,174 @@ def test_oracle_does_not_use_the_closed_form_kernel(monkeypatch):
     assert np.array_equal(metric.curvature_oracle_of_pair(U, V), want)
     with pytest.raises(AssertionError, match="closed-form kernel"):
         metric.curvature_of_pair(U, V)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("which", [0, 1])
+def test_non_finite_vectors_are_refused(bad, which):
+    """sectional_batch, curvature_of_pair and the oracle refuse an inf or
+    nan entry in either vector with ValidationError, as ReductiveSplit
+    does, and raise no numeric warning first; they used to warn "invalid
+    value encountered in matmul" and report the plane invalid, or nan."""
+    metric = diag_metric(2, 1.2)
+    pair = list(metric.algebra.random(np.random.default_rng(3), (2, 4)))
+    pair[which][2, 1, 0] = bad
+    for call in (metric.sectional_batch, metric.curvature_of_pair,
+                 metric.curvature_oracle_of_pair):
+        with pytest.raises(ValidationError, match="^vectors must be finite$"):
+            call(*pair)
+        with pytest.raises(ValidationError):
+            call(pair[0][2], pair[1][2])
+
+
+def operator_splits(factors):
+    """Every split the CLI names for su(2)^factors, and a circle along
+    the integer direction (1, 2, ..., 3n), which keeps every pair."""
+    alg = Su2Power(factors)
+    return named_splits(factors) + [ReductiveSplit.circle(
+        alg, np.arange(1.0, alg.dim + 1).reshape(factors, 3))]
+
+
+def quartic_on_parts(metric, U, V):
+    """The closed form at u, v and the Q_a Gram determinant, from
+    _quartic and _inner_of_parts on the stacked parts, the route the
+    descent takes."""
+    PQ = metric._parts(metric.algebra.rows(U, V)[0])
+    uu, vv = metric._inner_of_parts(PQ, PQ)
+    uv = metric._inner_of_parts(PQ[:, 0], PQ[:, 1])
+    return metric._quartic(PQ)[0], uu * vv - uv * uv
+
+
+OPERATOR_SCALES = [A_MIN, Fraction(1, 2), 1, Fraction(21, 20), Fraction(4, 3),
+                   Fraction(4, 3) + Fraction(1, 100), Fraction(3, 2), A_MAX]
+
+
+@pytest.mark.parametrize("factors", [1, 2, 3])
+@pytest.mark.parametrize("a", OPERATOR_SCALES)
+def test_the_operator_agrees_with_the_closed_form_and_the_oracle(factors, a):
+    """curvature_of_pair, <b, M b> at b = u ^ v, is _quartic on the parts
+    to 1e-12 of max(1, |value|), at A_MAX of the largest value; and
+    sectional_batch is _quartic over the Gram determinant to 1e-9 of
+    max(1, |value|), the bound of test_sectional_batch_matches_scalar_path
+    (both routes lose about 1e-10 on the su(2)^1 circle's nearly
+    degenerate planes at A_MIN), at A_MAX to 1e-6, where they round
+    differently by up to about 2e-8 (see the exact referee below). Against
+    the oracle the bounds are those of
+    test_the_oracle_still_checks_the_closed_form_at_the_range_ends: 1e-12
+    at A_MIN on the named splits, 1e-6 of the largest value at A_MAX, and
+    _ORACLE_RTOL for the integer circle at A_MIN, where the oracle loses
+    about 1e-8; inside the range 1e-9."""
+    rng = np.random.default_rng(77)
+    for split in operator_splits(factors):
+        metric = DeformedMetric(split, a)
+        U, V = metric.algebra.random(rng, (2, 256))
+        closed = metric.curvature_of_pair(U, V)
+        quartic, gram = quartic_on_parts(metric, U, V)
+        vals, ok = metric.sectional_batch(U, V)
+        oracle = metric.curvature_oracle_of_pair(U, V)
+        assert ok.all()
+        if a == A_MAX:
+            assert np.max(np.abs(closed - quartic)) <= 1e-12 * np.max(np.abs(quartic))
+            assert np.max(np.abs(closed - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+        else:
+            scale = np.maximum(1.0, np.abs(quartic))
+            assert np.all(np.abs(closed - quartic) <= 1e-12 * scale)
+            named = split.dim_k > 1 or np.count_nonzero(split.k_basis) == 1
+            rtol = (1e-12 if named else deform._ORACLE_RTOL) if a == A_MIN else 1e-9
+            assert np.all(np.abs(closed - oracle) <= rtol * np.maximum(1.0, np.abs(oracle)))
+        want = quartic / gram
+        rtol = 1e-6 if a == A_MAX else 1e-9
+        assert np.all(np.abs(vals - want) <= rtol * np.maximum(1.0, np.abs(want)))
+
+
+def frame_factor(coords):
+    """The factor each frame vector lies in, for a frame whose coordinate
+    rows (dim, dim), on flat elements, each touch one factor."""
+    touched = coords.reshape(len(coords), -1, 3).any(axis=2)
+    assert np.all(touched.sum(axis=1) == 1)
+    return np.argmax(touched, axis=1)
+
+
+@pytest.mark.parametrize("factors", [1, 2, 3])
+def test_the_kept_support_is_the_pairs_within_a_factor(factors):
+    """On a product split, a factor or a circle along one axis, the frame
+    vectors lie in single factors, a bivector across two factors is flat,
+    and the operator keeps exactly the 3n pairs within a factor: every
+    row of the full operator it drops is exactly zero. On the diagonals
+    it keeps 12 of 15 (su(2)^2) and 27 of 36 (su(2)^3) pairs."""
+    alg = Su2Power(factors)
+    axes = np.eye(alg.dim).reshape(alg.dim, factors, 3)
+    splits = [ReductiveSplit.factor(alg, i) for i in range(factors)]
+    splits += [ReductiveSplit.circle(alg, axes[axis]) for axis in range(3)]
+    for split in splits:
+        metric = DeformedMetric(split, Fraction(3, 2))
+        coords, pairs, full = metric._full_operator()
+        factor = frame_factor(coords)
+        within = factor[pairs[0]] == factor[pairs[1]]
+        op = metric._operator
+        assert within.sum() == 3 * factors
+        assert np.array_equal(op.pairs, pairs[:, within])
+        assert not full[~within].any() and not full[:, ~within].any()
+        assert np.array_equal(op.matrix, full[within][:, within])
+    if factors > 1:
+        kept = len(diag_metric(factors, 1.5)._operator.matrix)
+        assert kept == {2: 12, 3: 27}[factors]
+
+
+@pytest.mark.parametrize("make, factors", SCAN_METRICS + [(diag_metric, 1)])
+def test_a_scan_with_the_kept_support_equals_one_with_the_full_operator(
+        make, factors):
+    """Dropping the flat pairs changes no plane's value beyond rounding:
+    a scan whose metric keeps every pair reports the same plane, count of
+    valid planes and, to 1e-14 of max(1, |value|), values."""
+    kept = make(factors, 1.5)
+    full = make(factors, 1.5)
+    full._operator = deform._Operator.of(*full._full_operator())
+    assert len(full._operator.matrix) == 3 * factors * (3 * factors - 1) // 2
+    n = kept._scan_block + 5
+    U, V, want, ok = deform._scan(kept, n, seed=6)
+    _, _, got, ok_full = deform._scan(full, n, seed=6)
+    assert np.array_equal(ok, ok_full)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    assert np.argmin(got) == np.argmin(want)
+
+
+def exact_sectional(metric, u, v):
+    """The sectional curvature of span(u, v) in exact arithmetic: the
+    oracle on Fraction arrays, with the exact projector onto span(e) of
+    the circle along e, over the exact Q_a Gram determinant."""
+    e = metric.split.k_basis[0].reshape(-1)
+    projector = np.array([[Fraction(int(x * y)) for y in e] for x in e])
+    a = metric.a_exact
+    G = np.eye(len(e), dtype=int) + (a - 1) * projector
+    uF, vF = (np.array([Fraction(x) for x in w.reshape(-1)], dtype=object)
+              for w in (u, v))
+    gram = (uF @ G @ uF) * (vF @ G @ vF) - (uF @ G @ vF) ** 2
+    value = deform._koszul_curvature(uF.reshape(u.shape), vF.reshape(v.shape),
+                                     projector, a)
+    return value / gram
+
+
+@pytest.mark.parametrize("factors, bound", [(1, 1e-6), (2, 1e-8), (3, 1e-8)])
+def test_scans_stay_near_the_exact_value_at_the_top_of_the_range(factors,
+                                                                 bound):
+    """At A_MAX, on the planes of a 2000-plane draw where sectional_batch
+    and _quartic over the Gram determinant differ most, the scans' value
+    is within bound of max(1, |exact|), the exact value being the oracle
+    in Fraction arithmetic. On the circles along each axis, seed-1
+    10k-plane draws measured worst errors of 2.1e-7 on su(2)^1, 2.4e-9 on
+    su(2)^2 and 2.6e-10 on su(2)^3, against 2.7e-7, 1.6e-9 and 8.0e-10
+    for the _quartic route."""
+    alg = Su2Power(factors)
+    axes = np.eye(alg.dim).reshape(alg.dim, factors, 3)
+    for axis in range(3):
+        metric = DeformedMetric(ReductiveSplit.circle(alg, axes[axis]), A_MAX)
+        U, V = alg.random(np.random.default_rng(1), (2, 2000))
+        vals, ok = metric.sectional_batch(U, V)
+        quartic, gram = quartic_on_parts(metric, U, V)
+        spread = np.abs(vals - quartic / gram) / np.maximum(1.0, np.abs(vals))
+        for i in np.argsort(spread)[-2:]:
+            exact = exact_sectional(metric, U[i], V[i])
+            err = abs(Fraction(float(vals[i])) - exact) / max(1, abs(exact))
+            assert err <= bound

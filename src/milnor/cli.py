@@ -522,11 +522,16 @@ _COMMANDS = {
     "glue": (cmd_glue, "build and certify a disc-gluing profile", [
         (("--a",), {"type": _fraction, "required": True}),
         (("--r",), {"type": _fraction, "required": True}),
-        (("--planes",), {"type": int, "default": 10000}),
-        (("--seed",), {"type": int, "default": 0}),
+        (("--planes",), {
+            "type": int, "default": 10000,
+            "help": "planes of the random scan that metric_nonneg reports "
+                    "when no exact rule or witness decides the subalgebra; "
+                    "span-i is always decided, so it runs no scan"}),
+        (("--seed",), {"type": int, "default": 0,
+                       "help": "seed of that scan"}),
         (("--factors",), {
             "type": int, "default": 1,
-            "help": "number of quaternion factors in the scanned group"}),
+            "help": "number of quaternion factors in the deformed group"}),
         (("--csv",), {"default": None, "help": "write the profile as CSV"}),
     ]),
     "repro": (

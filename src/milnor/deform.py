@@ -25,12 +25,14 @@ collapses to
     1/4 |W|^2  +  (1 - 3a/4) |P|^2
 
 which stays nonnegative exactly up to a = 4/3. _nonnegative_rule decides
-these three cases exactly. The 4/3 threshold is what the disc gluing
-construction spends, and the curvature_oracle_of_pair method
-provides a completely independent check of the closed form: it computes
-R(u, v)v from Milnor's formula for the Levi-Civita connection of a
-left-invariant metric, on the m- and k-parts of the vectors, with its own
-bracket and no basis.
+these three cases exactly. Past 4/3 a plane of m whose bracket is a
+nonzero element of k has W = 0 and is negative; _decide builds one, with
+rational entries and an exact value, for a circle k. The 4/3 threshold
+is what the disc gluing construction spends, and the
+curvature_oracle_of_pair method provides a completely independent check
+of the closed form: it computes R(u, v)v from Milnor's formula for the
+Levi-Civita connection of a left-invariant metric, on the m- and k-parts
+of the vectors, with its own bracket and no basis.
 
 The public methods and functions take and return elements of su(2)^n in
 their (..., n, 3) form. By Milnor (Curvatures of left invariant metrics
@@ -606,6 +608,82 @@ def _nonnegative_rule(metric):
     if 3 * a <= 4 and split.is_abelian():
         return "abelian"
     return None
+
+
+class _Witness(namedtuple("_Witness", "u v value")):
+    """A negatively curved plane, exactly: u and v, (n, 3) object arrays of
+    ints and Fractions, span it, and value is its exact sectional
+    curvature, a Fraction."""
+    __slots__ = ()
+
+
+def _cross(x, y):
+    """The cross product x x y of two 3-vectors given as sequences, in
+    their own arithmetic; in one factor the bracket is twice it."""
+    return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+            x[0] * y[1] - x[1] * y[0]]
+
+
+def _circle_witness(metric):
+    """The exact negatively curved plane of a circle k at 3a > 4.
+
+    z is k's stored basis vector, read exactly (errors.exact_real). In
+    each factor t with z_t != 0, p_t = z_t x e for the axis e on which
+    |z_t| is smallest, and q_t = (z_t x p_t) / (2 |p_t|^2), so that
+    [p_t, q_t] = 2 p_t x q_t = z_t. Then A = sum p_t and B = sum q_t lie
+    in m, <A, B> = 0 and [A, B] = z, so W = 0 and P = z in the closed
+    form, and the plane has sectional curvature
+    (1 - 3a/4) |z|^2 / (|A|^2 |B|^2): 4 - 3a on span-i.
+
+    The float connection oracle must agree with that value to
+    _ORACLE_RTOL of max(1, |value|), as on a plane the search reports,
+    or AssertionError is raised. The sign is the exact value's: at a just
+    past 4/3 the oracle's float scale may lie below it."""
+    zero = [0, 0, 0]
+    A, B = [], []
+    zz = AA = BB = 0
+    for row in metric.split.k_basis[0].tolist():
+        if not any(row):
+            A.append(zero)
+            B.append(zero)
+            continue
+        z = [exact_real(x, "k basis entry") for x in row]
+        axis = min(range(3), key=lambda l: abs(row[l]))
+        p = _cross(z, [int(l == axis) for l in range(3)])
+        pp = sum(x * x for x in p)
+        q = [x / (2 * pp) for x in _cross(z, p)]
+        A.append(p)
+        B.append(q)
+        zz += sum(x * x for x in z)
+        AA += pp
+        BB += sum(x * x for x in q)
+    value = (1 - 3 * metric.a_exact / 4) * zz / (AA * BB)
+    u, v = np.array(A, dtype=object), np.array(B, dtype=object)
+    oracle = float(metric.curvature_oracle_of_pair(
+        u.astype(float), v.astype(float))) / float(AA * BB)
+    if abs(oracle - float(value)) > _ORACLE_RTOL * max(1.0, abs(float(value))):
+        raise AssertionError(
+            "exact value {} and oracle {!r} disagree on the circle's "
+            "witness plane".format(value, oracle))
+    return _Witness(u, v, value)
+
+
+def _decide(metric):
+    """Whether the metric has a negatively curved plane, decided exactly:
+    ("nonnegative", rule) when _nonnegative_rule proves that it has none;
+    ("negative", witness) for a circle k (rank 1) at 3a > 4, with the
+    _Witness of _circle_witness; ("undecided", reason) otherwise. Builds
+    no curvature operator."""
+    rule = _nonnegative_rule(metric)
+    if rule is not None:
+        return "nonnegative", rule
+    split = metric.split
+    if split.dim_k == 1 and 3 * metric.a_exact > 4:
+        return "negative", _circle_witness(metric)
+    if not split.is_abelian():
+        return "undecided", "k is neither an ideal nor abelian"
+    return "undecided", "no witness for an abelian k of rank {} past 4/3".format(
+        split.dim_k)
 
 
 def minimize(metric, F, budget, target):

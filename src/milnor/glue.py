@@ -21,7 +21,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .deform import MAX_PLANES, scan_min_sectional
+from .deform import MAX_PLANES, _check_seed, _decide, scan_min_sectional
 from .errors import (NoFiniteMatchingError, ParameterError, ProfileError,
                      exact_real, require_count)
 
@@ -263,11 +263,20 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
     metric agree on the scale; the profile plateau squares to the
     matching level; the profile's own shape invariants hold; the disc
     curvature -f''/f is nonnegative on the grid; the metric is a product
-    past the plateau (f frozen); and a seeded random-plane scan of the
-    deformed metric finds no curvature below -1e-9. Returns a certificate
-    carrying every clause; passed means all clauses passed.
+    past the plateau (f frozen); and the deformed metric is nonnegatively
+    curved. Returns a certificate carrying every clause; passed means all
+    clauses passed.
+
+    metric_nonneg reads deform._decide, which is exact. Proven, it passes
+    with value 0.0, the proven lower bound, and its detail names the
+    rule. Refuted, it fails with the witness plane's sectional curvature
+    as value and its exact Fraction in the detail. Undecided, it fails,
+    and only then is a seeded scan of `planes` planes run; its minimum is
+    the value. A certificate never passes on a sample. planes and seed are
+    checked first, whatever the verdict.
     """
     require_count(planes, "planes", MAX_PLANES)
+    _check_seed(seed)
     params = profile.glue
     clauses = []
     a = metric.a
@@ -316,10 +325,18 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
         "product_near_boundary", tail_gap <= 1e-12, tail_gap, 1e-12,
         "profile frozen past the plateau"))
 
-    scan = scan_min_sectional(metric, n_planes=planes, seed=seed)
-    clauses.append(ClauseResult(
-        "metric_nonneg", scan.min_value >= -1e-9, scan.min_value, -1e-9,
-        "seeded random-plane minimum over {} planes".format(planes)))
+    verdict, proof = _decide(metric)
+    if verdict == "nonnegative":
+        passed, value, detail = True, 0.0, "proven by the {} rule".format(proof)
+    elif verdict == "negative":
+        passed, value, detail = False, float(proof.value), (
+            "a plane in m has exact sectional curvature {}".format(proof.value))
+    else:
+        scan = scan_min_sectional(metric, n_planes=planes, seed=seed)
+        passed, value, detail = False, scan.min_value, (
+            "undecided: {}; the value is the minimum over {} seeded random "
+            "planes, which proves nothing".format(proof, planes))
+    clauses.append(ClauseResult("metric_nonneg", passed, value, -1e-9, detail))
 
     return GluingCertificate(passed=all(c.passed for c in clauses),
                              clauses=tuple(clauses))

@@ -497,6 +497,24 @@ def test_glue_clauses_report_tolerance_and_detail(capsys):
     assert plateau["value"] == cert.clause("plateau_match").value == 0.0
 
 
+@pytest.mark.parametrize("argv, value, detail", [
+    (["--a", "4/3", "--r", "1"], 0.0, "proven by the abelian rule"),
+    (["--a", "404/300", "--r", "1", "--factors", "3"], -0.04,
+     "a plane in m has exact sectional curvature -1/25"),
+    (["--a", "1e6", "--r", "1"], 4 - 3e6,
+     "a plane in m has exact sectional curvature -2999996")],
+    ids=["4_3", "404_300-su2^3", "1e6"])
+def test_glue_decides_metric_nonneg_exactly(capsys, argv, value, detail):
+    """At 404/300 on su(2)^3 a 10k-plane scan passed the clause with a
+    minimum of +6.25e-3, and at 10^6 with +2.6e5; span-i has a plane of
+    curvature 4 - 3a there, and the clause now fails on it."""
+    code, payload, _ = run_json(capsys, "glue", *argv)
+    clause = {c["name"]: c for c in payload["clauses"]}["metric_nonneg"]
+    assert clause == {"name": "metric_nonneg", "passed": value == 0.0,
+                      "value": value, "tolerance": -1e-9, "detail": detail}
+    assert code == (cli.EXIT_OK if value == 0.0 else cli.EXIT_FAILED)
+
+
 # -- one-command parsers ----------------------------------------------------
 
 COMMAND_NAMES = list(cli._COMMANDS)

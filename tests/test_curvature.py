@@ -1176,3 +1176,97 @@ def test_scans_stay_near_the_exact_value_at_the_top_of_the_range(factors,
             exact = exact_sectional(metric, U[i], V[i])
             err = abs(Fraction(float(vals[i])) - exact) / max(1, abs(exact))
             assert err <= bound
+
+
+# -- the exact decision -------------------------------------------------------
+
+#: Circle directions, one row per factor: span-i/j/k in factor 0 of
+#: su(2)^1..3, and integer directions, among them the label circle along
+#: (-3i, 5i, i).
+WITNESS_CIRCLES = [
+    tuple(tuple(float(t == 0 and c == axis) for c in range(3))
+          for t in range(factors))
+    for factors in (1, 2, 3) for axis in range(3)] + [
+    ((1, 2, 3),), ((1, 1, 1), (2, -1, 0)), ((1, 2, 3), (-3, 5, 1), (0, 0, 0)),
+    ((-3, 0, 0), (5, 0, 0), (1, 0, 0)), ((0, 0, 0), (0, 4, -1), (2, 0, 0))]
+WITNESS_SCALES = [Fraction(4, 3) + Fraction(1, 10 ** 20), Fraction(404, 300),
+                  Fraction(3, 2), 6, 10 ** 6]
+
+
+def circle(direction):
+    """The circle split along an integer or float direction, given as one
+    row per factor, in the su(2) power it needs."""
+    alg = Su2Power(len(direction))
+    return ReductiveSplit.circle(alg, np.array(direction, dtype=float))
+
+
+@pytest.mark.parametrize("a", WITNESS_SCALES,
+                         ids=["4_3+10^-20", "404_300", "3_2", "6", "10^6"])
+@pytest.mark.parametrize("direction", WITNESS_CIRCLES, ids=str)
+def test_the_circle_witness_is_exact(direction, a):
+    """Past 4/3 a circle is refuted by a rational plane (A, B): both are
+    Q-orthogonal to the stored basis vector z, read exactly, and
+    [A, B] = z, all in Fraction arithmetic. The connection oracle on
+    Fraction arrays, with the exact projector z z^T / |z|^2, then equals
+    the witness's value times the exact Gram determinant, without any
+    closed form. On a circle along an axis the value is 4 - 3a."""
+    metric = DeformedMetric(circle(direction), a)
+    verdict, witness = deform._decide(metric)
+    assert verdict == "negative"
+    u, v, value = witness
+    assert type(value) is Fraction and value < 0
+    z = np.array([[Fraction(x) for x in row]
+                  for row in metric.split.k_basis[0].tolist()])
+    assert (u * z).sum() == 0 and (v * z).sum() == 0
+    nxt, after = [1, 2, 0], [2, 0, 1]
+    bracket = 2 * (u[:, nxt] * v[:, after] - u[:, after] * v[:, nxt])
+    assert (bracket == z).all()
+    flat = z.reshape(-1)
+    projector = np.outer(flat, flat) / (flat @ flat)
+    gram = (u * u).sum() * (v * v).sum() - (u * v).sum() ** 2
+    assert deform._koszul_curvature(u, v, projector, metric.a_exact) \
+        == value * gram
+    if np.count_nonzero(np.array(direction)) == 1:
+        assert value == 4 - 3 * metric.a_exact
+
+
+def test_the_decision_covers_both_sides_and_names_what_it_leaves():
+    """Proven by each rule, refuted on a circle past 4/3, and undecided
+    otherwise: on the su(2)^2 diagonal past 1 and on a rank-2 torus past
+    4/3. No verdict builds the curvature operator."""
+    alg = Su2Power(2)
+    r = 1 / math.sqrt(2.0)
+    torus = ReductiveSplit(alg, [[[r, 0, 0], [r, 0, 0]],
+                                 [[r, 0, 0], [-r, 0, 0]]])
+    cases = [
+        (ReductiveSplit.diagonal(alg), 1, ("nonnegative", "a <= 1")),
+        (ReductiveSplit.factor(alg, 0), 6, ("nonnegative", "ideal")),
+        (circle(((1, 2, 3), (0, 0, 0))), Fraction(4, 3),
+         ("nonnegative", "abelian")),
+        (torus, Fraction(4, 3), ("nonnegative", "abelian")),
+        (ReductiveSplit.diagonal(alg), Fraction(4, 3),
+         ("undecided", "k is neither an ideal nor abelian")),
+        (torus, 1.34,
+         ("undecided", "no witness for an abelian k of rank 2 past 4/3")),
+    ]
+    for split, a, want in cases:
+        metric = DeformedMetric(split, a)
+        assert deform._decide(metric) == want
+        assert "_operator" not in vars(metric)
+    metric = DeformedMetric(circle(((1, 2, 3), (0, 0, 0))), 1.34)
+    assert deform._decide(metric)[0] == "negative"
+    assert "_operator" not in vars(metric)
+
+
+def test_a_witness_the_oracle_disputes_is_refused(monkeypatch):
+    """The oracle checks the exact value as it checks a reported plane; it
+    does not set the sign, but a disagreement raises."""
+    metric = span_i_metric(3, Fraction(3, 2))
+    assert deform._decide(metric)[1].value == Fraction(-1, 2)
+    monkeypatch.setattr(DeformedMetric, "curvature_oracle_of_pair",
+                        lambda self, u, v: np.float64(0.5))
+    with pytest.raises(AssertionError, match="disagree"):
+        deform._decide(metric)
+    with pytest.raises(AssertionError, match="disagree"):
+        nonneg_certificate(ProfileFunction.capped_sine(Fraction(3, 2), 1),
+                           metric, planes=10)

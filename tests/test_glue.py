@@ -9,9 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from milnor.deform import DeformedMetric
+from milnor import deform, glue
+from milnor.deform import DeformedMetric, scan_min_sectional
 from milnor.errors import NoFiniteMatchingError, ParameterError, ProfileError
 from milnor.glue import (
+    ClauseResult,
     ProfileFunction,
     glue_params,
     matching_level_sq,
@@ -403,3 +405,101 @@ def test_csv_orbit_factor_follows_its_own_f_column(tmp_path, a, r):
             assert factor == on_plateau
         else:
             assert factor == f ** 2 / (f ** 2 / a + r * r), t
+
+
+# -- metric_nonneg: the exact decision, and the scan beside it --------------
+
+#: (factors, subalgebra, a) of every metric proven nonnegative that
+#: acceptance criterion 09, the README and this file certify or scan, and
+#: span-i of su(2)^1..3 across the window.
+PROVEN = sorted({
+    (2, "diagonal", 1), (2, "factor1", 1), (1, "span-i", 1),
+    (1, "span-i", Fraction(4, 3)), (1, "span-i", 4.0 / 3.0),
+    (1, "span-i", Fraction(11, 10)), (2, "span-i", 4.0 / 3.0)} | {
+    (factors, "span-i", a) for factors in (1, 2, 3)
+    for a in (Fraction(41, 40), Fraction(13, 10), Fraction(4, 3))}, key=str)
+
+
+def named_metric(factors, subalgebra, a):
+    alg = Su2Power(factors)
+    if subalgebra == "diagonal":
+        return DeformedMetric(ReductiveSplit.diagonal(alg), a)
+    if subalgebra == "factor1":
+        return DeformedMetric(ReductiveSplit.factor(alg, 1), a)
+    return circle_metric(a, factors)
+
+
+@pytest.mark.parametrize("case", PROVEN, ids=str)
+def test_the_scan_never_contradicts_a_proof(case):
+    """A proof needs no sample, but a 10k-plane scan stays its cross-check
+    in the tests: where the decision proves nonnegativity, no scanned
+    plane lies below -1e-9."""
+    metric = named_metric(*case)
+    assert deform._decide(metric)[0] == "nonnegative"
+    assert scan_min_sectional(metric, 10_000).min_value >= -1e-9
+
+
+def no_scan(*args, **kwargs):
+    raise AssertionError("a decided clause must not scan")
+
+
+@pytest.mark.parametrize("make, rule", [
+    (lambda: circle_metric(Fraction(4, 3), 2), "abelian"),
+    (lambda: circle_metric(4.0 / 3.0, 2), "abelian"),
+    (lambda: circle_metric(1, 2), "a <= 1"),
+    (lambda: DeformedMetric(ReductiveSplit.factor(Su2Power(2), 0), 3), "ideal")],
+    ids=["4_3", "float-4_3", "1", "factor0-3"])
+def test_a_proven_metric_nonneg_passes_at_zero_without_a_scan(monkeypatch,
+                                                              make, rule):
+    """Its value is the proven lower bound 0.0 and its detail names the
+    rule; the metric's curvature operator is never built."""
+    monkeypatch.setattr(glue, "scan_min_sectional", no_scan)
+    metric = make()
+    cert = nonneg_certificate(ProfileFunction.capped_sine(Fraction(4, 3), 1),
+                              metric)
+    assert cert.clause("metric_nonneg") == ClauseResult(
+        "metric_nonneg", True, 0.0, -1e-9,
+        "proven by the {} rule".format(rule))
+    assert "_operator" not in vars(metric)
+
+
+@pytest.mark.parametrize("factors", [1, 2, 3])
+@pytest.mark.parametrize("a, exact", [
+    (Fraction(404, 300), "-1/25"), (Fraction(3, 2), "-1/2"),
+    (Fraction(4, 3) + Fraction(1, 10 ** 20), "-3/100000000000000000000"),
+    (10 ** 6, "-2999996")])
+def test_a_refuted_metric_nonneg_fails_on_its_exact_witness(monkeypatch,
+                                                            factors, a, exact):
+    """Past 4/3 span-i is refuted by a plane of curvature 4 - 3a, whatever
+    the scan would have found: at 404/300 on su(2)^3 a 10k-plane scan
+    missed it, and at 10^6 its minimum was +2.6e5."""
+    monkeypatch.setattr(glue, "scan_min_sectional", no_scan)
+    metric = circle_metric(a, factors)
+    cert = nonneg_certificate(ProfileFunction.capped_sine(a, 1), metric)
+    assert cert.clause("metric_nonneg") == ClauseResult(
+        "metric_nonneg", False, float(4 - 3 * Fraction(a)), -1e-9,
+        "a plane in m has exact sectional curvature " + exact)
+    assert not cert.passed and "_operator" not in vars(metric)
+
+
+def test_an_undecided_metric_nonneg_fails_on_a_scan(monkeypatch):
+    """On the su(2)^2 diagonal at 4/3 the decision has no rule and no
+    witness: only there is the seeded scan run, with the certificate's
+    planes and seed, and the clause fails with its minimum, which proves
+    nothing."""
+    calls = []
+
+    def counted(metric, n_planes, seed):
+        calls.append((n_planes, seed))
+        return scan_min_sectional(metric, n_planes=n_planes, seed=seed)
+
+    monkeypatch.setattr(glue, "scan_min_sectional", counted)
+    metric = DeformedMetric(ReductiveSplit.diagonal(Su2Power(2)), Fraction(4, 3))
+    clause = nonneg_certificate(ProfileFunction.capped_sine(Fraction(4, 3), 1),
+                                metric, planes=2000, seed=5).clause("metric_nonneg")
+    assert calls == [(2000, 5)]
+    assert not clause.passed
+    assert clause.value == scan_min_sectional(metric, 2000, seed=5).min_value
+    assert clause.detail == (
+        "undecided: k is neither an ideal nor abelian; the value is the "
+        "minimum over 2000 seeded random planes, which proves nothing")

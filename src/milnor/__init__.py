@@ -36,7 +36,7 @@ _EXPORTS = {
     "deform": (
         "DeformedMetric", "PlaneSearchResult", "ScanResult",
         "cheeger_quotient_factors", "compensating_scale",
-        "find_negative_plane", "negative_plane_witness", "scan_min_sectional",
+        "find_negative_plane", "scan_min_sectional",
     ),
     "errors": (
         "DegeneratePlaneError", "DimensionMismatchError", "MilnorError",

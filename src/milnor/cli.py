@@ -13,8 +13,7 @@ and the exceptions: each handler imports the layers it calls. So an
 integer subcommand loads argparse, json and the integer modules it calls,
 and the numeric layers (liealg, deform, glue), and with them numpy, load
 only for `curvature-scan` and `glue`. numpy is the only numeric
-dependency: the plane search of `curvature-scan --find-negative` is a
-gradient descent written in numpy.
+dependency.
 
 The subcommands live in one table, `_COMMANDS`. A call that names its
 subcommand first builds the parser for that subcommand alone; any other
@@ -517,7 +516,9 @@ _COMMANDS = {
                              "help": "number of sampled planes"}),
             (("--find-negative",), {
                 "action": "store_true",
-                "help": "also search for a certified negative plane"}),
+                "help": "also report a negative plane when the exact "
+                        "decision finds one: a rational witness, checked "
+                        "by the connection oracle (exit 4 otherwise)"}),
         ]),
     "glue": (cmd_glue, "build and certify a disc-gluing profile", [
         (("--a",), {"type": _fraction, "required": True}),

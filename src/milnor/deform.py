@@ -27,7 +27,9 @@ collapses to
 which stays nonnegative exactly up to a = 4/3. _nonnegative_rule decides
 these three cases exactly. Past 4/3 a plane of m whose bracket is a
 nonzero element of k has W = 0 and is negative; _decide builds one, with
-rational entries and an exact value, for a circle k. The 4/3 threshold
+rational entries and an exact value, for a circle k. On the diagonal of
+su(2)^n, n >= 2, a plane with W = 0 and P = -a^2 Z is negative for every
+a > 1, and _decide builds that one too. The 4/3 threshold
 is what the disc gluing construction spends, and the
 curvature_oracle_of_pair method provides a completely independent check
 of the closed form: it computes R(u, v)v from Milnor's formula for the
@@ -62,10 +64,9 @@ workspace: sectional_batch allocates one per call, and a random-plane
 scan one for its draw and a block, which all its blocks reuse. A scan
 block holds as many planes as fit _BLOCK_FLOATS floats, 2 (dim + 2K) a
 plane, so small algebras and product splits take more planes a block.
-The plane search's descent, which needs gradients too, calls _quartic on
-component-major rows (see liealg): a batch of N vectors is a (dim, N)
-array, and its k-part is one (dim, dim) @ (dim, N) product with the
-split's projector onto k, its m-part the rest.
+_full_operator feeds _quartic component-major rows (see liealg): a batch
+of N vectors is a (dim, N) array, and its k-part is one (dim, dim) @
+(dim, N) product with the split's projector onto k.
 
 The kernel normalizes no pair. <b, M b> and the Q_a Gram determinant
 |u|^2 |v|^2 - <u, v>^2, read on the frame coordinates, in which Q_a is
@@ -90,11 +91,6 @@ from .errors import (DegeneratePlaneError, ParameterError, ValidationError,
 from .liealg import _binade, _carve
 
 _GRAM_TOL = 1e-12
-_NEGATIVE_THRESHOLD = -1e-10
-# the plane search's descent: starts, first step, relative gradient stop
-_STARTS = 64
-_FIRST_STEP = 0.5
-_GRAD_RTOL = 1e-6
 #: The floats of one random-plane scan block's workspace (see
 #: _block_floats), which every block of a scan reuses; a metric's scan
 #: block is as many planes as fit: on span-i 6144 on su(2)^1, 3072 on
@@ -119,38 +115,48 @@ _ORACLE_BLOCK = 2048
 #: 4 s and 160 MB; ten times the cap would exceed the memory of a small
 #: host.
 MAX_PLANES = 10 ** 6
-#: How far, relative to max(1, |value|), the connection oracle may stray
-#: from the closed form on a plane the search reports.
+#: How far, relative to max(1, |value|), the connection oracle, at the
+#: Q_a-orthonormal frame of a witness plane, may stray from the witness's
+#: exact sectional curvature.
 _ORACLE_RTOL = 1e-6
 #: The deformation scales DeformedMetric accepts: those on which the
 #: connection oracle still checks the closed form to _ORACLE_RTOL of
 #: max(1, |value|), measured on every diagonal, factorN and span-i/j/k
 #: split of su(2)^1..3, on 4000 standard-normal pairs per split and on the
-#: planes the search reports. The oracle sets both ends. Below 1: on the
-#: Q_a-orthonormal planes the scan and the search report its error grows
-#: about like 1/a (9.2e-8 at 1e-7, 9.2e-7 at 1e-8), as the k-part of
-#: [x, G y] + [y, G x], zero in exact arithmetic, keeps its rounding and
-#: is divided by a; on random pairs it stays near 1e-14. Above 1: on
-#: random pairs its error grows about like a, largest on the pairs whose
-#: value is small beside its terms (worst over four draws 4.7e-7 at 1e6,
-#: 2.6e-6 at 2e6, 2.5e-6 at 1e7), while on the reported planes it stays
-#: small (4.2e-11 at 1e6, 1.5e-9 at 1e8). Those are gaps to the kernel,
-#: which is not exact at the top either: at A_MAX its sectional values
-#: are up to 2.1e-7 of max(1, |value|) off an exact evaluation on su(2)^1
-#: and 2.4e-9 on su(2)^2 and ^3 (_quartic over the Gram determinant, the
-#: kernel before the operator: 2.7e-7 and 1.6e-9), measured on the planes
-#: of seed-1 10k-plane scans of the circles along i, j and k where the two
-#: differ most. So a scan at A_MAX is good to about six digits, inside
-#: _ORACLE_RTOL; on the same planes at A_MIN both are within 1.2e-10.
+#: Q_a-orthonormal frames find_negative_plane reports (seeds 0-3, budget
+#: 2000). The oracle sets both ends. Below 1: on those frames of scan
+#: minima its error grows about like 1/a (up to 8.2e-7 at 1e-7 and 8.2e-6
+#: at 1e-8, on the su(2)^2 diagonal), as the k-part of [x, G y] +
+#: [y, G x], zero in exact arithmetic, keeps its rounding and is divided
+#: by a; on random pairs it stays near 1e-14. Above 1: on random pairs
+#: its error grows about like a, largest on the pairs whose value is
+#: small beside its terms (worst over four draws 4.7e-7 at 1e6, 2.6e-6 at
+#: 2e6, 2.5e-6 at 1e7), while on the frames of witness planes it stays
+#: within 4e-16 of the exact value at 1e6 and 1e8. The other gaps are to
+#: the kernel, which is not exact at the top either: at A_MAX its
+#: sectional values are up to 2.1e-7 of max(1, |value|) off an exact
+#: evaluation on su(2)^1 and 2.4e-9 on su(2)^2 and ^3 (_quartic over the
+#: Gram determinant, the kernel before the operator: 2.7e-7 and 1.6e-9),
+#: measured on the planes of seed-1 10k-plane scans of the circles along
+#: i, j and k where the two differ most. So a scan at A_MAX is good to
+#: about six digits, inside _ORACLE_RTOL; on the same planes at A_MIN both
+#: are within 1.2e-10.
 A_MIN = 1e-7
 A_MAX = 1e6
 
 
-# Uncalled: the benchmark's traced run still wraps deform.null_space by name.
+# Uncalled: the benchmark's traced run still wraps deform.null_space and
+# deform.minimize by name.
 def null_space(K):
     """Q-orthonormal rows spanning the complement of the rows of K, which
     are Q-orthonormal: the right singular vectors past the rank."""
     return np.linalg.svd(K)[2][K.shape[0]:]
+
+
+def minimize(*args, **kwargs):
+    """Gone: negative planes come from the exact decision (_decide), and
+    no plane search descends any more; only the name is left."""
+    raise NotImplementedError("the plane search's descent was removed")
 
 
 #: Component l + 1 and l + 2 (mod 3) for each component l: per factor the
@@ -234,11 +240,6 @@ class DeformedMetric:
         self.a_exact = exact
         # the closed form's weights of |W|^2, |P|^2, |Z|^2 and <P,Z>
         self._terms = np.array([0.25, 1.0 - 0.75 * a, 0.25 * a, a * (1.5 - a)])
-        # _gradient's three combinations of (W, P, Z) (see there)
-        w, c_p, c_z, c_pz = self._terms
-        self._grad_terms = np.array([[w, c_p, 0.5 * c_pz],
-                                     [a * w, 0.5 * c_pz, c_z],
-                                     [(a - 1.0) * w, 0.0, 0.0]])
 
     def __repr__(self):
         return "DeformedMetric(a={:.6g}, dim_k={}, algebra={!r})".format(
@@ -251,22 +252,6 @@ class DeformedMetric:
         product with the split's component-major projector onto k, into
         out when it is given."""
         return np.matmul(self.split._projector_rows, X, out=out)
-
-    def _parts(self, X):
-        """Rows (..., dim, N) -> stacked parts (2, ..., dim, N): the m-part,
-        then the k-part."""
-        parts = np.empty((2,) + X.shape)
-        self._k_part(X, out=parts[1])
-        np.subtract(X, parts[1], out=parts[0])
-        return parts
-
-    def _inner_of_parts(self, PE, PF):
-        """Q_a products of rows given by their stacked parts (2, ..., dim,
-        N), summed as <E_m, F_m> + a <E_k, F_k> over the parts, in which
-        nothing cancels: <E, F> + (a - 1) <KE, KF> would lose about
-        log10(1/a) digits for small a. Leading axes broadcast."""
-        sums = np.einsum("k...ij,k...ij->k...j", PE, PF)
-        return sums[0] + self.a * sums[1]
 
     # -- curvature, closed form -------------------------------------------
 
@@ -294,34 +279,6 @@ class DeformedMetric:
         values += self._terms[3] * np.einsum("ij,ij->j", vecs[1], vecs[2])
         return values, vecs
 
-    def _gradient(self, PQ, vecs):
-        """Euclidean gradients (g_u, g_v), stacked (2, dim, N), of the
-        closed form at u = A + X, v = B + Y, from their stacked parts PQ
-        and the vectors (W, P, Z) _quartic(PQ) returned.
-
-        Along h = h_m + h_k the vectors change by dW = [h_m,B]_m +
-        a([h_k,B] + [h_m,Y]), dP = [h_m,B]_k and dZ = [h_k,Y]; the
-        derivative of w |V|^2 is 2 w <V, dV> and that of c <P, Z> is
-        c (<dP, Z> + <P, dZ>). By ad-invariance, <[x, y], z> = <x, [y, z]>,
-        so <V, [h, y]> = <h, [y, V]>: each term's gradient is a bracket
-        with the vector itself. W lies in m and P, Z in k; as [k, m] lies
-        in m and [k, k] in k, only [B, W] needs splitting, its k-part
-        weighted by a (the extra (a - 1) below). The closed form is
-        symmetric in u and v and every vector is antisymmetric, which
-        gives g_v from g_u."""
-        # s1 = W/4 + c_P P + c_PZ Z/2, s2 = a W/4 + c_PZ P/2 + c_Z Z and
-        # c = (a - 1) W/4
-        s = (self._grad_terms @ vecs.reshape(3, -1)).reshape(3, 1, 3, -1)
-        # [B, s1], [Y, s2] and [B, c] for g_u; [A, s1], [X, s2] and [A, c]
-        # for g_v
-        comps = PQ.reshape(2, 2, 3, -1)[[0, 1, 0], ::-1]
-        br = self.algebra.bracket_rows(comps, s).reshape((3,) + PQ.shape[1:])
-        grads = br[0] + br[1]
-        grads += self._k_part(br[2])
-        grads[0] *= 2.0
-        grads[1] *= -2.0
-        return grads
-
     def curvature_of_pair(self, u, v):
         """Unnormalized curvature Q_a(R(u, v)v, u) of arbitrary finite
         vectors u, v; arbitrary leading sample axes broadcast. The value
@@ -330,40 +287,6 @@ class DeformedMetric:
         inputs, zero when the two arguments are proportional."""
         UV, shape = self._pairs(u, v)
         return self._bivector_form(UV, None)[1].reshape(shape)
-
-    def _value_and_gradient(self, F):
-        """Q_a Gram-Schmidt, in place, on pairs F = (u, v), stacked rows
-        (2, dim, N), that span planes; then at those orthonormal frames the
-        closed form, which is the sectional curvature of their plane, and
-        the Riemannian gradient of the sectional curvature on the
-        Grassmannian, stacked like F. With g the Euclidean gradient that is
-        r = G^-1 g - <g, u> u - <g, v> v: G^-1 maps g to Q_a, and as
-        Q_a(G^-1 g, w) = <g, w> the last two terms project Q_a-orthogonally
-        off span(u, v). The projection also removes what normalizing by the
-        Gram determinant adds, which lies along u and v.
-
-        The parts are worked out once, before Gram-Schmidt, which then
-        applies the same linear steps to F and to its parts."""
-        PQ = self._parts(F)
-        P, Q = PQ[:, 0], PQ[:, 1]
-        norm = np.sqrt(self._inner_of_parts(P, P))
-        F[0] /= norm
-        P /= norm
-        along = self._inner_of_parts(Q, P)
-        F[1] -= along * F[0]
-        Q -= along * P
-        norm = np.sqrt(self._inner_of_parts(Q, Q))
-        F[1] /= norm
-        Q /= norm
-        values, vecs = self._quartic(PQ)
-        grads = self._gradient(PQ, vecs)
-        along = np.einsum("gij,eij->egj", grads, F)
-        grads_k = self._k_part(grads)
-        grads -= grads_k
-        grads += grads_k / self.a              # G^-1 g = g_m + g_k / a
-        for E, g_e in zip(F, along):
-            grads -= g_e[:, None] * E
-        return values, grads
 
     # -- curvature, Koszul oracle ------------------------------------------
 
@@ -578,8 +501,8 @@ def scan_min_sectional(metric, n_planes=100_000, seed=0):
 class PlaneSearchResult(namedtuple(
         "PlaneSearchResult",
         "found value u v oracle_value evaluations scan_min")):
-    """Outcome of the negative-plane search. When found is False, value and
-    (u, v) still describe the most negative plane encountered."""
+    """Outcome of the negative-plane search (find_negative_plane). When
+    found is False, value and (u, v) describe the scan's minimum plane."""
     __slots__ = ()
 
 
@@ -610,11 +533,30 @@ def _nonnegative_rule(metric):
     return None
 
 
-class _Witness(namedtuple("_Witness", "u v value")):
+class _Witness(namedtuple("_Witness", "u v value frame oracle")):
     """A negatively curved plane, exactly: u and v, (n, 3) object arrays of
     ints and Fractions, span it, and value is its exact sectional
-    curvature, a Fraction."""
+    curvature, a Fraction. frame is a Q_a-orthonormal float pair spanning
+    the plane and oracle the connection oracle's float value there."""
     __slots__ = ()
+
+
+def _witness(metric, u, v, uu, vv, curvature):
+    """The _Witness of the exact plane (u, v), given Q_a-orthogonal with
+    exact Q_a norms squared uu and vv and exact unnormalized curvature:
+    its value is curvature / (uu vv), and (u / sqrt(uu), v / sqrt(vv)) is
+    its frame. The float connection oracle at the frame must agree with
+    the value to _ORACLE_RTOL of max(1, |value|), or AssertionError is
+    raised. The sign is the exact value's: just past the scale where the
+    plane turns negative, the oracle's float scale may lie below it."""
+    value = curvature / (uu * vv)
+    frame = (u.astype(float) / math.sqrt(uu), v.astype(float) / math.sqrt(vv))
+    oracle = float(metric.curvature_oracle_of_pair(*frame))
+    if abs(oracle - float(value)) > _ORACLE_RTOL * max(1.0, abs(float(value))):
+        raise AssertionError(
+            "exact value {} ({!r}) and oracle {!r} disagree on the witness "
+            "plane".format(value, float(value), oracle))
+    return _Witness(u, v, value, frame, oracle)
 
 
 def _cross(x, y):
@@ -632,13 +574,9 @@ def _circle_witness(metric):
     |z_t| is smallest, and q_t = (z_t x p_t) / (2 |p_t|^2), so that
     [p_t, q_t] = 2 p_t x q_t = z_t. Then A = sum p_t and B = sum q_t lie
     in m, <A, B> = 0 and [A, B] = z, so W = 0 and P = z in the closed
-    form, and the plane has sectional curvature
-    (1 - 3a/4) |z|^2 / (|A|^2 |B|^2): 4 - 3a on span-i.
-
-    The float connection oracle must agree with that value to
-    _ORACLE_RTOL of max(1, |value|), as on a plane the search reports,
-    or AssertionError is raised. The sign is the exact value's: at a just
-    past 4/3 the oracle's float scale may lie below it."""
+    form, and the plane has unnormalized curvature (1 - 3a/4) |z|^2 and
+    sectional curvature (1 - 3a/4) |z|^2 / (|A|^2 |B|^2): 4 - 3a on
+    span-i."""
     zero = [0, 0, 0]
     A, B = [], []
     zz = AA = BB = 0
@@ -657,179 +595,114 @@ def _circle_witness(metric):
         zz += sum(x * x for x in z)
         AA += pp
         BB += sum(x * x for x in q)
-    value = (1 - 3 * metric.a_exact / 4) * zz / (AA * BB)
-    u, v = np.array(A, dtype=object), np.array(B, dtype=object)
-    oracle = float(metric.curvature_oracle_of_pair(
-        u.astype(float), v.astype(float))) / float(AA * BB)
-    if abs(oracle - float(value)) > _ORACLE_RTOL * max(1.0, abs(float(value))):
-        raise AssertionError(
-            "exact value {} and oracle {!r} disagree on the circle's "
-            "witness plane".format(value, oracle))
-    return _Witness(u, v, value)
+    return _witness(metric, np.array(A, dtype=object),
+                    np.array(B, dtype=object), AA, BB,
+                    (1 - 3 * metric.a_exact / 4) * zz)
+
+
+def _is_diagonal(split):
+    """Whether k is exactly the untwisted diagonal {(x, ..., x)}: three
+    basis vectors, each repeating one 3-vector in every factor. Being
+    Q-orthonormal, those 3-vectors span su(2), so the test is exact on
+    the stored floats."""
+    basis = split.k_basis
+    return split.dim_k == 3 and bool((basis == basis[:, :1]).all())
+
+
+def _diagonal_witness(metric):
+    """The exact negatively curved plane of the untwisted diagonal of
+    su(2)^n, n >= 2, at a > 1.
+
+    X = (i, ..., i) and Y = (k, ..., k) lie in k; A = a(i, -i, 0, ..., 0)
+    and B = a(-k, (n-1)k, -k, ..., -k) lie in m. For u = A + X and
+    v = B + Y the closed form has W = 0 and P = -a^2 Z with
+    |Z|^2 = 4n, so their unnormalized curvature is
+    (a^4 (1 - 3a/4) - a^3 (3/2 - a) + a/4) 4n = a (1 - a)^3 (1 + 3a) n,
+    negative for a > 1. A, X, B and Y are pairwise Q-orthogonal, so u and
+    v are Q_a-orthogonal, with |u|^2 = |A|^2 + a |X|^2 and
+    |v|^2 = |B|^2 + a |Y|^2."""
+    a, n = metric.a_exact, metric.algebra.factors
+    A, X, B, Y = np.zeros((4, n, 3), dtype=object)
+    X[:, 0] = Y[:, 2] = 1
+    A[0, 0], A[1, 0] = a, -a
+    B[:, 2] = -a
+    B[1, 2] = (n - 1) * a
+    return _witness(metric, A + X, B + Y, (A * A).sum() + a * n,
+                    (B * B).sum() + a * n, a * (1 - a) ** 3 * (1 + 3 * a) * n)
 
 
 def _decide(metric):
     """Whether the metric has a negatively curved plane, decided exactly:
     ("nonnegative", rule) when _nonnegative_rule proves that it has none;
-    ("negative", witness) for a circle k (rank 1) at 3a > 4, with the
-    _Witness of _circle_witness; ("undecided", reason) otherwise. Builds
-    no curvature operator."""
+    ("negative", witness) with the _Witness of _circle_witness for a
+    circle k (rank 1) at 3a > 4, and of _diagonal_witness for the
+    untwisted diagonal (_is_diagonal) at a > 1; ("undecided", reason)
+    otherwise: twisted diagonals, and tori of rank 2 or more past 4/3.
+    The diagonal of su(2)^1 is an ideal, so the witness only meets n >= 2.
+    Builds no curvature operator."""
     rule = _nonnegative_rule(metric)
     if rule is not None:
         return "nonnegative", rule
     split = metric.split
     if split.dim_k == 1 and 3 * metric.a_exact > 4:
         return "negative", _circle_witness(metric)
+    if _is_diagonal(split):
+        return "negative", _diagonal_witness(metric)
     if not split.is_abelian():
         return "undecided", "k is neither an ideal nor abelian"
     return "undecided", "no witness for an abelian k of rank {} past 4/3".format(
         split.dim_k)
 
 
-def minimize(metric, F, budget, target):
-    """Batched Riemannian gradient descent on the Grassmannian of 2-planes
-    (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
-    Manifolds, 2008). F = (u, v) holds the candidate pairs as stacked
-    component-major rows (2, dim, candidates), best first; a pair is
-    overwritten with its Q_a-orthonormal frame once it is evaluated.
+def _frame(metric, u, v):
+    """A Q_a-orthonormal float pair spanning the plane of the float
+    elements u, v (n, 3), such as a scan's minimum plane: Gram-Schmidt on
+    their stacked (m, k) parts, with Q_a read as <x_m, y_m> + a <x_k, y_k>,
+    in which nothing cancels."""
+    uv = np.stack((u, v))
+    k = metric.split.project_k(uv)
+    p, q = np.stack((uv - k, k), axis=1)
 
-    _STARTS pairs descend together, and every step evaluates the sectional
-    curvature and its gradient at all of them in one call, one evaluation
-    per pair. A pair moves to (u, v) - t grad and back to a Q_a-orthonormal
-    frame by Gram-Schmidt. The move is kept if it lowers the value; the
-    pair's step t is then the Barzilai-Borwein step <s, s> / <s, y> of
-    that move (at most 4 t), and halves after a move that is not kept. A
-    pair stops once its gradient norm falls below _GRAD_RTOL times its
-    first, and the next candidate takes its place in the following step.
-    The descent stops when a value falls below target, when `budget`
-    evaluations are spent or when no candidate is left. Returns (values,
-    evaluations), +inf for the candidates never evaluated."""
-    def dot(PX, PY):
-        return metric._inner_of_parts(PX, PY).sum(axis=0)
+    def inner(x, y):
+        return np.vdot(x[0], y[0]) + metric.a * np.vdot(x[1], y[1])
 
-    n = F.shape[-1]
-    values = np.full(n, np.inf)
-    G = np.zeros_like(F)
-    floor = np.zeros(n)
-    step = np.full(n, _FIRST_STEP)
-    live = np.arange(min(_STARTS, n))
-    queued = live.size
-    evals = 0
-    while live.size and evals < budget:
-        live = live[:budget - evals]
-        t = step[live]
-        FL, GL = F[:, :, live], G[:, :, live]
-        T = FL - t * GL
-        tvals, tG = metric._value_and_gradient(T)
-        evals += live.size
-        PG = metric._parts(tG)
-        tnorm = np.sqrt(dot(PG, PG))
-        first = values[live] == np.inf
-        floor[live[first]] = _GRAD_RTOL * tnorm[first]
-        down = tvals < values[live]
-        Ps = metric._parts(T - FL)
-        sy = dot(Ps, metric._parts(tG - GL))
-        bb = np.divide(dot(Ps, Ps), sy, out=4.0 * t, where=sy > 0)
-        step[live] = np.where(first, t, np.where(
-            down, np.minimum(bb, 4.0 * t), 0.5 * t))
-        moved = live[down]
-        values[moved] = tvals[down]
-        F[:, :, moved] = T[:, :, down]
-        G[:, :, moved] = tG[:, :, down]
-        if tvals.min() < target:
-            break
-        live = live[~down | (tnorm > floor[live])]
-        fresh = np.arange(queued, min(queued + _STARTS - live.size, n))
-        queued += fresh.size
-        live = np.concatenate([live, fresh])
-    return values, evals
+    p = p / math.sqrt(inner(p, p))
+    q = q - inner(q, p) * p
+    q = q / math.sqrt(inner(q, q))
+    return p.sum(axis=0), q.sum(axis=0)
 
 
 def find_negative_plane(metric, budget=100_000, seed=0):
-    """Seeded search for a plane with sectional curvature below -1e-10.
+    """Seeded scan of `budget` random planes, and the exact decision
+    (_decide) of whether the metric has a negatively curved plane.
 
-    Phase one scans random planes. Phase two descends from the scanned
-    planes, best first, by minimize(): a batched Riemannian descent on the
-    Grassmannian with the closed form's analytic gradient, _STARTS planes
-    at a time, until a plane falls below the threshold or the evaluation
-    budget runs out. Phase two is skipped when the scan already found a
-    plane below the threshold, and when _nonnegative_rule proves that no
-    such plane exists: then the search ends at its scan, which is all of
-    its evaluations. An evaluation is one plane's value, in phase two with
-    its gradient; the search spends at most `budget`. The reported plane
-    is a Q_a-orthonormal pair and its value the closed form there: the
-    most negative value seen when found is False. Deterministic for a
-    fixed (budget, seed). The reported plane is re-evaluated with
-    curvature_oracle_of_pair so the closed form never certifies itself: a
-    negative plane on which the oracle is not negative too, within
-    _ORACLE_RTOL of max(1, |value|), raises AssertionError.
+    found is True exactly when _decide refutes the metric with a witness;
+    no float threshold decides it. Then value is the witness's exact
+    sectional curvature as a float, (u, v) a Q_a-orthonormal float frame
+    of its plane, and oracle_value the connection oracle there; a
+    disagreement beyond _ORACLE_RTOL of max(1, |value|) raises
+    AssertionError, so the closed form never certifies itself. Otherwise
+    value and (u, v), again a Q_a-orthonormal frame, describe the scan's
+    minimum plane. evaluations is the number of scanned planes, budget,
+    an int in [1, MAX_PLANES], and scan_min the scan's minimum.
+    Deterministic for a fixed (budget, seed).
+
+    A split _decide leaves undecided reports found=False with its scan
+    minimum, even where a negative plane exists: twisted diagonals, and
+    tori of rank 2 or more past 4/3, which only library callers build.
+    Every split the CLI names (diagonal, factorN, span-i/j/k) is decided.
     """
-    require_int(budget, "budget")
-    if budget < 10:
-        raise ParameterError("budget too small to do anything")
-    alg = metric.algebra
-    scan_n = max(min(budget // 2, 50_000), 10)
-    U, V, vals, ok = _scan(metric, scan_n, seed)
-    evals = scan_n
-    order = np.argsort(vals)
-    scan_min = float(vals[order[0]])
-
-    descend = (scan_min >= _NEGATIVE_THRESHOLD and budget > evals
-               and _nonnegative_rule(metric) is None)
-    order = order[:min(budget - evals, int(np.sum(ok))) if descend else 1]
-    F, _ = alg.rows(U[order], V[order])
-    if descend:
-        values, spent = minimize(metric, F, budget - evals,
-                                 _NEGATIVE_THRESHOLD)
-        evals += spent
+    require_count(budget, "budget", MAX_PLANES)
+    scan = scan_min_sectional(metric, n_planes=budget, seed=seed)
+    verdict, witness = _decide(metric)
+    if verdict == "negative":
+        (u, v), value, oracle = witness.frame, float(witness.value), witness.oracle
     else:
-        values, _ = metric._value_and_gradient(F)
-    best = int(np.argmin(values))
-    u, v = alg.from_rows(F[:, :, best:best + 1])[:, 0]
-    value = float(values[best])
-    oracle = float(metric.curvature_oracle_of_pair(u, v))
-    found = value < _NEGATIVE_THRESHOLD
-    if found and not (oracle < 0.0 and abs(oracle - value)
-                      <= _ORACLE_RTOL * max(1.0, abs(value))):
-        raise AssertionError(
-            "closed form {!r} and oracle {!r} disagree on a negative "
-            "plane".format(value, oracle))
-    return PlaneSearchResult(found, value, u, v, oracle, evals, scan_min)
-
-
-def negative_plane_witness(metric):
-    """Explicit negatively curved plane for the diagonal subalgebra of
-    su(2)^2 at any a > 1.
-
-    The recipe makes W = 0 and P = -a^2 Z in the closed form: pick
-    noncommuting X, Y in k and A, B in m with [A,B] = -a^2 [X,Y] and
-    [X,B] + [A,Y] = 0. Here X = (i,i), Y = (k,k), A = a(i,-i),
-    B = -a(k,-k), leaving curvature
-
-        (a^4 (1 - 3a/4) - a^3 (3/2 - a) + a/4) |Z|^2
-            = 1/4 a (1-a)^3 (1+3a) |Z|^2  < 0   for a > 1,
-
-    with |Z|^2 = 8 in the reference normalization. Returns (A, X, B, Y).
-    """
-    alg = metric.algebra
-    a = metric.a
-    # (e, e) / sqrt 2 for e = i, j, k: the diagonal, not a twisted copy
-    probes = np.repeat(np.eye(3)[:, None], 2, axis=1) / math.sqrt(2.0)
-    if alg.factors != 2 or metric.split.dim_k != 3 \
-            or not metric.split.contains(probes, tol=1e-12):
-        raise ParameterError(
-            "witness construction needs the diagonal subalgebra of su(2)^2")
-    if metric.a_exact <= 1:
-        raise ParameterError("no negative plane exists for a <= 1")
-    if a <= 1.0:
-        raise ParameterError(
-            "a = {} is past 1 but its float is 1.0; the float recipe cannot "
-            "resolve that scale".format(metric.a_exact))
-    X = alg.element((1, 0, 0), (1, 0, 0))
-    Y = alg.element((0, 0, 1), (0, 0, 1))
-    A = a * alg.element((1, 0, 0), (-1, 0, 0))
-    B = -a * alg.element((0, 0, 1), (0, 0, -1))
-    return A, X, B, Y
+        u, v = _frame(metric, scan.u, scan.v)
+        value = scan.min_value
+        oracle = float(metric.curvature_oracle_of_pair(u, v))
+    return PlaneSearchResult(verdict == "negative", value, u, v, oracle,
+                             budget, scan.min_value)
 
 
 # -- quotient scaling ------------------------------------------------------

@@ -10,7 +10,6 @@ axes in front of the trailing (n, 3) are treated as sample dimensions.
 The numeric kernel works on the same vectors laid out component-major: a
 batch of N vectors is a (dim, N) array whose row c n + t holds component c
 of factor t for every sample, so it can be viewed as (3, n, N).
-Su2Power.rows and Su2Power.from_rows convert between the two forms,
 Su2Power.bracket_rows is the one bracket implementation, and
 ReductiveSplit keeps the Q-orthogonal projector onto k in both orders.
 """
@@ -147,25 +146,6 @@ class Su2Power:
         else:
             shape = tuple(size) + (self.factors, 3)
         return rng.standard_normal(out=_carve(out, shape))
-
-    def rows(self, *vectors):
-        """Elements (..., n, 3) -> component-major rows, stacked
-        (len(vectors), dim, N) over the N samples of their broadcast sample
-        axes; also returns those axes' shape."""
-        vectors = [self.check_element(x) for x in vectors]
-        shape = np.broadcast_shapes(*(x.shape[:-2] for x in vectors))
-        ndim = len(shape) + 2
-        out = np.empty((len(vectors), 3, self.factors) + shape)
-        for x, o in zip(vectors, out):
-            # pad the sample axes on the left, then move (n, 3) to the front
-            x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
-            o[...] = x.transpose((ndim - 1, ndim - 2) + tuple(range(ndim - 2)))
-        return out.reshape(len(vectors), self.dim, -1), shape
-
-    def from_rows(self, x):
-        """Component-major rows (..., dim, N) -> elements (..., N, n, 3)."""
-        x = x.reshape(x.shape[:-2] + (3, self.factors, x.shape[-1]))
-        return np.ascontiguousarray(np.swapaxes(x, -1, -3))
 
 
 class ReductiveSplit:

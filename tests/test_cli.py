@@ -159,6 +159,21 @@ def test_curvature_scan_finds_negative_plane(capsys):
     assert payload["negative_value"] < 0
 
 
+@pytest.mark.parametrize("a, budget", [("1.0001", "20000"), ("1.05", "5")])
+def test_curvature_scan_finds_the_shallow_diagonal_plane(capsys, a, budget):
+    """At a = 1.0001 the su(2)^2 diagonal's negative planes are about
+    -5e-13 deep: a search with a fixed threshold of -1e-10 missed them and
+    exited 4. The exact witness finds them for any budget, five planes
+    too, which used to be refused."""
+    code, payload, _ = run_json(
+        capsys, "curvature-scan", "--algebra", "su2^2", "--subalgebra",
+        "diagonal", "--a", a, "--budget", budget, "--find-negative")
+    assert code == cli.EXIT_OK
+    assert payload["negative_plane_found"] is True
+    assert payload["negative_value"] < 0 and payload["oracle_value"] < 0
+    assert payload["evaluations"] == int(budget)
+
+
 def test_curvature_scan_negative_search_can_fail(capsys):
     code, payload, _ = run_json(
         capsys, "curvature-scan", "--algebra", "su2", "--subalgebra",
@@ -372,7 +387,6 @@ BAD_NUMERIC_INPUTS = [
     # sample counts
     ("curvature-scan", ["--budget", "0"], 3),
     ("curvature-scan", ["--budget", "-5"], 3),
-    ("curvature-scan", ["--budget", "5", "--find-negative"], 3),
     ("curvature-scan", ["--budget", "1.5"], 2),
     ("glue", ["--planes", "0"], 3),
     # counts past MAX_PLANES: these failed allocating 43.7 TiB, with a
@@ -466,8 +480,8 @@ def test_curvature_scan_reports_the_scan_and_search_counters(capsys):
     assert first == second
     payload = json.loads(first)
     res = deform.find_negative_plane(metric, budget=300, seed=5)
-    # a <= 1 proves the metric nonnegative: the search ends at its scan
-    assert payload["evaluations"] == res.evaluations == 150
+    # the search's evaluations are its scan, of the whole budget
+    assert payload["evaluations"] == res.evaluations == 300
     assert payload["scan_min"] == res.scan_min
     assert payload["negative_plane_found"] is False
 

@@ -483,10 +483,10 @@ def test_a_refuted_metric_nonneg_fails_on_its_exact_witness(monkeypatch,
 
 
 def test_an_undecided_metric_nonneg_fails_on_a_scan(monkeypatch):
-    """On the su(2)^2 diagonal at 4/3 the decision has no rule and no
-    witness: only there is the seeded scan run, with the certificate's
-    planes and seed, and the clause fails with its minimum, which proves
-    nothing."""
+    """On a twisted diagonal of su(2)^2, {(x, phi x)} with phi the quarter
+    turn about i, at 4/3 the decision has no rule and no witness: only
+    there is the seeded scan run, with the certificate's planes and seed,
+    and the clause fails with its minimum, which proves nothing."""
     calls = []
 
     def counted(metric, n_planes, seed):
@@ -494,7 +494,10 @@ def test_an_undecided_metric_nonneg_fails_on_a_scan(monkeypatch):
         return scan_min_sectional(metric, n_planes=n_planes, seed=seed)
 
     monkeypatch.setattr(glue, "scan_min_sectional", counted)
-    metric = DeformedMetric(ReductiveSplit.diagonal(Su2Power(2)), Fraction(4, 3))
+    twisted = ReductiveSplit(Su2Power(2), np.array([
+        [[1, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 1]],
+        [[0, 0, 1], [0, -1, 0]]]) / math.sqrt(2.0))
+    metric = DeformedMetric(twisted, Fraction(4, 3))
     clause = nonneg_certificate(ProfileFunction.capped_sine(Fraction(4, 3), 1),
                                 metric, planes=2000, seed=5).clause("metric_nonneg")
     assert calls == [(2000, 5)]

@@ -250,24 +250,6 @@ def test_bracket_kernel_on_rows_is_twice_np_cross_bitwise(factors, u_shape, v_sh
     assert np.array_equal(got, component_major(want))
 
 
-@pytest.mark.parametrize("factors", [1, 2, 3])
-def test_rows_round_trip_and_broadcast(factors):
-    """rows() lays vectors out component-major, row c n + t holding
-    component c of factor t, and from_rows() undoes it."""
-    alg = Su2Power(factors)
-    u = alg.random(RNG, (4, 3))
-    v = alg.random(RNG, 3)
-    X, shape = alg.rows(u, v)
-    assert shape == (4, 3) and X.shape == (2, alg.dim, 12)
-    assert X.flags.c_contiguous
-    for t in range(factors):
-        for c in range(3):
-            assert np.array_equal(X[0, c * factors + t], u[..., t, c].reshape(-1))
-    back = alg.from_rows(X).reshape(2, 4, 3, factors, 3)
-    assert np.array_equal(back[0], u)
-    assert np.array_equal(back[1], np.broadcast_to(v, u.shape))
-
-
 @pytest.mark.parametrize("factory", [
     lambda alg: ReductiveSplit.diagonal(alg),
     lambda alg: ReductiveSplit.factor(alg, 1),
@@ -321,6 +303,12 @@ def test_the_projector_is_the_k_part_in_both_orders(factors, name):
     assert np.max(np.abs(P @ P - P)) <= 1e-15
     assert abs(np.trace(P) - split.dim_k) <= 1e-15 * split.dim_k
     u = alg.random(RNG, 50)
-    got = DeformedMetric(split, 1.5)._k_part(alg.rows(u)[0][0])
-    want = alg.rows(split.project_k(u))[0][0]
+
+    def rows(x):
+        """(N, n, 3) -> (dim, N), row c n + t holding component c of
+        factor t."""
+        return x.transpose(2, 1, 0).reshape(alg.dim, -1)
+
+    got = DeformedMetric(split, 1.5)._k_part(rows(u))
+    want = rows(split.project_k(u))
     assert np.all(np.abs(got - want) <= 1e-15 * alg.norm(u))

@@ -84,10 +84,9 @@ def loaded_names(tree):
     return found
 
 
-#: Exports kept for work still to come: negative_plane_witness for the
-#: metric_nonneg clause's witness, cor_47_families for the label-driven
-#: gluing route.
-UNCALLED_EXPORTS = {"negative_plane_witness", "cor_47_families"}
+#: Exports kept for work still to come: cor_47_families for the
+#: label-driven gluing route.
+UNCALLED_EXPORTS = {"cor_47_families"}
 
 
 def test_every_export_has_a_reader():
@@ -322,26 +321,26 @@ def test_integer_commands_run_where_heavy_stdlib_cannot_be_imported():
     cli_code("glue", "--a", "4/3", "--r", "1", "--planes", "50"),
     cli_code("curvature-scan", "--algebra", "su2^3", "--subalgebra", "span-i",
              "--a", "3/2", "--find-negative"),
-], ids=["attribute", "cli-glue", "cli-search-settled-by-scan"])
-def test_only_the_optimizer_loads_scipy_optimize(code):
+], ids=["attribute", "cli-glue", "cli-search-circle-witness"])
+def test_the_numeric_layers_load_no_scipy(code):
     """The numeric layers and the numeric subcommands load numpy and no
-    scipy module: neither scipy.linalg nor scipy.optimize, which not even
-    the plane search's optimizer loads."""
+    scipy module: neither scipy.linalg nor scipy.optimize."""
     assert numeric_modules_after(code) == ["numpy"]
 
 
-def test_descending_plane_search_loads_no_scipy():
-    """A search that the scan does not settle, on a metric that no rule
-    proves nonnegative, descends, in numpy only."""
+def test_diagonal_witness_search_loads_no_scipy():
+    """A search on the su(2)^3 diagonal, which the exact diagonal witness
+    settles, runs in numpy and Fractions only."""
     code = cli_code("curvature-scan", "--algebra", "su2^3", "--subalgebra",
                     "diagonal", "--a", "21/20", "--budget", "300",
-                    "--find-negative", code=4)
+                    "--find-negative")
     assert numeric_modules_after(code) == ["numpy"]
 
 
 def test_numeric_commands_run_where_scipy_cannot_be_imported():
     """With `import scipy` made to fail, the gluing certificate, a search
-    that descends and finds a plane, and the oracle check all still run."""
+    that finds the diagonal's witness plane, and the oracle check all
+    still run."""
     code = "\n".join([
         "import sys",
         "sys.modules['scipy'] = None",

@@ -533,22 +533,24 @@ def _nonnegative_rule(metric):
     return None
 
 
-class _Witness(namedtuple("_Witness", "u v value frame oracle")):
+class _Witness(namedtuple("_Witness", "u v value frame oracle plane")):
     """A negatively curved plane, exactly: u and v, (n, 3) object arrays of
     ints and Fractions, span it, and value is its exact sectional
     curvature, a Fraction. frame is a Q_a-orthonormal float pair spanning
-    the plane and oracle the connection oracle's float value there."""
+    the plane and oracle the connection oracle's float value there. plane
+    says, in words, where the plane lies."""
     __slots__ = ()
 
 
-def _witness(metric, u, v, uu, vv, curvature):
-    """The _Witness of the exact plane (u, v), given Q_a-orthogonal with
-    exact Q_a norms squared uu and vv and exact unnormalized curvature:
-    its value is curvature / (uu vv), and (u / sqrt(uu), v / sqrt(vv)) is
-    its frame. The float connection oracle at the frame must agree with
-    the value to _ORACLE_RTOL of max(1, |value|), or AssertionError is
-    raised. The sign is the exact value's: just past the scale where the
-    plane turns negative, the oracle's float scale may lie below it."""
+def _witness(metric, u, v, uu, vv, curvature, plane):
+    """The _Witness of the exact plane (u, v), described by plane, given
+    Q_a-orthogonal with exact Q_a norms squared uu and vv and exact
+    unnormalized curvature: its value is curvature / (uu vv), and
+    (u / sqrt(uu), v / sqrt(vv)) is its frame. The float connection
+    oracle at the frame must agree with the value to _ORACLE_RTOL of
+    max(1, |value|), or AssertionError is raised. The sign is the exact
+    value's: just past the scale where the plane turns negative, the
+    oracle's float scale may lie below it."""
     value = curvature / (uu * vv)
     frame = (u.astype(float) / math.sqrt(uu), v.astype(float) / math.sqrt(vv))
     oracle = float(metric.curvature_oracle_of_pair(*frame))
@@ -556,7 +558,7 @@ def _witness(metric, u, v, uu, vv, curvature):
         raise AssertionError(
             "exact value {} ({!r}) and oracle {!r} disagree on the witness "
             "plane".format(value, float(value), oracle))
-    return _Witness(u, v, value, frame, oracle)
+    return _Witness(u, v, value, frame, oracle, plane)
 
 
 def _cross(x, y):
@@ -569,35 +571,43 @@ def _cross(x, y):
 def _circle_witness(metric):
     """The exact negatively curved plane of a circle k at 3a > 4.
 
-    z is k's stored basis vector, read exactly (errors.exact_real). In
-    each factor t with z_t != 0, p_t = z_t x e for the axis e on which
-    |z_t| is smallest, and q_t = (z_t x p_t) / (2 |p_t|^2), so that
-    [p_t, q_t] = 2 p_t x q_t = z_t. Then A = sum p_t and B = sum q_t lie
-    in m, <A, B> = 0 and [A, B] = z, so W = 0 and P = z in the closed
-    form, and the plane has unnormalized curvature (1 - 3a/4) |z|^2 and
-    sectional curvature (1 - 3a/4) |z|^2 / (|A|^2 |B|^2): 4 - 3a on
-    span-i."""
-    zero = [0, 0, 0]
-    A, B = [], []
-    zz = AA = BB = 0
-    for row in metric.split.k_basis[0].tolist():
+    z is k's stored basis vector, read exactly. In each factor t with
+    z_t != 0, p_t = z_t x e for the axis e on which |z_t| is smallest,
+    and q_t = (z_t x p_t) / (2 |p_t|^2), so that [p_t, q_t] =
+    2 p_t x q_t = z_t. Then A = sum p_t and B = sum q_t lie in m,
+    <A, B> = 0 and [A, B] = z, so W = 0 and P = z in the closed form, and
+    the plane has unnormalized curvature (1 - 3a/4) |z|^2 and sectional
+    curvature (1 - 3a/4) |z|^2 / (|A|^2 |B|^2): 4 - 3a on span-i.
+
+    The arithmetic is in integers: every stored float is a dyadic
+    rational, so z = Z / D with Z integer and D the largest denominator
+    of its entries, a power of two. Then p_t = P_t / D with
+    P_t = Z_t x e, and q_t = (Z_t x P_t) / (2 |P_t|^2), in which D
+    cancels; each entry becomes a Fraction once, and zero entries stay
+    the int 0."""
+    Fraction = type(metric.a_exact)  # deform never imports fractions
+
+    rows = metric.split.k_basis[0].tolist()
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    D = max(den for row in ratios for _, den in row)
+    A, B = np.zeros((2, len(rows), 3), dtype=object)
+    ZZ = PP = BB = 0
+    for t, (row, ratio) in enumerate(zip(rows, ratios)):
         if not any(row):
-            A.append(zero)
-            B.append(zero)
             continue
-        z = [exact_real(x, "k basis entry") for x in row]
+        Z = [num * (D // den) for num, den in ratio]
         axis = min(range(3), key=lambda l: abs(row[l]))
-        p = _cross(z, [int(l == axis) for l in range(3)])
-        pp = sum(x * x for x in p)
-        q = [x / (2 * pp) for x in _cross(z, p)]
-        A.append(p)
-        B.append(q)
-        zz += sum(x * x for x in z)
-        AA += pp
-        BB += sum(x * x for x in q)
-    return _witness(metric, np.array(A, dtype=object),
-                    np.array(B, dtype=object), AA, BB,
-                    (1 - 3 * metric.a_exact / 4) * zz)
+        P = _cross(Z, [int(l == axis) for l in range(3)])
+        Q = _cross(Z, P)
+        pp = sum(x * x for x in P)
+        A[t] = [Fraction(x, D) if x else 0 for x in P]
+        B[t] = [Fraction(x, 2 * pp) if x else 0 for x in Q]
+        ZZ += sum(x * x for x in Z)
+        PP += pp
+        BB += Fraction(sum(x * x for x in Q), 4 * pp * pp)
+    return _witness(metric, A, B, Fraction(PP, D * D), BB,
+                    (1 - 3 * metric.a_exact / 4) * Fraction(ZZ, D * D),
+                    "a plane in m")
 
 
 def _is_diagonal(split):
@@ -628,7 +638,8 @@ def _diagonal_witness(metric):
     B[:, 2] = -a
     B[1, 2] = (n - 1) * a
     return _witness(metric, A + X, B + Y, (A * A).sum() + a * n,
-                    (B * B).sum() + a * n, a * (1 - a) ** 3 * (1 + 3 * a) * n)
+                    (B * B).sum() + a * n, a * (1 - a) ** 3 * (1 + 3 * a) * n,
+                    "the plane of u = A + X, v = B + Y (A, B in m; X, Y in k)")
 
 
 def _decide(metric):

@@ -12,12 +12,21 @@ halves agree exactly when f^2 hits the matching level a r^2 / (a - 1).
 That level only exists for a > 1, and the group side only stays
 nonnegatively curved (abelian shrunk block) for a <= 4/3, which is why
 the whole construction lives in the window 1 < a <= 4/3.
+
+The built-in profile, the capped sine F sin(t/F) of
+ProfileFunction.capped_sine, proves its shape clauses from its closed
+form: neither its construction nor its certificate evaluates f, f' or
+f'' on the grid, and its samples are built only when something reads
+them, such as export_csv. A profile built from other closed forms has no
+such proof: it is validated and its clauses are checked on samples at
+the grid points, and their detail says so.
 """
 
 import csv
 import math
 import sys
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -79,16 +88,21 @@ def glue_params(a, r):
 
 
 class ProfileFunction:
-    """Piecewise-smooth warping profile, sampled once on a grid.
+    """Piecewise-smooth warping profile on a grid.
 
     value, derivative and second_derivative are vectorized closed forms
     for f, f', f'': a float array goes in, an array of its shape comes
     out, and a scalar return (``lambda t: 0.0``) is broadcast. glue is
     the GlueParams the profile is built for; t_plateau, plateau and
-    plateau_sq are read from it. Each closed form runs once, on the grid
-    (step grid_step, running past the plateau) and the join points
-    t_plateau -+ 1e-9 t_plateau; validate() and the certificate read
-    those samples. Construction validates the profile.
+    plateau_sq are read from it. The grid (step grid_step, running past
+    the plateau) is built at construction. The table of f, f', f'' on it
+    and at the join points t_plateau -+ 1e-9 t_plateau is built on its
+    first read, by sample(), validate() or export_csv, and each closed
+    form runs once for it.
+
+    Construction validates the profile: by _proof, the closed-form proof
+    of its shape clauses, where the profile has one (capped_sine), and by
+    validate() on the table where it has none.
     """
 
     def __init__(self, value, derivative, second_derivative, glue,
@@ -109,15 +123,8 @@ class ProfileFunction:
         self.grid_step = float(step)
         n = int(math.ceil(1.25 * self.t_plateau / self.grid_step))
         self.grid = np.arange(n + 1) * self.grid_step
-        eps = 1e-9 * self.t_plateau
-        self._ts = np.append(self.grid, (self.t_plateau - eps,
-                                         self.t_plateau + eps))
-        # rows f, f', f'' at _ts
-        self._samples = np.empty((3, self._ts.size))
-        for row, fn in zip(self._samples, (value, derivative, second_derivative)):
-            row[:] = fn(self._ts)
-        self._samples.flags.writeable = False
-        self.validate()
+        if self._proof() is None:
+            self.validate()
 
     @classmethod
     def capped_sine(cls, a, r, grid_step=None):
@@ -125,7 +132,8 @@ class ProfileFunction:
         beyond, where F is the matching level for (a, r). The join is C^1:
         f' runs down to 0 at t0 while f'' jumps from -1/F to 0, so
         concavity holds weakly and the disc curvature -f''/f drops from
-        1/F^2 to 0.
+        1/F^2 to 0. Its shape clauses are proven from this closed form
+        (_CappedSine).
         """
         params = glue_params(a, r)
         F = params.plateau
@@ -140,7 +148,29 @@ class ProfileFunction:
         def second_derivative(t):
             return np.where(t < t0, -np.sin(t / F) / F, 0.0)
 
-        return cls(value, derivative, second_derivative, params, grid_step)
+        return _CappedSine(value, derivative, second_derivative, params,
+                           grid_step)
+
+    def _proof(self):
+        """The profile_shape, disc_curvature and product_near_boundary
+        clauses, proven from a closed form, or None when the profile has
+        no proof and its clauses are sampled."""
+        return None
+
+    @cached_property
+    def _ts(self):
+        """The grid, then the join points t_plateau -+ 1e-9 t_plateau."""
+        eps = 1e-9 * self.t_plateau
+        return np.append(self.grid, (self.t_plateau - eps, self.t_plateau + eps))
+
+    @cached_property
+    def _samples(self):
+        """Rows f, f', f'' at _ts, read-only."""
+        table = np.empty((3, self._ts.size))
+        for row, fn in zip(table, (self._f, self._fp, self._fpp)):
+            row[:] = fn(self._ts)
+        table.flags.writeable = False
+        return table
 
     # -- evaluation ---------------------------------------------------------
 
@@ -168,7 +198,7 @@ class ProfileFunction:
         return -self.second_derivative(t) / f
 
     def sample(self):
-        """The grid and f on it, from the stored samples."""
+        """The grid and f on it, from the sample table."""
         return self.grid, self._samples[0, :self.grid.size]
 
     # -- invariants ---------------------------------------------------------
@@ -218,6 +248,30 @@ class ProfileFunction:
                                  "{:.17g}".format(factor)])
 
 
+class _CappedSine(ProfileFunction):
+    """The capped sine of ProfileFunction.capped_sine, F sin(t/F) before
+    t0 = pi F / 2 and F past it, with F the glue's plateau: its shape
+    clauses hold by this closed form, so neither construction nor a
+    certificate samples it."""
+
+    def _proof(self):
+        """f(0) = 0 and f'(0) = cos 0 = 1; before t0, t/F lies in
+        [0, pi/2), so f > 0 and f'' = -sin(t/F)/F <= 0 and
+        -f''/f = 1/F^2; past t0, f = F and f' = f'' = 0. The minimum of
+        -f''/f over t > 0 is therefore 0, reached past t0, and f is
+        frozen there with no gap."""
+        return (
+            ClauseResult("profile_shape", True, 0.0, 0.0,
+                         "proven from the closed form F sin(t/F) capped at "
+                         "t0 = pi F/2"),
+            ClauseResult("disc_curvature", True, 0.0, -1e-9,
+                         "-f''/f is 1/F^2 before t0 and 0 past it, proven "
+                         "from the closed form"),
+            ClauseResult("product_near_boundary", True, 0.0, 1e-12,
+                         "f = F and f' = 0 past t0, proven from the closed "
+                         "form"))
+
+
 def _orbit_factor(f2, a, r):
     """f^2 a / (f^2 + a r^2), as f^2 / (f^2 / a + r^2) so that no float
     exceeds the plateau square; exact when f^2 is exact, as it is on the
@@ -255,6 +309,36 @@ class GluingCertificate(namedtuple("GluingCertificate", "passed clauses")):
         raise KeyError(name)
 
 
+def _sampled_shape(profile):
+    """The profile_shape, disc_curvature and product_near_boundary clauses
+    of a profile with no proof, read from its sample table; each detail
+    says on how many grid points."""
+    try:
+        profile.validate()
+        shape_ok, shape_msg = True, ""
+    except ProfileError as exc:
+        shape_ok, shape_msg = False, "{}; ".format(exc)
+    n = profile.grid.size
+    shape = ClauseResult(
+        "profile_shape", shape_ok, 0.0 if shape_ok else 1.0, 0.0,
+        "{}sampled on {} grid points and the two join points".format(
+            shape_msg, n))
+
+    f, _, fpp = profile._samples[:, 1:n]            # grid points t > 0
+    min_curv = -math.inf if np.any(f == 0.0) else float(np.min(-fpp / f))
+    curvature = ClauseResult(
+        "disc_curvature", min_curv >= -1e-9, min_curv, -1e-9,
+        "-f''/f sampled on {} grid points".format(n - 1))
+
+    tail = profile._frozen_gap()[:n][profile.grid >= profile.t_plateau]
+    tail_gap = float(np.max(tail)) if tail.size else math.inf
+    frozen = ClauseResult(
+        "product_near_boundary", tail_gap <= 1e-12, tail_gap, 1e-12,
+        "profile frozen past the plateau, sampled on {} grid points".format(
+            tail.size))
+    return shape, curvature, frozen
+
+
 def nonneg_certificate(profile, metric, planes=10_000, seed=0):
     """Certify the ingredients of the nonnegatively curved disc gluing.
 
@@ -262,18 +346,28 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
     scale sits in (1, 4/3]; the shrunk block is abelian; profile and
     metric agree on the scale; the profile plateau squares to the
     matching level; the profile's own shape invariants hold; the disc
-    curvature -f''/f is nonnegative on the grid; the metric is a product
-    past the plateau (f frozen); and the deformed metric is nonnegatively
-    curved. Returns a certificate carrying every clause; passed means all
-    clauses passed.
+    curvature -f''/f is nonnegative; the metric is a product past the
+    plateau (f frozen); and the deformed metric is nonnegatively curved.
+    Returns a certificate carrying every clause; passed means all clauses
+    passed.
+
+    The three profile clauses (profile_shape, disc_curvature,
+    product_near_boundary) are the profile's closed-form proof where it
+    has one, the capped sine's: they pass with value 0.0 and a detail
+    saying "proven from the closed form". Otherwise they are read from
+    the sample table, with the minimum of -f''/f over the grid points
+    t > 0 and the largest gap max(|f - plateau|, |f'|) over those past
+    the plateau as values, and a detail saying on how many grid points
+    they were sampled; such a clause cannot see between grid points.
 
     metric_nonneg reads deform._decide, which is exact. Proven, it passes
     with value 0.0, the proven lower bound, and its detail names the
     rule. Refuted, it fails with the witness plane's sectional curvature
-    as value and its exact Fraction in the detail. Undecided, it fails,
-    and only then is a seeded scan of `planes` planes run; its minimum is
-    the value. A certificate never passes on a sample. planes and seed are
-    checked first, whatever the verdict.
+    as value, and its detail says where the plane lies and gives its
+    exact Fraction. Undecided, it fails, and only then is a seeded scan
+    of `planes` planes run; its minimum is the value. metric_nonneg never
+    passes on a sample. planes and seed are checked first, whatever the
+    verdict.
     """
     require_count(planes, "planes", MAX_PLANES)
     _check_seed(seed)
@@ -304,33 +398,14 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
         "plateau_match", gap <= 1e-8, gap, 1e-8,
         "plateau square must equal a r^2/(a-1)"))
 
-    try:
-        profile.validate()
-        shape_ok, shape_msg = True, ""
-    except ProfileError as exc:
-        shape_ok, shape_msg = False, str(exc)
-    clauses.append(ClauseResult(
-        "profile_shape", shape_ok, 0.0 if shape_ok else 1.0, 0.0, shape_msg))
-
-    n = profile.grid.size
-    f, _, fpp = profile._samples[:, 1:n]            # grid points t > 0
-    min_curv = -math.inf if np.any(f == 0.0) else float(np.min(-fpp / f))
-    clauses.append(ClauseResult(
-        "disc_curvature", min_curv >= -1e-9, min_curv, -1e-9,
-        "-f''/f on the grid"))
-
-    tail = profile._frozen_gap()[:n][profile.grid >= profile.t_plateau]
-    tail_gap = float(np.max(tail)) if tail.size else math.inf
-    clauses.append(ClauseResult(
-        "product_near_boundary", tail_gap <= 1e-12, tail_gap, 1e-12,
-        "profile frozen past the plateau"))
+    clauses.extend(profile._proof() or _sampled_shape(profile))
 
     verdict, proof = _decide(metric)
     if verdict == "nonnegative":
         passed, value, detail = True, 0.0, "proven by the {} rule".format(proof)
     elif verdict == "negative":
         passed, value, detail = False, float(proof.value), (
-            "a plane in m has exact sectional curvature {}".format(proof.value))
+            "{} has exact sectional curvature {}".format(proof.plane, proof.value))
     else:
         scan = scan_min_sectional(metric, n_planes=planes, seed=seed)
         passed, value, detail = False, scan.min_value, (

@@ -336,6 +336,96 @@ def test_profile_closed_forms_run_a_fixed_number_of_times(tmp_path):
     assert coarse == fine
 
 
+def test_certifying_a_capped_sine_builds_no_samples(monkeypatch):
+    """The capped sine's three profile clauses come from its closed form:
+    construction and the certificate evaluate none of f, f', f'' on the
+    grid, and they pass at 0.0 with a detail saying they are proven."""
+    sampled = []
+    monkeypatch.setattr(glue, "_sampled_shape", sampled.append)
+    for a, step in ((Fraction(4, 3), None), (Fraction(6, 5), 0.001)):
+        profile = ProfileFunction.capped_sine(a, 1, grid_step=step)
+        cert = nonneg_certificate(profile, circle_metric(a), planes=100)
+        assert cert.passed and sampled == []
+        assert "_samples" not in vars(profile) and "_ts" not in vars(profile)
+        for name in ("profile_shape", "disc_curvature", "product_near_boundary"):
+            clause = cert.clause(name)
+            assert clause.passed and clause.value == 0.0
+            assert "proven from the closed form" in clause.detail
+            assert "sampled" not in clause.detail
+
+
+@pytest.mark.parametrize("read", [
+    lambda profile, path: profile.sample(),
+    lambda profile, path: profile.validate(),
+    lambda profile, path: profile.export_csv(path)],
+    ids=["sample", "validate", "export_csv"])
+def test_reading_a_capped_sine_builds_its_samples(tmp_path, read):
+    """sample(), validate() and export_csv build the sample table on first
+    read, and it is the table of the same closed forms built by hand."""
+    params = glue_params(Fraction(4, 3), 1)
+    profile = ProfileFunction.capped_sine(params.a, params.r)
+    read(profile, tmp_path / "profile.csv")
+    assert "_samples" in vars(profile)
+    by_hand = ProfileFunction(**sine_cap(params))
+    assert np.array_equal(profile._samples, by_hand._samples)
+    assert np.array_equal(profile._ts, by_hand._ts)
+
+
+def bumped_profile():
+    """The capped sine for a = 4/3, r = 1 with a quartic bump
+    c (1 - s^2)^2, s = (t - m) / w, of width step/10 centred between grid
+    points 400 and 401. At its edges f'' jumps to about 8c / w^2, so
+    -f''/f reaches about -3.8 there, while every grid point misses it."""
+    params = glue_params(Fraction(4, 3), 1)
+    spec = sine_cap(params)
+    step = params.t_plateau / 1000.0
+    mid, w = 400.5 * step, step / 20.0
+    c = 0.6 * w * w
+
+    def bumped(base, derivative):
+        def fn(t):
+            s = (np.asarray(t, dtype=float) - mid) / w
+            b = (c * (1 - s * s) ** 2, -4 * c * s * (1 - s * s) / w,
+                 c * (12 * s * s - 4) / w ** 2)[derivative]
+            return base(t) + np.where(np.abs(s) < 1.0, b, 0.0)
+        return fn
+
+    for derivative, key in enumerate(("value", "derivative", "second_derivative")):
+        spec[key] = bumped(spec[key], derivative)
+    return ProfileFunction(**spec), mid + 0.99 * w
+
+
+def test_a_user_profile_says_its_clauses_are_sampled():
+    """A profile built from arbitrary closed forms has no proof: its three
+    profile clauses say on how many grid points they were sampled, never
+    that they are proven. The bump profile shows why: -f''/f < -3 at the
+    bump's edge, which no grid point sees."""
+    profile, edge = bumped_profile()
+    assert profile.disc_curvature(edge) < -3.0
+    cert = nonneg_certificate(profile, circle_metric(Fraction(4, 3)), planes=100)
+    n = profile.grid.size
+    past = int(np.count_nonzero(profile.grid >= profile.t_plateau))
+    assert [cert.clause(name).detail for name in (
+        "profile_shape", "disc_curvature", "product_near_boundary")] == [
+        "sampled on {} grid points and the two join points".format(n),
+        "-f''/f sampled on {} grid points".format(n - 1),
+        "profile frozen past the plateau, sampled on {} grid points".format(past)]
+    for clause in cert.clauses:
+        assert "proven" not in clause.detail or clause.name == "metric_nonneg"
+
+
+def test_a_failed_sampled_shape_keeps_its_reason():
+    """profile_shape of a profile that fails validation gives the
+    failure, then says it was sampled."""
+    clause = nonneg_certificate(convex_profile(), circle_metric(Fraction(4, 3)),
+                                planes=100).clause("profile_shape")
+    assert not clause.passed and clause.value == 1.0
+    assert clause.detail.startswith("profile must close the disc with unit "
+                                    "slope, got ")
+    assert clause.detail.endswith("; sampled on {} grid points and the two "
+                                  "join points".format(convex_profile().grid.size))
+
+
 def test_certificate_plateau_match_fails_off_window(tmp_path):
     """A profile built for one (a, r) but certified against a metric with a
     different deformation parameter must fail the plateau comparison."""
@@ -396,6 +486,10 @@ def test_csv_orbit_factor_follows_its_own_f_column(tmp_path, a, r):
     with open(path, newline="") as fh:
         rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
     assert len(rows) == len(profile.grid)
+    # byte for byte the CSV of the same closed forms built by hand, whose
+    # samples are built at construction
+    ProfileFunction(**sine_cap(profile.glue)).export_csv(tmp_path / "by_hand.csv")
+    assert path.read_bytes() == (tmp_path / "by_hand.csv").read_bytes()
     psq = profile.plateau_sq
     on_plateau = float(psq / (psq / a + r * r))
     if isinstance(a, Fraction):
@@ -480,6 +574,23 @@ def test_a_refuted_metric_nonneg_fails_on_its_exact_witness(monkeypatch,
         "metric_nonneg", False, float(4 - 3 * Fraction(a)), -1e-9,
         "a plane in m has exact sectional curvature " + exact)
     assert not cert.passed and "_operator" not in vars(metric)
+
+
+def test_a_refuted_diagonal_names_a_plane_with_k_parts(monkeypatch):
+    """The diagonal witness u = A + X, v = B + Y has parts X, Y in k, so
+    its detail does not call it a plane in m. On su(2)^2 at a = 6/5 its
+    exact curvature is a (1 - a)^3 (1 + 3a) n / (|u|^2 |v|^2) with
+    |u|^2 = |v|^2 = 2a^2 + 2a: -23/7260."""
+    monkeypatch.setattr(glue, "scan_min_sectional", no_scan)
+    a = Fraction(6, 5)
+    metric = DeformedMetric(ReductiveSplit.diagonal(Su2Power(2)), a)
+    cert = nonneg_certificate(ProfileFunction.capped_sine(a, 1), metric)
+    value = a * (1 - a) ** 3 * (1 + 3 * a) * 2 / (2 * a * a + 2 * a) ** 2
+    assert value == Fraction(-23, 7260)
+    assert cert.clause("metric_nonneg") == ClauseResult(
+        "metric_nonneg", False, float(value), -1e-9,
+        "the plane of u = A + X, v = B + Y (A, B in m; X, Y in k) has exact "
+        "sectional curvature -23/7260")
 
 
 def test_an_undecided_metric_nonneg_fails_on_a_scan(monkeypatch):

@@ -324,8 +324,9 @@ def cmd_curvature_scan(args):
         "closed-form vs connection oracle, worst gap: {:.3e}".format(oracle_gap),
     ]
     if args.find_negative:
-        res = deform.find_negative_plane(metric, budget=args.budget,
-                                         seed=args.seed)
+        # find_negative_plane(metric, args.budget, args.seed) on the scan
+        # above, which it would repeat
+        res = deform._plane_search(metric, scan)
         payload["negative_plane_found"] = res.found
         payload["negative_value"] = res.value if res.found else None
         payload["oracle_value"] = res.oracle_value if res.found else None

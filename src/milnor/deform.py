@@ -103,17 +103,29 @@ _GRAM_TOL = 1e-12
 #: six scans, so the budget is flat there and the smallest of the best
 #: is kept.
 _BLOCK_FLOATS = 2048 * 54
-#: Pairs per block of oracle_agreement; blocking changes no value.
-_ORACLE_BLOCK = 2048
+#: Pairs per block of the connection oracle, whose blocks share one
+#: workspace (see curvature_oracle_of_pair), and of the closed form in
+#: oracle_agreement. Timed in-process, median
+#: of seven alternating rounds of 2500-pair oracle_agreement calls on
+#: su(2)^1..3 span-i and the su(2)^2 and ^3 diagonals at a = 1.2 (2-core
+#: Xeon, Python 3.11, numpy 2.4): blocks of 128, 256, 512, 1024 and 2048
+#: pairs took 24.0, 17.2, 15.9, 16.3 and 18.1 ms for the five calls.
+#: Smaller blocks pay the oracle's fixed cost of about 70 us more often;
+#: larger ones leave the cache.
+_ORACLE_BLOCK = 512
+#: The elements (n, 3) a pair takes in _koszul_curvature's workspace: its
+#: ten vectors, the operands and products of its nine-bracket level, and
+#: three projector products.
+_ORACLE_SLOTS = 10 + 4 * 9 + 3
 #: The most planes scan_min_sectional (so nonneg_certificate) and the most
 #: sample pairs oracle_agreement take; counts are checked before anything
 #: is drawn. Measured at 1e5 on su(2)^3, diagonal and span-i (2-core
 #: Xeon): a scan peaks at about 165 bytes a plane (144 of them its draw)
 #: and takes 0.5-0.9 us a plane, about half of it drawing;
-#: oracle_agreement about 160 bytes (144 its draw) and 3-4 us a pair. So
-#: at the cap a scan takes about 1 s and 165 MB and oracle_agreement about
-#: 4 s and 160 MB; ten times the cap would exceed the memory of a small
-#: host.
+#: oracle_agreement about 180 bytes (144 its draw, 18 the oracle's
+#: workspace) and 1.3-1.4 us a pair. So at the cap a scan takes about 1 s
+#: and 165 MB and oracle_agreement about 1.5 s and 180 MB; ten times the
+#: cap would exceed the memory of a small host.
 MAX_PLANES = 10 ** 6
 #: How far, relative to max(1, |value|), the connection oracle, at the
 #: Q_a-orthonormal frame of a witness plane, may stray from the witness's
@@ -125,15 +137,18 @@ _ORACLE_RTOL = 1e-6
 #: split of su(2)^1..3, on 4000 standard-normal pairs per split and on the
 #: Q_a-orthonormal frames find_negative_plane reports (seeds 0-3, budget
 #: 2000). The oracle sets both ends. Below 1: on those frames of scan
-#: minima its error grows about like 1/a (up to 8.2e-7 at 1e-7 and 8.2e-6
-#: at 1e-8, on the su(2)^2 diagonal), as the k-part of [x, G y] +
+#: minima its error grows as a falls, as the k-part of [x, G y] +
 #: [y, G x], zero in exact arithmetic, keeps its rounding and is divided
-#: by a; on random pairs it stays near 1e-14. Above 1: on random pairs
-#: its error grows about like a, largest on the pairs whose value is
-#: small beside its terms (worst over four draws 4.7e-7 at 1e6, 2.6e-6 at
-#: 2e6, 2.5e-6 at 1e7), while on the frames of witness planes it stays
-#: within 4e-16 of the exact value at 1e6 and 1e8. The other gaps are to
-#: the kernel, which is not exact at the top either: at A_MAX its
+#: by a: up to 3.2e-9 at 1e-7 and 1.7e-8 at 1e-8, on su(2)^1 span-j and
+#: span-i. That margin depends on how the projector products round: taken
+#: on one vector at a time (BLAS gemv) they read up to 8.2e-7 and 8.2e-6
+#: there, on the su(2)^2 diagonal. On random pairs it stays near
+#: 1e-14. Above 1: on random pairs its error grows about like a, largest
+#: on the pairs whose value is small beside its terms (worst over four
+#: draws 4.7e-7 at 1e6, 2.6e-6 at 2e6, 2.5e-6 at 1e7), while on the
+#: frames of witness planes it stays within 4e-16 of the exact value at
+#: 1e6 and 1e8. The other gaps are to the kernel, which is not exact at
+#: the top either: at A_MAX its
 #: sectional values are up to 2.1e-7 of max(1, |value|) off an exact
 #: evaluation on su(2)^1 and 2.4e-9 on su(2)^2 and ^3 (_quartic over the
 #: Gram determinant, the kernel before the operator: 2.7e-7 and 1.6e-9),
@@ -161,7 +176,7 @@ def minimize(*args, **kwargs):
 
 #: Component l + 1 and l + 2 (mod 3) for each component l: per factor the
 #: bracket is [x, y]_l = 2 (x_(l+1) y_(l+2) - x_(l+2) y_(l+1)).
-_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+_NEXT, _AFTER = (1, 2, 0), (2, 0, 1)
 
 
 class _Operator(namedtuple("_Operator", "frames pairs matrix")):
@@ -191,32 +206,94 @@ def _finite_element(algebra, x):
     return x
 
 
-def _koszul_curvature(u, v, projector, a):
-    """Q_a(R(u, v)v, u) for elements u, v (..., n, 3), given the Q-orthogonal
-    projector (dim, dim) onto k, from the Levi-Civita connection alone.
+def _koszul_curvature(u, v, projector, a, work=None):
+    """Q_a(R(u, v)v, u) for elements u, v (..., n, 3) of one shape, given
+    the Q-orthogonal projector (dim, dim) onto k, from the Levi-Civita
+    connection alone.
 
     Milnor's formula nabla_x y = ([x, y] - ad*_x y - ad*_y x) / 2 needs no
     basis: Q is ad-invariant, so ad*_x = -G^-1 ad_x G with G = Q on m and
     a Q on k, applied part-wise as x_m + a x_k and its inverse as
     x_m + x_k / a, never as x + (a - 1) x_k, which cancels for small a.
-    Then R(u, v)v = nabla_u nabla_v v - nabla_v nabla_u v - nabla_[u,v] v.
-    Only ring operations and division by 2 and a are used, so Fraction
-    object arrays give exact values."""
+    So nabla_x y = ([x, y] + G^-1 ([x, G y] + [y, G x])) / 2, and
+    R(u, v)v = nabla_u nabla_v v - nabla_v nabla_u v - nabla_[u,v] v.
+
+    The recursion runs in two levels, each one stacked call:
+    - level 1, nabla_v v and nabla_u v, from the four brackets [v, Gv],
+      [u, Gv], [v, Gu] and [u, v]: nabla_v v needs [v, Gv] alone, as
+      [v, v] = 0 and both its turned terms are [v, Gv];
+    - level 2, nabla_u nabla_v v, nabla_v nabla_u v and nabla_[u,v] v,
+      from nine brackets, [u, v] being level 1's.
+    Each G-image, of u, v, the two level-1 values and [u, v], is taken
+    once, and each level's G^-1 is one product on its stack: 11 products
+    with the projector and 13 brackets in all. Each entry goes through
+    the operations of nabla nested as in the formula above, in their
+    order, so only a projector product can move a float value: BLAS may
+    sum it in another order on a stack of pairs than on one pair or one
+    vector, which on a dense projector (a diagonal, a generic circle)
+    moves a value by up to about 1e-9 of max(1, |value|) at the ends of
+    the accepted scales, and about 5e-16 in between. Only ring operations
+    and division by 2 and a are used, so Fraction object arrays give
+    exact values.
+
+    The stacks live in work, a flat buffer of at least _ORACLE_SLOTS
+    u.size entries of the arrays' dtype, or a new one when it is None;
+    a batch in blocks passes each block the same one."""
     inv = 1 / a
+    if work is None:
+        work = np.empty(_ORACLE_SLOTS * u.size,
+                        np.result_type(u, v, projector))
+    slots = work[:_ORACLE_SLOTS * u.size].reshape((_ORACLE_SLOTS,) + u.shape)
+    # the ten vectors the levels read, a level's bracket operands and
+    # products, and its projector products
+    vs, x, y, p, q, k = (slots[:10], slots[10:19], slots[19:28],
+                         slots[28:37], slots[37:46], slots[46:])
+    flat = u.shape[:-2] + (u.shape[-2] * 3,)
 
-    def scaled(x, s):
-        k = (x.reshape(x.shape[:-2] + (-1,)) @ projector).reshape(x.shape)
-        return x - k + s * k
+    def scaled(src, s, out):
+        """out = src_m + s src_k for each element of the stack src."""
+        part = k[:len(src)]
+        np.matmul(src.reshape((len(src),) + flat), projector,
+                  out=part.reshape((len(src),) + flat))
+        np.subtract(src, part, out=out)
+        part *= s
+        out += part
+        return out
 
-    def bracket(x, y):
-        return 2 * (x[..., _NEXT] * y[..., _AFTER] - x[..., _AFTER] * y[..., _NEXT])
+    def bracket(first, second):
+        """The brackets [vs[i], vs[j]] for i, j in first, second."""
+        X, Y, out, minus = (w[:len(first)] for w in (x, y, p, q))
+        # the indices are in range; "wrap" lets take write out unbuffered
+        np.take(vs, first, axis=0, out=X, mode="wrap")
+        np.take(vs, second, axis=0, out=Y, mode="wrap")
+        for l, (i, j) in enumerate(zip(_NEXT, _AFTER)):
+            np.multiply(X[..., i], Y[..., j], out=out[..., l])
+            np.multiply(X[..., j], Y[..., i], out=minus[..., l])
+        out -= minus
+        out *= 2
+        return out
 
-    def nabla(x, y):
-        turned = bracket(x, scaled(y, a)) + bracket(y, scaled(x, a))
-        return (bracket(x, y) + scaled(turned, inv)) / 2
-
-    r = nabla(u, nabla(v, v)) - nabla(v, nabla(u, v)) - nabla(bracket(u, v), v)
-    return np.einsum("...ij,...ij->...", scaled(r, a), u)
+    vs[0], vs[1] = u, v
+    scaled(vs[:2], a, vs[2:4])                  # 2 Gu, 3 Gv
+    # [v, Gv], [u, Gv], [v, Gu], [u, v]
+    br = bracket([1, 0, 1, 0], [3, 3, 2, 1])
+    level = scaled(np.add(br[:2], br[0:3:2], out=x[:2]), inv, vs[4:6])
+    level[1] += br[3]
+    level /= 2                                  # 4 nabla_v v, 5 nabla_u v
+    vs[6] = br[3]                               # 6 [u, v]
+    scaled(vs[4:7], a, vs[7:])                  # 7-9 their G-images
+    # [u, nabla_v v], [v, nabla_u v], [[u, v], v], then the turned terms
+    # [u, G nabla_v v], [v, G nabla_u v], [[u, v], Gv] and
+    # [nabla_v v, Gu], [nabla_u v, Gv], [v, G [u, v]]
+    br = bracket([0, 1, 6, 0, 1, 6, 4, 5, 1], [4, 5, 1, 7, 8, 3, 2, 3, 9])
+    turned = br[3:6]
+    turned += br[6:]
+    level = scaled(turned, inv, y[:3])
+    level += br[:3]
+    level /= 2
+    r = np.subtract(level[0], level[1], out=x[:1])
+    r -= level[2]
+    return np.einsum("...ij,...ij->...", scaled(r, a, y[3:4])[0], u)
 
 
 class DeformedMetric:
@@ -244,6 +321,12 @@ class DeformedMetric:
     def __repr__(self):
         return "DeformedMetric(a={:.6g}, dim_k={}, algebra={!r})".format(
             self.a, self.split.dim_k, self.algebra)
+
+    @functools.cached_property
+    def _abelian(self):
+        """split.is_abelian(), read by the abelian rule (_nonnegative_rule)
+        and by a certificate's abelian_block clause; computed once."""
+        return self.split.is_abelian()
 
     # -- component-major rows ------------------------------------------------
 
@@ -294,25 +377,45 @@ class DeformedMetric:
         """Same quantity as curvature_of_pair(), computed the long way
         round by _koszul_curvature from the Levi-Civita connection, with
         none of the closed form's kernel; leading sample axes broadcast.
+        More pairs than _ORACLE_BLOCK are taken that many at a time, each
+        block in the same workspace: block-sized temporaries, freed, let
+        the allocator hand their memory back to the system, and the next
+        block faulted it in again (as in _scan). Blocking changes no value,
+        save that on a dense projector a last block of one pair may round
+        its projector products otherwise (see _koszul_curvature).
         Non-finite vectors are refused, as there."""
         u, v = (_finite_element(self.algebra, x) for x in (u, v))
-        return _koszul_curvature(u, v, self.split._projector, self.a)
+        if u.shape != v.shape:
+            u, v = np.broadcast_arrays(u, v)
+        projector, a = self.split._projector, self.a
+        shape = u.shape[:-2]
+        if math.prod(shape) <= _ORACLE_BLOCK:
+            return _koszul_curvature(u, v, projector, a)
+        u, v = (x.reshape((-1,) + x.shape[-2:]) for x in (u, v))
+        work = np.empty(_ORACLE_SLOTS * _ORACLE_BLOCK * self.algebra.dim)
+        values = np.empty(len(u))
+        for i in range(0, len(u), _ORACLE_BLOCK):
+            block = slice(i, i + _ORACLE_BLOCK)
+            values[block] = _koszul_curvature(u[block], v[block], projector,
+                                              a, work)
+        return values.reshape(shape)
 
     def oracle_agreement(self, samples=64, seed=0):
         """Worst absolute gap between the closed-form curvature and the
         connection-based oracle over seeded random vector pairs, drawn at
-        once and compared _ORACLE_BLOCK pairs at a time; blocking changes
-        no value."""
+        once; both take them _ORACLE_BLOCK pairs at a time (see
+        curvature_oracle_of_pair on what that changes)."""
         require_count(samples, "samples", MAX_PLANES)
         _check_seed(seed)
         rng = np.random.default_rng(seed)
         uv = rng.standard_normal((samples, 2, self.algebra.factors, 3))
-        gaps = []
+        u, v = uv[:, 0], uv[:, 1]
+        gaps = np.empty(samples)
         for i in range(0, samples, _ORACLE_BLOCK):
-            u, v = uv[i:i + _ORACLE_BLOCK, 0], uv[i:i + _ORACLE_BLOCK, 1]
-            gaps.append(np.max(np.abs(self.curvature_of_pair(u, v)
-                                      - self.curvature_oracle_of_pair(u, v))))
-        return float(np.max(gaps))
+            block = slice(i, i + _ORACLE_BLOCK)
+            gaps[block] = self.curvature_of_pair(u[block], v[block])
+        gaps -= self.curvature_oracle_of_pair(u, v)
+        return float(np.max(np.abs(gaps, out=gaps)))
 
     # -- sectional curvature ------------------------------------------------
 
@@ -521,14 +624,15 @@ def _nonnegative_rule(metric):
       exactly dim_k / 3 factors.
     - k abelian and a <= 4/3: Z = 0 and 1 - 3a/4 >= 0. k is abelian when
       it has rank 1 or when every pair of its basis vectors brackets to
-      exactly zero (ReductiveSplit.is_abelian)."""
+      exactly zero (ReductiveSplit.is_abelian, read once per metric as
+      DeformedMetric._abelian)."""
     a = metric.a_exact
     if a <= 1:
         return "a <= 1"
     split = metric.split
     if 3 * np.count_nonzero(split.k_basis.any(axis=(0, 2))) == split.dim_k:
         return "ideal"
-    if 3 * a <= 4 and split.is_abelian():
+    if 3 * a <= 4 and metric._abelian:
         return "abelian"
     return None
 
@@ -659,7 +763,7 @@ def _decide(metric):
         return "negative", _circle_witness(metric)
     if _is_diagonal(split):
         return "negative", _diagonal_witness(metric)
-    if not split.is_abelian():
+    if not metric._abelian:
         return "undecided", "k is neither an ideal nor abelian"
     return "undecided", "no witness for an abelian k of rank {} past 4/3".format(
         split.dim_k)
@@ -705,6 +809,12 @@ def find_negative_plane(metric, budget=100_000, seed=0):
     """
     require_count(budget, "budget", MAX_PLANES)
     scan = scan_min_sectional(metric, n_planes=budget, seed=seed)
+    return _plane_search(metric, scan)
+
+
+def _plane_search(metric, scan):
+    """find_negative_plane's result on its scan, a ScanResult of the
+    metric, for a caller that has the scan already."""
     verdict, witness = _decide(metric)
     if verdict == "negative":
         (u, v), value, oracle = witness.frame, float(witness.value), witness.oracle
@@ -713,7 +823,7 @@ def find_negative_plane(metric, budget=100_000, seed=0):
         value = scan.min_value
         oracle = float(metric.curvature_oracle_of_pair(u, v))
     return PlaneSearchResult(verdict == "negative", value, u, v, oracle,
-                             budget, scan.min_value)
+                             scan.n_planes, scan.min_value)
 
 
 # -- quotient scaling ------------------------------------------------------

@@ -26,7 +26,7 @@ import csv
 import math
 import sys
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -42,6 +42,24 @@ from .errors import (NoFiniteMatchingError, ParameterError, ProfileError,
 #: overflows, and past about 1.3e154 so does F^2.
 PLATEAU_MIN = 1e-154
 PLATEAU_MAX = 1e154
+#: The most grid points a profile takes, checked on grid_step before
+#: anything is allocated. Measured at 10^6 points on the capped sine for
+#: a = 4/3, r = 1: the grid takes 16 bytes a point, sampling f, f', f''
+#: on it peaks at 57 and a user-built profile's construction, which
+#: samples and validates, at 65 bytes a point and 0.07 s; so at the cap a
+#: profile takes about 65 MB. A step leaving 4e155 points used to fail in
+#: np.arange with a bare ValueError, and one leaving 1e9 would have taken
+#: gigabytes before any check.
+MAX_GRID_POINTS = 10 ** 6
+
+
+@cache
+def _plateau_sq_bounds(fraction):
+    """The exact values, as the Fraction type fraction, of the floats
+    PLATEAU_MIN ** 2 and PLATEAU_MAX ** 2 that bound the plateau square.
+    Comparing a Fraction with a float converts the float on every call;
+    these are converted once."""
+    return fraction(PLATEAU_MIN ** 2), fraction(PLATEAU_MAX ** 2)
 
 
 def matching_level_sq(a, r):
@@ -78,7 +96,8 @@ def glue_params(a, r):
     plateau lies outside [PLATEAU_MIN, PLATEAU_MAX]."""
     a, r = exact_real(a, "a"), exact_real(r, "radius r")
     psq = matching_level_sq(a, r)
-    if not PLATEAU_MIN ** 2 <= psq <= PLATEAU_MAX ** 2:
+    low, high = _plateau_sq_bounds(type(psq))   # glue never imports fractions
+    if not low <= psq <= high:
         raise ParameterError(
             "a = {} and r = {} put the plateau r sqrt(a/(a-1)) outside "
             "[{:g}, {:g}]".format(_show(a), _show(r), PLATEAU_MIN, PLATEAU_MAX))
@@ -95,7 +114,8 @@ class ProfileFunction:
     out, and a scalar return (``lambda t: 0.0``) is broadcast. glue is
     the GlueParams the profile is built for; t_plateau, plateau and
     plateau_sq are read from it. The grid (step grid_step, running past
-    the plateau) is built at construction. The table of f, f', f'' on it
+    the plateau to 1.25 t_plateau, at most MAX_GRID_POINTS points) is
+    built at construction. The table of f, f', f'' on it
     and at the join points t_plateau -+ 1e-9 t_plateau is built on its
     first read, by sample(), validate() or export_csv, and each closed
     form runs once for it.
@@ -121,7 +141,12 @@ class ProfileFunction:
         if not 0 < step < self.t_plateau or not float(step):
             raise ParameterError("grid_step must be in (0, t_plateau)")
         self.grid_step = float(step)
-        n = int(math.ceil(1.25 * self.t_plateau / self.grid_step))
+        span = 1.25 * self.t_plateau / self.grid_step   # steps, maybe inf
+        if not span <= MAX_GRID_POINTS - 1:
+            raise ParameterError(
+                "grid_step must leave at most {} grid points, got {:.3g}".format(
+                    MAX_GRID_POINTS, span + 1))
+        n = int(math.ceil(span))
         self.grid = np.arange(n + 1) * self.grid_step
         if self._proof() is None:
             self.validate()
@@ -382,7 +407,7 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
         "deformation_range", in_window, a, 4.0 / 3.0,
         "need 1 < a <= 4/3"))
 
-    abelian = metric.split.is_abelian()
+    abelian = metric._abelian       # the abelian rule reads the same value
     clauses.append(ClauseResult(
         "abelian_block", abelian, float(metric.split.dim_k), 0.0,
         "shrunk subalgebra must be abelian for nonnegativity at a > 1"))

@@ -486,6 +486,34 @@ def test_curvature_scan_reports_the_scan_and_search_counters(capsys):
     assert payload["negative_plane_found"] is False
 
 
+@pytest.mark.parametrize("subalgebra, a", [("span-i", "1"), ("span-i", "3/2"),
+                                           ("diagonal", "21/20")])
+def test_curvature_scan_scans_once_for_its_search(monkeypatch, capsys,
+                                                   subalgebra, a):
+    """--find-negative reports the search on the scan the command ran, not
+    on a second scan of the same planes, and reports what
+    find_negative_plane does."""
+    from milnor import deform
+
+    scans = []
+    scan = deform._scan
+    monkeypatch.setattr(deform, "_scan",
+                        lambda *args: scans.append(args) or scan(*args))
+    code, payload, _ = run_json(
+        capsys, "curvature-scan", "--algebra", "su2^2", "--subalgebra",
+        subalgebra, "--a", a, "--budget", "400", "--seed", "3",
+        "--find-negative")
+    assert len(scans) == 1
+    metric = deform.DeformedMetric(cli._parse_subalgebra(
+        cli._parse_algebra("su2^2"), subalgebra), Fraction(a))
+    res = deform.find_negative_plane(metric, budget=400, seed=3)
+    assert code == (cli.EXIT_OK if res.found else cli.EXIT_FAILED)
+    assert payload["negative_plane_found"] is res.found
+    assert payload["negative_value"] == (res.value if res.found else None)
+    assert payload["oracle_value"] == (res.oracle_value if res.found else None)
+    assert (payload["evaluations"], payload["scan_min"]) == (400, res.scan_min)
+
+
 def test_glue_clauses_report_tolerance_and_detail(capsys):
     from milnor import deform, glue
     from milnor.liealg import ReductiveSplit, Su2Power

@@ -3,6 +3,7 @@ identity at the plateau, and the nonnegativity certificate."""
 
 import csv
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -48,6 +49,41 @@ def test_plateaus_past_the_float_range_are_refused(a, r):
     the exact plateau square to a float; the error names a and r."""
     with pytest.raises(ParameterError, match=r"^a = \S+ and r = \S+ put the plateau"):
         glue_params(a, r)
+
+
+@pytest.mark.parametrize("bound, r, past", [
+    (glue.PLATEAU_MAX ** 2, Fraction(1), 1),
+    (glue.PLATEAU_MIN ** 2, Fraction(1, 2 ** 512), -1)], ids=["max", "min"])
+def test_the_plateau_bounds_are_the_exact_values_of_their_floats(bound, r,
+                                                                 past):
+    """glue_params bounds the exact plateau square by the exact values of
+    the floats PLATEAU_MAX ** 2 and PLATEAU_MIN ** 2: a square equal to
+    one is accepted, and one a hair beyond it is refused."""
+    bound = Fraction(bound)
+    for level, inside in ((bound, True),
+                          (bound * (1 + past * Fraction(1, 10 ** 30)), False)):
+        ratio = level / (r * r)                 # a / (a - 1)
+        a = ratio / (ratio - 1)
+        assert matching_level_sq(a, r) == level
+        if inside:
+            assert glue_params(a, r).plateau_sq == level
+        else:
+            with pytest.raises(ParameterError, match="put the plateau"):
+                glue_params(a, r)
+
+
+def test_a_certificate_reads_is_abelian_once(monkeypatch):
+    """The abelian_block clause and the abelian rule, which reads it at
+    a <= 4/3, share one is_abelian() call."""
+    calls = []
+    is_abelian = ReductiveSplit.is_abelian
+    monkeypatch.setattr(ReductiveSplit, "is_abelian",
+                        lambda self: calls.append(self) or is_abelian(self))
+    for a in (Fraction(6, 5), Fraction(3, 2)):
+        calls.clear()
+        nonneg_certificate(ProfileFunction.capped_sine(a, 1), circle_metric(a),
+                           planes=10)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("a, r", [(Fraction(4, 3), 1e-154), (Fraction(4, 3), 1e153),
@@ -305,6 +341,34 @@ def test_grid_step_must_lie_inside_the_plateau_run(step):
     with pytest.raises(ParameterError,
                        match="^grid_step must be (in|a finite real number)"):
         ProfileFunction.capped_sine(Fraction(4, 3), 1, grid_step=step)
+
+
+@pytest.mark.parametrize("r, step", [(1e153, 0.01),
+                                     (1, 1.25 * math.pi / 1e9)],
+                         ids=["4e155-points", "1e9-points"])
+def test_a_grid_past_the_point_cap_is_refused_before_it_is_built(r, step):
+    """A step leaving 4e155 grid points used to fail in np.arange with a
+    bare ValueError, and one leaving 1e9 points would have allocated
+    gigabytes before any check; both are refused with ParameterError
+    while next to nothing is allocated."""
+    message = "^grid_step must leave at most {} grid points, got ".format(
+        glue.MAX_GRID_POINTS)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=message):
+            ProfileFunction.capped_sine(Fraction(4, 3), r, grid_step=step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
+def test_a_grid_just_inside_the_point_cap_is_built():
+    """t_plateau is pi for a = 4/3, r = 1, so this step leaves about
+    MAX_GRID_POINTS - 1 points."""
+    step = 1.25 * math.pi / (glue.MAX_GRID_POINTS - 2)
+    profile = ProfileFunction.capped_sine(Fraction(4, 3), 1, grid_step=step)
+    assert glue.MAX_GRID_POINTS - 2 <= profile.grid.size <= glue.MAX_GRID_POINTS
 
 
 def test_profile_closed_forms_run_a_fixed_number_of_times(tmp_path):

@@ -59,6 +59,12 @@ and takes 199 ns against 170, and on the diagonal of su(2)^n K grows
 like n^2, so from su(2)^5 on a diagonal scan is slower than the brackets
 were, 12 times on su(2)^16.
 
+A random-plane scan of n planes samples ceil(n / 4) seeded Gaussian
+pairs, each also seen through three fixed rotations (_views); every plane
+is a Gaussian pair, as Q is the identity in flat coordinates and a
+rotation takes a standard normal vector to one. The four planes of a
+group share one draw: rotating a pair costs less than drawing one.
+
 The kernel writes its coordinates, pair entries and M b into one flat
 workspace: sectional_batch allocates one per call, and a random-plane
 scan one for its draw and a block, which all its blocks reuse. A scan
@@ -88,20 +94,16 @@ import numpy as np
 
 from .errors import (DegeneratePlaneError, ParameterError, ValidationError,
                      exact_real, require_count, require_int)
-from .liealg import _binade, _carve
+from .liealg import Su2Power, _binade, _carve
 
 _GRAM_TOL = 1e-12
 #: The floats of one random-plane scan block's workspace (see
 #: _block_floats), which every block of a scan reuses; a metric's scan
 #: block is as many planes as fit: on span-i 6144 on su(2)^1, 3072 on
 #: su(2)^2 and 2048 on su(2)^3 (54 floats a plane), on the su(2)^3
-#: diagonal 877. Blocking changes no value. Timed in-process, median of
-#: seven alternating rounds of 10k-plane scans on su(2)^1..3 span-i and the
-#: su(2)^2 diagonal and 6k-plane scans on the su(2)^3 diagonal and factor0
-#: (2-core Xeon, Python 3.11, numpy 2.4): budgets of 1024, 2048, 3072 and
-#: 4096 planes of 54 floats took 14.00, 13.45, 13.62 and 13.67 ms for the
-#: six scans, so the budget is flat there and the smallest of the best
-#: is kept.
+#: diagonal 877. Blocking changes no value. Scan time is flat, within a
+#: few percent, over budgets of 1024 to 4096 planes of 54 floats (the
+#: timings are in CHANGES.md), so the smallest of the best is kept.
 _BLOCK_FLOATS = 2048 * 54
 #: Pairs per block of the connection oracle, whose blocks share one
 #: workspace (see curvature_oracle_of_pair), and of the closed form in
@@ -119,13 +121,11 @@ _ORACLE_BLOCK = 512
 _ORACLE_SLOTS = 10 + 4 * 9 + 3
 #: The most planes scan_min_sectional (so nonneg_certificate) and the most
 #: sample pairs oracle_agreement take; counts are checked before anything
-#: is drawn. Measured at 1e5 on su(2)^3, diagonal and span-i (2-core
-#: Xeon): a scan peaks at about 165 bytes a plane (144 of them its draw)
-#: and takes 0.5-0.9 us a plane, about half of it drawing;
-#: oracle_agreement about 180 bytes (144 its draw, 18 the oracle's
-#: workspace) and 1.3-1.4 us a pair. So at the cap a scan takes about 1 s
-#: and 165 MB and oracle_agreement about 1.5 s and 180 MB; ten times the
-#: cap would exceed the memory of a small host.
+#: is drawn. On su(2)^3 a scan peaks at about 165 bytes a plane (144 of
+#: them its planes) and oracle_agreement at about 180 bytes a pair (144 its
+#: draw), so at the cap a scan takes about 165 MB and well under a second,
+#: and oracle_agreement about 180 MB and 1.5 s (the timings are in
+#: CHANGES.md); ten times the cap would exceed the memory of a small host.
 MAX_PLANES = 10 ** 6
 #: How far, relative to max(1, |value|), the connection oracle, at the
 #: Q_a-orthonormal frame of a witness plane, may stray from the witness's
@@ -158,6 +158,11 @@ _ORACLE_RTOL = 1e-6
 #: are within 1.2e-10.
 A_MIN = 1e-7
 A_MAX = 1e6
+#: Planes per drawn pair of a random-plane scan (see _scan).
+_VIEWS = 4
+#: The seed of the fixed rotations of _views, fixed before their scans'
+#: quality was measured.
+_VIEW_SEED = 1976
 
 
 # Uncalled: the benchmark's traced run still wraps deform.null_space and
@@ -408,7 +413,7 @@ class DeformedMetric:
         require_count(samples, "samples", MAX_PLANES)
         _check_seed(seed)
         rng = np.random.default_rng(seed)
-        uv = rng.standard_normal((samples, 2, self.algebra.factors, 3))
+        uv = self.algebra.random(rng, (samples, 2))
         u, v = uv[:, 0], uv[:, 1]
         gaps = np.empty(samples)
         for i in range(0, samples, _ORACLE_BLOCK):
@@ -565,21 +570,48 @@ def _check_seed(seed):
         raise ParameterError("seed must be non-negative, got {}".format(seed))
 
 
+@functools.cache
+def _views(factors):
+    """The _VIEWS fixed orthogonal (dim, dim) matrices through which a scan
+    sees each drawn pair of su(2)^factors, read-only, built once per
+    dimension: R_0 = I and, for j >= 1, R_j the Q factor of the QR
+    decomposition of a Gaussian matrix drawn from _VIEW_SEED, each column's
+    sign chosen to make R's diagonal positive. Q is the identity in flat
+    coordinates, so R_j g is a standard normal vector whenever g is."""
+    alg = Su2Power(factors)
+    draw = alg.random(np.random.default_rng(_VIEW_SEED), (_VIEWS - 1, alg.dim))
+    q, r = np.linalg.qr(draw.reshape(_VIEWS - 1, alg.dim, alg.dim))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    views = np.concatenate((np.eye(alg.dim)[None], q))
+    views.flags.writeable = False
+    return views
+
+
 def _scan(metric, n, seed):
-    """The random-plane scan: n seeded Gaussian pairs U, V, each (n,
-    factors, 3), and their sectional_batch values and valid flags, computed
-    metric._scan_block planes at a time. One allocation holds the draw, (2,
-    n, factors, 3), and the workspace of one block, which every block reuses:
-    a scan that freed dozens of block-sized temporaries let the allocator
-    hand them back to the system, and the next scan faulted them in again.
-    Raises when every plane degenerates."""
+    """The random-plane scan: n planes U, V, each (n, factors, 3), and their
+    sectional_batch values and valid flags, computed metric._scan_block
+    planes at a time. The n planes are g = ceil(n / 4) seeded Gaussian
+    pairs (u_i, v_i), each also seen through three fixed rotations: plane
+    j g + i is (R_j u_i, R_j v_i), for the R_j of _views, so every plane is
+    a Gaussian pair and the _VIEWS = 4 planes of a group share one draw.
+    One allocation holds the planes, (2, _VIEWS g, factors, 3), drawn and
+    rotated in place, and the workspace of one block, which every block
+    reuses: a scan that freed dozens of block-sized temporaries let the
+    allocator hand them back to the system, and the next scan faulted them
+    in again. Raises when every plane degenerates."""
     _check_seed(seed)
     alg = metric.algebra
-    size = 2 * n * alg.dim
+    g = -(-n // _VIEWS)
+    size = 2 * _VIEWS * g * alg.dim
     step = metric._scan_block
     work = np.empty(size + metric._block_floats(min(n, step)))
-    UV = alg.random(np.random.default_rng(seed), (2, n), out=work)
-    flat = UV.reshape(2, n, alg.dim)
+    rng = np.random.default_rng(seed)
+    views = _views(alg.factors)
+    UV = work[:size].reshape(2, _VIEWS, g, alg.dim)
+    for half in UV:
+        alg.random(rng, g, out=half[0].reshape(-1))
+        np.matmul(half[0], views[1:].transpose(0, 2, 1), out=half[1:])
+    flat = UV.reshape(2, _VIEWS * g, alg.dim)[:, :n]
     vals, ok = np.empty(n), np.empty(n, dtype=bool)
     for i in range(0, n, step):
         block = slice(i, i + step)
@@ -587,11 +619,14 @@ def _scan(metric, n, seed):
                                                          work[size:])
     if not np.any(ok):
         raise DegeneratePlaneError("every sampled plane degenerated")
-    return UV[0], UV[1], vals, ok
+    U, V = flat.reshape(2, n, alg.factors, 3)
+    return U, V, vals, ok
 
 
 def scan_min_sectional(metric, n_planes=100_000, seed=0):
-    """Minimum sectional curvature over n_planes seeded Gaussian planes."""
+    """Minimum sectional curvature over n_planes seeded planes: ceil(n_planes
+    / 4) Gaussian pairs, each also seen through three fixed rotations;
+    every plane is a Gaussian pair (see _scan)."""
     require_count(n_planes, "n_planes", MAX_PLANES)
     U, V, vals, ok = _scan(metric, n_planes, seed)
     idx = int(np.argmin(vals))
@@ -788,8 +823,10 @@ def _frame(metric, u, v):
 
 
 def find_negative_plane(metric, budget=100_000, seed=0):
-    """Seeded scan of `budget` random planes, and the exact decision
-    (_decide) of whether the metric has a negatively curved plane.
+    """Seeded scan of `budget` random planes, ceil(budget / 4) Gaussian
+    pairs each also seen through three fixed rotations, every plane a
+    Gaussian pair (see _scan); and the exact decision (_decide) of whether
+    the metric has a negatively curved plane.
 
     found is True exactly when _decide refutes the metric with a witness;
     no float threshold decides it. Then value is the witness's exact

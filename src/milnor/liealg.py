@@ -23,19 +23,16 @@ from .errors import (DimensionMismatchError, ParameterError, ValidationError,
 
 _ORTHO_TOL = 1e-12
 #: The most su(2) factors Su2Power takes, checked before anything is
-#: allocated. Measured with tracemalloc at 1e5 planes on the diagonal
-#: split of su(2)^3, ^6 and ^16: a scan, its draw (48 bytes a plane per
-#: factor) and one block's workspace (0.9 MB, see deform._BLOCK_FLOATS),
-#: peaks at 49-54 bytes a plane per factor and oracle_agreement, which
-#: works in blocks like the scan, at 57-60 bytes a pair per factor (on
-#: su(2)^16 each 512-pair block's curvature_of_pair takes a 13 MB
-#: workspace, and the oracle's blocks share one of 9.6 MB). So
-#: deform.MAX_PLANES planes or pairs at the cap take about 0.9 GB; 10^8
-#: factors used to fail allocating tens of TiB, or with a misleading
-#: message. The curvature operator grows faster than the
-#: algebra: on the su(2)^16 diagonal it keeps 768 of 1128 frame pairs, a
-#: 4.7 MB matrix, and a scan takes about 57 us a plane (4.6 us with the
-#: brackets it replaced), so about a minute at the cap.
+#: allocated. A scan, its planes (48 bytes a plane per factor) and one
+#: block's workspace (0.9 MB, see deform._BLOCK_FLOATS), peaks at about 55
+#: bytes a plane per factor, and oracle_agreement, which works in blocks
+#: like the scan, at about 60 bytes a pair per factor (measured with
+#: tracemalloc; the figures are in CHANGES.md). So deform.MAX_PLANES
+#: planes or pairs at the cap take about 0.9 GB; 10^8 factors used to fail
+#: allocating tens of TiB, or with a misleading message. The curvature
+#: operator grows faster than the algebra: on the su(2)^16 diagonal it
+#: keeps 768 of 1128 frame pairs, a 4.7 MB matrix, and a scan takes about
+#: a minute at the cap.
 MAX_FACTORS = 16
 
 

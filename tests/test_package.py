@@ -123,6 +123,28 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
+def test_the_package_draws_gaussians_only_in_su2power_random():
+    """Every standard-normal draw in the package goes through
+    Su2Power.random: the scans, their rotations and oracle_agreement. A
+    call of standard_normal anywhere else is listed with its function."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Call)
+                  and getattr(child.func, "attr",
+                              getattr(child.func, "id", None)) == "standard_normal"):
+                found.append("{} {}".format(path.name, ".".join(scope)))
+            visit(child, inner)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    assert found == ["liealg.py Su2Power.random"]
+
+
 def imported_modules(path, module_level=False):
     """Every module the file imports, relative ones with their dots
     (`from . import x` counts as `.x`); with module_level=True only the

@@ -11,11 +11,12 @@ form
 
 with all norms taken in Q. It has no a^4 terms, but its weights grow
 like a^2 while a plane's value can be far smaller than its terms, so at
-large a digits still cancel: at a = A_MAX, on the planes of seed-1
-10k-plane scans of the circles along i, j and k where the kernel and
-_quartic over the Gram determinant differ most, the kernel's value is up
-to 2.1e-7 of max(1, |value|) off an exact evaluation on su(2)^1 and
-2.4e-9 on su(2)^2 and ^3 (_quartic's: 2.7e-7 and 1.6e-9). The (P, Z)
+large a digits can cancel. At a = A_MAX most planes of a circle are
+also nearly parallel in Q_a, where the Gram determinant |u|^2 |v|^2 -
+<u, v>^2 cancels: over it _quartic is up to about 1e-6 of max(1, |value|)
+off an exact evaluation. The kernel takes those planes' Gram determinant
+from the part of v orthogonal to u (_NEAR_PARALLEL) and stays within
+1e-12 there (the measurements are in CHANGES.md). The (P, Z)
 block has determinant -a (a - 1)^3 / 4: for a <= 1 it is positive
 semidefinite and the curvature nonnegative. For a > 1 the block is
 indefinite and the curvature can be negative unless k is an ideal, where
@@ -50,26 +51,25 @@ _bivector_form: one matmul takes a batch of pairs to their frame
 coordinates and to those coordinates' entries at the kept pairs, one
 wedge gives b = u ^ v over the kept pairs, and <b, M b> is one (K, K)
 product and row sums. So oracle_agreement checks the kernel the scans
-use. A plane costs about K^2 + 2 dim (dim + 2K) multiply-adds. Timed
-on one scan block against the four brackets it replaced (2-core Xeon):
-27-76 ns against 66-188 ns on the factor and span-i splits of
-su(2)^1..3, 70 and 155 ns against 122 and 185 ns on the su(2)^2 and ^3
-diagonals. A circle along (1, 2, ..., 9) keeps all 36 pairs of su(2)^3
-and takes 199 ns against 170, and on the diagonal of su(2)^n K grows
-like n^2, so from su(2)^5 on a diagonal scan is slower than the brackets
-were, 12 times on su(2)^16.
+use. Each vector costs dim (dim + 2K) multiply-adds to map and each
+plane about K^2 + 3K + dim more: the wedge, M b, <b, M b> and <u, v>.
+On the diagonal of su(2)^n K grows like n^2, so there the (K, K)
+product is most of a plane's cost (the timings are in CHANGES.md).
 
-A random-plane scan of n planes samples ceil(n / 4) seeded Gaussian
-pairs, each also seen through three fixed rotations (_views); every plane
-is a Gaussian pair, as Q is the identity in flat coordinates and a
-rotation takes a standard normal vector to one. The four planes of a
-group share one draw: rotating a pair costs less than drawing one.
+A random-plane scan of n planes walks one sequence of n + 1 vectors,
+plane t spanning vectors t and t + 1: about (n + 1) / 4 seeded Gaussian
+vectors, each also seen through three fixed rotations (_views). Every
+plane is a Gaussian pair, as Q is the identity in flat coordinates, a
+rotation takes a standard normal vector to one, and consecutive vectors
+are independent. Rotating a vector costs less than drawing one, and each
+vector is mapped into the frame and normed once for its two planes.
 
-The kernel writes its coordinates, pair entries and M b into one flat
-workspace: sectional_batch allocates one per call, and a random-plane
-scan one for its draw and a block, which all its blocks reuse. A scan
-block holds as many planes as fit _BLOCK_FLOATS floats, 2 (dim + 2K) a
-plane, so small algebras and product splits take more planes a block.
+The kernel writes its coordinates, pair entries, wedges and M b into one
+flat workspace: sectional_batch allocates one per call, and a
+random-plane scan one for its sequence and a block, which all its blocks
+reuse. A scan block holds as many planes as fit _BLOCK_FLOATS floats,
+dim + 3K a vector, so small algebras and product splits take more planes
+a block.
 _full_operator feeds _quartic component-major rows (see liealg): a batch
 of N vectors is a (dim, N) array, and its k-part is one (dim, dim) @
 (dim, N) product with the split's projector onto k.
@@ -97,23 +97,29 @@ from .errors import (DegeneratePlaneError, ParameterError, ValidationError,
 from .liealg import Su2Power, _binade, _carve
 
 _GRAM_TOL = 1e-12
+#: The Q_a sin^2 below which _sectional_block takes a plane's Gram
+#: determinant as |u|^2 |v_perp|^2, v_perp being v less its projection on
+#: u. The difference |u|^2 |v|^2 - <u, v>^2 cancels and is good to only
+#: about eps / sin^2 of itself, which above this keeps a plane's value
+#: within about 2e-13; |u|^2 |v_perp|^2 is good to about eps / sin. On a
+#: circle at A_MAX most planes lie below it.
+_NEAR_PARALLEL = 2.0 ** -8
 #: The floats of one random-plane scan block's workspace (see
 #: _block_floats), which every block of a scan reuses; a metric's scan
-#: block is as many planes as fit: on span-i 6144 on su(2)^1, 3072 on
-#: su(2)^2 and 2048 on su(2)^3 (54 floats a plane), on the su(2)^3
-#: diagonal 877. Blocking changes no value. Scan time is flat, within a
-#: few percent, over budgets of 1024 to 4096 planes of 54 floats (the
-#: timings are in CHANGES.md), so the smallest of the best is kept.
-_BLOCK_FLOATS = 2048 * 54
-#: Pairs per block of the connection oracle, whose blocks share one
-#: workspace (see curvature_oracle_of_pair), and of the closed form in
-#: oracle_agreement. Timed in-process, median
-#: of seven alternating rounds of 2500-pair oracle_agreement calls on
-#: su(2)^1..3 span-i and the su(2)^2 and ^3 diagonals at a = 1.2 (2-core
-#: Xeon, Python 3.11, numpy 2.4): blocks of 128, 256, 512, 1024 and 2048
-#: pairs took 24.0, 17.2, 15.9, 16.3 and 18.1 ms for the five calls.
-#: Smaller blocks pay the oracle's fixed cost of about 70 us more often;
-#: larger ones leave the cache.
+#: block is as many planes as fit: on span-i 9215 on su(2)^1, 4607 on
+#: su(2)^2 and 3071 on su(2)^3 (36 floats a vector), on the su(2)^3
+#: diagonal 1227 and on the su(2)^16 diagonal, whose operator keeps
+#: K = 768 pairs, 46. Blocking changes no value. Over budgets of 2048 to
+#: 4096 vectors of 36 floats, the small algebras' scan time is flat within
+#: about a tenth, while the su(2)^16 diagonal's (K, K) product runs far
+#: below speed on blocks of 30 planes (the timings are in CHANGES.md).
+_BLOCK_FLOATS = 3072 * 36
+#: The most pairs in a block of the connection oracle, whose blocks share
+#: one workspace (see curvature_oracle_of_pair), and of the closed form in
+#: oracle_agreement; a batch of more pairs is cut into the fewest blocks
+#: of nearly equal size that hold it (see _blocks). Smaller blocks pay the
+#: oracle's fixed cost of about 70 us more often; larger ones leave the
+#: cache (the timings are in CHANGES.md).
 _ORACLE_BLOCK = 512
 #: The elements (n, 3) a pair takes in _koszul_curvature's workspace: its
 #: ten vectors, the operands and products of its nine-bracket level, and
@@ -121,11 +127,12 @@ _ORACLE_BLOCK = 512
 _ORACLE_SLOTS = 10 + 4 * 9 + 3
 #: The most planes scan_min_sectional (so nonneg_certificate) and the most
 #: sample pairs oracle_agreement take; counts are checked before anything
-#: is drawn. On su(2)^3 a scan peaks at about 165 bytes a plane (144 of
-#: them its planes) and oracle_agreement at about 180 bytes a pair (144 its
-#: draw), so at the cap a scan takes about 165 MB and well under a second,
-#: and oracle_agreement about 180 MB and 1.5 s (the timings are in
-#: CHANGES.md); ten times the cap would exceed the memory of a small host.
+#: is drawn. On su(2)^3 a scan peaks at under 100 bytes a plane (72 of
+#: them its sequence) and oracle_agreement at about 180 bytes a pair (144
+#: its draw), so at the cap a scan takes under 100 MB and well under a
+#: second, and oracle_agreement about 180 MB and 1.5 s (the measurements
+#: are in CHANGES.md); ten times the cap would exceed the memory of a
+#: small host.
 MAX_PLANES = 10 ** 6
 #: How far, relative to max(1, |value|), the connection oracle, at the
 #: Q_a-orthonormal frame of a witness plane, may stray from the witness's
@@ -136,29 +143,23 @@ _ORACLE_RTOL = 1e-6
 #: max(1, |value|), measured on every diagonal, factorN and span-i/j/k
 #: split of su(2)^1..3, on 4000 standard-normal pairs per split and on the
 #: Q_a-orthonormal frames find_negative_plane reports (seeds 0-3, budget
-#: 2000). The oracle sets both ends. Below 1: on those frames of scan
-#: minima its error grows as a falls, as the k-part of [x, G y] +
-#: [y, G x], zero in exact arithmetic, keeps its rounding and is divided
-#: by a: up to 3.2e-9 at 1e-7 and 1.7e-8 at 1e-8, on su(2)^1 span-j and
-#: span-i. That margin depends on how the projector products round: taken
-#: on one vector at a time (BLAS gemv) they read up to 8.2e-7 and 8.2e-6
-#: there, on the su(2)^2 diagonal. On random pairs it stays near
-#: 1e-14. Above 1: on random pairs its error grows about like a, largest
-#: on the pairs whose value is small beside its terms (worst over four
-#: draws 4.7e-7 at 1e6, 2.6e-6 at 2e6, 2.5e-6 at 1e7), while on the
-#: frames of witness planes it stays within 4e-16 of the exact value at
-#: 1e6 and 1e8. The other gaps are to the kernel, which is not exact at
-#: the top either: at A_MAX its
-#: sectional values are up to 2.1e-7 of max(1, |value|) off an exact
-#: evaluation on su(2)^1 and 2.4e-9 on su(2)^2 and ^3 (_quartic over the
-#: Gram determinant, the kernel before the operator: 2.7e-7 and 1.6e-9),
-#: measured on the planes of seed-1 10k-plane scans of the circles along
-#: i, j and k where the two differ most. So a scan at A_MAX is good to
-#: about six digits, inside _ORACLE_RTOL; on the same planes at A_MIN both
-#: are within 1.2e-10.
+#: 2000). The oracle sets both ends (the measurements are in CHANGES.md).
+#: Below 1: on those frames of scan minima its error grows as a falls, as
+#: the k-part of [x, G y] + [y, G x], zero in exact arithmetic, keeps its
+#: rounding and is divided by a; at 1e-8 it is still some hundred times
+#: inside _ORACLE_RTOL. That margin depends on how the projector products
+#: round: taken on one vector at a time (BLAS gemv) they read hundreds of
+#: times more. On random pairs it stays near rounding. Above 1: on
+#: random pairs its error grows about like a, largest on the pairs whose
+#: value is small beside its terms, and passes _ORACLE_RTOL past 1e6,
+#: while on the frames of witness planes it stays within rounding of the
+#: exact value at 1e6 and 1e8. The kernel's sectional values, with their
+#: Gram determinants taken from the part of v orthogonal to u where u and
+#: v are nearly parallel (_NEAR_PARALLEL), stay within 3e-12 of an exact
+#: evaluation on the planes measured at both ends.
 A_MIN = 1e-7
 A_MAX = 1e6
-#: Planes per drawn pair of a random-plane scan (see _scan).
+#: Vectors of a random-plane scan's sequence per drawn vector (see _scan).
 _VIEWS = 4
 #: The seed of the fixed rotations of _views, fixed before their scans'
 #: quality was measured.
@@ -184,22 +185,18 @@ def minimize(*args, **kwargs):
 _NEXT, _AFTER = (1, 2, 0), (2, 0, 1)
 
 
-class _Operator(namedtuple("_Operator", "frames pairs matrix")):
+class _Operator(namedtuple("_Operator", "frame pairs matrix")):
     """A metric's curvature operator on K frame pairs (see
     DeformedMetric._full_operator): the pairs (2, K), the (K, K) matrix,
-    and frames, (2, dim + 2K, dim): frames[0] maps a flat element u to its
-    frame coordinates x, then x_i, then x_j over the pairs, and frames[1]
-    maps v to y, y_j, y_i; so the product of the two lists past the
-    coordinates is (x_i y_j, x_j y_i), whose difference is b = u ^ v."""
+    and frame, (dim + 2K, dim), which maps a flat element u to its frame
+    coordinates x, then x_i, then x_j over the pairs; with y, y_i, y_j
+    those of v, the bivector u ^ v is b = x_i y_j - x_j y_i."""
     __slots__ = ()
 
     @classmethod
     def of(cls, coords, pairs, matrix):
         rows = np.arange(len(coords))
-        first, second = pairs
-        frames = coords[np.array([np.concatenate((rows, first, second)),
-                                  np.concatenate((rows, second, first))])]
-        return cls(frames, pairs, matrix)
+        return cls(coords[np.concatenate((rows, *pairs))], pairs, matrix)
 
 
 def _finite_element(algebra, x):
@@ -209,6 +206,16 @@ def _finite_element(algebra, x):
     if not np.isfinite(x).all():
         raise ValidationError("vectors must be finite")
     return x
+
+
+def _blocks(n):
+    """Slices cutting n pairs into the fewest blocks of at most
+    _ORACLE_BLOCK pairs, of sizes that differ by at most one: 513 pairs
+    are blocks of 256 and 257, so no block of a batch larger than
+    _ORACLE_BLOCK holds a single pair."""
+    count = -(-n // _ORACLE_BLOCK)
+    bounds = [i * n // count for i in range(count + 1)]
+    return [slice(i, j) for i, j in zip(bounds, bounds[1:])]
 
 
 def _koszul_curvature(u, v, projector, a, work=None):
@@ -373,8 +380,8 @@ class DeformedMetric:
         is <b, M b> at their bivector b = u ^ v, the curvature operator's
         form (see _operator) that the scans evaluate: quartic in the
         inputs, zero when the two arguments are proportional."""
-        UV, shape = self._pairs(u, v)
-        return self._bivector_form(UV, None)[1].reshape(shape)
+        S, shape = self._pairs(u, v)
+        return self._bivector_form(S, len(S) // 2, None)[1].reshape(shape)
 
     # -- curvature, Koszul oracle ------------------------------------------
 
@@ -382,13 +389,13 @@ class DeformedMetric:
         """Same quantity as curvature_of_pair(), computed the long way
         round by _koszul_curvature from the Levi-Civita connection, with
         none of the closed form's kernel; leading sample axes broadcast.
-        More pairs than _ORACLE_BLOCK are taken that many at a time, each
-        block in the same workspace: block-sized temporaries, freed, let
+        More pairs than _ORACLE_BLOCK are taken in blocks (see _blocks),
+        each in the same workspace: block-sized temporaries, freed, let
         the allocator hand their memory back to the system, and the next
-        block faulted it in again (as in _scan). Blocking changes no value,
-        save that on a dense projector a last block of one pair may round
-        its projector products otherwise (see _koszul_curvature).
-        Non-finite vectors are refused, as there."""
+        block faulted it in again (as in _scan). No block holds a single
+        pair, whose projector products BLAS may round otherwise (see
+        _koszul_curvature), so blocking changes no value. Non-finite
+        vectors are refused, as there."""
         u, v = (_finite_element(self.algebra, x) for x in (u, v))
         if u.shape != v.shape:
             u, v = np.broadcast_arrays(u, v)
@@ -399,8 +406,7 @@ class DeformedMetric:
         u, v = (x.reshape((-1,) + x.shape[-2:]) for x in (u, v))
         work = np.empty(_ORACLE_SLOTS * _ORACLE_BLOCK * self.algebra.dim)
         values = np.empty(len(u))
-        for i in range(0, len(u), _ORACLE_BLOCK):
-            block = slice(i, i + _ORACLE_BLOCK)
+        for block in _blocks(len(u)):
             values[block] = _koszul_curvature(u[block], v[block], projector,
                                               a, work)
         return values.reshape(shape)
@@ -408,16 +414,15 @@ class DeformedMetric:
     def oracle_agreement(self, samples=64, seed=0):
         """Worst absolute gap between the closed-form curvature and the
         connection-based oracle over seeded random vector pairs, drawn at
-        once; both take them _ORACLE_BLOCK pairs at a time (see
-        curvature_oracle_of_pair on what that changes)."""
+        once; both take them in the blocks of _blocks (see
+        curvature_oracle_of_pair)."""
         require_count(samples, "samples", MAX_PLANES)
         _check_seed(seed)
         rng = np.random.default_rng(seed)
         uv = self.algebra.random(rng, (samples, 2))
         u, v = uv[:, 0], uv[:, 1]
         gaps = np.empty(samples)
-        for i in range(0, samples, _ORACLE_BLOCK):
-            block = slice(i, i + _ORACLE_BLOCK)
+        for block in _blocks(samples):
             gaps[block] = self.curvature_of_pair(u[block], v[block])
         gaps -= self.curvature_oracle_of_pair(u, v)
         return float(np.max(np.abs(gaps, out=gaps)))
@@ -433,22 +438,24 @@ class DeformedMetric:
         (liealg._binade), so vectors of any finite size give the values of
         their moderate multiples, and a power-of-two multiple of a vector
         exactly the same values."""
-        UV, shape = self._pairs(U, V, scale=_binade)
-        work = np.empty(self._block_floats(UV.shape[1]))
-        vals, ok = self._sectional_block(UV, work)
+        S, shape = self._pairs(U, V, scale=_binade)
+        N = len(S) // 2
+        work = np.empty(self._block_floats(N, N))
+        vals, ok = self._sectional_block(S, N, work)
         return vals.reshape(shape), ok.reshape(shape)
 
     def _pairs(self, U, V, scale=None):
         """Finite elements U, V (..., n, 3), each mapped by scale when it
-        is given, as stacked flat pairs (2, N, dim) over the N samples of
-        their broadcast sample axes; also returns those axes' shape. A
-        non-finite vector is refused with ValidationError."""
+        is given, as flat vectors (2N, dim) over the N samples of their
+        broadcast sample axes, the U above the V, so that sample t spans
+        rows t and t + N; also returns those axes' shape. A non-finite
+        vector is refused with ValidationError."""
         alg = self.algebra
         U, V = (_finite_element(alg, x) for x in (U, V))
         if scale is not None:
             U, V = scale(U), scale(V)
         U, V = np.broadcast_arrays(U, V)
-        return np.stack((U, V)).reshape(2, -1, alg.dim), U.shape[:-2]
+        return np.stack((U, V)).reshape(-1, alg.dim), U.shape[:-2]
 
     # -- the curvature operator ---------------------------------------------
 
@@ -501,56 +508,77 @@ class DeformedMetric:
         kept = np.flatnonzero(matrix.any(axis=0))
         return _Operator.of(coords, pairs[:, kept], matrix[kept][:, kept])
 
-    def _bivector_form(self, UV, work):
-        """The frame coordinates, (2, dim, N), of stacked flat pairs UV
-        (2, N, dim), and <b, M b> at each pair's bivector b = u ^ v (see
-        _operator): one matmul into the frame, one wedge and one (K, K)
-        product. The coordinates, pair entries and M b are laid out in
-        work, a flat float buffer of at least _block_floats(N) floats
-        (see liealg._carve), or a new array when it is None."""
-        frames, _, matrix = self._operator
+    def _bivector_form(self, S, shift, work):
+        """The frame coordinates, (dim, C), of flat vectors S (C, dim), and
+        <b, M b> at the bivector b = u ^ v (see _operator) of each of their
+        C - shift pairs (u, v) = (S[t], S[t + shift]). One matmul takes
+        every vector into the frame once. The wedge pairs column t of the
+        pair entries with column t + shift: on the flattened row-major
+        (K, C) blocks, x_i[:-shift] * x_j[shift:] is x_i y_j at every plane,
+        and a junk product where a row's last shift columns meet the next
+        row, so every elementwise pass runs on contiguous memory. M b is one
+        (K, K) product over all C columns. A scan block is a run of its
+        sequence, shift 1; sectional_batch stacks its U on its V, shift N.
+        The coordinates, pair entries, b and M b are laid out in work, a
+        flat float buffer of at least _block_floats(C - shift, shift)
+        floats (see liealg._carve), or a new array when it is None."""
+        frame, _, matrix = self._operator
         d, K = self.algebra.dim, len(matrix)
-        XY = np.matmul(frames, UV.transpose(0, 2, 1),
-                       out=_carve(work, (2, d + 2 * K, UV.shape[1])))
-        wedge = XY[0, d:]
-        wedge *= XY[1, d:]                     # (x_i y_j, x_j y_i)
-        b = wedge[:K]
-        b -= wedge[K:]
-        Mb = np.matmul(matrix, b, out=XY[1, d:d + K])
-        return XY[:, :d], np.einsum("kn,kn->n", b, Mb)
+        C = len(S)
+        space = _carve(work, (d + 3 * K, C))
+        np.matmul(frame, S.T, out=space[:d + 2 * K])
+        xi, xj, b = (space[d + r * K:d + (r + 1) * K].reshape(-1)
+                     for r in range(3))
+        n = K * C - shift
+        np.multiply(xi[:n], xj[shift:], out=b[:n])             # x_i y_j
+        b[:n] -= np.multiply(xj[:n], xi[shift:], out=xj[:n])   # x_j y_i
+        b[n:] = 0.0                            # unwritten, and read by M b
+        b = b.reshape(K, C)
+        Mb = np.matmul(matrix, b, out=xi.reshape(K, C))
+        return space[:d], np.einsum("kn,kn->n", b, Mb)[:C - shift]
 
-    def _block_floats(self, N):
-        """The floats _sectional_block's workspace takes for N planes:
-        2 (dim + 2K) a plane, for the frame coordinates and the kept pairs'
-        entries of u and v, whose space b and M b reuse. A scan block is
-        the most planes whose workspace fits _BLOCK_FLOATS."""
-        return 2 * (self.algebra.dim + 2 * len(self._operator.matrix)) * N
+    def _block_floats(self, N, shift=1):
+        """The floats _sectional_block's workspace takes for N planes over
+        N + shift vectors: dim + 3K a vector, for its frame coordinates,
+        pair entries and wedge entries, whose space M b reuses. A scan
+        block is the most planes of shift 1 whose workspace fits
+        _BLOCK_FLOATS."""
+        d, K = self.algebra.dim, len(self._operator.matrix)
+        return (d + 3 * K) * (N + shift)
 
     @property
     def _scan_block(self):
         """Planes per random-plane scan block: as many as fill
         _BLOCK_FLOATS."""
-        return _BLOCK_FLOATS // self._block_floats(1)
+        return _BLOCK_FLOATS // self._block_floats(0) - 1
 
-    def _sectional_block(self, UV, work):
+    def _sectional_block(self, S, shift, work):
         """The kernel of sectional_batch and of the random-plane scans: the
-        values and valid flags of the planes spanned by the stacked flat
-        pairs UV (2, N, dim), taken as they are (see the module docstring
-        on their size).
+        values and valid flags of the planes (S[t], S[t + shift]) of the
+        flat vectors S (C, dim), taken as they are (see the module
+        docstring on their size); each vector's Q_a norm is taken once.
 
         A plane is valid when |u|^2 |v|^2 > 0 and its Gram determinant
-        |u|^2 |v|^2 - <u, v>^2 is at least _GRAM_TOL |u|^2 |v|^2: when the
-        Q_a sin^2 of the angle between u and v is at least _GRAM_TOL. Its
-        value is then <b, M b> (see _bivector_form) over that determinant,
+        |u|^2 |v|^2 - <u, v>^2, taken as |u|^2 |v_perp|^2 where that
+        difference is below _NEAR_PARALLEL |u|^2 |v|^2, is at least
+        _GRAM_TOL |u|^2 |v|^2: when the Q_a sin^2 of the angle between u
+        and v is at least _GRAM_TOL. Its value is then <b, M b> (see
+        _bivector_form) over that determinant,
         both read on the frame coordinates, in which Q_a is the dot
         product; an invalid plane's is +inf. work is as _bivector_form
         takes it."""
-        (x, y), form = self._bivector_form(UV, work)
-        uu = np.einsum("in,in->n", x, x)
-        vv = np.einsum("in,in->n", y, y)
-        uv = np.einsum("in,in->n", x, y)
-        norms = uu * vv
+        x, form = self._bivector_form(S, shift, work)
+        N = len(S) - shift
+        nn = np.einsum("in,in->n", x, x)
+        uv = np.einsum("in,in->n", x[:, :N], x[:, shift:])
+        norms = nn[:N] * nn[shift:]
         gram = norms - uv * uv
+        near = np.flatnonzero(gram < _NEAR_PARALLEL * norms)
+        if near.size:
+            xu, perp = x.take(near, axis=1), x.take(near + shift, axis=1)
+            xu *= uv[near] / nn[near]
+            perp -= xu
+            gram[near] = nn[near] * np.einsum("in,in->n", perp, perp)
         ok = (norms > 0) & (gram >= _GRAM_TOL * norms)
         return np.where(ok, form / np.where(ok, gram, 1.0), np.inf), ok
 
@@ -590,43 +618,46 @@ def _views(factors):
 def _scan(metric, n, seed):
     """The random-plane scan: n planes U, V, each (n, factors, 3), and their
     sectional_batch values and valid flags, computed metric._scan_block
-    planes at a time. The n planes are g = ceil(n / 4) seeded Gaussian
-    pairs (u_i, v_i), each also seen through three fixed rotations: plane
-    j g + i is (R_j u_i, R_j v_i), for the R_j of _views, so every plane is
-    a Gaussian pair and the _VIEWS = 4 planes of a group share one draw.
-    One allocation holds the planes, (2, _VIEWS g, factors, 3), drawn and
-    rotated in place, and the workspace of one block, which every block
-    reuses: a scan that freed dozens of block-sized temporaries let the
-    allocator hand them back to the system, and the next scan faulted them
-    in again. Raises when every plane degenerates."""
+    planes at a time. The planes walk one sequence W of n + 1 vectors:
+    g = max(2, ceil((n + 1) / 4)) seeded Gaussian vectors g_i, each also
+    seen through three fixed rotations, W[j g + i] = R_j g_i for the R_j of
+    _views, cut at n + 1; plane t spans (W[t], W[t + 1]). Consecutive
+    entries are independent standard normal vectors, inside a view and
+    across a view boundary (g >= 2), so every plane is a Gaussian pair,
+    and each vector is drawn, framed and normed once for two planes.
+    U = W[:n] and V = W[1:] are views of one allocation, which also holds
+    the workspace of one block, reused by every block: a scan that freed
+    dozens of block-sized temporaries let the allocator hand them back to
+    the system, and the next scan faulted them in again. Raises when every
+    plane degenerates."""
     _check_seed(seed)
     alg = metric.algebra
-    g = -(-n // _VIEWS)
-    size = 2 * _VIEWS * g * alg.dim
+    g = max(2, -(-(n + 1) // _VIEWS))
+    size = (n + 1) * alg.dim
     step = metric._scan_block
     work = np.empty(size + metric._block_floats(min(n, step)))
-    rng = np.random.default_rng(seed)
-    views = _views(alg.factors)
-    UV = work[:size].reshape(2, _VIEWS, g, alg.dim)
-    for half in UV:
-        alg.random(rng, g, out=half[0].reshape(-1))
-        np.matmul(half[0], views[1:].transpose(0, 2, 1), out=half[1:])
-    flat = UV.reshape(2, _VIEWS * g, alg.dim)[:, :n]
+    W = work[:size].reshape(n + 1, alg.dim)
+    alg.random(np.random.default_rng(seed), g, out=work)
+    for j, R in enumerate(_views(alg.factors)[1:], 1):
+        view = W[j * g:(j + 1) * g]
+        np.matmul(W[:len(view)], R.T, out=view)
     vals, ok = np.empty(n), np.empty(n, dtype=bool)
     for i in range(0, n, step):
         block = slice(i, i + step)
-        vals[block], ok[block] = metric._sectional_block(flat[:, block],
-                                                         work[size:])
+        vals[block], ok[block] = metric._sectional_block(
+            W[i:i + step + 1], 1, work[size:])
     if not np.any(ok):
         raise DegeneratePlaneError("every sampled plane degenerated")
-    U, V = flat.reshape(2, n, alg.factors, 3)
+    U, V = (x.reshape(n, alg.factors, 3) for x in (W[:n], W[1:]))
     return U, V, vals, ok
 
 
 def scan_min_sectional(metric, n_planes=100_000, seed=0):
-    """Minimum sectional curvature over n_planes seeded planes: ceil(n_planes
-    / 4) Gaussian pairs, each also seen through three fixed rotations;
-    every plane is a Gaussian pair (see _scan)."""
+    """Minimum sectional curvature over n_planes seeded planes, which walk
+    one sequence of n_planes + 1 vectors, plane t spanning vectors t and
+    t + 1: about a quarter of them drawn Gaussian vectors, the rest those
+    seen through three fixed rotations; every plane is a Gaussian pair
+    (see _scan)."""
     require_count(n_planes, "n_planes", MAX_PLANES)
     U, V, vals, ok = _scan(metric, n_planes, seed)
     idx = int(np.argmin(vals))
@@ -823,8 +854,9 @@ def _frame(metric, u, v):
 
 
 def find_negative_plane(metric, budget=100_000, seed=0):
-    """Seeded scan of `budget` random planes, ceil(budget / 4) Gaussian
-    pairs each also seen through three fixed rotations, every plane a
+    """Seeded scan of `budget` random planes, which walk one sequence of
+    budget + 1 vectors, about a quarter of them drawn Gaussian vectors and
+    the rest those seen through three fixed rotations, every plane a
     Gaussian pair (see _scan); and the exact decision (_decide) of whether
     the metric has a negatively curved plane.
 

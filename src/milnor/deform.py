@@ -57,22 +57,24 @@ On the diagonal of su(2)^n K grows like n^2, so there the (K, K)
 product is most of a plane's cost (the timings are in CHANGES.md).
 
 A random-plane scan of n planes walks one sequence of n + 1 vectors,
-plane t spanning vectors t and t + 1: about (n + 1) / 4 seeded Gaussian
-vectors, each also seen through three fixed rotations (_views). Every
+plane t spanning vectors t and t + 1: about (n + 1) / 8 seeded Gaussian
+vectors, each also seen through seven fixed rotations (_views). Every
 plane is a Gaussian pair, as Q is the identity in flat coordinates, a
 rotation takes a standard normal vector to one, and consecutive vectors
-are independent. Rotating a vector costs less than drawing one, and each
-vector is mapped into the frame and normed once for its two planes.
+are independent. Rotating a vector costs far less than drawing one, and
+each vector is mapped into the frame and normed once for its two planes.
 
-The kernel writes its coordinates, pair entries, wedges and M b into one
-flat workspace: sectional_batch allocates one per call, and a
-random-plane scan one for its sequence and a block, which all its blocks
-reuse. A scan block holds as many planes as fit _BLOCK_FLOATS floats,
-dim + 3K a vector, so small algebras and product splits take more planes
-a block.
-_full_operator feeds _quartic component-major rows (see liealg): a batch
-of N vectors is a (dim, N) array, and its k-part is one (dim, dim) @
-(dim, N) product with the split's projector onto k.
+The kernel takes its vectors as the columns of a (dim, C) array, so the
+frame map is a (dim + 2K, dim) @ (dim, C) product with no transposed
+operand, and writes its coordinates, pair entries, wedges and M b into
+one flat workspace: sectional_batch allocates one per call, and a
+random-plane scan one for its sequence, itself such a (dim, n + 1)
+array, and a block, which all its blocks reuse. A scan block holds as
+many planes as fit _BLOCK_FLOATS floats, dim + 3K a vector, and at least
+_MIN_BLOCK, so small algebras and product splits take more planes a
+block. _full_operator feeds _quartic component-major rows (see liealg):
+a batch of N vectors is a (dim, N) array, and its k-part is one
+(dim, dim) @ (dim, N) product with the split's projector onto k.
 
 The kernel normalizes no pair. <b, M b> and the Q_a Gram determinant
 |u|^2 |v|^2 - <u, v>^2, read on the frame coordinates, in which Q_a is
@@ -106,14 +108,20 @@ _GRAM_TOL = 1e-12
 _NEAR_PARALLEL = 2.0 ** -8
 #: The floats of one random-plane scan block's workspace (see
 #: _block_floats), which every block of a scan reuses; a metric's scan
-#: block is as many planes as fit: on span-i 9215 on su(2)^1, 4607 on
-#: su(2)^2 and 3071 on su(2)^3 (36 floats a vector), on the su(2)^3
-#: diagonal 1227 and on the su(2)^16 diagonal, whose operator keeps
-#: K = 768 pairs, 46. Blocking changes no value. Over budgets of 2048 to
-#: 4096 vectors of 36 floats, the small algebras' scan time is flat within
-#: about a tenth, while the su(2)^16 diagonal's (K, K) product runs far
-#: below speed on blocks of 30 planes (the timings are in CHANGES.md).
+#: block is as many planes as fit, and at least _MIN_BLOCK: on span-i 9215
+#: on su(2)^1, 4607 on su(2)^2 and 3071 on su(2)^3 (36 floats a vector),
+#: and on the su(2)^3 diagonal 1227. Blocking changes no value. Over
+#: budgets of 1024 to 4096 vectors of 36 floats, the small algebras' scan
+#: time falls by about a tenth up to this one and is flat past it (the
+#: timings are in CHANGES.md).
 _BLOCK_FLOATS = 3072 * 36
+#: The fewest planes in a scan block. An operator that keeps many pairs
+#: would get few planes from _BLOCK_FLOATS alone: the su(2)^16 diagonal
+#: (K = 768, 2352 floats a vector) 46, on which its (K, K) product runs
+#: well below speed; it takes blocks of 64 planes, and diagonals up to
+#: su(2)^13 (69 planes) are above the floor (the timings are in
+#: CHANGES.md).
+_MIN_BLOCK = 64
 #: The most pairs in a block of the connection oracle, whose blocks share
 #: one workspace (see curvature_oracle_of_pair), and of the closed form in
 #: oracle_agreement; a batch of more pairs is cut into the fewest blocks
@@ -160,7 +168,7 @@ _ORACLE_RTOL = 1e-6
 A_MIN = 1e-7
 A_MAX = 1e6
 #: Vectors of a random-plane scan's sequence per drawn vector (see _scan).
-_VIEWS = 4
+_VIEWS = 8
 #: The seed of the fixed rotations of _views, fixed before their scans'
 #: quality was measured.
 _VIEW_SEED = 1976
@@ -381,7 +389,7 @@ class DeformedMetric:
         form (see _operator) that the scans evaluate: quartic in the
         inputs, zero when the two arguments are proportional."""
         S, shape = self._pairs(u, v)
-        return self._bivector_form(S, len(S) // 2, None)[1].reshape(shape)
+        return self._bivector_form(S, S.shape[1] // 2, None)[1].reshape(shape)
 
     # -- curvature, Koszul oracle ------------------------------------------
 
@@ -439,23 +447,28 @@ class DeformedMetric:
         their moderate multiples, and a power-of-two multiple of a vector
         exactly the same values."""
         S, shape = self._pairs(U, V, scale=_binade)
-        N = len(S) // 2
-        work = np.empty(self._block_floats(N, N))
-        vals, ok = self._sectional_block(S, N, work)
+        N = S.shape[1] // 2
+        vals = np.full(N, np.inf)
+        ok = self._sectional_block(S, N, np.empty(self._block_floats(N, N)),
+                                   vals)
         return vals.reshape(shape), ok.reshape(shape)
 
     def _pairs(self, U, V, scale=None):
         """Finite elements U, V (..., n, 3), each mapped by scale when it
-        is given, as flat vectors (2N, dim) over the N samples of their
-        broadcast sample axes, the U above the V, so that sample t spans
-        rows t and t + N; also returns those axes' shape. A non-finite
-        vector is refused with ValidationError."""
+        is given, as the columns of one (dim, 2N) array over the N samples
+        of their broadcast sample axes, the U before the V, so that sample
+        t spans columns t and t + N; also returns those axes' shape. A
+        non-finite vector is refused with ValidationError."""
         alg = self.algebra
         U, V = (_finite_element(alg, x) for x in (U, V))
         if scale is not None:
             U, V = scale(U), scale(V)
         U, V = np.broadcast_arrays(U, V)
-        return np.stack((U, V)).reshape(-1, alg.dim), U.shape[:-2]
+        N = math.prod(U.shape[:-2])
+        S = np.empty((alg.dim, 2 * N))
+        for half, X in zip((S[:, :N], S[:, N:]), (U, V)):
+            half[...] = X.reshape(N, alg.dim).T
+        return S, U.shape[:-2]
 
     # -- the curvature operator ---------------------------------------------
 
@@ -509,24 +522,26 @@ class DeformedMetric:
         return _Operator.of(coords, pairs[:, kept], matrix[kept][:, kept])
 
     def _bivector_form(self, S, shift, work):
-        """The frame coordinates, (dim, C), of flat vectors S (C, dim), and
-        <b, M b> at the bivector b = u ^ v (see _operator) of each of their
-        C - shift pairs (u, v) = (S[t], S[t + shift]). One matmul takes
-        every vector into the frame once. The wedge pairs column t of the
-        pair entries with column t + shift: on the flattened row-major
-        (K, C) blocks, x_i[:-shift] * x_j[shift:] is x_i y_j at every plane,
-        and a junk product where a row's last shift columns meet the next
-        row, so every elementwise pass runs on contiguous memory. M b is one
-        (K, K) product over all C columns. A scan block is a run of its
-        sequence, shift 1; sectional_batch stacks its U on its V, shift N.
+        """The frame coordinates, (dim, C), of the C vectors that are the
+        columns of S (dim, C), and <b, M b> at the bivector b = u ^ v (see
+        _operator) of each of their C - shift pairs (u, v) = (S[:, t],
+        S[:, t + shift]). One matmul, frame @ S, takes every vector into the
+        frame once; S may be a column slice of a wider array, as a scan
+        block is of its sequence. The wedge pairs column t of the pair
+        entries with column t + shift: on the flattened row-major (K, C)
+        blocks, x_i[:-shift] * x_j[shift:] is x_i y_j at every plane, and a
+        junk product where a row's last shift columns meet the next row, so
+        every elementwise pass runs on contiguous memory. M b is one (K, K)
+        product over all C columns. A scan block is a run of its sequence,
+        shift 1; sectional_batch stacks its U and V side by side, shift N.
         The coordinates, pair entries, b and M b are laid out in work, a
         flat float buffer of at least _block_floats(C - shift, shift)
         floats (see liealg._carve), or a new array when it is None."""
         frame, _, matrix = self._operator
         d, K = self.algebra.dim, len(matrix)
-        C = len(S)
+        C = S.shape[1]
         space = _carve(work, (d + 3 * K, C))
-        np.matmul(frame, S.T, out=space[:d + 2 * K])
+        np.matmul(frame, S, out=space[:d + 2 * K])
         xi, xj, b = (space[d + r * K:d + (r + 1) * K].reshape(-1)
                      for r in range(3))
         n = K * C - shift
@@ -549,14 +564,16 @@ class DeformedMetric:
     @property
     def _scan_block(self):
         """Planes per random-plane scan block: as many as fill
-        _BLOCK_FLOATS."""
-        return _BLOCK_FLOATS // self._block_floats(0) - 1
+        _BLOCK_FLOATS, and at least _MIN_BLOCK."""
+        return max(_MIN_BLOCK, _BLOCK_FLOATS // self._block_floats(0) - 1)
 
-    def _sectional_block(self, S, shift, work):
+    def _sectional_block(self, S, shift, work, vals):
         """The kernel of sectional_batch and of the random-plane scans: the
-        values and valid flags of the planes (S[t], S[t + shift]) of the
-        flat vectors S (C, dim), taken as they are (see the module
-        docstring on their size); each vector's Q_a norm is taken once.
+        valid flags of the planes (S[:, t], S[:, t + shift]) of the vectors
+        that are the columns of S (dim, C), taken as they are (see the
+        module docstring on their size), with each valid plane's value
+        written into vals, an array of C - shift floats that holds +inf
+        for an invalid plane; each vector's Q_a norm is taken once.
 
         A plane is valid when |u|^2 |v|^2 > 0 and its Gram determinant
         |u|^2 |v|^2 - <u, v>^2, taken as |u|^2 |v_perp|^2 where that
@@ -565,10 +582,9 @@ class DeformedMetric:
         and v is at least _GRAM_TOL. Its value is then <b, M b> (see
         _bivector_form) over that determinant,
         both read on the frame coordinates, in which Q_a is the dot
-        product; an invalid plane's is +inf. work is as _bivector_form
-        takes it."""
+        product. work is as _bivector_form takes it."""
         x, form = self._bivector_form(S, shift, work)
-        N = len(S) - shift
+        N = S.shape[1] - shift
         nn = np.einsum("in,in->n", x, x)
         uv = np.einsum("in,in->n", x[:, :N], x[:, shift:])
         norms = nn[:N] * nn[shift:]
@@ -580,7 +596,8 @@ class DeformedMetric:
             perp -= xu
             gram[near] = nn[near] * np.einsum("in,in->n", perp, perp)
         ok = (norms > 0) & (gram >= _GRAM_TOL * norms)
-        return np.where(ok, form / np.where(ok, gram, 1.0), np.inf), ok
+        np.divide(form, gram, out=vals, where=ok)
+        return ok
 
 
 class ScanResult(namedtuple("ScanResult",
@@ -601,7 +618,7 @@ def _check_seed(seed):
 @functools.cache
 def _views(factors):
     """The _VIEWS fixed orthogonal (dim, dim) matrices through which a scan
-    sees each drawn pair of su(2)^factors, read-only, built once per
+    sees each drawn vector of su(2)^factors, read-only, built once per
     dimension: R_0 = I and, for j >= 1, R_j the Q factor of the QR
     decomposition of a Gaussian matrix drawn from _VIEW_SEED, each column's
     sign chosen to make R's diagonal positive. Q is the identity in flat
@@ -618,45 +635,55 @@ def _views(factors):
 def _scan(metric, n, seed):
     """The random-plane scan: n planes U, V, each (n, factors, 3), and their
     sectional_batch values and valid flags, computed metric._scan_block
-    planes at a time. The planes walk one sequence W of n + 1 vectors:
-    g = max(2, ceil((n + 1) / 4)) seeded Gaussian vectors g_i, each also
-    seen through three fixed rotations, W[j g + i] = R_j g_i for the R_j of
-    _views, cut at n + 1; plane t spans (W[t], W[t + 1]). Consecutive
-    entries are independent standard normal vectors, inside a view and
-    across a view boundary (g >= 2), so every plane is a Gaussian pair,
-    and each vector is drawn, framed and normed once for two planes.
-    U = W[:n] and V = W[1:] are views of one allocation, which also holds
-    the workspace of one block, reused by every block: a scan that freed
-    dozens of block-sized temporaries let the allocator hand them back to
-    the system, and the next scan faulted them in again. Raises when every
-    plane degenerates."""
+    planes at a time. The planes walk one sequence of n + 1 vectors, the
+    columns of one (dim, n + 1) array W, each in flat element order:
+    g = max(2, ceil((n + 1) / 8)) seeded Gaussian vectors g_i, each also
+    seen through seven fixed rotations, W[:, j g + i] = R_j g_i for the
+    R_j of _views, cut at n + 1; plane t spans columns t and t + 1.
+    Consecutive columns are independent standard normal vectors, inside a
+    view and across a view boundary (g >= 2), so every plane is a Gaussian
+    pair, and each vector is drawn, framed and normed once for two planes.
+
+    The draw is Su2Power.random's, in chunks that fit the block workspace,
+    each copied transposed into W; chunks give the seeded stream's numbers
+    as one call would. Each view is then one (dim, dim) @ (dim, g) product
+    on rows of W, and each block, a column slice of W, is mapped into the
+    frame with no transposed operand. U and V are views of W, in one
+    allocation that also holds the workspace of one block, reused by every
+    block: a scan that freed dozens of block-sized temporaries let the
+    allocator hand them back to the system, and the next scan faulted them
+    in again. Raises when every plane degenerates."""
     _check_seed(seed)
     alg = metric.algebra
+    d = alg.dim
     g = max(2, -(-(n + 1) // _VIEWS))
-    size = (n + 1) * alg.dim
+    size = (n + 1) * d
     step = metric._scan_block
     work = np.empty(size + metric._block_floats(min(n, step)))
-    W = work[:size].reshape(n + 1, alg.dim)
-    alg.random(np.random.default_rng(seed), g, out=work)
+    W, block = work[:size].reshape(d, n + 1), work[size:]
+    rng = np.random.default_rng(seed)
+    chunk = len(block) // d
+    for i in range(0, g, chunk):
+        m = min(chunk, g - i)
+        W[:, i:i + m] = alg.random(rng, m, out=block).reshape(m, d).T
     for j, R in enumerate(_views(alg.factors)[1:], 1):
-        view = W[j * g:(j + 1) * g]
-        np.matmul(W[:len(view)], R.T, out=view)
-    vals, ok = np.empty(n), np.empty(n, dtype=bool)
+        view = W[:, j * g:(j + 1) * g]
+        np.matmul(R, W[:, :view.shape[1]], out=view)
+    vals, ok = np.full(n, np.inf), np.empty(n, dtype=bool)
     for i in range(0, n, step):
-        block = slice(i, i + step)
-        vals[block], ok[block] = metric._sectional_block(
-            W[i:i + step + 1], 1, work[size:])
+        ok[i:i + step] = metric._sectional_block(
+            W[:, i:i + step + 1], 1, block, vals[i:i + step])
     if not np.any(ok):
         raise DegeneratePlaneError("every sampled plane degenerated")
-    U, V = (x.reshape(n, alg.factors, 3) for x in (W[:n], W[1:]))
+    U, V = (x.T.reshape(n, alg.factors, 3) for x in (W[:, :n], W[:, 1:]))
     return U, V, vals, ok
 
 
 def scan_min_sectional(metric, n_planes=100_000, seed=0):
     """Minimum sectional curvature over n_planes seeded planes, which walk
     one sequence of n_planes + 1 vectors, plane t spanning vectors t and
-    t + 1: about a quarter of them drawn Gaussian vectors, the rest those
-    seen through three fixed rotations; every plane is a Gaussian pair
+    t + 1: about an eighth of them drawn Gaussian vectors, the rest those
+    seen through seven fixed rotations; every plane is a Gaussian pair
     (see _scan)."""
     require_count(n_planes, "n_planes", MAX_PLANES)
     U, V, vals, ok = _scan(metric, n_planes, seed)
@@ -855,8 +882,8 @@ def _frame(metric, u, v):
 
 def find_negative_plane(metric, budget=100_000, seed=0):
     """Seeded scan of `budget` random planes, which walk one sequence of
-    budget + 1 vectors, about a quarter of them drawn Gaussian vectors and
-    the rest those seen through three fixed rotations, every plane a
+    budget + 1 vectors, about an eighth of them drawn Gaussian vectors and
+    the rest those seen through seven fixed rotations, every plane a
     Gaussian pair (see _scan); and the exact decision (_decide) of whether
     the metric has a negatively curved plane.
 

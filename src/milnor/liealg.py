@@ -14,6 +14,7 @@ Su2Power.bracket_rows is the one bracket implementation, and
 ReductiveSplit keeps the Q-orthogonal projector onto k in both orders.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -23,11 +24,11 @@ from .errors import (DimensionMismatchError, ParameterError, ValidationError,
 
 _ORTHO_TOL = 1e-12
 #: The most su(2) factors Su2Power takes, checked before anything is
-#: allocated. A scan, its planes (48 bytes a plane per factor) and one
-#: block's workspace (0.9 MB, see deform._BLOCK_FLOATS), peaks at about 55
-#: bytes a plane per factor, and oracle_agreement, which works in blocks
-#: like the scan, at about 60 bytes a pair per factor (measured with
-#: tracemalloc; the figures are in CHANGES.md). So deform.MAX_PLANES
+#: allocated. A scan, its sequence (24 bytes a plane per factor) and one
+#: block's workspace (0.9 MB, see deform._BLOCK_FLOATS), peaks at under
+#: 50 bytes a plane per factor, and oracle_agreement, which works in
+#: blocks like the scan, at 55 to 70 bytes a pair per factor (measured
+#: with tracemalloc; the figures are in CHANGES.md). So deform.MAX_PLANES
 #: planes or pairs at the cap take about 0.9 GB; 10^8 factors used to fail
 #: allocating tens of TiB, or with a misleading message. The curvature
 #: operator grows faster than the algebra: on the su(2)^16 diagonal it
@@ -151,11 +152,12 @@ class ReductiveSplit:
 
     The subalgebra is given by a Q-orthonormal basis, shape (r, n, 3).
     Construction fails if the basis is not finite, not orthonormal or not
-    closed under the bracket; use the named constructors for the standard cases.
+    closed under the bracket. The named constructors build the standard
+    cases, whose bases are orthonormal and closed by construction, with
+    the same arithmetic and without those checks.
     """
 
     def __init__(self, algebra, k_basis):
-        self.algebra = algebra
         k_basis = np.asarray(k_basis, dtype=float)
         if k_basis.ndim == 2:
             k_basis = k_basis[None]
@@ -171,8 +173,30 @@ class ReductiveSplit:
         gram = flat @ flat.T
         if np.max(np.abs(gram - np.eye(r))) > _ORTHO_TOL:
             raise ValidationError("subalgebra basis is not Q-orthonormal")
+        self._store(algebra, k_basis)
+        if r > 1:
+            resid = self._pair_brackets - self.project_k(self._pair_brackets)
+            worst = float(np.max(algebra.norm(resid)))
+            if worst > 1e-10:
+                raise ValidationError(
+                    "basis does not span a subalgebra (closure residual "
+                    "{:.3g})".format(worst))
+
+    @classmethod
+    def _named(cls, algebra, k_basis):
+        """The split of k_basis, a float (r, n, 3) basis that is finite,
+        Q-orthonormal and closed under the bracket by its construction,
+        without the checks __init__ makes of a basis it is given."""
+        split = cls.__new__(cls)
+        split._store(algebra, k_basis)
+        return split
+
+    def _store(self, algebra, k_basis):
+        """Keep the algebra, the basis and the projector onto k."""
+        self.algebra = algebra
         self.k_basis = k_basis
-        self.dim_k = r
+        self.dim_k = r = len(k_basis)
+        flat = k_basis.reshape(r, algebra.dim)
         #: The Q-orthogonal projector K^T K onto k, symmetric (dim, dim), on
         #: flat elements (index 3 t + c for component c of factor t); the
         #: only stored form of k besides k_basis.
@@ -182,17 +206,15 @@ class ReductiveSplit:
         n = algebra.factors
         self._projector_rows = self._projector.reshape(n, 3, n, 3).transpose(
             1, 0, 3, 2).reshape(algebra.dim, algebra.dim)
-        # brackets of every pair of basis vectors, read by the closure check
-        # here and by is_abelian; a line has none
-        self._pair_brackets = k_basis[:0]
-        if r > 1:
-            self._pair_brackets = algebra.bracket(k_basis[:, None], k_basis[None])
-            resid = self._pair_brackets - self.project_k(self._pair_brackets)
-            worst = float(np.max(algebra.norm(resid)))
-            if worst > 1e-10:
-                raise ValidationError(
-                    "basis does not span a subalgebra (closure residual "
-                    "{:.3g})".format(worst))
+
+    @functools.cached_property
+    def _pair_brackets(self):
+        """The brackets of every pair of basis vectors, (r, r, n, 3), read
+        by __init__'s closure check and by is_abelian; a line has none."""
+        k = self.k_basis
+        if self.dim_k == 1:
+            return k[:0]
+        return self.algebra.bracket(k[:, None], k[None])
 
     @classmethod
     def diagonal(cls, algebra):
@@ -202,7 +224,7 @@ class ReductiveSplit:
         rows = np.zeros((3, n, 3))
         for axis in range(3):
             rows[axis, :, axis] = 1.0 / math.sqrt(n)
-        return cls(algebra, rows)
+        return cls._named(algebra, rows)
 
     @classmethod
     def factor(cls, algebra, index):
@@ -213,7 +235,7 @@ class ReductiveSplit:
         rows = np.zeros((3, algebra.factors, 3))
         for axis in range(3):
             rows[axis, index, axis] = 1.0
-        return cls(algebra, rows)
+        return cls._named(algebra, rows)
 
     @classmethod
     def circle(cls, algebra, direction):
@@ -223,12 +245,16 @@ class ReductiveSplit:
         direction whose own norm is finite and nonzero keeps the basis
         that norm gives."""
         direction = algebra.check_element(np.asarray(direction, dtype=float))
+        if direction.ndim != 2:
+            raise DimensionMismatchError(
+                "circle direction must be one element (factors, 3)")
         if not np.isfinite(direction).all():
             raise ValidationError("circle direction must be finite")
         if not direction.any():
             raise ValidationError("circle direction must be nonzero")
         direction = _binade(direction)
-        return cls(algebra, (direction / float(algebra.norm(direction)))[None])
+        return cls._named(
+            algebra, (direction / float(algebra.norm(direction)))[None])
 
     def project_k(self, u):
         u = self.algebra.check_element(u)

@@ -173,7 +173,8 @@ def test_planes_are_valid_by_their_q_a_angle(monkeypatch, make, factors, a):
     determinant over |u|^2 |v|^2, is at least 1e-12: at 1e-11 it is, at
     1e-13 it is not, whatever the lengths of u and v, and neither is a
     pair with a zero vector. A scan whose draw is the sequence u_0, v_0,
-    u_1, v_1, ... scans these pairs as its even planes, unrotated; it and
+    u_1, v_1, ..., given chunk by chunk as Su2Power.random's stream would
+    be, scans these pairs as its even planes, unrotated; it and
     sectional_batch, on the planes the scan returns, agree on every flag,
     the odd planes' and the rotated views' too: the scans divide the raw
     quartic by the raw Gram determinant."""
@@ -184,14 +185,20 @@ def test_planes_are_valid_by_their_q_a_angle(monkeypatch, make, factors, a):
     want = [True, True, False, False]
     assert metric.sectional_batch(U, V)[1].tolist() == want
 
+    stream = np.stack((U, V), axis=1).reshape((-1,) + U.shape[1:])
+    taken = []
+
     def drawn(rng, size, out=None):
         sample = _carve(out, (size,) + U.shape[1:])
-        sample[...] = np.stack((U, V), axis=1).reshape(sample.shape)
+        start = sum(taken)
+        sample[...] = stream[start:start + size]
+        taken.append(size)
         return sample
 
     monkeypatch.setattr(metric.algebra, "random", drawn)
     g = 2 * len(want)
     su, sv, _, ok = deform._scan(metric, deform._VIEWS * g - 1, seed=0)
+    assert sum(taken) == g
     assert np.array_equal(su[:g:2], U) and np.array_equal(sv[:g:2], V)
     assert ok[:g:2].tolist() == want
     assert ok.tolist() == metric.sectional_batch(su, sv)[1].tolist()
@@ -271,6 +278,20 @@ def test_scan_blocks_fill_one_float_budget():
     assert metric._block_floats(1227) <= deform._BLOCK_FLOATS < metric._block_floats(1228)
 
 
+def test_scan_blocks_hold_at_least_the_floor():
+    """An operator that keeps many pairs gets blocks of _MIN_BLOCK planes,
+    more than its float budget holds: the su(2)^14 and ^16 diagonals
+    (K = 588, 768) would get 60 and 46. The su(2)^13 diagonal (K = 507)
+    keeps its budget's 69."""
+    for factors, budget, block in ((13, 69, 69), (14, 60, 64), (16, 46, 64)):
+        metric = diag_metric(factors, 1.5)
+        assert deform._BLOCK_FLOATS // metric._block_floats(0) - 1 == budget
+        assert metric._scan_block == block
+    res = scan_min_sectional(metric, n_planes=2 * block + 3, seed=1)
+    U, V = deform._scan(metric, 2 * block + 3, seed=1)[:2]
+    assert res.min_value == float(np.min(metric.sectional_batch(U, V)[0]))
+
+
 @pytest.mark.parametrize("make, factors", [(span_i_metric, 1),
                                            (span_i_metric, 2),
                                            (span_i_metric, 3),
@@ -303,22 +324,23 @@ def test_scan_memory_is_the_draw_and_one_block(make, factors, n):
 def test_scan_results_own_their_planes():
     """The reported plane is copied out of the scan's draw, so the result
     does not keep every sampled pair alive; its values are the scanned
-    ones (index 2148 of PINNED_SCANS)."""
+    ones (index 2856 of PINNED_SCANS)."""
     metric = span_i_metric(3, 1.5)
     res = scan_min_sectional(metric, n_planes=3000, seed=1)
     U, V = deform._scan(metric, 3000, seed=1)[:2]
-    for got, want in ((res.u, U[2148]), (res.v, V[2148])):
+    for got, want in ((res.u, U[2856]), (res.v, V[2856])):
         assert got.base is None and got.flags.owndata
         assert got.nbytes == 72 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("make, factors", SCAN_METRICS)
 def test_scan_planes_walk_one_sequence(make, factors):
-    """Plane t spans vectors t and t + 1 of one sequence W: V[t] is U[t + 1],
-    and U and V are views of one buffer, across the three view boundaries,
-    the block boundaries and into the ragged last block. W is the
-    g = ceil((n + 1) / 4) drawn vectors followed by their three rotations
-    (_views), cut at n + 1 vectors."""
+    """Plane t spans columns t and t + 1 of one sequence, an array W
+    (dim, n + 1): V[t] is U[t + 1], and U and V are views of one buffer,
+    across the seven view boundaries, the block boundaries and into the
+    ragged last block. W is the g = ceil((n + 1) / 8) vectors of one
+    Su2Power.random draw followed by their seven rotations (_views), cut
+    at n + 1 vectors."""
     metric = make(factors, 1.5)
     alg = metric.algebra
     n = 2 * metric._scan_block + 5
@@ -329,14 +351,16 @@ def test_scan_planes_walk_one_sequence(make, factors):
     drawn = alg.random(np.random.default_rng(3), g).reshape(g, alg.dim)
     W = np.concatenate((U, V[-1:])).reshape(n + 1, alg.dim)
     assert np.array_equal(W[:g], drawn)
+    last = deform._VIEWS - 1
     for j, R in enumerate(deform._views(factors)):
         view = W[j * g:(j + 1) * g]
-        assert len(view) == (g if j < 3 else n + 1 - 3 * g)
-        assert np.allclose(view, drawn[:len(view)] @ R.T, rtol=0, atol=1e-13)
+        assert len(view) == (g if j < last else n + 1 - last * g)
+        rotated = R @ np.ascontiguousarray(drawn[:len(view)].T)
+        assert np.array_equal(view, rotated.T)
 
 
-def test_scans_draw_a_quarter_of_their_sequence(monkeypatch):
-    """A scan of n planes draws max(2, ceil((n + 1) / 4)) vectors: at least
+def test_scans_draw_an_eighth_of_their_sequence(monkeypatch):
+    """A scan of n planes draws max(2, ceil((n + 1) / 8)) vectors: at least
     two, so that a plane across a view boundary, R_j g_(g-1) and
     R_(j+1) g_0, pairs two different drawn vectors."""
     metric = span_i_metric(2, 1.5)
@@ -347,9 +371,31 @@ def test_scans_draw_a_quarter_of_their_sequence(monkeypatch):
         return random(rng, size, out=out)
 
     monkeypatch.setattr(metric.algebra, "random", recording)
-    for n in (1, 2, 3, 4, 7, 8, 9, 4000):
+    for n in (1, 2, 3, 7, 8, 15, 16, 4000):
         deform._scan(metric, n, seed=0)
-    assert sizes == [2, 2, 2, 2, 2, 3, 3, 1001]
+    assert sizes == [2, 2, 2, 2, 2, 2, 3, 501]
+
+
+def test_a_chunked_draw_is_one_draw(monkeypatch):
+    """A scan draws its vectors in chunks that fit one block's workspace,
+    so a long scan's draw adds no buffer of its own; the chunks are the
+    numbers of one Su2Power.random call, bit for bit."""
+    metric = diag_metric(3, 1.5)
+    alg = metric.algebra
+    random, sizes = alg.random, []
+
+    def recording(rng, size, out=None):
+        sizes.append(size)
+        return random(rng, size, out=out)
+
+    monkeypatch.setattr(alg, "random", recording)
+    chunk = metric._block_floats(metric._scan_block) // alg.dim
+    n = deform._VIEWS * (2 * chunk + 7)
+    U = deform._scan(metric, n, seed=5)[0]
+    g = -(-(n + 1) // deform._VIEWS)
+    assert sizes == [chunk, chunk, g - 2 * chunk] and sum(sizes) == g
+    want = random(np.random.default_rng(5), g)
+    assert same_bits(np.ascontiguousarray(U[:g]), want)
 
 
 def test_scan_views_are_fixed_rotations():
@@ -390,7 +436,7 @@ def test_views_scan_as_close_to_the_least_value_as_independent_pairs():
     seeds 0-99 at 3000 planes, the mean gap of the scan minima is at most
     1.25 times the reference's, on span-i at a = 3/2 (least value 4 - 3a)
     and factor0 at a = 6/5 (least value 0). The reference draws from the
-    same seeds, so its first 751 u are the scan's drawn vectors."""
+    same seeds, so its first 376 u are the scan's drawn vectors."""
     seeds, n = range(100), 3000
     for factors, split, a, least in [(1, "span-i", 1.5, -0.5),
                                      (2, "span-i", 1.5, -0.5),
@@ -643,7 +689,7 @@ PINNED_SEARCHES = [
     ((3, "diagonal", 1.05, 1), (True, 2000, -3.124905876329034e-05)),
     ((2, "span-i", 4.0 / 3.0 + 0.01, 8803), (True, 2000, -0.029999999999999805)),
     ((3, "diagonal", 1.0, 8803), (False, 2000, 0.02997373807289895)),
-    ((2, "factor0", 1.5, 1), (False, 2000, 0.0048936219689594196)),
+    ((2, "factor0", 1.5, 1), (False, 2000, 0.011045516684702092)),
 ]
 
 
@@ -660,7 +706,7 @@ def test_negative_plane_search_is_pinned(case, pinned):
 
 # (algebra factors, split, a, seed) -> (minimum, n_valid, index of the
 # reported plane among the scanned planes) of a 3000-plane scan, recorded
-# on the sequence of 751 drawn vectors seen through four rotations, plane t
+# on the sequence of 376 drawn vectors seen through eight views, plane t
 # spanning vectors t and t + 1 (see deform._scan). The
 # index is None where another scanned plane lies within 1e-9 max(1,
 # |minimum|) of the minimum (su(2)^1 deformed along all of itself, or
@@ -687,76 +733,76 @@ PINNED_SCANS = [
     ((1, "factor0", 4 / 3, 1), (0.7499999999992633, 3000, None)),
     ((1, "factor0", 1.5, 0), (0.6666666666664055, 3000, None)),
     ((1, "factor0", 1.5, 1), (0.6666666666662369, 3000, None)),
-    ((1, "span-i", 0.5, 0), (0.5000002045706995, 3000, 1546)),
-    ((1, "span-i", 0.5, 1), (0.5000000372717582, 3000, 1734)),
+    ((1, "span-i", 0.5, 0), (0.5000002045706995, 3000, 796)),
+    ((1, "span-i", 0.5, 1), (0.5000000372717582, 3000, 984)),
     ((1, "span-i", 1.0, 0), (0.9999999999998128, 3000, None)),
     ((1, "span-i", 1.0, 1), (0.9999999999997756, 3000, None)),
-    ((1, "span-i", 1.05, 0), (0.8500385124640607, 3000, 1644)),
-    ((1, "span-i", 1.05, 1), (0.8500171249470404, 3000, 1923)),
-    ((1, "span-i", 4 / 3, 0), (0.0003260145016623648, 3000, 1644)),
-    ((1, "span-i", 4 / 3, 1), (0.00014496974710329175, 3000, 1923)),
-    ((1, "span-i", 1.5, 0), (-0.49944986734262214, 3000, 1644)),
-    ((1, "span-i", 1.5, 1), (-0.4997553668765508, 3000, 1923)),
-    ((2, "diagonal", 0.5, 0), (0.04057122087706429, 3000, 791)),
-    ((2, "diagonal", 0.5, 1), (0.046701176329464654, 3000, 1763)),
-    ((2, "diagonal", 1.0, 0), (0.00942644951909068, 3000, 2453)),
-    ((2, "diagonal", 1.0, 1), (0.004979809198819036, 3000, 1787)),
-    ((2, "diagonal", 1.05, 0), (0.013080077676309563, 3000, 2453)),
-    ((2, "diagonal", 1.05, 1), (0.00656193409892332, 3000, 1787)),
-    ((2, "diagonal", 4 / 3, 0), (-0.021322564798252362, 3000, 589)),
-    ((2, "diagonal", 4 / 3, 1), (-0.018000456483635623, 3000, 954)),
-    ((2, "diagonal", 1.5, 0), (-0.19841849581971283, 3000, 1461)),
+    ((1, "span-i", 1.05, 0), (0.8500385124640607, 3000, 894)),
+    ((1, "span-i", 1.05, 1), (0.850162659898832, 3000, 556)),
+    ((1, "span-i", 4 / 3, 0), (0.0003260145016623648, 3000, 894)),
+    ((1, "span-i", 4 / 3, 1), (0.0013767128807261777, 3000, 556)),
+    ((1, "span-i", 1.5, 0), (-0.49944986734262214, 3000, 894)),
+    ((1, "span-i", 1.5, 1), (-0.4976770968235299, 3000, 556)),
+    ((2, "diagonal", 0.5, 0), (0.04057122087706429, 3000, 416)),
+    ((2, "diagonal", 0.5, 1), (0.046701176329464654, 3000, 1013)),
+    ((2, "diagonal", 1.0, 0), (0.00942644951909068, 3000, 1328)),
+    ((2, "diagonal", 1.0, 1), (0.004979809198819036, 3000, 1037)),
+    ((2, "diagonal", 1.05, 0), (0.012286176433906636, 3000, 1666)),
+    ((2, "diagonal", 1.05, 1), (0.00656193409892332, 3000, 1037)),
+    ((2, "diagonal", 4 / 3, 0), (-0.036175507693305325, 3000, 2409)),
+    ((2, "diagonal", 4 / 3, 1), (-0.018000456483635623, 3000, 579)),
+    ((2, "diagonal", 1.5, 0), (-0.16140559749348546, 3000, 2402)),
     ((2, "diagonal", 1.5, 1), (-0.22896307536803254, 3000, 131)),
-    ((2, "factor0", 0.5, 0), (0.014582667845447022, 3000, 2591)),
-    ((2, "factor0", 0.5, 1), (0.005215795026588311, 3000, 1787)),
-    ((2, "factor0", 1.0, 0), (0.009426449519090668, 3000, 2453)),
-    ((2, "factor0", 1.0, 1), (0.004979809198819031, 3000, 1787)),
-    ((2, "factor0", 1.05, 0), (0.008995862820448113, 3000, 2453)),
-    ((2, "factor0", 1.05, 1), (0.004967978485327327, 3000, 1787)),
-    ((2, "factor0", 4 / 3, 0), (0.007161678854278276, 3000, 2453)),
-    ((2, "factor0", 4 / 3, 1), (0.004916103964730515, 3000, 1787)),
-    ((2, "factor0", 1.5, 0), (0.006404447065189943, 3000, 2453)),
-    ((2, "factor0", 1.5, 1), (0.0048936219689594196, 3000, 1787)),
-    ((2, "span-i", 0.5, 0), (0.015852393361790538, 3000, 2453)),
-    ((2, "span-i", 0.5, 1), (0.0026102375292356627, 3000, 1787)),
-    ((2, "span-i", 1.0, 0), (0.009426449519090668, 3000, 2453)),
-    ((2, "span-i", 1.0, 1), (0.0049798091988190315, 3000, 1787)),
-    ((2, "span-i", 1.05, 0), (0.009073274783412253, 3000, 2453)),
-    ((2, "span-i", 1.05, 1), (0.005290393471361348, 3000, 1787)),
-    ((2, "span-i", 4 / 3, 0), (0.006891098555533782, 3000, 2138)),
-    ((2, "span-i", 4 / 3, 1), (0.005999655582122188, 3000, 1641)),
-    ((2, "span-i", 1.5, 0), (-0.31417912302601625, 3000, 2494)),
-    ((2, "span-i", 1.5, 1), (-0.37116384880108483, 3000, 1828)),
+    ((2, "factor0", 0.5, 0), (0.014582667845447022, 3000, 1466)),
+    ((2, "factor0", 0.5, 1), (0.005215795026588311, 3000, 1037)),
+    ((2, "factor0", 1.0, 0), (0.009426449519090668, 3000, 1328)),
+    ((2, "factor0", 1.0, 1), (0.004979809198819031, 3000, 1037)),
+    ((2, "factor0", 1.05, 0), (0.008995862820448113, 3000, 1328)),
+    ((2, "factor0", 1.05, 1), (0.004967978485327327, 3000, 1037)),
+    ((2, "factor0", 4 / 3, 0), (0.007161678854278276, 3000, 1328)),
+    ((2, "factor0", 4 / 3, 1), (0.004916103964730515, 3000, 1037)),
+    ((2, "factor0", 1.5, 0), (0.006404447065189943, 3000, 1328)),
+    ((2, "factor0", 1.5, 1), (0.0048936219689594196, 3000, 1037)),
+    ((2, "span-i", 0.5, 0), (0.015852393361790538, 3000, 1328)),
+    ((2, "span-i", 0.5, 1), (0.0026102375292356627, 3000, 1037)),
+    ((2, "span-i", 1.0, 0), (0.009426449519090668, 3000, 1328)),
+    ((2, "span-i", 1.0, 1), (0.0049798091988190315, 3000, 1037)),
+    ((2, "span-i", 1.05, 0), (0.009073274783412253, 3000, 1328)),
+    ((2, "span-i", 1.05, 1), (0.005290393471361348, 3000, 1037)),
+    ((2, "span-i", 4 / 3, 0), (0.007305662289016298, 3000, 1369)),
+    ((2, "span-i", 4 / 3, 1), (0.005159705644171384, 3000, 2200)),
+    ((2, "span-i", 1.5, 0), (-0.31417912302601625, 3000, 1369)),
+    ((2, "span-i", 1.5, 1), (-0.40724683945644685, 3000, 2200)),
     ((3, "diagonal", 0.5, 0), (0.029319572122289618, 3000, 151)),
-    ((3, "diagonal", 0.5, 1), (0.021200527905336247, 3000, 2129)),
-    ((3, "diagonal", 1.0, 0), (0.007588604529023358, 3000, 2655)),
-    ((3, "diagonal", 1.0, 1), (0.008194323209229921, 3000, 2935)),
-    ((3, "diagonal", 1.05, 0), (0.00556819362824568, 3000, 2655)),
-    ((3, "diagonal", 1.05, 1), (0.0074816224815020885, 3000, 2935)),
-    ((3, "diagonal", 4 / 3, 0), (-0.0016214020245385616, 3000, 1841)),
-    ((3, "diagonal", 4 / 3, 1), (0.013410998517317484, 3000, 2339)),
-    ((3, "diagonal", 1.5, 0), (-0.05899763451797236, 3000, 1776)),
-    ((3, "diagonal", 1.5, 1), (-0.05270402195275371, 3000, 2452)),
-    ((3, "factor0", 0.5, 0), (0.010841226869960016, 3000, 2655)),
-    ((3, "factor0", 0.5, 1), (0.01270458531116941, 3000, 1380)),
-    ((3, "factor0", 1.0, 0), (0.007588604529023376, 3000, 2655)),
-    ((3, "factor0", 1.0, 1), (0.008194323209229904, 3000, 2935)),
-    ((3, "factor0", 1.05, 0), (0.007407908851901092, 3000, 2655)),
-    ((3, "factor0", 1.05, 1), (0.007870247842564109, 3000, 2935)),
-    ((3, "factor0", 4 / 3, 0), (0.006608065021848949, 3000, 2655)),
-    ((3, "factor0", 4 / 3, 1), (0.006483392372495417, 3000, 2935)),
-    ((3, "factor0", 1.5, 0), (0.00626274059643219, 3000, 2655)),
-    ((3, "factor0", 1.5, 1), (0.0059077820283372304, 3000, 2935)),
-    ((3, "span-i", 0.5, 0), (0.010236587147593448, 3000, 2655)),
-    ((3, "span-i", 0.5, 1), (0.007937670727998078, 3000, 2935)),
-    ((3, "span-i", 1.0, 0), (0.007588604529023374, 3000, 2655)),
-    ((3, "span-i", 1.0, 1), (0.0081943232092299, 3000, 2935)),
-    ((3, "span-i", 1.05, 0), (0.007340335575058921, 3000, 2655)),
-    ((3, "span-i", 1.05, 1), (0.00824670185910635, 3000, 2935)),
-    ((3, "span-i", 4 / 3, 0), (0.005990211460325629, 3000, 2655)),
-    ((3, "span-i", 4 / 3, 1), (0.00863103901427486, 3000, 2935)),
+    ((3, "diagonal", 0.5, 1), (0.01612504701906057, 3000, 2383)),
+    ((3, "diagonal", 1.0, 0), (0.011377735221786398, 3000, 2111)),
+    ((3, "diagonal", 1.0, 1), (0.011991465794666022, 3000, 1969)),
+    ((3, "diagonal", 1.05, 0), (0.00911221691861779, 3000, 2111)),
+    ((3, "diagonal", 1.05, 1), (0.013400201913622957, 3000, 1969)),
+    ((3, "diagonal", 4 / 3, 0), (-0.0016214020245385616, 3000, 1091)),
+    ((3, "diagonal", 4 / 3, 1), (0.013410998517317484, 3000, 1214)),
+    ((3, "diagonal", 1.5, 0), (-0.05899763451797236, 3000, 1026)),
+    ((3, "diagonal", 1.5, 1), (-0.06317658372496218, 3000, 1823)),
+    ((3, "factor0", 0.5, 0), (0.014934117970798105, 3000, 2111)),
+    ((3, "factor0", 0.5, 1), (0.013755623730024766, 3000, 2577)),
+    ((3, "factor0", 1.0, 0), (0.011377735221786403, 3000, 2111)),
+    ((3, "factor0", 1.0, 1), (0.011991465794666043, 3000, 1969)),
+    ((3, "factor0", 1.05, 0), (0.011175139234002695, 3000, 2111)),
+    ((3, "factor0", 1.05, 1), (0.011823287717323772, 3000, 1969)),
+    ((3, "factor0", 4 / 3, 0), (0.010270913676103008, 3000, 2111)),
+    ((3, "factor0", 4 / 3, 1), (0.010955172431335711, 3000, 1969)),
+    ((3, "factor0", 1.5, 0), (0.009876389601480563, 3000, 2111)),
+    ((3, "factor0", 1.5, 1), (0.010503307782961678, 3000, 1969)),
+    ((3, "span-i", 0.5, 0), (0.01242320709300138, 3000, 2111)),
+    ((3, "span-i", 0.5, 1), (0.013112872709262972, 3000, 2849)),
+    ((3, "span-i", 1.0, 0), (0.011377735221786403, 3000, 2111)),
+    ((3, "span-i", 1.0, 1), (0.011991465794666045, 3000, 1969)),
+    ((3, "span-i", 1.05, 0), (0.01135670444761779, 3000, 2111)),
+    ((3, "span-i", 1.05, 1), (0.01188607800556477, 3000, 1969)),
+    ((3, "span-i", 4 / 3, 0), (0.011521707445382971, 3000, 2111)),
+    ((3, "span-i", 4 / 3, 1), (0.01133526870238337, 3000, 1969)),
     ((3, "span-i", 1.5, 0), (-0.13419657365020676, 3000, 52)),
-    ((3, "span-i", 1.5, 1), (-0.1581024098317915, 3000, 2148)),
+    ((3, "span-i", 1.5, 1), (-0.18850092029361387, 3000, 2856)),
 ]
 
 

@@ -151,6 +151,48 @@ def test_circles_are_abelian_and_build_no_brackets(factors):
             ReductiveSplit.circle(alg, zero)
 
 
+def every_named_split(factors):
+    """The diagonal, every factor and circles of su(2)^factors: along the
+    three axes, along seeded random directions, and along directions at
+    the ends of the float range, huge, tiny and subnormal."""
+    alg = Su2Power(factors)
+    yield ReductiveSplit.diagonal(alg)
+    for index in range(factors):
+        yield ReductiveSplit.factor(alg, index)
+    rng = np.random.default_rng(factors)
+    directions = list(np.eye(alg.dim).reshape(alg.dim, factors, 3)[:3])
+    directions += list(alg.random(rng, 4))
+    d = alg.random(rng)
+    directions += [np.ldexp(d, 1020), np.ldexp(d, -1020), np.ldexp(d, -1070)]
+    for direction in directions:
+        yield ReductiveSplit.circle(alg, direction)
+
+
+@pytest.mark.parametrize("factors", range(1, 17))
+def test_named_splits_are_what_the_checked_constructor_builds(factors):
+    """The named constructors skip the orthonormality and closure checks
+    their bases meet by construction. The checked constructor accepts
+    every named split's basis and builds the same split: byte-identical
+    basis and projectors, and the same is_abelian."""
+    alg = Su2Power(factors)
+    for split in every_named_split(factors):
+        checked = ReductiveSplit(alg, split.k_basis)
+        assert checked.dim_k == split.dim_k
+        for name in ("k_basis", "_projector", "_projector_rows"):
+            got, want = getattr(split, name), getattr(checked, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert split.is_abelian() == checked.is_abelian() == (split.dim_k == 1)
+
+
+def test_circles_refuse_a_batch_of_directions():
+    alg = Su2Power(2)
+    for shape in ((1, 2, 3), (2, 2, 3)):
+        with pytest.raises(DimensionMismatchError,
+                           match="^circle direction must be one element"):
+            ReductiveSplit.circle(alg, np.ones(shape))
+
+
 def test_split_requires_orthonormal_basis():
     alg = Su2Power(1)
     rows = np.zeros((1, 1, 3))

@@ -205,10 +205,7 @@ def canonical_solution(k):
         pair = (-k - 2, -k + 2)
     else:
         pair = (k + 2, k - 2)
-    p_minus, p_plus = pair
-    if (p_minus % 4 != 1 or p_plus % 4 != 1
-            or p_minus * p_minus - p_plus * p_plus != 8 * k):
-        raise AssertionError("canonical pair fails its own equation")
+    _check_solutions((pair,), k)
     return pair
 
 

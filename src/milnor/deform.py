@@ -13,10 +13,10 @@ with all norms taken in Q. It has no a^4 terms, but its weights grow
 like a^2 while a plane's value can be far smaller than its terms, so at
 large a digits can cancel. At a = A_MAX most planes of a circle are
 also nearly parallel in Q_a, where the Gram determinant |u|^2 |v|^2 -
-<u, v>^2 cancels: over it _quartic is up to about 1e-6 of max(1, |value|)
-off an exact evaluation. The kernel takes those planes' Gram determinant
-from the part of v orthogonal to u (_NEAR_PARALLEL) and stays within
-1e-12 there (the measurements are in CHANGES.md). The (P, Z)
+<u, v>^2 cancels: the closed form over it is up to about 1e-6 of
+max(1, |value|) off an exact evaluation. The kernel takes those planes'
+Gram determinant from the part of v orthogonal to u (_NEAR_PARALLEL) and
+stays within 1e-12 there (the measurements are in CHANGES.md). The (P, Z)
 block has determinant -a (a - 1)^3 / 4: for a <= 1 it is positive
 semidefinite and the curvature nonnegative. For a > 1 the block is
 indefinite and the curvature can be negative unless k is an ideal, where
@@ -42,10 +42,11 @@ their (..., n, 3) form. By Milnor (Curvatures of left invariant metrics
 on Lie groups, 1976) the curvature of a left-invariant metric is one
 constant tensor, so the closed form is one quadratic form in the
 bivector u ^ v, whatever the plane. DeformedMetric._operator builds it
-once per metric, on first use: the symmetric matrix M that _quartic's
-(W, P, Z) define on the bivectors of a Q_a-orthonormal frame adapted to
-m + k, kept on the K frame pairs where it is not identically zero (3n
-of the 3n (3n - 1) / 2 on a product split). curvature_of_pair,
+once per metric, on first use: the symmetric matrix M that the closed
+form's (W, P, Z) define on the bivectors of a Q_a-orthonormal frame
+adapted to m + k (built from one bracket per frame pair, see
+_full_operator), kept on the K frame pairs where it is not identically
+zero (3n of the 3n (3n - 1) / 2 on a product split). curvature_of_pair,
 sectional_batch and the random-plane scans all evaluate it, in
 _bivector_form: one matmul takes a batch of pairs to their frame
 coordinates and to those coordinates' entries at the kept pairs, one
@@ -72,9 +73,7 @@ random-plane scan one for its sequence, itself such a (dim, n + 1)
 array, and a block, which all its blocks reuse. A scan block holds as
 many planes as fit _BLOCK_FLOATS floats, dim + 3K a vector, and at least
 _MIN_BLOCK, so small algebras and product splits take more planes a
-block. _full_operator feeds _quartic component-major rows (see liealg):
-a batch of N vectors is a (dim, N) array, and its k-part is one
-(dim, dim) @ (dim, N) product with the split's projector onto k.
+block.
 
 The kernel normalizes no pair. <b, M b> and the Q_a Gram determinant
 |u|^2 |v|^2 - <u, v>^2, read on the frame coordinates, in which Q_a is
@@ -95,8 +94,8 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import (DegeneratePlaneError, ParameterError, ValidationError,
-                     exact_real, require_count, require_int)
-from .liealg import Su2Power, _binade, _carve
+                     exact_real, require_count, require_seed)
+from .liealg import _AFTER, _NEXT, Su2Power, _binade, _carve
 
 _GRAM_TOL = 1e-12
 #: The Q_a sin^2 below which _sectional_block takes a plane's Gram
@@ -186,11 +185,6 @@ def minimize(*args, **kwargs):
     """Gone: negative planes come from the exact decision (_decide), and
     no plane search descends any more; only the name is left."""
     raise NotImplementedError("the plane search's descent was removed")
-
-
-#: Component l + 1 and l + 2 (mod 3) for each component l: per factor the
-#: bracket is [x, y]_l = 2 (x_(l+1) y_(l+2) - x_(l+2) y_(l+1)).
-_NEXT, _AFTER = (1, 2, 0), (2, 0, 1)
 
 
 class _Operator(namedtuple("_Operator", "frame pairs matrix")):
@@ -335,8 +329,6 @@ class DeformedMetric:
         #: with its float a; the sign rules (see _nonnegative_rule) decide
         #: on this.
         self.a_exact = exact
-        # the closed form's weights of |W|^2, |P|^2, |Z|^2 and <P,Z>
-        self._terms = np.array([0.25, 1.0 - 0.75 * a, 0.25 * a, a * (1.5 - a)])
 
     def __repr__(self):
         return "DeformedMetric(a={:.6g}, dim_k={}, algebra={!r})".format(
@@ -348,39 +340,7 @@ class DeformedMetric:
         and by a certificate's abelian_block clause; computed once."""
         return self.split.is_abelian()
 
-    # -- component-major rows ------------------------------------------------
-
-    def _k_part(self, X, out=None):
-        """The k-part of rows (..., dim, N): one (dim, dim) @ (dim, N)
-        product with the split's component-major projector onto k, into
-        out when it is given."""
-        return np.matmul(self.split._projector_rows, X, out=out)
-
     # -- curvature, closed form -------------------------------------------
-
-    def _quartic(self, PQ):
-        """The closed form on the stacked parts PQ, (2, 2, dim, N), of the
-        pairs u = A + X, v = B + Y: PQ[0] holds the m-parts (A, B) and
-        PQ[1] the k-parts (X, Y). Every closed-form value in this module
-        comes from here. Returns the values and the vectors (W, P, Z) they
-        weigh, stacked (3, dim, N)."""
-        comps = PQ.reshape(2, 2, 3, -1)        # components on axis -2
-        # br[s, t] = [P[s], Q[t]] for P = (A, X), Q = (B, Y), in one call on
-        # (2, 1, 3, n N) x (1, 2, 3, n N): ([A,B], [A,Y]), ([X,B], [X,Y])
-        br = self.algebra.bracket_rows(comps[:, None, 0], comps[None, :, 1])
-        br = br.reshape((4,) + PQ.shape[-2:])
-        ab, ay, xb, xy = br
-        # Overwrite br[1:] with (W, P, Z); in place, so a batch allocates
-        # no more rows.
-        ay += xb
-        ay *= self.a
-        self._k_part(ab, out=xb)               # P = [A,B]_k
-        ab -= xb
-        ay += ab                               # W = [A,B]_m + a([X,B] + [A,Y])
-        vecs = br[1:]                          # (W, P, Z)
-        values = self._terms[:3] @ np.einsum("kij,kij->kj", vecs, vecs)
-        values += self._terms[3] * np.einsum("ij,ij->j", vecs[1], vecs[2])
-        return values, vecs
 
     def curvature_of_pair(self, u, v):
         """Unnormalized curvature Q_a(R(u, v)v, u) of arbitrary finite
@@ -425,7 +385,7 @@ class DeformedMetric:
         once; both take them in the blocks of _blocks (see
         curvature_oracle_of_pair)."""
         require_count(samples, "samples", MAX_PLANES)
-        _check_seed(seed)
+        require_seed(seed)
         rng = np.random.default_rng(seed)
         uv = self.algebra.random(rng, (samples, 2))
         u, v = uv[:, 0], uv[:, 1]
@@ -484,30 +444,41 @@ class DeformedMetric:
         The frame is an orthonormal basis of m and one of k, numpy's eigh
         of the projector onto k (eigenvalues 0 on m, 1 on k), the k-basis
         scaled by 1/sqrt(a); so the coordinates of u are its products with
-        the m-basis and sqrt(a) times those with the k-basis, and no
-        coordinate mixes the parts. _quartic is fed the frame pairs as
-        their parts (the m-basis; the k-basis over sqrt(a)). Its (W, P, Z)
-        are linear in the bivector e_i ^ e_j, and M is the closed form's
-        weights on them."""
+        the m-basis and sqrt(a) times those with the k-basis. The closed
+        form's (W, P, Z) are linear in the bivector e_i ^ e_j, and M is the
+        closed form's weights on them. Every frame vector lies wholly in m
+        or wholly in k, so of the four brackets of the parts of e_i and e_j
+        only C = [e_i, e_j] can be nonzero: two m-vectors give W = C_m and
+        P = C_k, an m-vector and a k-vector W = a C, and two k-vectors
+        Z = C."""
         alg, split = self.algebra, self.split
-        d, r = alg.dim, split.dim_k
-        basis = np.linalg.eigh(split._projector_rows)[1]
-        root = math.sqrt(self.a)
-        parts = np.zeros((2, d, d))
-        parts[0, :, :d - r] = basis[:, :d - r]
-        parts[1, :, d - r:] = basis[:, d - r:] / root
-        rows = np.arange(d)
-        pairs = np.array(np.nonzero(rows[:, None] < rows))
-        vecs = self._quartic(parts[:, :, pairs].transpose(0, 2, 1, 3))[1]
-        # the closed form's weights of (W, P, Z), as a symmetric 3 x 3 form
-        w, c_p, c_z, c_pz = self._terms
-        weights = np.array([[w, 0.0, 0.0], [0.0, c_p, 0.5 * c_pz],
-                            [0.0, 0.5 * c_pz, c_z]])
-        weighted = (weights @ vecs.reshape(3, -1)).reshape(3 * d, -1)
-        matrix = vecs.reshape(3 * d, -1).T @ weighted
-        # component-major columns c n + t to flat element order 3 t + c
-        coords = basis.T.reshape(d, 3, alg.factors).transpose(0, 2, 1).reshape(d, d)
+        d, n, r = alg.dim, alg.factors, split.dim_k
+        # eigh with each component's rows and columns together: a diagonal
+        # is block diagonal in that order, so its frame stays sparse
+        rows = split._projector.reshape(n, 3, n, 3).transpose(1, 0, 3, 2)
+        basis = np.linalg.eigh(rows.reshape(d, d))[1]
+        coords = basis.T.reshape(d, 3, n).transpose(0, 2, 1).reshape(d, d)
+        a = self.a
+        root = math.sqrt(a)
+        frame = coords.copy()
+        frame[d - r:] /= root
         coords[d - r:] *= root
+        index = np.arange(d)
+        pairs = np.array(np.nonzero(index[:, None] < index))
+        D = pairs.shape[1]
+        C = alg.bracket(*frame[pairs].reshape(2, D, n, 3)).reshape(D, d)
+        # e_i and e_j (m first, i < j) lie in m when ~j and in k when i: two
+        # m-vectors get P = C_k and W = C - P, an m- and a k-vector W = a C,
+        # two k-vectors Z = C, and every other entry is an exact zero
+        i, j = (pairs >= d - r)[..., None]
+        P = C @ split._projector * ~j
+        W = (C - P) * np.where(i == j, ~j, a)
+        vecs = np.stack((W, P, C * i), axis=1)
+        # the closed form's weights of (W, P, Z), as a symmetric 3 x 3 form
+        pz = 0.5 * (a * (1.5 - a))
+        weights = np.array([[0.25, 0.0, 0.0], [0.0, 1.0 - 0.75 * a, pz],
+                            [0.0, pz, 0.25 * a]])
+        matrix = vecs.reshape(D, -1) @ (weights @ vecs).reshape(D, -1).T
         return coords, pairs, matrix
 
     @functools.cached_property
@@ -606,15 +577,6 @@ class ScanResult(namedtuple("ScanResult",
     __slots__ = ()
 
 
-def _check_seed(seed):
-    """Raise ParameterError unless seed is a non-negative int, the seeds
-    numpy's default_rng takes; None, which would draw fresh entropy, is
-    not one."""
-    require_int(seed, "seed")
-    if seed < 0:
-        raise ParameterError("seed must be non-negative, got {}".format(seed))
-
-
 @functools.cache
 def _views(factors):
     """The _VIEWS fixed orthogonal (dim, dim) matrices through which a scan
@@ -653,7 +615,7 @@ def _scan(metric, n, seed):
     block: a scan that freed dozens of block-sized temporaries let the
     allocator hand them back to the system, and the next scan faulted them
     in again. Raises when every plane degenerates."""
-    _check_seed(seed)
+    require_seed(seed)
     alg = metric.algebra
     d = alg.dim
     g = max(2, -(-(n + 1) // _VIEWS))

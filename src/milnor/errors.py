@@ -7,10 +7,11 @@ cover malformed mathematical input (wrong congruence class, non-orthonormal
 basis); parameter errors cover out-of-range knobs (negative deformation
 scale, missing truncation bound).
 
-The layers check their arguments through four helpers kept here, next to
+The layers check their arguments through five helpers kept here, next to
 the exceptions they raise: require_int (a ParameterError unless the value
 is an int and not a bool), require_count (one unless it is an int in
-[1, cap]), require_label (a ValidationError unless it is an integer label
+[1, cap]), require_seed (one unless it is an int of at least 0),
+require_label (a ValidationError unless it is an integer label
 congruent to 1 mod 4) and exact_real. Every scale, radius, step and lam
 a caller passes is read once, by exact_real, as the Fraction it holds: a
 float 1.05 is the binary number it stores, and the CLI reads the text
@@ -63,6 +64,15 @@ def require_count(x, name, cap):
     if not 1 <= x <= cap:
         raise ParameterError(
             "{} must lie in [1, {}], got {}".format(name, cap, x))
+
+
+def require_seed(seed):
+    """Raise ParameterError unless seed is a non-negative int, the seeds
+    numpy's default_rng takes; None, which would draw fresh entropy, is
+    not one."""
+    require_int(seed, "seed")
+    if seed < 0:
+        raise ParameterError("seed must be non-negative, got {}".format(seed))
 
 
 def require_label(p, name):

@@ -30,9 +30,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .deform import MAX_PLANES, _check_seed, _decide, scan_min_sectional
+from .deform import MAX_PLANES, _decide, scan_min_sectional
 from .errors import (NoFiniteMatchingError, ParameterError, ProfileError,
-                     exact_real, require_count)
+                     exact_real, require_count, require_seed)
 
 #: The plateau values F = r sqrt(a/(a-1)) that glue_params accepts: those
 #: on which building, certifying and exporting a capped-sine profile runs
@@ -395,7 +395,7 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
     verdict.
     """
     require_count(planes, "planes", MAX_PLANES)
-    _check_seed(seed)
+    require_seed(seed)
     params = profile.glue
     clauses = []
     a = metric.a

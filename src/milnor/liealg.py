@@ -7,11 +7,9 @@ Q-norm 2 and every factor at deformation scale 1 is a round 3-sphere of
 sectional curvature 1. Batched inputs are allowed everywhere: any leading
 axes in front of the trailing (n, 3) are treated as sample dimensions.
 
-The numeric kernel works on the same vectors laid out component-major: a
-batch of N vectors is a (dim, N) array whose row c n + t holds component c
-of factor t for every sample, so it can be viewed as (3, n, N).
-Su2Power.bracket_rows is the one bracket implementation, and
-ReductiveSplit keeps the Q-orthogonal projector onto k in both orders.
+Su2Power.bracket is the package's one closed-form bracket, and a
+ReductiveSplit keeps k as its basis and the Q-orthogonal projector onto k
+on flat elements, index 3 t + c for component c of factor t.
 """
 
 import functools
@@ -35,6 +33,8 @@ _ORTHO_TOL = 1e-12
 #: keeps 768 of 1128 frame pairs, a 4.7 MB matrix, and a scan takes about
 #: a minute at the cap.
 MAX_FACTORS = 16
+#: Component l + 1 and l + 2 (mod 3) for each component l.
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def _carve(buf, shape):
@@ -97,34 +97,13 @@ class Su2Power:
                 "need {} factor rows, got {}".format(self.factors, len(rows)))
         return np.array([[float(c) for c in row] for row in rows])
 
-    @staticmethod
-    def bracket_rows(u, v):
-        """The bracket on component-major rows: axis -2 of u and v holds
-        the components (i, j, k), the last axis runs over factors and
-        samples, and the axes before them broadcast. It is 2 * np.cross
-        written out as six multiplies and three subtracts on whole rows."""
-        u0, u1, u2 = u[..., 0, :], u[..., 1, :], u[..., 2, :]
-        v0, v1, v2 = v[..., 0, :], v[..., 1, :], v[..., 2, :]
-        shape = np.broadcast_shapes(u2.shape, v1.shape)
-        tmp = np.multiply(u2, v1)
-        out = np.empty(shape[:-1] + (3,) + shape[-1:])
-        o0, o1, o2 = out[..., 0, :], out[..., 1, :], out[..., 2, :]
-        np.multiply(u1, v2, out=o0)
-        o0 -= tmp
-        np.multiply(u2, v0, out=o1)
-        np.multiply(u0, v2, out=tmp)
-        o1 -= tmp
-        np.multiply(u0, v1, out=o2)
-        np.multiply(u1, v0, out=tmp)
-        o2 -= tmp
-        out *= 2.0
-        return out
-
     def bracket(self, u, v):
+        """[u, v], factorwise [u, v]_l = 2 (u_(l+1) v_(l+2) - u_(l+2) v_(l+1))
+        over components l mod 3: 2 * np.cross, written on index arrays."""
         u = self.check_element(u)
         v = self.check_element(v)
-        return np.swapaxes(self.bracket_rows(np.swapaxes(u, -1, -2),
-                                             np.swapaxes(v, -1, -2)), -1, -2)
+        return 2 * (u[..., _NEXT] * v[..., _AFTER]
+                    - u[..., _AFTER] * v[..., _NEXT])
 
     def inner(self, u, v):
         u = self.check_element(u)
@@ -201,11 +180,6 @@ class ReductiveSplit:
         #: flat elements (index 3 t + c for component c of factor t); the
         #: only stored form of k besides k_basis.
         self._projector = flat.T @ flat
-        # the same matrix in component-major order (index c n + t), for the
-        # kernel's (dim, dim) @ (dim, N) products
-        n = algebra.factors
-        self._projector_rows = self._projector.reshape(n, 3, n, 3).transpose(
-            1, 0, 3, 2).reshape(algebra.dim, algebra.dim)
 
     @functools.cached_property
     def _pair_brackets(self):

@@ -1098,10 +1098,9 @@ def test_oracle_does_not_use_the_closed_form_kernel(monkeypatch):
         raise AssertionError("closed-form kernel called")
 
     monkeypatch.setattr(Su2Power, "bracket", refuse)
-    monkeypatch.setattr(Su2Power, "bracket_rows", refuse)
     monkeypatch.setattr(ReductiveSplit, "project_k", refuse)
-    for name in ("_quartic", "_k_part"):
-        monkeypatch.setattr(DeformedMetric, name, refuse)
+    monkeypatch.setattr(DeformedMetric, "_operator", property(refuse))
+    monkeypatch.setattr(DeformedMetric, "_full_operator", refuse)
     monkeypatch.setattr(deform, "null_space", refuse)
     metric = DeformedMetric(split, 1.2)  # a fresh metric, nothing cached
     assert np.array_equal(metric.curvature_oracle_of_pair(U, V), want)
@@ -1123,7 +1122,7 @@ def code_names(fn):
 def test_the_oracle_names_none_of_the_closed_form_code():
     """The oracle reaches none of the closed form's kernel by name, on
     any path, not only on the ones a call happens to take."""
-    closed_form = {"_quartic", "_operator", "bracket_rows", "project_k"}
+    closed_form = {"bracket", "project_k", "_operator", "_full_operator"}
     for fn in (deform._koszul_curvature, DeformedMetric.curvature_oracle_of_pair):
         assert not code_names(fn) & closed_form
 
@@ -1255,21 +1254,30 @@ def operator_splits(factors):
 
 def quartic_on_parts(metric, U, V):
     """The closed form at the pairs U, V (N, n, 3) and their Q_a Gram
-    determinants: _quartic, which builds the operator, on the pairs'
-    stacked parts, (2, 2, dim, N), m-parts then k-parts, and the Q_a
-    products <x_m, y_m> + a <x_k, y_k> of those parts. The parts are
-    taken here, on component-major rows (row c n + t holds component c
-    of factor t), with the split's projector in that order."""
-    UV = np.stack([x.transpose(2, 1, 0).reshape(metric.algebra.dim, -1)
-                   for x in (U, V)])
-    k = metric.split._projector_rows @ UV
-    PQ = np.stack([UV - k, k])
+    determinants, on the parts u = A + X, v = B + Y (A, B in m, X, Y in k)
+    that project_k gives: the four brackets of the parts, W, P, Z and
+    their weights as the deform module docstring writes them, and the Q_a
+    products <x_m, y_m> + a <x_k, y_k> of the parts. It is the reference
+    the curvature operator, built from one bracket per frame pair, is
+    checked against."""
+    alg, split, a = metric.algebra, metric.split, metric.a
+    X, Y = split.project_k(U), split.project_k(V)
+    A, B = U - X, V - Y
+    AB = alg.bracket(A, B)
+    P = split.project_k(AB)
+    W = AB - P + a * (alg.bracket(X, B) + alg.bracket(A, Y))
+    Z = alg.bracket(X, Y)
 
-    def inner(i, j):
-        return ((PQ[0, i] * PQ[0, j]).sum(axis=0)
-                + metric.a * (PQ[1, i] * PQ[1, j]).sum(axis=0))
+    def dot(x, y):
+        return np.sum(x * y, axis=(-2, -1))
 
-    return metric._quartic(PQ)[0], inner(0, 0) * inner(1, 1) - inner(0, 1) ** 2
+    def inner(x, y):
+        return dot(x[0], y[0]) + a * dot(x[1], y[1])
+
+    value = (0.25 * dot(W, W) + (1 - 0.75 * a) * dot(P, P)
+             + a * (1.5 - a) * dot(P, Z) + 0.25 * a * dot(Z, Z))
+    u, v = (A, X), (B, Y)
+    return value, inner(u, u) * inner(v, v) - inner(u, v) ** 2
 
 
 OPERATOR_SCALES = [A_MIN, Fraction(1, 2), 1, Fraction(21, 20), Fraction(4, 3),
@@ -1279,9 +1287,10 @@ OPERATOR_SCALES = [A_MIN, Fraction(1, 2), 1, Fraction(21, 20), Fraction(4, 3),
 @pytest.mark.parametrize("factors", [1, 2, 3])
 @pytest.mark.parametrize("a", OPERATOR_SCALES)
 def test_the_operator_agrees_with_the_closed_form_and_the_oracle(factors, a):
-    """curvature_of_pair, <b, M b> at b = u ^ v, is _quartic on the parts
-    to 1e-12 of max(1, |value|), at A_MAX of the largest value; and
-    sectional_batch is _quartic over the Gram determinant to 1e-9 of
+    """curvature_of_pair, <b, M b> at b = u ^ v, is the closed form on the
+    parts (quartic_on_parts) to 1e-12 of max(1, |value|), at A_MAX of the
+    largest value; and sectional_batch is that closed form over the Gram
+    determinant to 1e-9 of
     max(1, |value|), the bound of test_sectional_batch_matches_scalar_path
     (both routes lose about 1e-10 on the su(2)^1 circle's nearly
     degenerate planes at A_MIN), at A_MAX to 1e-6, where they round
@@ -1312,6 +1321,32 @@ def test_the_operator_agrees_with_the_closed_form_and_the_oracle(factors, a):
         want = quartic / gram
         rtol = 1e-6 if a == A_MAX else 1e-9
         assert np.all(np.abs(vals - want) <= rtol * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("factors", [1, 2, 3])
+@pytest.mark.parametrize("name", ["diagonal", "factor0", "span-i", "integers"])
+def test_each_frame_pair_needs_one_bracket(factors, name):
+    """_full_operator brackets each frame pair once, which holds because
+    every frame vector lies wholly in m (the first dim - dim k) or wholly
+    in k (the rest), to 1e-15 of its size. Its matrix's diagonal, <b, M b>
+    at b = e_i ^ e_j, is then the closed form with all four brackets of
+    the parts (quartic_on_parts) at every frame pair, to 1e-12 of the
+    largest value."""
+    alg = Su2Power(factors)
+    splits = operator_splits(factors)
+    split = {"diagonal": splits[0], "factor0": splits[1],
+             "span-i": splits[1 + factors], "integers": splits[-1]}[name]
+    for a in (0.5, 1.05, 1.5):
+        metric = DeformedMetric(split, a)
+        coords, pairs, matrix = metric._full_operator()
+        frame = np.linalg.inv(coords).T.reshape(alg.dim, factors, 3)
+        k = split.project_k(frame)
+        in_k = np.arange(alg.dim) >= alg.dim - split.dim_k
+        off = np.where(in_k, alg.norm(frame - k), alg.norm(k))
+        assert np.all(off <= 1e-15 * alg.norm(frame))
+        value = quartic_on_parts(metric, frame[pairs[0]], frame[pairs[1]])[0]
+        bound = 1e-12 * max(1.0, np.max(np.abs(value)))
+        assert np.all(np.abs(np.diag(matrix) - value) <= bound)
 
 
 def frame_factor(coords):
@@ -1386,13 +1421,14 @@ def exact_sectional(metric, u, v):
 def test_scans_stay_near_the_exact_value_at_the_top_of_the_range(factors,
                                                                  bound):
     """At A_MAX, on the planes of a 2000-plane draw where sectional_batch
-    and _quartic over the Gram determinant differ most, the scans' value
+    and the closed form on the parts over the Gram determinant
+    (quartic_on_parts) differ most, the scans' value
     is within bound of max(1, |exact|), the exact value being the oracle
     in Fraction arithmetic. Most planes of a circle at A_MAX are nearly
     parallel in Q_a, so their Gram determinant is taken from the part of v
     orthogonal to u (see _NEAR_PARALLEL); |u|^2 |v|^2 - <u, v>^2 lost up
-    to 2.1e-7 of the value on su(2)^1, which the _quartic route still
-    does."""
+    to 2.1e-7 of the value on su(2)^1, which the route on the parts
+    still does."""
     alg = Su2Power(factors)
     axes = np.eye(alg.dim).reshape(alg.dim, factors, 3)
     for axis in range(3):

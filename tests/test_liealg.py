@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from milnor.deform import DeformedMetric
 from milnor.errors import DimensionMismatchError, ParameterError, ValidationError
 from milnor.liealg import MAX_FACTORS, ReductiveSplit, Su2Power
 
@@ -178,7 +177,7 @@ def test_named_splits_are_what_the_checked_constructor_builds(factors):
     for split in every_named_split(factors):
         checked = ReductiveSplit(alg, split.k_basis)
         assert checked.dim_k == split.dim_k
-        for name in ("k_basis", "_projector", "_projector_rows"):
+        for name in ("k_basis", "_projector"):
             got, want = getattr(split, name), getattr(checked, name)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -268,30 +267,6 @@ def test_bracket_is_twice_np_cross_bitwise(factors, u_shape, v_shape):
     assert np.array_equal(got, want)
 
 
-def component_major(x):
-    """(..., N, n, 3) -> (..., 3, n N): components on axis -2, then the
-    factors and the samples along the last axis."""
-    x = np.swapaxes(x, -1, -3)
-    return x.reshape(x.shape[:-2] + (-1,))
-
-
-@pytest.mark.parametrize("u_shape, v_shape", [
-    ((), ()),                # no leading axis
-    ((2,), (2,)),            # a leading axis
-    ((), (2,)),              # one operand against a stack
-    ((2, 1), (1, 3)),        # two leading axes that broadcast
-])
-@pytest.mark.parametrize("factors", [1, 2, 3])
-def test_bracket_kernel_on_rows_is_twice_np_cross_bitwise(factors, u_shape, v_shape):
-    alg = Su2Power(factors)
-    u = alg.random(RNG, u_shape + (5,))
-    v = alg.random(RNG, v_shape + (5,))
-    got = alg.bracket_rows(component_major(u), component_major(v))
-    want = 2.0 * np.cross(u, v)
-    assert got.shape == want.shape[:-3] + (3, 5 * factors)
-    assert np.array_equal(got, component_major(want))
-
-
 @pytest.mark.parametrize("factory", [
     lambda alg: ReductiveSplit.diagonal(alg),
     lambda alg: ReductiveSplit.factor(alg, 1),
@@ -333,10 +308,10 @@ def named_split(alg, name):
     (n, name) for n in range(1, 5)
     for name in ["diagonal", "span-i", "span-j", "span-k"]
     + ["factor{}".format(t) for t in range(n)]] + [(3, "label")])
-def test_the_projector_is_the_k_part_in_both_orders(factors, name):
+def test_the_projector_is_the_k_part(factors, name):
     """The one stored form of k is its Q-orthogonal projector: symmetric,
-    idempotent, of trace dim k; in component-major order it gives the
-    kernel's k-part, and in the flat order project_k's."""
+    idempotent, of trace dim k; project_k's image of an element lies in k
+    and leaves a remainder Q-orthogonal to every basis vector of k."""
     alg = Su2Power(factors)
     split = named_split(alg, name)
     P = split._projector
@@ -345,12 +320,8 @@ def test_the_projector_is_the_k_part_in_both_orders(factors, name):
     assert np.max(np.abs(P @ P - P)) <= 1e-15
     assert abs(np.trace(P) - split.dim_k) <= 1e-15 * split.dim_k
     u = alg.random(RNG, 50)
-
-    def rows(x):
-        """(N, n, 3) -> (dim, N), row c n + t holding component c of
-        factor t."""
-        return x.transpose(2, 1, 0).reshape(alg.dim, -1)
-
-    got = DeformedMetric(split, 1.5)._k_part(rows(u))
-    want = rows(split.project_k(u))
-    assert np.all(np.abs(got - want) <= 1e-15 * alg.norm(u))
+    k = split.project_k(u)
+    scale = alg.norm(u)
+    assert np.all(alg.norm(k - split.project_k(k)) <= 1e-15 * scale)
+    rest = np.tensordot(u - k, split.k_basis, axes=[(-2, -1), (-2, -1)])
+    assert np.all(np.abs(rest) <= 1e-15 * scale[:, None])

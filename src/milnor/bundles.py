@@ -120,10 +120,16 @@ def _odd_divisors(n):
             d = _pollard_brent(m, c)
             c += 1
         pending += [d, m // d]
+    # p^i times the divisors of the primes before p, for i = 1..e, each
+    # list one multiplication by p from the list for i - 1
     divisors = [1]
     for p, e in exponents.items():
-        divisors = [d * p ** i for d in divisors for i in range(e + 1)]
-    return sorted(divisors)
+        power = divisors
+        for _ in range(e):
+            power = [d * p for d in power]
+            divisors += power
+    divisors.sort()
+    return divisors
 
 
 #: Largest `bound` that solve_euler(0, bound) accepts. The k = 0 family is

@@ -16,9 +16,14 @@ only for `curvature-scan` and `glue`. numpy is the only numeric
 dependency.
 
 The subcommands live in one table, `_COMMANDS`. A call that names its
-subcommand first builds the parser for that subcommand alone; any other
+subcommand first gets the parser for that subcommand alone; any other
 call (no subcommand, a leading option, an unknown word) gets the full
 parser. Help, usage and error text are the same either way.
+
+What `main` reuses within one process is plumbing, never a result: each
+parser is built on its first use and kept, and `repro` reads the pinned
+file once (see `milnor.data`). Every handler call recomputes its output;
+`repro` recomputes every entry it compares.
 """
 
 import argparse
@@ -544,10 +549,11 @@ _COMMANDS = {
 
 
 def build_parser(command=None):
-    """The milnor parser with every subcommand, or with `command` alone.
+    """A new milnor parser with every subcommand, or with `command` alone.
 
     A one-command parser names all of them in its usage line, so the
-    usage it prints with a top-level error is the full parser's."""
+    usage it prints with a top-level error is the full parser's. Each
+    call builds a fresh parser; main keeps the ones it builds."""
     parser = argparse.ArgumentParser(
         prog="milnor",
         description="Label arithmetic, curvature checks, and orbit-type "
@@ -571,13 +577,21 @@ def build_parser(command=None):
     return parser
 
 
+#: command word (None for the full parser) -> the parser main built for
+#: it; parsing keeps no state in a parser, so one serves every call
+_PARSERS = {}
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     # A leading command word gets a parser holding that subcommand alone;
     # anything else (no word, an option, an unknown word) gets the full
     # one, whose help and errors list every subcommand.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    parser = _PARSERS.get(command)
+    if parser is None:
+        parser = _PARSERS[command] = build_parser(command)
+    args = parser.parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()

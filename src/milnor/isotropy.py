@@ -37,21 +37,16 @@ def canonical_type_labels(order):
 
 
 _TYPE_RANK = {"1": (0, 0), "Z2": (1, 0), "SO(2)": (3, 0), "O(2)": (3, 1)}
+_FIXED_TYPES = frozenset(_TYPE_RANK)
 
 
 def _rank(label):
     """Sort rank of a type label: the base types 1 and Z2, the dihedral
-    types by order, then the circle pair; the reference for _label_key."""
+    types by order, then the circle pair; the reference for
+    OrbitTypeSet.sorted_labels."""
     if label in _TYPE_RANK:
         return _TYPE_RANK[label]
     return (2, int(label[1:]))
-
-
-def _label_key(label):
-    """_rank's order without parsing the order: the dihedral labels that
-    _orbit_types writes carry a decimal order without leading zeros, so
-    comparing digit counts and then digits compares the orders."""
-    return _TYPE_RANK.get(label) or (2, len(label), label)
 
 
 class OrbitTypeSet(namedtuple("OrbitTypeSet", "types orders")):
@@ -60,7 +55,23 @@ class OrbitTypeSet(namedtuple("OrbitTypeSet", "types orders")):
     __slots__ = ()
 
     def sorted_labels(self):
-        return sorted(self.types, key=_label_key)
+        """The labels in _rank order, without parsing an order: the
+        dihedral labels that _orbit_types writes carry a decimal order
+        without leading zeros, so a lexical sort followed by a stable
+        sort on length orders them numerically. They sit between the
+        fixed labels 1, Z2 and SO(2), O(2)."""
+        types = self.types
+        dihedral = sorted(types - _FIXED_TYPES)
+        dihedral.sort(key=len)
+        out = ["1"] if "1" in types else []
+        if "Z2" in types:
+            out.append("Z2")
+        out += dihedral
+        if "SO(2)" in types:
+            out.append("SO(2)")
+        if "O(2)" in types:
+            out.append("O(2)")
+        return out
 
     @property
     def almost_free(self):
@@ -95,13 +106,14 @@ def _orbit_types(p_minus, q_minus, p_plus, q_plus):
         raise AssertionError("difference orders must be even")
     # BASE_TYPES plus canonical_type_labels of each order; order 1 adds Z2,
     # already a base type
-    labels = [*BASE_TYPES]
+    labels = set(BASE_TYPES)
     for order in orders:
         if order > 1:
-            labels.append("D{}".format(order))
+            labels.add("D" + str(order))
         elif order == 0:
-            labels += ("SO(2)", "O(2)")
-    return OrbitTypeSet(types=frozenset(labels), orders=orders)
+            labels.add("SO(2)")
+            labels.add("O(2)")
+    return OrbitTypeSet(frozenset(labels), orders)
 
 
 def oliver_obstruction(type_set):

@@ -189,6 +189,12 @@ def test_odd_divisors_of_pseudoprimes_powers_and_even_numbers():
     assert bundles._odd_divisors(-(2 ** 40) * 105) == [1, 3, 5, 7, 15, 21,
                                                         35, 105]
     assert bundles._odd_divisors(2 ** 40) == [1]
+    # many divisors, grown one prime power at a time: 2 * 3 * 5 * ... * 31
+    # has ten odd primes, and 3^4 5^2 7 101^2 mixed exponents
+    for n, count in ((200560490130, 1024), (3 ** 4 * 5 ** 2 * 7 * 101 ** 2, 90)):
+        divisors = bundles._odd_divisors(n)
+        assert len(divisors) == count
+        assert divisors == trial_division_odd_divisors(n), n
 
 
 def test_solve_euler_splits_a_semiprime_near_1e20():

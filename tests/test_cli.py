@@ -5,8 +5,10 @@ codes and captured output without spawning interpreters.
 """
 
 import argparse
+import collections
 import json
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -272,6 +274,75 @@ def test_repro_detects_tampered_expectations(capsys, monkeypatch):
     code, out, _ = run(capsys, "repro", "k105")
     assert code == cli.EXIT_FAILED
     assert "MISMATCH" in out
+
+
+def test_pinned_file_is_parsed_once_and_left_intact(capsys):
+    """load_expected shares one mapping; repro runs only read it."""
+    from milnor import data
+
+    assert data.load_expected() is data.load_expected()
+    for _ in range(2):
+        code, payload, _ = run_json(capsys, "repro", "all")
+        assert code == cli.EXIT_OK and payload["ok"] is True
+    raw = pathlib.Path(data.__file__).with_name("expected.json").read_bytes()
+    assert data.load_expected() == json.loads(raw)
+
+
+def test_repro_recomputes_every_entry_on_every_call(capsys, monkeypatch):
+    """Only the pinned side is reused: each repro all call runs every
+    table row, every Hopf member and the k = 105 solve again."""
+    from milnor import bundles, isotropy
+
+    calls = collections.Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(isotropy, "table_42")
+    spy(isotropy, "hopf_family")
+    spy(bundles, "solve_euler")
+    for _ in range(2):
+        assert run(capsys, "repro", "all")[0] == cli.EXIT_OK
+    expected = cli.load_expected()
+    assert len(expected["table42_grid"]) == 325
+    assert len(expected["hopf_orbit_types"]) == 41
+    assert calls == {"table_42": 2 * 325, "hopf_family": 2 * 41,
+                     "solve_euler": 2 * 1}
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main(argv), usage errors too."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parsers_answer_as_fresh_ones(capsys, monkeypatch):
+    """main keeps the parsers it builds; a kept parser must answer each
+    call, output, error text and exit code, as a newly built one does."""
+    monkeypatch.setenv("COLUMNS", "80")
+    # output, usage errors and a domain error (l = 0 needs --n), twice
+    calls = [["solve", "105", "--json"], ["repro", "all", "--json"],
+             ["solve"], ["no-such-command"], ["repro", "k105"],
+             ["table42", "3", "0"]] * 2
+    reused = [outcome(capsys, argv) for argv in calls]
+    assert {"solve", "repro", "table42", None} <= set(cli._PARSERS)
+    fresh = []
+    for argv in calls:
+        cli._PARSERS.clear()
+        fresh.append(outcome(capsys, argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [
+        cli.EXIT_OK, cli.EXIT_OK, 2, 2, cli.EXIT_OK, cli.EXIT_DOMAIN] * 2
 
 
 def test_usage_errors_exit_two(capsys):

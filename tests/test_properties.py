@@ -122,11 +122,29 @@ def test_hopf_family_is_orbit_types_of_its_labels(n):
 
 @DETERMINISTIC
 @given(labels, labels, labels, labels)
+@example(1, 1, 1, 1)     # order 1 (Z2 only) and the circle pair twice
+@example(1, -3, 5, 5)    # order 1, D2 again, D5 and the circle pair
+def test_orbit_types_are_the_base_types_and_each_orders_labels(
+        p_minus, q_minus, p_plus, q_plus):
+    """_orbit_types builds its labels in one set with its own D-label
+    spelling; they must be BASE_TYPES with canonical_type_labels of each
+    order |p +- q|/2, and the result a plain OrbitTypeSet."""
+    ts = isotropy.orbit_types(p_minus, q_minus, p_plus, q_plus)
+    orders = (abs(p_minus + q_minus) // 2, abs(p_minus - q_minus) // 2,
+              abs(p_plus + q_plus) // 2, abs(p_plus - q_plus) // 2)
+    assert type(ts) is isotropy.OrbitTypeSet
+    assert ts.orders == orders
+    assert ts.types == isotropy.BASE_TYPES.union(
+        *(isotropy.canonical_type_labels(o) for o in orders))
+
+
+@DETERMINISTIC
+@given(labels, labels, labels, labels)
 @example(1, 17, 21, 1)   # D8, D9, D10, D11
 @example(1, 1, 5, 5)     # the circle pair and D5
 def test_sorted_labels_follow_the_rank_order(p_minus, q_minus, p_plus, q_plus):
-    """sorted_labels' key skips _rank's parse of the order; it must still
-    sort by _rank, numerically among the dihedral labels (D9 before D10)."""
+    """sorted_labels skips _rank's parse of the order; it must still sort
+    by _rank, numerically among the dihedral labels (D9 before D10)."""
     ts = isotropy.orbit_types(p_minus, q_minus, p_plus, q_plus)
     assert ts.sorted_labels() == sorted(ts.types, key=isotropy._rank)
 

@@ -64,16 +64,20 @@ plane is a Gaussian pair, as Q is the identity in flat coordinates, a
 rotation takes a standard normal vector to one, and consecutive vectors
 are independent. Rotating a vector costs far less than drawing one, and
 each vector is mapped into the frame and normed once for its two planes.
+A scan keeps only its drawn vectors and one block: each block rotates
+the vectors it needs from the draw, and the scan keeps its least value
+as the blocks go, never the whole sequence or every plane's value.
 
 The kernel takes its vectors as the columns of a (dim, C) array, so the
 frame map is a (dim + 2K, dim) @ (dim, C) product with no transposed
 operand, and writes its coordinates, pair entries, wedges and M b into
-one flat workspace: sectional_batch allocates one per call, and a
-random-plane scan one for its sequence, itself such a (dim, n + 1)
-array, and a block, which all its blocks reuse. A scan block holds as
-many planes as fit _BLOCK_FLOATS floats, dim + 3K a vector, and at least
-_MIN_BLOCK, so small algebras and product splits take more planes a
-block.
+one flat workspace, which also holds the vectors themselves
+(DeformedMetric._columns) until the frame map has read them. A scan, and
+sectional_batch and curvature_of_pair, allocate one workspace per call,
+which all their blocks reuse. A scan block holds as many planes as fit
+_BLOCK_FLOATS floats, dim + 3K a vector, and at least _MIN_BLOCK, so
+small algebras and product splits take more planes a block; a block of
+those methods holds as many pairs.
 
 The kernel normalizes no pair. <b, M b> and the Q_a Gram determinant
 |u|^2 |v|^2 - <u, v>^2, read on the frame coordinates, in which Q_a is
@@ -122,9 +126,9 @@ _BLOCK_FLOATS = 3072 * 36
 #: CHANGES.md).
 _MIN_BLOCK = 64
 #: The most pairs in a block of the connection oracle, whose blocks share
-#: one workspace (see curvature_oracle_of_pair), and of the closed form in
-#: oracle_agreement; a batch of more pairs is cut into the fewest blocks
-#: of nearly equal size that hold it (see _blocks). Smaller blocks pay the
+#: one workspace (see curvature_oracle_of_pair), and of oracle_agreement's
+#: draw; a batch of more pairs is cut into the fewest blocks of nearly
+#: equal size that hold it (see _blocks). Smaller blocks pay the
 #: oracle's fixed cost of about 70 us more often; larger ones leave the
 #: cache (the timings are in CHANGES.md).
 _ORACLE_BLOCK = 512
@@ -134,12 +138,13 @@ _ORACLE_BLOCK = 512
 _ORACLE_SLOTS = 10 + 4 * 9 + 3
 #: The most planes scan_min_sectional (so nonneg_certificate) and the most
 #: sample pairs oracle_agreement take; counts are checked before anything
-#: is drawn. On su(2)^3 a scan peaks at under 100 bytes a plane (72 of
-#: them its sequence) and oracle_agreement at about 180 bytes a pair (144
-#: its draw), so at the cap a scan takes under 100 MB and well under a
-#: second, and oracle_agreement about 180 MB and 1.5 s (the measurements
-#: are in CHANGES.md); ten times the cap would exceed the memory of a
-#: small host.
+#: is drawn. A scan keeps its draw, dim floats for every eight planes,
+#: and one block; oracle_agreement one block of pairs. On su(2)^3 a scan
+#: peaks at about 20 bytes a plane at 10^5 planes and 11 MB at the cap,
+#: in well under a second, and oracle_agreement at under 3 MB whatever
+#: the count, in a few seconds at the cap (the measurements are in
+#: CHANGES.md). The cap bounds the time: the su(2)^16 diagonal takes about
+#: a minute a scan there.
 MAX_PLANES = 10 ** 6
 #: How far, relative to max(1, |value|), the connection oracle, at the
 #: Q_a-orthonormal frame of a witness plane, may stray from the witness's
@@ -171,6 +176,18 @@ _VIEWS = 8
 #: The seed of the fixed rotations of _views, fixed before their scans'
 #: quality was measured.
 _VIEW_SEED = 1976
+#: The columns of the draw a scan rotates at a time in a view longer than
+#: a block (see _scan): runs of this many from the view's start, the last
+#: taking the rest of the view, up to twice as many; a shorter view is
+#: one run. BLAS computes the last few columns of a product, and a
+#: product of one column, with other kernels, which on su(2)^6 and up can
+#: round them otherwise. So every vector is rotated in a product over
+#: whole runs, and a view's last run always alone: a vector has the same
+#: bits in every block that holds it, and those of one product over its
+#: whole view, save in the last run of a long view whose whole product
+#: takes BLAS's large-matrix kernel. Half the fewest vectors a block
+#: holds, so that a run fits in a block's workspace.
+_RUN = _MIN_BLOCK // 2
 
 
 # Uncalled: the benchmark's traced run still wraps deform.null_space and
@@ -212,12 +229,12 @@ def _finite_element(algebra, x):
 
 def _blocks(n):
     """Slices cutting n pairs into the fewest blocks of at most
-    _ORACLE_BLOCK pairs, of sizes that differ by at most one: 513 pairs
-    are blocks of 256 and 257, so no block of a batch larger than
-    _ORACLE_BLOCK holds a single pair."""
+    _ORACLE_BLOCK pairs, of sizes that differ by at most one, one at a
+    time: 513 pairs are blocks of 256 and 257, so no block of a batch
+    larger than _ORACLE_BLOCK holds a single pair."""
     count = -(-n // _ORACLE_BLOCK)
-    bounds = [i * n // count for i in range(count + 1)]
-    return [slice(i, j) for i, j in zip(bounds, bounds[1:])]
+    for i in range(count):
+        yield slice(i * n // count, (i + 1) * n // count)
 
 
 def _koszul_curvature(u, v, projector, a, work=None):
@@ -347,9 +364,15 @@ class DeformedMetric:
         vectors u, v; arbitrary leading sample axes broadcast. The value
         is <b, M b> at their bivector b = u ^ v, the curvature operator's
         form (see _operator) that the scans evaluate: quartic in the
-        inputs, zero when the two arguments are proportional."""
-        S, shape = self._pairs(u, v)
-        return self._bivector_form(S, S.shape[1] // 2, None)[1].reshape(shape)
+        inputs, zero when the two arguments are proportional. The pairs
+        are evaluated in blocks (see _pair_blocks), as in
+        sectional_batch."""
+        shape, blocks = self._pair_blocks(u, v)
+        values = np.empty(shape)
+        flat = values.reshape(-1)
+        for block, S, work in blocks:
+            flat[block] = self._bivector_form(S, S.shape[1] // 2, work)[1]
+        return values
 
     # -- curvature, Koszul oracle ------------------------------------------
 
@@ -381,19 +404,22 @@ class DeformedMetric:
 
     def oracle_agreement(self, samples=64, seed=0):
         """Worst absolute gap between the closed-form curvature and the
-        connection-based oracle over seeded random vector pairs, drawn at
-        once; both take them in the blocks of _blocks (see
-        curvature_oracle_of_pair)."""
+        connection-based oracle over seeded random vector pairs, a u and
+        then a v per sample. The pairs are drawn block by block, in the
+        blocks of _blocks, and each block goes through both routes before
+        the next is drawn; consecutive draws are the numbers of one draw,
+        so the pairs do not depend on the blocks."""
         require_count(samples, "samples", MAX_PLANES)
         require_seed(seed)
         rng = np.random.default_rng(seed)
-        uv = self.algebra.random(rng, (samples, 2))
-        u, v = uv[:, 0], uv[:, 1]
-        gaps = np.empty(samples)
+        worst = 0.0
         for block in _blocks(samples):
-            gaps[block] = self.curvature_of_pair(u[block], v[block])
-        gaps -= self.curvature_oracle_of_pair(u, v)
-        return float(np.max(np.abs(gaps, out=gaps)))
+            uv = self.algebra.random(rng, (block.stop - block.start, 2))
+            u, v = uv[:, 0], uv[:, 1]
+            gaps = self.curvature_of_pair(u, v)
+            gaps -= self.curvature_oracle_of_pair(u, v)
+            worst = np.maximum(worst, np.max(np.abs(gaps, out=gaps)))
+        return float(worst)
 
     # -- sectional curvature ------------------------------------------------
 
@@ -405,30 +431,50 @@ class DeformedMetric:
         is first moved into the binade of its largest entry
         (liealg._binade), so vectors of any finite size give the values of
         their moderate multiples, and a power-of-two multiple of a vector
-        exactly the same values."""
-        S, shape = self._pairs(U, V, scale=_binade)
-        N = S.shape[1] // 2
-        vals = np.full(N, np.inf)
-        ok = self._sectional_block(S, N, np.empty(self._block_floats(N, N)),
-                                   vals)
-        return vals.reshape(shape), ok.reshape(shape)
+        exactly the same values. The planes are evaluated in blocks of at
+        most _scan_block (see _pair_blocks), each value the one a kernel
+        call on its block gives: BLAS rounds the last columns of a product
+        otherwise than the rest, so a pair's last bits can depend on where
+        it falls in its batch (by about 1e-15 of max(1, |value|) on the
+        su(2)^3 diagonal, see CHANGES.md)."""
+        shape, blocks = self._pair_blocks(U, V, scale=_binade)
+        vals, ok = np.full(shape, np.inf), np.empty(shape, dtype=bool)
+        flat_vals, flat_ok = vals.reshape(-1), ok.reshape(-1)
+        for block, S, work in blocks:
+            flat_ok[block] = self._sectional_block(S, S.shape[1] // 2, work,
+                                                   flat_vals[block])
+        return vals, ok
 
-    def _pairs(self, U, V, scale=None):
-        """Finite elements U, V (..., n, 3), each mapped by scale when it
-        is given, as the columns of one (dim, 2N) array over the N samples
-        of their broadcast sample axes, the U before the V, so that sample
-        t spans columns t and t + N; also returns those axes' shape. A
-        non-finite vector is refused with ValidationError."""
+    def _pair_blocks(self, U, V, scale=None):
+        """The N samples of finite elements U, V (..., n, 3), whose sample
+        axes broadcast, in blocks of at most _scan_block: returns the shape
+        of those axes and an iterator over the blocks. For a block of c
+        samples it yields their slice of the N, in flat order, the (dim,
+        2c) array of their vectors, each mapped by scale when it is given,
+        the U before the V, so that sample t spans columns t and t + c,
+        and the workspace that array lies in (see _columns), which every
+        block reuses. A non-finite vector is refused with ValidationError
+        before any is evaluated."""
         alg = self.algebra
-        U, V = (_finite_element(alg, x) for x in (U, V))
-        if scale is not None:
-            U, V = scale(U), scale(V)
-        U, V = np.broadcast_arrays(U, V)
-        N = math.prod(U.shape[:-2])
-        S = np.empty((alg.dim, 2 * N))
-        for half, X in zip((S[:, :N], S[:, N:]), (U, V)):
-            half[...] = X.reshape(N, alg.dim).T
-        return S, U.shape[:-2]
+        U, V = np.broadcast_arrays(*(_finite_element(alg, x) for x in (U, V)))
+        shape = U.shape[:-2]
+        N = math.prod(shape)
+        U, V = (x.reshape(N, alg.dim) for x in (U, V))
+        step = max(1, min(N, self._scan_block))
+        work = self._workspace(step, step)
+
+        def blocks():
+            for i in range(0, N, step):
+                c = min(step, N - i)
+                S = self._columns(work, 2 * c)
+                for half, X in zip((S[:, :c], S[:, c:]), (U, V)):
+                    X = X[i:i + c]
+                    if scale is not None:
+                        X = scale(X.reshape(c, alg.factors, 3)).reshape(c, -1)
+                    half[...] = X.T
+                yield slice(i, i + c), S, work
+
+        return shape, blocks()
 
     # -- the curvature operator ---------------------------------------------
 
@@ -497,14 +543,15 @@ class DeformedMetric:
         columns of S (dim, C), and <b, M b> at the bivector b = u ^ v (see
         _operator) of each of their C - shift pairs (u, v) = (S[:, t],
         S[:, t + shift]). One matmul, frame @ S, takes every vector into the
-        frame once; S may be a column slice of a wider array, as a scan
-        block is of its sequence. The wedge pairs column t of the pair
-        entries with column t + shift: on the flattened row-major (K, C)
-        blocks, x_i[:-shift] * x_j[shift:] is x_i y_j at every plane, and a
-        junk product where a row's last shift columns meet the next row, so
-        every elementwise pass runs on contiguous memory. M b is one (K, K)
+        frame once; S may lie in work, where _columns puts it. The wedge
+        pairs column t of the pair entries with column t + shift: on the
+        flattened row-major (K, C) blocks, x_i[:-shift] * x_j[shift:] is
+        x_i y_j at every plane, and a junk product where a row's last shift
+        columns meet the next row, so every elementwise pass runs on
+        contiguous memory. M b is one (K, K)
         product over all C columns. A scan block is a run of its sequence,
-        shift 1; sectional_batch stacks its U and V side by side, shift N.
+        shift 1; a block of c pairs of sectional_batch or curvature_of_pair
+        is its U and V side by side, shift c.
         The coordinates, pair entries, b and M b are laid out in work, a
         flat float buffer of at least _block_floats(C - shift, shift)
         floats (see liealg._carve), or a new array when it is None."""
@@ -531,6 +578,22 @@ class DeformedMetric:
         _BLOCK_FLOATS."""
         d, K = self.algebra.dim, len(self._operator.matrix)
         return (d + 3 * K) * (N + shift)
+
+    def _workspace(self, N, shift=1):
+        """A workspace for _sectional_block on up to N planes over N + shift
+        vectors, with room for the vectors themselves (see _columns):
+        _block_floats(N, shift) floats, and dim - K more a vector where the
+        operator keeps fewer pairs K than dim."""
+        d, K = self.algebra.dim, len(self._operator.matrix)
+        return np.empty(self._block_floats(N, shift)
+                        + max(0, d - K) * (N + shift))
+
+    def _columns(self, work, C):
+        """The (dim, C) array at the end of a _workspace in which a block of
+        C vectors goes to _sectional_block: past the frame coordinates and
+        pair entries that the frame map writes (see _bivector_form), so it
+        reads them before the wedge entries overwrite them."""
+        return work[len(work) - self.algebra.dim * C:].reshape(-1, C)
 
     @property
     def _scan_block(self):
@@ -595,50 +658,102 @@ def _views(factors):
 
 
 def _scan(metric, n, seed):
-    """The random-plane scan: n planes U, V, each (n, factors, 3), and their
-    sectional_batch values and valid flags, computed metric._scan_block
-    planes at a time. The planes walk one sequence of n + 1 vectors, the
-    columns of one (dim, n + 1) array W, each in flat element order:
+    """The random-plane scan of n planes: its minimum sectional value, the
+    plane (u, v), each (factors, 3), of its first occurrence, and the count
+    of valid planes, computed metric._scan_block planes at a time. The
+    planes walk one sequence of n + 1 vectors in flat element order:
     g = max(2, ceil((n + 1) / 8)) seeded Gaussian vectors g_i, each also
-    seen through seven fixed rotations, W[:, j g + i] = R_j g_i for the
-    R_j of _views, cut at n + 1; plane t spans columns t and t + 1.
-    Consecutive columns are independent standard normal vectors, inside a
+    seen through seven fixed rotations, vector j g + i being R_j g_i for
+    the R_j of _views, cut at n + 1; plane t spans vectors t and t + 1.
+    Consecutive vectors are independent standard normal vectors, inside a
     view and across a view boundary (g >= 2), so every plane is a Gaussian
     pair, and each vector is drawn, framed and normed once for two planes.
 
-    The draw is Su2Power.random's, in chunks that fit the block workspace,
-    each copied transposed into W; chunks give the seeded stream's numbers
-    as one call would. Each view is then one (dim, dim) @ (dim, g) product
-    on rows of W, and each block, a column slice of W, is mapped into the
-    frame with no transposed operand. U and V are views of W, in one
-    allocation that also holds the workspace of one block, reused by every
-    block: a scan that freed dozens of block-sized temporaries let the
-    allocator hand them back to the system, and the next scan faulted them
-    in again. Raises when every plane degenerates."""
+    The scan keeps only its draw and one block. The draw, the columns of
+    a (dim, g) array G, is Su2Power.random's, in chunks that fit the block
+    workspace, each copied transposed into G; chunks give the seeded
+    stream's numbers as one call would. A block of c planes lays its
+    c + 1 vectors out in the workspace (see DeformedMetric._columns): those
+    of view 0 copied from G, the others rotated from G in (dim, dim) @
+    (dim, m) products, one over a view no longer than a block and one over
+    whole runs (_RUN) of a longer one, so that a vector has the same bits
+    in every block that holds it, and _sectional_block evaluates them
+    there. The scan keeps the least value, its plane's index and the valid
+    count; that plane's two vectors are then rotated once more, in the
+    same products. Every block reuses the one workspace: a scan that freed
+    dozens of block-sized temporaries let the allocator hand them back to
+    the system, and the next scan faulted them in again. Raises when every
+    plane degenerates."""
     require_seed(seed)
     alg = metric.algebra
     d = alg.dim
     g = max(2, -(-(n + 1) // _VIEWS))
-    size = (n + 1) * d
     step = metric._scan_block
-    work = np.empty(size + metric._block_floats(min(n, step)))
-    W, block = work[:size].reshape(d, n + 1), work[size:]
+    work = metric._workspace(min(n, step))
+    G = np.empty((d, g))
     rng = np.random.default_rng(seed)
-    chunk = len(block) // d
+    chunk = metric._block_floats(min(n, step)) // d
     for i in range(0, g, chunk):
         m = min(chunk, g - i)
-        W[:, i:i + m] = alg.random(rng, m, out=block).reshape(m, d).T
-    for j, R in enumerate(_views(alg.factors)[1:], 1):
-        view = W[:, j * g:(j + 1) * g]
-        np.matmul(R, W[:, :view.shape[1]], out=view)
-    vals, ok = np.full(n, np.inf), np.empty(n, dtype=bool)
+        G[:, i:i + m] = alg.random(rng, m, out=work).reshape(m, d).T
+    views, whole = _views(alg.factors), min(n, step) + 1
+    # a run a block only meets is rotated at the start of the workspace,
+    # which the frame map writes after the block's vectors are laid out
+    spare = work[:d * whole].reshape(d, whole)
+
+    def rotate(j, k, l, out):
+        """R_j g_i for i from k to l - 1, into out (dim, l - k). A view no
+        longer than a block is one product, in spare when the range holds
+        only part of it. A longer one is one product over the runs inside
+        the range, its last run excepted, and one over each other run the
+        range meets, in spare."""
+        R, end = views[j], min(g, n + 1 - j * g)
+        if end <= whole:
+            if l - k == end:
+                np.matmul(R, G[:, :end], out=out)
+            else:
+                out[...] = np.matmul(R, G[:, :end], out=spare[:, :end])[:, k:l]
+            return
+        last = (end // _RUN - 1) * _RUN
+        a, b = -(-k // _RUN) * _RUN, min(l - l % _RUN, last)
+        if a < b:
+            np.matmul(R, G[:, a:b], out=out[:, a - k:b - k])
+        for lo, hi in ((k, min(a, l)), (max(a, b), l)):
+            if lo < hi:
+                q = min(lo - lo % _RUN, last)
+                r = end if q == last else q + _RUN
+                part = np.matmul(R, G[:, q:r], out=spare[:, :r - q])
+                out[:, lo - k:hi - k] = part[:, lo - q:hi - q]
+
+    def columns(i, S):
+        """Vectors i to i + c - 1 of the sequence into S (dim, c)."""
+        c = S.shape[1]
+        for j in range(i // g, (i + c - 1) // g + 1):
+            lo, hi = max(i, j * g), min(i + c, (j + 1) * g)
+            out = S[:, lo - i:hi - i]
+            if j:
+                rotate(j, lo - j * g, hi - j * g, out)
+            else:
+                out[...] = G[:, lo:hi]
+        return S
+
+    vals = np.empty(min(n, step))
+    least, at, n_valid = np.inf, 0, 0
     for i in range(0, n, step):
-        ok[i:i + step] = metric._sectional_block(
-            W[:, i:i + step + 1], 1, block, vals[i:i + step])
-    if not np.any(ok):
+        c = min(step, n - i)
+        block = vals[:c]
+        block.fill(np.inf)
+        S = columns(i, metric._columns(work, c + 1))
+        ok = metric._sectional_block(S, 1, work, block)
+        n_valid += int(np.count_nonzero(ok))
+        t = int(np.argmin(block))
+        if block[t] < least:
+            least, at = float(block[t]), i + t
+    if not n_valid:
         raise DegeneratePlaneError("every sampled plane degenerated")
-    U, V = (x.T.reshape(n, alg.factors, 3) for x in (W[:, :n], W[:, 1:]))
-    return U, V, vals, ok
+    plane = columns(at, np.empty((d, 2)))
+    u, v = (x.reshape(alg.factors, 3).copy() for x in plane.T)
+    return least, u, v, n_valid
 
 
 def scan_min_sectional(metric, n_planes=100_000, seed=0):
@@ -646,14 +761,12 @@ def scan_min_sectional(metric, n_planes=100_000, seed=0):
     one sequence of n_planes + 1 vectors, plane t spanning vectors t and
     t + 1: about an eighth of them drawn Gaussian vectors, the rest those
     seen through seven fixed rotations; every plane is a Gaussian pair
-    (see _scan)."""
+    (see _scan). The scan holds its drawn vectors and one block, never the
+    whole sequence, and the reported plane is a copy of its two vectors."""
     require_count(n_planes, "n_planes", MAX_PLANES)
-    U, V, vals, ok = _scan(metric, n_planes, seed)
-    idx = int(np.argmin(vals))
-    # copies, so that the result does not keep the whole draw alive
-    return ScanResult(min_value=float(vals[idx]), u=U[idx].copy(),
-                      v=V[idx].copy(), n_planes=n_planes,
-                      n_valid=int(np.sum(ok)), seed=seed)
+    min_value, u, v, n_valid = _scan(metric, n_planes, seed)
+    return ScanResult(min_value=min_value, u=u, v=v, n_planes=n_planes,
+                      n_valid=n_valid, seed=seed)
 
 
 class PlaneSearchResult(namedtuple(

@@ -22,19 +22,20 @@ from .errors import (DimensionMismatchError, ParameterError, ValidationError,
 
 _ORTHO_TOL = 1e-12
 #: The most su(2) factors Su2Power takes, checked before anything is
-#: allocated. A scan, its sequence (24 bytes a plane per factor) and one
-#: block's workspace (0.9 MB, see deform._BLOCK_FLOATS), peaks at under
-#: 50 bytes a plane per factor, and oracle_agreement, which works in
-#: blocks like the scan, at 55 to 70 bytes a pair per factor (measured
-#: with tracemalloc; the figures are in CHANGES.md). So deform.MAX_PLANES
-#: planes or pairs at the cap take about 0.9 GB; 10^8 factors used to fail
-#: allocating tens of TiB, or with a misleading message. The curvature
-#: operator grows faster than the algebra: on the su(2)^16 diagonal it
-#: keeps 768 of 1128 frame pairs, a 4.7 MB matrix, and a scan takes about
-#: a minute at the cap.
+#: allocated. A scan keeps its draw (3 bytes a plane per factor) and one
+#: block's workspace (about 0.9 MB, see deform._BLOCK_FLOATS), and
+#: oracle_agreement, sectional_batch and curvature_of_pair one block of
+#: pairs each (measured with tracemalloc; the figures are in CHANGES.md):
+#: at the cap a scan of deform.MAX_PLANES planes peaks at about 50 MB and
+#: oracle_agreement at about 11 MB, whatever its count. 10^8 factors used
+#: to fail allocating tens of TiB, or with a misleading message. The
+#: curvature operator grows faster than the algebra: on the su(2)^16
+#: diagonal it keeps 768 of 1128 frame pairs, a 4.7 MB matrix, and a scan
+#: takes about a minute at the cap.
 MAX_FACTORS = 16
-#: Component l + 1 and l + 2 (mod 3) for each component l.
-_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+#: Component l + 1 (row 0) and l + 2 (row 1), mod 3, for each component l.
+_ROT = np.array([[1, 2, 0], [2, 0, 1]])
+_NEXT, _AFTER = _ROT
 
 
 def _carve(buf, shape):
@@ -99,11 +100,12 @@ class Su2Power:
 
     def bracket(self, u, v):
         """[u, v], factorwise [u, v]_l = 2 (u_(l+1) v_(l+2) - u_(l+2) v_(l+1))
-        over components l mod 3: 2 * np.cross, written on index arrays."""
+        over components l mod 3: 2 * np.cross, written as one product of
+        two gathers, whose rows are the two terms."""
         u = self.check_element(u)
         v = self.check_element(v)
-        return 2 * (u[..., _NEXT] * v[..., _AFTER]
-                    - u[..., _AFTER] * v[..., _NEXT])
+        terms = u[..., _ROT] * v[..., _ROT[::-1]]
+        return 2 * (terms[..., 0, :] - terms[..., 1, :])
 
     def inner(self, u, v):
         u = self.check_element(u)

@@ -166,6 +166,51 @@ def tilted_pairs(metric, sin_sq):
         1e-4 * (np.sqrt(1.0 - sin ** 2) * u + sin * w)
 
 
+def scan_sequence(metric, n, seed):
+    """The planes U, V (n, factors, 3) of a scan of n planes, rebuilt as
+    deform._scan states its sequence: the g = max(2, ceil((n + 1) / 8))
+    vectors of one Su2Power.random draw from the seed, then each seen
+    through the seven rotations of _views, R_j g_i at index j g + i, cut
+    at n + 1, each view one product over the vectors it keeps; plane t
+    spans vectors t and t + 1."""
+    alg = metric.algebra
+    g = max(2, -(-(n + 1) // deform._VIEWS))
+    drawn = alg.random(np.random.default_rng(seed), g).reshape(g, alg.dim)
+    W = np.concatenate([
+        (R @ np.ascontiguousarray(drawn[:n + 1 - j * g].T)).T
+        for j, R in enumerate(deform._views(alg.factors))])
+    W = W.reshape(n + 1, alg.factors, 3)
+    return W[:-1], W[1:]
+
+
+def scanned(metric, n, seed):
+    """scan_min_sectional(metric, n, seed) and what its kernel saw: the
+    sequence (n + 1, factors, 3), joined from the vectors of every block,
+    copied before the kernel overwrites them, and every plane's value and
+    valid flag. Also checks that each block holds at most _scan_block
+    planes and starts at its predecessor's last vector."""
+    kernel, blocks = metric._sectional_block, []
+
+    def spy(S, shift, work, vals):
+        columns = S.T.copy()
+        ok = kernel(S, shift, work, vals)
+        blocks.append((columns, vals.copy(), ok.copy()))
+        return ok
+
+    metric._sectional_block = spy
+    try:
+        res = scan_min_sectional(metric, n_planes=n, seed=seed)
+    finally:
+        del metric._sectional_block
+    columns, vals, ok = zip(*blocks)
+    for first, second in zip(columns, columns[1:]):
+        assert same_bits(first[-1], second[0])
+    assert all(len(x) <= metric._scan_block for x in vals)
+    W = np.concatenate([x[:-1] for x in columns] + [columns[-1][-1:]])
+    return (res, W.reshape(n + 1, metric.algebra.factors, 3),
+            np.concatenate(vals), np.concatenate(ok))
+
+
 @pytest.mark.parametrize("make, factors, a", [
     (span_i_metric, 2, 1.5), (diag_metric, 3, 0.5), (span_i_metric, 1, 1e-7)])
 def test_planes_are_valid_by_their_q_a_angle(monkeypatch, make, factors, a):
@@ -174,8 +219,9 @@ def test_planes_are_valid_by_their_q_a_angle(monkeypatch, make, factors, a):
     1e-13 it is not, whatever the lengths of u and v, and neither is a
     pair with a zero vector. A scan whose draw is the sequence u_0, v_0,
     u_1, v_1, ..., given chunk by chunk as Su2Power.random's stream would
-    be, scans these pairs as its even planes, unrotated; it and
-    sectional_batch, on the planes the scan returns, agree on every flag,
+    be, scans these pairs as its even planes, unrotated, as the sequence
+    rebuilt from that stream (scan_sequence) has them; its kernel and
+    sectional_batch, on the planes of that sequence, agree on every flag,
     the odd planes' and the rotated views' too: the scans divide the raw
     quartic by the raw Gram determinant."""
     metric = make(factors, a)
@@ -197,11 +243,16 @@ def test_planes_are_valid_by_their_q_a_angle(monkeypatch, make, factors, a):
 
     monkeypatch.setattr(metric.algebra, "random", drawn)
     g = 2 * len(want)
-    su, sv, _, ok = deform._scan(metric, deform._VIEWS * g - 1, seed=0)
+    n = deform._VIEWS * g - 1
+    res, W, _, ok = scanned(metric, n, seed=0)
     assert sum(taken) == g
+    taken.clear()
+    su, sv = scan_sequence(metric, n, seed=0)
+    assert same_bits(W[:-1], su) and same_bits(W[1:], sv)
     assert np.array_equal(su[:g:2], U) and np.array_equal(sv[:g:2], V)
     assert ok[:g:2].tolist() == want
     assert ok.tolist() == metric.sectional_batch(su, sv)[1].tolist()
+    assert res.n_valid == ok.sum()
 
 
 def test_sectional_batch_matches_scalar_path():
@@ -252,7 +303,7 @@ def test_blocked_scan_equals_one_whole_batch(make, factors, count):
     metric = make(factors, 1.5)
     n = count(metric._scan_block)
     res = scan_min_sectional(metric, n_planes=n, seed=4)
-    U, V = deform._scan(metric, n, seed=4)[:2]
+    U, V = scan_sequence(metric, n, seed=4)
     vals, ok = metric.sectional_batch(U, V)
     idx = int(np.argmin(vals))
     assert (res.min_value, res.n_valid) == (float(vals[idx]), int(ok.sum()))
@@ -288,7 +339,7 @@ def test_scan_blocks_hold_at_least_the_floor():
         assert deform._BLOCK_FLOATS // metric._block_floats(0) - 1 == budget
         assert metric._scan_block == block
     res = scan_min_sectional(metric, n_planes=2 * block + 3, seed=1)
-    U, V = deform._scan(metric, 2 * block + 3, seed=1)[:2]
+    U, V = scan_sequence(metric, 2 * block + 3, seed=1)
     assert res.min_value == float(np.min(metric.sectional_batch(U, V)[0]))
 
 
@@ -298,23 +349,48 @@ def test_scan_blocks_hold_at_least_the_floor():
                                            (diag_metric, 3)])
 @pytest.mark.parametrize("n", [10_000, 100_000])
 def test_scan_memory_is_the_draw_and_one_block(make, factors, n):
-    """A scan's traced peak is its draw, the n + 1 vectors of its
-    sequence, (n + 1) dim floats, one block's workspace (frame coordinates,
-    pair and wedge entries, see _block_floats), the n values and valid
-    flags, and per block plane at most 12 floats more: the block's forms,
-    Q_a products, Gram determinants and values, and numpy's iteration
+    """A scan's traced peak is its draw, the g = ceil((n + 1) / 8) drawn
+    vectors, g dim floats, one block's workspace (frame coordinates, pair
+    and wedge entries, and the block's vectors, see _workspace), and per
+    block plane at most 12 floats more: the block's values, valid flags,
+    forms, Q_a products and Gram determinants, and numpy's iteration
     buffers. The operator, built before the trace starts, is the metric's
-    own. A workspace sized for every plane exceeds it, and so does a
-    second copy of the draw, save on su(2)^1 at 10k planes, whose draw is
-    smaller than a block's slack."""
+    own. The whole sequence, (n + 1) dim floats, exceeds it, and so do the
+    n values and flags of every plane at 100k planes."""
     metric = make(factors, 1.5)
     scan_min_sectional(metric, n_planes=n, seed=2)
     block = min(n, metric._scan_block)
-    bound = (8 * ((n + 1) * metric.algebra.dim + metric._block_floats(block))
-             + 9 * n + 8 * 12 * block)
+    g = -(-(n + 1) // deform._VIEWS)
+    bound = (8 * (g * metric.algebra.dim + len(metric._workspace(block)))
+             + 8 * 12 * block)
     tracemalloc.start()
     try:
         scan_min_sectional(metric, n_planes=n, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("make, factors", [(span_i_metric, 1), (diag_metric, 2),
+                                           (span_i_metric, 3), (diag_metric, 3)])
+def test_oracle_agreement_memory_is_one_block(make, factors):
+    """oracle_agreement draws its pairs block by block (_blocks), so its
+    traced peak over 100k pairs is one block's draw, 2 _ORACLE_BLOCK dim
+    floats, the larger of the closed form's workspace (_workspace, on at
+    most _scan_block pairs) and the oracle's (_ORACLE_SLOTS floats a pair
+    and entry), and at most 24 floats a pair of the block more: its gaps,
+    the kernels' other temporaries and numpy's iteration buffers. A draw
+    of every pair at once, 2 dim floats a pair, exceeds it."""
+    metric = make(factors, 1.5)
+    metric.oracle_agreement(samples=64, seed=2)
+    B, d = deform._ORACLE_BLOCK, metric.algebra.dim
+    c = min(B, metric._scan_block)
+    work = max(len(metric._workspace(c, c)), deform._ORACLE_SLOTS * B * d)
+    bound = 8 * (2 * B * d + work + 24 * B)
+    tracemalloc.start()
+    try:
+        metric.oracle_agreement(samples=100_000, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,7 +403,7 @@ def test_scan_results_own_their_planes():
     ones (index 2856 of PINNED_SCANS)."""
     metric = span_i_metric(3, 1.5)
     res = scan_min_sectional(metric, n_planes=3000, seed=1)
-    U, V = deform._scan(metric, 3000, seed=1)[:2]
+    U, V = scan_sequence(metric, 3000, seed=1)
     for got, want in ((res.u, U[2856]), (res.v, V[2856])):
         assert got.base is None and got.flags.owndata
         assert got.nbytes == 72 and np.array_equal(got, want)
@@ -335,21 +411,23 @@ def test_scan_results_own_their_planes():
 
 @pytest.mark.parametrize("make, factors", SCAN_METRICS)
 def test_scan_planes_walk_one_sequence(make, factors):
-    """Plane t spans columns t and t + 1 of one sequence, an array W
-    (dim, n + 1): V[t] is U[t + 1], and U and V are views of one buffer,
-    across the seven view boundaries, the block boundaries and into the
-    ragged last block. W is the g = ceil((n + 1) / 8) vectors of one
-    Su2Power.random draw followed by their seven rotations (_views), cut
-    at n + 1 vectors."""
+    """Plane t spans vectors t and t + 1 of one sequence W of n + 1
+    vectors: each block the kernel evaluates is a run of W that starts at
+    the last vector of the one before (see scanned), across the seven view
+    boundaries, the block boundaries and into the ragged last block. W is
+    the g = ceil((n + 1) / 8) vectors of one Su2Power.random draw
+    followed by their seven rotations (_views), cut at n + 1 vectors, and
+    the scan reports the first least plane of its kernel's values."""
     metric = make(factors, 1.5)
     alg = metric.algebra
     n = 2 * metric._scan_block + 5
-    U, V = deform._scan(metric, n, seed=3)[:2]
-    assert U.base is not None and U.base is V.base
-    assert np.array_equal(V[:-1], U[1:])
+    res, W, vals, ok = scanned(metric, n, seed=3)
+    idx = int(np.argmin(vals))
+    assert (res.min_value, res.n_valid) == (vals[idx], ok.sum())
+    assert same_bits(res.u, W[idx]) and same_bits(res.v, W[idx + 1])
     g = -(-(n + 1) // deform._VIEWS)
     drawn = alg.random(np.random.default_rng(3), g).reshape(g, alg.dim)
-    W = np.concatenate((U, V[-1:])).reshape(n + 1, alg.dim)
+    W = W.reshape(n + 1, alg.dim)
     assert np.array_equal(W[:g], drawn)
     last = deform._VIEWS - 1
     for j, R in enumerate(deform._views(factors)):
@@ -357,6 +435,27 @@ def test_scan_planes_walk_one_sequence(make, factors):
         assert len(view) == (g if j < last else n + 1 - last * g)
         rotated = R @ np.ascontiguousarray(drawn[:len(view)].T)
         assert np.array_equal(view, rotated.T)
+
+
+def test_scans_report_the_first_of_equal_least_planes(monkeypatch):
+    """Where planes tie for the least value a scan reports the first, as
+    one argmin over all its planes would: with a kernel that gives each
+    block the values 2, 1, 1, ..., every plane valid, a scan of 2B + 5
+    planes over three blocks reports plane 1, vectors 1 and 2 of its
+    sequence (scan_sequence), with all its planes valid."""
+    metric = span_i_metric(2, 1.5)
+    n = 2 * metric._scan_block + 5
+
+    def kernel(S, shift, work, vals):
+        vals.fill(1.0)
+        vals[0] = 2.0
+        return np.ones(len(vals), dtype=bool)
+
+    monkeypatch.setattr(metric, "_sectional_block", kernel)
+    res = scan_min_sectional(metric, n_planes=n, seed=7)
+    U, V = scan_sequence(metric, n, seed=7)
+    assert (res.min_value, res.n_valid) == (1.0, n)
+    assert same_bits(res.u, U[1]) and same_bits(res.v, V[1])
 
 
 def test_scans_draw_an_eighth_of_their_sequence(monkeypatch):
@@ -391,11 +490,56 @@ def test_a_chunked_draw_is_one_draw(monkeypatch):
     monkeypatch.setattr(alg, "random", recording)
     chunk = metric._block_floats(metric._scan_block) // alg.dim
     n = deform._VIEWS * (2 * chunk + 7)
-    U = deform._scan(metric, n, seed=5)[0]
+    W = scanned(metric, n, seed=5)[1]
     g = -(-(n + 1) // deform._VIEWS)
     assert sizes == [chunk, chunk, g - 2 * chunk] and sum(sizes) == g
     want = random(np.random.default_rng(5), g)
-    assert same_bits(np.ascontiguousarray(U[:g]), want)
+    assert same_bits(W[:g], want)
+
+
+def test_every_block_rotates_a_vector_the_same():
+    """BLAS rounds the last columns of a product, and a product of one
+    column, otherwise than the rest on su(2)^6 and up, so a vector rotated
+    at the end of one block's product and again inside the next block's
+    came out different. The scans rotate whole runs of each view (_RUN),
+    and a view's last run alone, so every block starts with its
+    predecessor's last vector, bit for bit (see scanned):
+    - on su(2)^12 diagonal, over blocks of 82 planes, where the sequence
+      is also that of one product over each view (scan_sequence);
+    - on su(2)^16 span-i at 6900 planes, blocks of 575 and views of 863,
+      where view 1 ends where block 2 does: block 2 rotates the view's
+      last run beside 512 columns before it, and block 3 rotates its last
+      vector again."""
+    metric = diag_metric(12, 1.5)
+    assert metric._scan_block == 82
+    W = scanned(metric, 2000, seed=0)[1]
+    U, V = scan_sequence(metric, 2000, seed=0)
+    assert same_bits(W[:-1], U) and same_bits(W[1:], V)
+    metric = span_i_metric(16, 1.5)
+    assert metric._scan_block == 575 and 3 * 575 == 2 * 863 - 1
+    scanned(metric, 6900, seed=0)
+
+
+@pytest.mark.parametrize("make, factors, a", [
+    (span_i_metric, 1, Fraction(4, 3)), (span_i_metric, 3, Fraction(4, 3)),
+    (span_i_metric, 2, 1.5), (diag_metric, 3, 1.5)])
+def test_block_vectors_lie_past_what_the_frame_map_writes(make, factors, a):
+    """A block's vectors (_columns) lie at the end of its workspace, past
+    the frame coordinates and pair entries that the frame map writes, for
+    a scan block and a block of pairs of every size up to the workspace's,
+    so the map never reads what it writes. Circles at 4/3 keep fewer
+    pairs K than dim (2 and 8 against 3 and 9), and their workspaces hold
+    dim - K floats a vector more."""
+    metric = make(factors, a)
+    d, K = metric.algebra.dim, len(metric._operator.matrix)
+    assert (K < d) == (a == Fraction(4, 3))
+    B = metric._scan_block
+    for shift in (1, B):
+        work = metric._workspace(B, shift)
+        for C in (shift + 1, B + shift):
+            S = metric._columns(work, C)
+            assert S.shape == (d, C)
+            assert not np.shares_memory(S, work[:(d + 2 * K) * C])
 
 
 def test_scan_views_are_fixed_rotations():
@@ -508,6 +652,49 @@ def test_the_shifted_wedge_keeps_the_two_frame_floats(factors, split):
             gap = np.abs(metric.curvature_of_pair(u, v) - deform._koszul_curvature(
                 u, v, metric.split._projector, metric.a))
             assert metric.oracle_agreement(samples, seed) == float(np.max(gap))
+
+
+def one_call(metric, U, V):
+    """sectional_batch's values and flags and curvature_of_pair's values
+    on the pairs U, V (N, n, 3), each from one unblocked kernel call on all
+    N pairs, as those methods took them before they took blocks."""
+    N, d = len(U), metric.algebra.dim
+    S, raw = (np.concatenate([X.reshape(N, d).T for X in pair], axis=1)
+              for pair in ((_binade(U), _binade(V)), (U, V)))
+    vals = np.full(N, np.inf)
+    ok = metric._sectional_block(S, N, None, vals)
+    return vals, ok, metric._bivector_form(raw, N, None)[1]
+
+
+@pytest.mark.parametrize("make, factors", SCAN_METRICS)
+@pytest.mark.parametrize("count", [lambda b: 1, lambda b: b - 1, lambda b: b,
+                                   lambda b: 2 * b + 5],
+                         ids=["1", "B-1", "B", "2B+5"])
+def test_pair_batches_are_evaluated_in_blocks(make, factors, count):
+    """sectional_batch and curvature_of_pair take at most B = _scan_block
+    pairs at a time, in one workspace. At 1, B - 1 and B pairs, one block,
+    their values and flags are bit for bit those of one unblocked kernel
+    call on all the pairs (one_call); at 2B + 5 those of one such call on
+    each block, and the flags those of one call on all. Across blocks a
+    value can move by a rounding: BLAS computes the last columns of a
+    product with other kernels, so a pair's last bits could depend on its
+    batch before there were blocks too; on the su(2)^3 diagonal a few
+    pairs at the ends of the blocks move by about 1e-15 of max(1, |value|)."""
+    metric = make(factors, 1.5)
+    B = metric._scan_block
+    N = count(B)
+    U, V = metric.algebra.random(np.random.default_rng(N), (2, N))
+    got = metric.sectional_batch(U, V) + (metric.curvature_of_pair(U, V),)
+    for i in range(0, N, B):
+        block = slice(i, i + B)
+        want = one_call(metric, U[block], V[block])
+        assert all(same_bits(x[block], y) for x, y in zip(got, want))
+    want = one_call(metric, U, V)
+    assert same_bits(got[1], want[1])
+    if N <= B:
+        assert same_bits(got[0], want[0]) and same_bits(got[2], want[2])
+    for x, y in zip(got[::2], want[::2]):
+        assert np.all(np.abs(x - y) <= 1e-14 * np.maximum(1.0, np.abs(y)))
 
 
 @pytest.mark.parametrize("a", [A_MIN, 1.5, A_MAX])
@@ -818,7 +1005,7 @@ def test_scan_is_pinned(case, pinned):
     if index is None:
         assert abs(sectional(metric, res.u, res.v) - value) <= tol
     else:
-        U, V = deform._scan(metric, 3000, seed)[:2]
+        U, V = scan_sequence(metric, 3000, seed)
         assert np.array_equal(res.u, U[index]) and np.array_equal(res.v, V[index])
 
 
@@ -1394,11 +1581,14 @@ def test_a_scan_with_the_kept_support_equals_one_with_the_full_operator(
     full._operator = deform._Operator.of(*full._full_operator())
     assert len(full._operator.matrix) == 3 * factors * (3 * factors - 1) // 2
     n = kept._scan_block + 5
-    U, V, want, ok = deform._scan(kept, n, seed=6)
-    _, _, got, ok_full = deform._scan(full, n, seed=6)
+    res, W, want, ok = scanned(kept, n, seed=6)
+    res_full, W_full, got, ok_full = scanned(full, n, seed=6)
+    assert same_bits(W, W_full)
     assert np.array_equal(ok, ok_full)
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
     assert np.argmin(got) == np.argmin(want)
+    assert res.n_valid == res_full.n_valid
+    assert same_bits(res.u, res_full.u) and same_bits(res.v, res_full.v)
 
 
 def exact_sectional(metric, u, v):

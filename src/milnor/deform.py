@@ -57,16 +57,8 @@ plane about K^2 + 3K + dim more: the wedge, M b, <b, M b> and <u, v>.
 On the diagonal of su(2)^n K grows like n^2, so there the (K, K)
 product is most of a plane's cost (the timings are in CHANGES.md).
 
-A random-plane scan of n planes walks one sequence of n + 1 vectors,
-plane t spanning vectors t and t + 1: about (n + 1) / 8 seeded Gaussian
-vectors, each also seen through seven fixed rotations (_views). Every
-plane is a Gaussian pair, as Q is the identity in flat coordinates, a
-rotation takes a standard normal vector to one, and consecutive vectors
-are independent. Rotating a vector costs far less than drawing one, and
-each vector is mapped into the frame and normed once for its two planes.
-A scan keeps only its drawn vectors and one block: each block rotates
-the vectors it needs from the draw, and the scan keeps its least value
-as the blocks go, never the whole sequence or every plane's value.
+The random-plane scans (_scan) walk one seeded sequence of vectors block
+by block and keep only their draw and one block.
 
 The kernel takes its vectors as the columns of a (dim, C) array, so the
 frame map is a (dim + 2K, dim) @ (dim, C) product with no transposed
@@ -176,18 +168,6 @@ _VIEWS = 8
 #: The seed of the fixed rotations of _views, fixed before their scans'
 #: quality was measured.
 _VIEW_SEED = 1976
-#: The columns of the draw a scan rotates at a time in a view longer than
-#: a block (see _scan): runs of this many from the view's start, the last
-#: taking the rest of the view, up to twice as many; a shorter view is
-#: one run. BLAS computes the last few columns of a product, and a
-#: product of one column, with other kernels, which on su(2)^6 and up can
-#: round them otherwise. So every vector is rotated in a product over
-#: whole runs, and a view's last run always alone: a vector has the same
-#: bits in every block that holds it, and those of one product over its
-#: whole view, save in the last run of a long view whose whole product
-#: takes BLAS's large-matrix kernel. Half the fewest vectors a block
-#: holds, so that a run fits in a block's workspace.
-_RUN = _MIN_BLOCK // 2
 
 
 # Uncalled: the benchmark's traced run still wraps deform.null_space and
@@ -436,7 +416,8 @@ class DeformedMetric:
         call on its block gives: BLAS rounds the last columns of a product
         otherwise than the rest, so a pair's last bits can depend on where
         it falls in its batch (by about 1e-15 of max(1, |value|) on the
-        su(2)^3 diagonal, see CHANGES.md)."""
+        su(2)^3 diagonal, see CHANGES.md) and, under one BLAS thread, on
+        where in memory the batch lies."""
         shape, blocks = self._pair_blocks(U, V, scale=_binade)
         vals, ok = np.full(shape, np.inf), np.empty(shape, dtype=bool)
         flat_vals, flat_ok = vals.reshape(-1), ok.reshape(-1)
@@ -660,30 +641,37 @@ def _views(factors):
 def _scan(metric, n, seed):
     """The random-plane scan of n planes: its minimum sectional value, the
     plane (u, v), each (factors, 3), of its first occurrence, and the count
-    of valid planes, computed metric._scan_block planes at a time. The
-    planes walk one sequence of n + 1 vectors in flat element order:
-    g = max(2, ceil((n + 1) / 8)) seeded Gaussian vectors g_i, each also
-    seen through seven fixed rotations, vector j g + i being R_j g_i for
-    the R_j of _views, cut at n + 1; plane t spans vectors t and t + 1.
-    Consecutive vectors are independent standard normal vectors, inside a
-    view and across a view boundary (g >= 2), so every plane is a Gaussian
-    pair, and each vector is drawn, framed and normed once for two planes.
+    of valid planes. Raises when every plane degenerates.
 
-    The scan keeps only its draw and one block. The draw, the columns of
-    a (dim, g) array G, is Su2Power.random's, in chunks that fit the block
-    workspace, each copied transposed into G; chunks give the seeded
-    stream's numbers as one call would. A block of c planes lays its
-    c + 1 vectors out in the workspace (see DeformedMetric._columns): those
-    of view 0 copied from G, the others rotated from G in (dim, dim) @
-    (dim, m) products, one over a view no longer than a block and one over
-    whole runs (_RUN) of a longer one, so that a vector has the same bits
-    in every block that holds it, and _sectional_block evaluates them
-    there. The scan keeps the least value, its plane's index and the valid
-    count; that plane's two vectors are then rotated once more, in the
-    same products. Every block reuses the one workspace: a scan that freed
-    dozens of block-sized temporaries let the allocator hand them back to
-    the system, and the next scan faulted them in again. Raises when every
-    plane degenerates."""
+    The planes walk one sequence of n + 1 vectors in flat element order,
+    plane t spanning vectors t and t + 1: g = max(2, ceil((n + 1) / 8))
+    seeded Gaussian vectors g_i, each also seen through seven fixed
+    rotations, vector j g + i being R_j g_i for the R_j of _views, cut at
+    n + 1. Consecutive vectors are independent standard normal vectors,
+    inside a view and across a view boundary (g >= 2), as Q is the
+    identity in flat coordinates and a rotation takes a standard normal
+    vector to one: so every plane is a Gaussian pair. Rotating a vector
+    costs far less than drawing one, and each vector is made, framed and
+    normed once for its two planes.
+
+    The scan keeps only its draw and one block, never the whole sequence
+    or every plane's value. The draw, the columns of a (dim, g) array G,
+    is Su2Power.random's, in chunks that fit the block workspace, each
+    copied transposed into G; chunks give the seeded stream's numbers as
+    one call would. A block of c planes, at most metric._scan_block, lays
+    its c + 1 vectors out in the workspace (see DeformedMetric._columns)
+    for _sectional_block: the first carried from the block before, copied
+    out of its last column before the kernel wrote over it, then a copy of
+    view 0 and one (dim, dim) @ (dim, m) product over the block's part of
+    each other view it meets. The scan keeps the least value, its plane's
+    index and the valid count, and then lays that plane's block out again
+    in the same place, its carried vector and the products of the views
+    the plane meets: BLAS can round a product's last columns otherwise
+    when its operand lies elsewhere, so the reported plane is bit for bit
+    the pair the kernel evaluated. Every block reuses the one workspace: a
+    scan that freed dozens of block-sized temporaries let the allocator
+    hand them back to the system, and the next scan faulted them in
+    again."""
     require_seed(seed)
     alg = metric.algebra
     d = alg.dim
@@ -696,73 +684,53 @@ def _scan(metric, n, seed):
     for i in range(0, g, chunk):
         m = min(chunk, g - i)
         G[:, i:i + m] = alg.random(rng, m, out=work).reshape(m, d).T
-    views, whole = _views(alg.factors), min(n, step) + 1
-    # a run a block only meets is rotated at the start of the workspace,
-    # which the frame map writes after the block's vectors are laid out
-    spare = work[:d * whole].reshape(d, whole)
+    views = _views(alg.factors)
 
-    def rotate(j, k, l, out):
-        """R_j g_i for i from k to l - 1, into out (dim, l - k). A view no
-        longer than a block is one product, in spare when the range holds
-        only part of it. A longer one is one product over the runs inside
-        the range, its last run excepted, and one over each other run the
-        range meets, in spare."""
-        R, end = views[j], min(g, n + 1 - j * g)
-        if end <= whole:
-            if l - k == end:
-                np.matmul(R, G[:, :end], out=out)
-            else:
-                out[...] = np.matmul(R, G[:, :end], out=spare[:, :end])[:, k:l]
-            return
-        last = (end // _RUN - 1) * _RUN
-        a, b = -(-k // _RUN) * _RUN, min(l - l % _RUN, last)
-        if a < b:
-            np.matmul(R, G[:, a:b], out=out[:, a - k:b - k])
-        for lo, hi in ((k, min(a, l)), (max(a, b), l)):
-            if lo < hi:
-                q = min(lo - lo % _RUN, last)
-                r = end if q == last else q + _RUN
-                part = np.matmul(R, G[:, q:r], out=spare[:, :r - q])
-                out[:, lo - k:hi - k] = part[:, lo - q:hi - q]
-
-    def columns(i, S):
-        """Vectors i to i + c - 1 of the sequence into S (dim, c)."""
-        c = S.shape[1]
-        for j in range(i // g, (i + c - 1) // g + 1):
-            lo, hi = max(i, j * g), min(i + c, (j + 1) * g)
-            out = S[:, lo - i:hi - i]
+    def lay(i, S, k, l):
+        """Into S (dim, c + 1), the block whose column 0 is vector i, its
+        vectors i + 1 to i + c of each view that vectors k to l lie in: a
+        copy of view 0, and one product over the block's part of each
+        other view."""
+        end = i + S.shape[1]
+        for j in range(k // g, l // g + 1):
+            lo, hi = max(i + 1, j * g), min(end, (j + 1) * g)
             if j:
-                rotate(j, lo - j * g, hi - j * g, out)
+                np.matmul(views[j], G[:, lo - j * g:hi - j * g],
+                          out=S[:, lo - i:hi - i])
             else:
-                out[...] = G[:, lo:hi]
-        return S
+                S[:, lo - i:hi - i] = G[:, lo:hi]
 
     vals = np.empty(min(n, step))
+    first = carry = G[:, 0]
     least, at, n_valid = np.inf, 0, 0
     for i in range(0, n, step):
         c = min(step, n - i)
+        S = metric._columns(work, c + 1)
+        S[:, 0] = carry
+        lay(i, S, i + 1, i + c)
+        last = S[:, c].copy()
         block = vals[:c]
         block.fill(np.inf)
-        S = columns(i, metric._columns(work, c + 1))
         ok = metric._sectional_block(S, 1, work, block)
         n_valid += int(np.count_nonzero(ok))
         t = int(np.argmin(block))
         if block[t] < least:
-            least, at = float(block[t]), i + t
+            least, at, first = float(block[t]), i + t, carry
+        carry = last
     if not n_valid:
         raise DegeneratePlaneError("every sampled plane degenerated")
-    plane = columns(at, np.empty((d, 2)))
-    u, v = (x.reshape(alg.factors, 3).copy() for x in plane.T)
+    i = at - at % step
+    S = metric._columns(work, min(step, n - i) + 1)
+    S[:, 0] = first
+    lay(i, S, max(at, i + 1), at + 1)
+    u, v = (x.reshape(alg.factors, 3).copy() for x in S[:, at - i:at - i + 2].T)
     return least, u, v, n_valid
 
 
 def scan_min_sectional(metric, n_planes=100_000, seed=0):
-    """Minimum sectional curvature over n_planes seeded planes, which walk
-    one sequence of n_planes + 1 vectors, plane t spanning vectors t and
-    t + 1: about an eighth of them drawn Gaussian vectors, the rest those
-    seen through seven fixed rotations; every plane is a Gaussian pair
-    (see _scan). The scan holds its drawn vectors and one block, never the
-    whole sequence, and the reported plane is a copy of its two vectors."""
+    """Minimum sectional curvature over n_planes seeded random planes, the
+    sequence _scan states, as a ScanResult whose plane is a copy of its
+    two vectors."""
     require_count(n_planes, "n_planes", MAX_PLANES)
     min_value, u, v, n_valid = _scan(metric, n_planes, seed)
     return ScanResult(min_value=min_value, u=u, v=v, n_planes=n_planes,
@@ -956,11 +924,9 @@ def _frame(metric, u, v):
 
 
 def find_negative_plane(metric, budget=100_000, seed=0):
-    """Seeded scan of `budget` random planes, which walk one sequence of
-    budget + 1 vectors, about an eighth of them drawn Gaussian vectors and
-    the rest those seen through seven fixed rotations, every plane a
-    Gaussian pair (see _scan); and the exact decision (_decide) of whether
-    the metric has a negatively curved plane.
+    """Seeded scan of `budget` random planes (scan_min_sectional, whose
+    planes _scan states) and the exact decision (_decide) of whether the
+    metric has a negatively curved plane.
 
     found is True exactly when _decide refutes the metric with a witness;
     no float threshold decides it. Then value is the witness's exact

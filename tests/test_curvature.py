@@ -172,7 +172,12 @@ def scan_sequence(metric, n, seed):
     vectors of one Su2Power.random draw from the seed, then each seen
     through the seven rotations of _views, R_j g_i at index j g + i, cut
     at n + 1, each view one product over the vectors it keeps; plane t
-    spans vectors t and t + 1."""
+    spans vectors t and t + 1. Its vectors are bit for bit those a scan
+    evaluates on su(2)^1..3 (test_scan_planes_walk_one_sequence checks
+    2B + 5 planes) and on a scan of one block. A scan of several blocks
+    rotates each block's part of a view in its own product, which BLAS
+    can round otherwise on su(2)^6 and up, by about 1e-15: there only
+    scanned gives the vectors the kernel saw."""
     alg = metric.algebra
     g = max(2, -(-(n + 1) // deform._VIEWS))
     drawn = alg.random(np.random.default_rng(seed), g).reshape(g, alg.dim)
@@ -297,17 +302,25 @@ SCAN_METRICS = [(span_i_metric, 1), (diag_metric, 2), (span_i_metric, 2),
                                    lambda b: 2 * b + 5],
                          ids=["1", "B-1", "B", "2B+5"])
 def test_blocked_scan_equals_one_whole_batch(make, factors, count):
-    # The scans evaluate the metric's own block of B planes at a time in
-    # one reused workspace; every value, and so the reported minimum, plane
-    # and count, must be those of one batch, the ragged last block's too.
+    """The scans evaluate the metric's own block of B planes at a time in
+    one reused workspace. The reported minimum, plane and count are bit
+    for bit the first least of the values the kernel gave on the vectors
+    it saw (scanned), the ragged last block's too, and those vectors are
+    the sequence rebuilt in one piece (scan_sequence). One sectional_batch
+    call on those planes gives every flag, and every value to 1e-14 of
+    max(1, |value|): its blocks pair a vector with one B columns on, so
+    BLAS can round a value otherwise (see test_pair_batches_are_evaluated_in_blocks)."""
     metric = make(factors, 1.5)
     n = count(metric._scan_block)
-    res = scan_min_sectional(metric, n_planes=n, seed=4)
-    U, V = scan_sequence(metric, n, seed=4)
-    vals, ok = metric.sectional_batch(U, V)
+    res, W, vals, ok = scanned(metric, n, seed=4)
     idx = int(np.argmin(vals))
     assert (res.min_value, res.n_valid) == (float(vals[idx]), int(ok.sum()))
-    assert np.array_equal(res.u, U[idx]) and np.array_equal(res.v, V[idx])
+    assert same_bits(res.u, W[idx]) and same_bits(res.v, W[idx + 1])
+    U, V = scan_sequence(metric, n, seed=4)
+    assert same_bits(W[:-1], U) and same_bits(W[1:], V)
+    batch, batch_ok = metric.sectional_batch(U, V)
+    assert same_bits(batch_ok, ok)
+    assert np.all(np.abs(batch - vals) <= 1e-14 * np.maximum(1.0, np.abs(vals)))
 
 
 def test_scan_blocks_fill_one_float_budget():
@@ -333,14 +346,15 @@ def test_scan_blocks_hold_at_least_the_floor():
     """An operator that keeps many pairs gets blocks of _MIN_BLOCK planes,
     more than its float budget holds: the su(2)^14 and ^16 diagonals
     (K = 588, 768) would get 60 and 46. The su(2)^13 diagonal (K = 507)
-    keeps its budget's 69."""
+    keeps its budget's 69. A scan of 2B + 3 planes on the su(2)^16
+    diagonal reports the least value its kernel gave (scanned), bit for
+    bit."""
     for factors, budget, block in ((13, 69, 69), (14, 60, 64), (16, 46, 64)):
         metric = diag_metric(factors, 1.5)
         assert deform._BLOCK_FLOATS // metric._block_floats(0) - 1 == budget
         assert metric._scan_block == block
-    res = scan_min_sectional(metric, n_planes=2 * block + 3, seed=1)
-    U, V = scan_sequence(metric, 2 * block + 3, seed=1)
-    assert res.min_value == float(np.min(metric.sectional_batch(U, V)[0]))
+    res, _, vals, _ = scanned(metric, 2 * block + 3, seed=1)
+    assert res.min_value == float(np.min(vals))
 
 
 @pytest.mark.parametrize("make, factors", [(span_i_metric, 1),
@@ -497,27 +511,59 @@ def test_a_chunked_draw_is_one_draw(monkeypatch):
     assert same_bits(W[:g], want)
 
 
-def test_every_block_rotates_a_vector_the_same():
-    """BLAS rounds the last columns of a product, and a product of one
-    column, otherwise than the rest on su(2)^6 and up, so a vector rotated
-    at the end of one block's product and again inside the next block's
-    came out different. The scans rotate whole runs of each view (_RUN),
-    and a view's last run alone, so every block starts with its
-    predecessor's last vector, bit for bit (see scanned):
-    - on su(2)^12 diagonal, over blocks of 82 planes, where the sequence
-      is also that of one product over each view (scan_sequence);
+def test_every_block_starts_at_its_predecessors_last_vector():
+    """A block's first vector is carried from its predecessor's last
+    column, so no vector is rotated twice and every block starts with its
+    predecessor's last vector, bit for bit (scanned asserts it):
+    - on the su(2)^12 diagonal, over blocks of 82 planes against views of
+      251 vectors, where each vector is within 1e-14 of one product over
+      its whole view (scan_sequence);
     - on su(2)^16 span-i at 6900 planes, blocks of 575 and views of 863,
-      where view 1 ends where block 2 does: block 2 rotates the view's
-      last run beside 512 columns before it, and block 3 rotates its last
-      vector again."""
+      where view 1 ends where block 2 does."""
     metric = diag_metric(12, 1.5)
     assert metric._scan_block == 82
     W = scanned(metric, 2000, seed=0)[1]
     U, V = scan_sequence(metric, 2000, seed=0)
-    assert same_bits(W[:-1], U) and same_bits(W[1:], V)
+    assert np.max(np.abs(W[:-1] - U)) <= 1e-14
+    assert np.max(np.abs(W[1:] - V)) <= 1e-14
     metric = span_i_metric(16, 1.5)
     assert metric._scan_block == 575 and 3 * 575 == 2 * 863 - 1
     scanned(metric, 6900, seed=0)
+
+
+@pytest.mark.parametrize("make, factors, full", [(span_i_metric, 2, 2),
+                                                 (diag_metric, 3, 2),
+                                                 (diag_metric, 12, 2),
+                                                 (diag_metric, 12, 10)])
+@pytest.mark.parametrize("last", [False, True], ids=["second", "ragged-last"])
+def test_a_least_plane_at_a_block_start_reports_the_carried_vector(
+        monkeypatch, make, factors, full, last):
+    """Where the least value lies at plane 0 of a block, its u is the
+    vector carried from the block before, and the reported plane is the
+    pair the kernel saw, bit for bit: with a kernel that gives every plane
+    1 but that one 0, and then writes over its block's vectors as the real
+    kernel does, on scans of full blocks of B planes and a ragged last
+    block of 5, at the second block and at the last one. On the su(2)^12
+    diagonal (B = 82) the views are shorter than a block at two full
+    blocks (22 vectors) and longer at ten (104)."""
+    metric = make(factors, 1.5)
+    B = metric._scan_block
+    n, calls = full * B + 5, []
+    block = full if last else 1
+
+    def kernel(S, shift, work, vals):
+        vals.fill(1.0)
+        if len(calls) == block:
+            vals[0] = 0.0
+        calls.append(len(vals))
+        S.fill(np.nan)
+        return np.ones(len(vals), dtype=bool)
+
+    monkeypatch.setattr(metric, "_sectional_block", kernel)
+    res, W, vals, _ = scanned(metric, n, seed=2)
+    assert calls == [B] * full + [5]
+    assert (res.min_value, res.n_valid) == (0.0, n)
+    assert same_bits(res.u, W[block * B]) and same_bits(res.v, W[block * B + 1])
 
 
 @pytest.mark.parametrize("make, factors, a", [
@@ -657,13 +703,23 @@ def test_the_shifted_wedge_keeps_the_two_frame_floats(factors, split):
 def one_call(metric, U, V):
     """sectional_batch's values and flags and curvature_of_pair's values
     on the pairs U, V (N, n, 3), each from one unblocked kernel call on all
-    N pairs, as those methods took them before they took blocks."""
+    N pairs, as those methods took them before they took blocks. The
+    columns lie where _pair_blocks lays a block's out, at the end of a
+    workspace (_columns): under one BLAS thread, a product's last columns
+    can round otherwise when its operand lies elsewhere, as in a fresh
+    np.concatenate result (pairs 2626-2627 of 2631 on the su(2)^2
+    diagonal, by 1.1e-16 of their value)."""
     N, d = len(U), metric.algebra.dim
-    S, raw = (np.concatenate([X.reshape(N, d).T for X in pair], axis=1)
-              for pair in ((_binade(U), _binade(V)), (U, V)))
+    laid = []
+    for pair in ((_binade(U), _binade(V)), (U, V)):
+        work = metric._workspace(N, N)
+        S = metric._columns(work, 2 * N)
+        S[:, :N], S[:, N:] = (X.reshape(N, d).T for X in pair)
+        laid.append((S, work))
+    (S, work), (raw, raw_work) = laid
     vals = np.full(N, np.inf)
-    ok = metric._sectional_block(S, N, None, vals)
-    return vals, ok, metric._bivector_form(raw, N, None)[1]
+    ok = metric._sectional_block(S, N, work, vals)
+    return vals, ok, metric._bivector_form(raw, N, raw_work)[1]
 
 
 @pytest.mark.parametrize("make, factors", SCAN_METRICS)

@@ -163,6 +163,8 @@ _ORACLE_RTOL = 1e-6
 #: evaluation on the planes measured at both ends.
 A_MIN = 1e-7
 A_MAX = 1e6
+#: The largest float, an integer: |p| <= _FLOAT_MAX q is |p/q| <= it.
+_FLOAT_MAX = int(sys.float_info.max)
 #: Vectors of a random-plane scan's sequence per drawn vector (see _scan).
 _VIEWS = 8
 #: The seed of the fixed rotations of _views, fixed before their scans'
@@ -314,7 +316,8 @@ class DeformedMetric:
     def __init__(self, split, a):
         exact = exact_real(a, "deformation scale a")
         # the range is read on the float; one past every float reads as inf
-        a = float(exact) if abs(exact) <= sys.float_info.max else math.inf
+        p, q = exact.numerator, exact.denominator
+        a = float(exact) if abs(p) <= _FLOAT_MAX * q else math.inf
         if not A_MIN <= a <= A_MAX:
             raise ParameterError(
                 "deformation scale a must lie in [{:g}, {:g}], got {:g}".format(
@@ -756,19 +759,24 @@ def _nonnegative_rule(metric):
     - a <= 1: the (P, Z) block is positive semidefinite.
     - k an ideal: m is one too, so P = [A,B]_k = 0 and the rest is a sum
       of squares for every a. The ideals of su(2)^n are the sums of whole
-      factors, so k is one exactly when its basis has nonzero entries on
-      exactly dim_k / 3 factors.
+      factors, so k is one exactly when dim_k is a multiple of 3 and its
+      basis has nonzero entries on exactly dim_k / 3 factors; only then
+      are the factors counted.
     - k abelian and a <= 4/3: Z = 0 and 1 - 3a/4 >= 0. k is abelian when
       it has rank 1 or when every pair of its basis vectors brackets to
       exactly zero (ReductiveSplit.is_abelian, read once per metric as
-      DeformedMetric._abelian)."""
-    a = metric.a_exact
-    if a <= 1:
+      DeformedMetric._abelian).
+
+    The scale is compared on the integers of a_exact = p/q, whose
+    denominator is positive: a <= 1 is p <= q and 3a <= 4 is 3p <= 4q."""
+    p, q = metric.a_exact.numerator, metric.a_exact.denominator
+    if p <= q:
         return "a <= 1"
     split = metric.split
-    if 3 * np.count_nonzero(split.k_basis.any(axis=(0, 2))) == split.dim_k:
+    if split.dim_k % 3 == 0 and \
+            3 * np.count_nonzero(split.k_basis.any(axis=(0, 2))) == split.dim_k:
         return "ideal"
-    if 3 * a <= 4 and metric._abelian:
+    if 3 * p <= 4 * q and metric._abelian:
         return "abelian"
     return None
 
@@ -782,22 +790,22 @@ class _Witness(namedtuple("_Witness", "u v value frame oracle plane")):
     __slots__ = ()
 
 
-def _witness(metric, u, v, uu, vv, curvature, plane):
+def _witness(metric, u, v, uu, vv, value, plane):
     """The _Witness of the exact plane (u, v), described by plane, given
-    Q_a-orthogonal with exact Q_a norms squared uu and vv and exact
-    unnormalized curvature: its value is curvature / (uu vv), and
+    Q_a-orthogonal with Q_a norms squared uu and vv, exact or their
+    correctly rounded floats, and exact sectional curvature value:
     (u / sqrt(uu), v / sqrt(vv)) is its frame. The float connection
     oracle at the frame must agree with the value to _ORACLE_RTOL of
     max(1, |value|), or AssertionError is raised. The sign is the exact
     value's: just past the scale where the plane turns negative, the
     oracle's float scale may lie below it."""
-    value = curvature / (uu * vv)
     frame = (u.astype(float) / math.sqrt(uu), v.astype(float) / math.sqrt(vv))
     oracle = float(metric.curvature_oracle_of_pair(*frame))
-    if abs(oracle - float(value)) > _ORACLE_RTOL * max(1.0, abs(float(value))):
+    rounded = float(value)
+    if abs(oracle - rounded) > _ORACLE_RTOL * max(1.0, abs(rounded)):
         raise AssertionError(
             "exact value {} ({!r}) and oracle {!r} disagree on the witness "
-            "plane".format(value, float(value), oracle))
+            "plane".format(value, rounded, oracle))
     return _Witness(u, v, value, frame, oracle, plane)
 
 
@@ -824,14 +832,17 @@ def _circle_witness(metric):
     of its entries, a power of two. Then p_t = P_t / D with
     P_t = Z_t x e, and q_t = (Z_t x P_t) / (2 |P_t|^2), in which D
     cancels; each entry becomes a Fraction once, and zero entries stay
-    the int 0."""
+    the int 0. |A|^2 = PP / D^2 and |B|^2 = BN / BD are kept as integer
+    pairs, so with a = p/q the value is the one Fraction
+    (4q - 3p) ZZ BD / (4q PP BN)."""
     Fraction = type(metric.a_exact)  # deform never imports fractions
 
     rows = metric.split.k_basis[0].tolist()
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     D = max(den for row in ratios for _, den in row)
     A, B = np.zeros((2, len(rows), 3), dtype=object)
-    ZZ = PP = BB = 0
+    ZZ = PP = BN = 0
+    BD = 1
     for t, (row, ratio) in enumerate(zip(rows, ratios)):
         if not any(row):
             continue
@@ -844,9 +855,11 @@ def _circle_witness(metric):
         B[t] = [Fraction(x, 2 * pp) if x else 0 for x in Q]
         ZZ += sum(x * x for x in Z)
         PP += pp
-        BB += Fraction(sum(x * x for x in Q), 4 * pp * pp)
-    return _witness(metric, A, B, Fraction(PP, D * D), BB,
-                    (1 - 3 * metric.a_exact / 4) * Fraction(ZZ, D * D),
+        # BN / BD += |q_t|^2 = |Q_t|^2 / (4 pp^2)
+        BN, BD = BN * 4 * pp * pp + sum(x * x for x in Q) * BD, BD * 4 * pp * pp
+    p, q = metric.a_exact.numerator, metric.a_exact.denominator
+    return _witness(metric, A, B, PP / (D * D), BN / BD,
+                    Fraction((4 * q - 3 * p) * ZZ * BD, 4 * q * PP * BN),
                     "a plane in m")
 
 
@@ -877,8 +890,9 @@ def _diagonal_witness(metric):
     A[0, 0], A[1, 0] = a, -a
     B[:, 2] = -a
     B[1, 2] = (n - 1) * a
-    return _witness(metric, A + X, B + Y, (A * A).sum() + a * n,
-                    (B * B).sum() + a * n, a * (1 - a) ** 3 * (1 + 3 * a) * n,
+    uu, vv = (A * A).sum() + a * n, (B * B).sum() + a * n
+    return _witness(metric, A + X, B + Y, uu, vv,
+                    a * (1 - a) ** 3 * (1 + 3 * a) * n / (uu * vv),
                     "the plane of u = A + X, v = B + Y (A, B in m; X, Y in k)")
 
 
@@ -895,7 +909,8 @@ def _decide(metric):
     if rule is not None:
         return "nonnegative", rule
     split = metric.split
-    if split.dim_k == 1 and 3 * metric.a_exact > 4:
+    a = metric.a_exact
+    if split.dim_k == 1 and 3 * a.numerator > 4 * a.denominator:
         return "negative", _circle_witness(metric)
     if _is_diagonal(split):
         return "negative", _diagonal_witness(metric)

@@ -7,16 +7,22 @@ cover malformed mathematical input (wrong congruence class, non-orthonormal
 basis); parameter errors cover out-of-range knobs (negative deformation
 scale, missing truncation bound).
 
-The layers check their arguments through five helpers kept here, next to
+The layers check their arguments through six helpers kept here, next to
 the exceptions they raise: require_int (a ParameterError unless the value
 is an int and not a bool), require_count (one unless it is an int in
 [1, cap]), require_seed (one unless it is an int of at least 0),
 require_label (a ValidationError unless it is an integer label
-congruent to 1 mod 4) and exact_real. Every scale, radius, step and lam
-a caller passes is read once, by exact_real, as the Fraction it holds: a
-float 1.05 is the binary number it stores, and the CLI reads the text
-"1.05" as 21/20. Only then do the layers compare or round it.
+congruent to 1 mod 4), exact_real and disc_radius. Every scale, radius
+and lam a caller passes is read once, by exact_real, as the Fraction it
+holds: a float 1.05 is the binary number it stores, and the CLI reads
+the text "1.05" as 21/20. Only then do the layers compare or round it. A
+grid step is read the same way unless it is a finite float, which the
+layers compare exactly as it is. A profile's radius t is a float, read
+once by disc_radius.
 """
+
+import functools
+import math
 
 
 class MilnorError(Exception):
@@ -84,18 +90,28 @@ def require_label(p, name):
             "{} must be congruent to 1 mod 4, got {}".format(name, p))
 
 
+@functools.cache
+def _exact_types():
+    """Fraction and numbers.Integral, imported on the first exact read:
+    the integer layers never load fractions."""
+    from fractions import Fraction
+    from numbers import Integral  # loaded already by fractions
+
+    return Fraction, Integral
+
+
 def exact_real(x, name):
     """The exact value of the finite real number x, as a Fraction.
 
-    A Fraction is returned as it is, an int or a numpy integer as the
-    Fraction of its value, and a float, a numpy float or a Decimal as the
-    number it holds (so 0.1 is 3602879701896397/36028797018963968). Raise
-    ParameterError for anything else: a bool (float() reads True as 1), a
-    str or bytes, None, a complex number, NaN or an infinity."""
-    from fractions import Fraction  # the integer layers never load it
-    from numbers import Integral  # loaded already by fractions
-
-    if isinstance(x, Fraction):
+    A Fraction is returned as it is, a subclass of it, an int or a numpy
+    integer as the Fraction of its value, and a float, a numpy float or a
+    Decimal as the number it holds (so 0.1 is
+    3602879701896397/36028797018963968). So type() of the result is
+    Fraction, and the layers build exact values of its integers with it.
+    Raise ParameterError for anything else: a bool (float() reads True as
+    1), a str or bytes, None, a complex number, NaN or an infinity."""
+    Fraction, Integral = _exact_types()
+    if type(x) is Fraction:
         return x
     if not isinstance(x, bool):
         if isinstance(x, Integral):
@@ -106,3 +122,21 @@ def exact_real(x, name):
             pass  # no ratio (str, None, complex, np.True_), NaN, infinite
     raise ParameterError(
         "{} must be a finite real number, got {!r}".format(name, x))
+
+
+def disc_radius(t):
+    """The float of t, a radius on a profile's disc: a real number of at
+    least 0 whose float is finite. A float is taken as it is; anything
+    else is read by exact_real, compared with 0 exactly and then rounded.
+    Raise ParameterError for anything else: NaN, an infinity, a negative
+    number, one past the floats, and whatever exact_real refuses."""
+    if isinstance(t, float) and 0.0 <= t < math.inf:
+        return float(t)
+    exact = exact_real(t, "radius t")
+    if exact.numerator < 0:
+        raise ParameterError("radius t must be at least 0, got {!r}".format(t))
+    try:
+        return float(exact)
+    except OverflowError:
+        raise ParameterError(
+            "radius t must have a finite float, got {!r}".format(t)) from None

@@ -16,23 +16,27 @@ the whole construction lives in the window 1 < a <= 4/3.
 The built-in profile, the capped sine F sin(t/F) of
 ProfileFunction.capped_sine, proves its shape clauses from its closed
 form: neither its construction nor its certificate evaluates f, f' or
-f'' on the grid, and its samples are built only when something reads
-them, such as export_csv. A profile built from other closed forms has no
-such proof: it is validated and its clauses are checked on samples at
-the grid points, and their detail says so.
+f'' on the grid, and its grid and samples are built only when something
+reads them, such as export_csv. A profile built from other closed forms
+has no such proof: it is validated and its clauses are checked on
+samples at the grid points, and their detail says so.
+
+The scale tests read the integers of the exact values: with a = p/q
+and r = s/u (positive denominators), a > 1 is p > q, r > 0 is s > 0,
+and the matching level is p s^2 / ((p - q) u^2), built as one Fraction.
 """
 
 import csv
 import math
 import sys
 from collections import namedtuple
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from .deform import MAX_PLANES, _decide, scan_min_sectional
 from .errors import (NoFiniteMatchingError, ParameterError, ProfileError,
-                     exact_real, require_count, require_seed)
+                     disc_radius, exact_real, require_count, require_seed)
 
 #: The plateau values F = r sqrt(a/(a-1)) that glue_params accepts: those
 #: on which building, certifying and exporting a capped-sine profile runs
@@ -51,15 +55,24 @@ PLATEAU_MAX = 1e154
 #: np.arange with a bare ValueError, and one leaving 1e9 would have taken
 #: gigabytes before any check.
 MAX_GRID_POINTS = 10 ** 6
+#: The integer ratios of the floats PLATEAU_MIN ** 2 and PLATEAU_MAX ** 2,
+#: the exact bounds of the plateau square.
+_PLATEAU_SQ_MIN = (PLATEAU_MIN ** 2).as_integer_ratio()
+_PLATEAU_SQ_MAX = (PLATEAU_MAX ** 2).as_integer_ratio()
 
 
-@cache
-def _plateau_sq_bounds(fraction):
-    """The exact values, as the Fraction type fraction, of the floats
-    PLATEAU_MIN ** 2 and PLATEAU_MAX ** 2 that bound the plateau square.
-    Comparing a Fraction with a float converts the float on every call;
-    these are converted once."""
-    return fraction(PLATEAU_MIN ** 2), fraction(PLATEAU_MAX ** 2)
+def _level(a, r):
+    """The numerator and denominator of a r^2 / (a - 1) for the exact a
+    and r, p s^2 and (p - q) u^2 for a = p/q and r = s/u, not reduced;
+    ParameterError unless r > 0, NoFiniteMatchingError unless a > 1."""
+    p, q = a.numerator, a.denominator
+    s, u = r.numerator, r.denominator
+    if s <= 0:
+        raise ParameterError("radius r must be positive")
+    if p <= q:
+        raise NoFiniteMatchingError(
+            "no finite matching level for a <= 1 (got a = {})".format(_show(a)))
+    return p * s * s, (p - q) * u * u
 
 
 def matching_level_sq(a, r):
@@ -68,12 +81,7 @@ def matching_level_sq(a, r):
     finite level and r > 0.
     """
     a, r = exact_real(a, "a"), exact_real(r, "radius r")
-    if r <= 0:
-        raise ParameterError("radius r must be positive")
-    if a <= 1:
-        raise NoFiniteMatchingError(
-            "no finite matching level for a <= 1 (got a = {})".format(_show(a)))
-    return a / (a - 1) * r * r
+    return type(a)(*_level(a, r))   # glue never imports fractions
 
 
 class GlueParams(namedtuple("GlueParams",
@@ -95,15 +103,21 @@ def glue_params(a, r):
     """GlueParams for scale a and radius r; raises ParameterError when the
     plateau lies outside [PLATEAU_MIN, PLATEAU_MAX]."""
     a, r = exact_real(a, "a"), exact_real(r, "radius r")
-    psq = matching_level_sq(a, r)
-    low, high = _plateau_sq_bounds(type(psq))   # glue never imports fractions
-    if not low <= psq <= high:
+    n, d = _level(a, r)
+    (low_n, low_d), (high_n, high_d) = _PLATEAU_SQ_MIN, _PLATEAU_SQ_MAX
+    if not (low_n * d <= n * low_d and n * high_d <= high_n * d):
         raise ParameterError(
             "a = {} and r = {} put the plateau r sqrt(a/(a-1)) outside "
             "[{:g}, {:g}]".format(_show(a), _show(r), PLATEAU_MIN, PLATEAU_MAX))
-    plateau = math.sqrt(float(psq))
-    return GlueParams(a=a, r=r, plateau=plateau, plateau_sq=psq,
+    # n / d rounds correctly, as the float of the square does
+    plateau = math.sqrt(n / d)
+    return GlueParams(a=a, r=r, plateau=plateau, plateau_sq=type(a)(n, d),
                       t_plateau=math.pi * plateau / 2.0)
+
+
+def _at(fn, t):
+    """The closed form fn at the float t, as a float."""
+    return float(fn(np.asarray(t, dtype=float)))
 
 
 class ProfileFunction:
@@ -115,10 +129,11 @@ class ProfileFunction:
     the GlueParams the profile is built for; t_plateau, plateau and
     plateau_sq are read from it. The grid (step grid_step, running past
     the plateau to 1.25 t_plateau, at most MAX_GRID_POINTS points) is
-    built at construction. The table of f, f', f'' on it
-    and at the join points t_plateau -+ 1e-9 t_plateau is built on its
-    first read, by sample(), validate() or export_csv, and each closed
-    form runs once for it.
+    built on its first read; construction checks its step and size. The
+    table of f, f', f'' on it and at the join points
+    t_plateau -+ 1e-9 t_plateau is built on its first read, by sample(),
+    validate() or export_csv, and each closed form runs once for it. The
+    evaluations read their radius t through errors.disc_radius.
 
     Construction validates the profile: by _proof, the closed-form proof
     of its shape clauses, where the profile has one (capped_sine), and by
@@ -136,18 +151,20 @@ class ProfileFunction:
         self.plateau_sq = glue.plateau_sq
         if grid_step is None:
             grid_step = self.t_plateau / 1000.0
-        step = exact_real(grid_step, "grid_step")
+        # a finite float compares with t_plateau exactly as it is; any
+        # other step is read exactly first
+        if not isinstance(grid_step, float) or not math.isfinite(grid_step):
+            grid_step = exact_real(grid_step, "grid_step")
         # exactly, then on the float the grid is built from
-        if not 0 < step < self.t_plateau or not float(step):
+        if not 0 < grid_step < self.t_plateau or not float(grid_step):
             raise ParameterError("grid_step must be in (0, t_plateau)")
-        self.grid_step = float(step)
+        self.grid_step = float(grid_step)
         span = 1.25 * self.t_plateau / self.grid_step   # steps, maybe inf
         if not span <= MAX_GRID_POINTS - 1:
             raise ParameterError(
                 "grid_step must leave at most {} grid points, got {:.3g}".format(
                     MAX_GRID_POINTS, span + 1))
-        n = int(math.ceil(span))
-        self.grid = np.arange(n + 1) * self.grid_step
+        self._steps = math.ceil(span)
         if self._proof() is None:
             self.validate()
 
@@ -183,6 +200,11 @@ class ProfileFunction:
         return None
 
     @cached_property
+    def grid(self):
+        """The grid points 0, grid_step, ..., past 1.25 t_plateau."""
+        return np.arange(self._steps + 1) * self.grid_step
+
+    @cached_property
     def _ts(self):
         """The grid, then the join points t_plateau -+ 1e-9 t_plateau."""
         eps = 1e-9 * self.t_plateau
@@ -199,28 +221,32 @@ class ProfileFunction:
 
     # -- evaluation ---------------------------------------------------------
 
+    # Each takes a radius t, a real number >= 0 with a finite float, and
+    # raises ParameterError for anything else (errors.disc_radius).
+
     def value(self, t):
-        return float(self._f(np.asarray(t, dtype=float)))
+        return _at(self._f, disc_radius(t))
 
     def derivative(self, t):
-        return float(self._fp(np.asarray(t, dtype=float)))
+        return _at(self._fp, disc_radius(t))
 
     def second_derivative(self, t):
-        return float(self._fpp(np.asarray(t, dtype=float)))
+        return _at(self._fpp, disc_radius(t))
 
     def value_sq(self, t):
         """f(t)^2: on the plateau the exact plateau square."""
-        if float(t) >= self.t_plateau:
+        t = disc_radius(t)
+        if t >= self.t_plateau:
             return self.plateau_sq
-        return self.value(t) ** 2
+        return _at(self._f, t) ** 2
 
     def disc_curvature(self, t):
         """Rotational curvature -f''/f; undefined at the origin."""
-        t = float(t)
-        f = self.value(t)
+        t = disc_radius(t)
+        f = _at(self._f, t)
         if f == 0.0:
             raise ParameterError("disc curvature is undefined where f = 0")
-        return -self.second_derivative(t) / f
+        return -_at(self._fpp, t) / f
 
     def sample(self):
         """The grid and f on it, from the sample table."""
@@ -298,10 +324,18 @@ class _CappedSine(ProfileFunction):
 
 
 def _orbit_factor(f2, a, r):
-    """f^2 a / (f^2 + a r^2), as f^2 / (f^2 / a + r^2) so that no float
-    exceeds the plateau square; exact when f^2 is exact, as it is on the
-    plateau."""
-    return f2 / (f2 / a + r * r)
+    """f^2 a / (f^2 + a r^2) of the exact a and r. For a float f^2, as
+    f^2 / (f^2 / a + r^2) so that no float exceeds the plateau square.
+    For an exact f^2 = N/D, as it is on the plateau, one Fraction of
+    integer products: with a = p/q and r = s/u it is
+    N p u^2 / (N q u^2 + D p s^2)."""
+    if isinstance(f2, float):
+        return f2 / (f2 / a + r * r)
+    n, d = f2.numerator, f2.denominator
+    p, q = a.numerator, a.denominator
+    s, u = r.numerator, r.denominator
+    nu2 = n * u * u
+    return type(a)(nu2 * p, nu2 * q + d * p * s * s)
 
 
 def orbit_metric_factor(profile, t):
@@ -400,9 +434,10 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
     clauses = []
     a = metric.a
 
-    # decided on the exact scale: a float just past 4/3 is past it
+    # decided on the exact scale p/q: a float just past 4/3 is past it
     exact = metric.a_exact
-    in_window = 1 < exact and 3 * exact <= 4
+    p, q = exact.numerator, exact.denominator
+    in_window = q < p and 3 * p <= 4 * q
     clauses.append(ClauseResult(
         "deformation_range", in_window, a, 4.0 / 3.0,
         "need 1 < a <= 4/3"))
@@ -413,12 +448,18 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
         "shrunk subalgebra must be abelian for nonnegativity at a > 1"))
 
     # exact too: a profile just past 4/3 must not match a metric at 4/3
-    scale_gap = abs(params.a - exact)
-    shown = float(scale_gap) if scale_gap <= sys.float_info.max else math.inf
+    same = params.a == exact
+    if same:
+        shown = 0.0
+    else:
+        scale_gap = abs(params.a - exact)
+        shown = float(scale_gap) if scale_gap <= sys.float_info.max else math.inf
     clauses.append(ClauseResult(
-        "scale_match", scale_gap == 0, shown, 0.0,
+        "scale_match", same, shown, 0.0,
         "profile and metric must use the same exact deformation scale"))
-    gap = float(abs(profile.value_sq(profile.t_plateau) - params.plateau_sq))
+    level = profile.value_sq(profile.t_plateau)
+    gap = 0.0 if level == params.plateau_sq else float(
+        abs(level - params.plateau_sq))
     clauses.append(ClauseResult(
         "plateau_match", gap <= 1e-8, gap, 1e-8,
         "plateau square must equal a r^2/(a-1)"))

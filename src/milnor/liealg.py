@@ -246,7 +246,9 @@ class ReductiveSplit:
         2 x * y vanishes exactly when x_l y_m = x_m y_l for each pair of
         components l, m. Equal products round to equal floats, so a pair
         whose float bracket is nonzero does not commute. A rank-1 k has no
-        pair and is abelian."""
+        pair and is abelian, with nothing to compute."""
+        if self.dim_k == 1:
+            return True
         if self._pair_brackets.any():
             return False
         from fractions import Fraction  # `import milnor.liealg` never loads it

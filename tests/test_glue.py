@@ -145,6 +145,18 @@ def test_gluing_data_are_read_exactly():
     assert glue_params(Decimal("1.000000001"), 1).plateau == 31622.776617495183
 
 
+def test_a_fraction_subclass_is_read_as_a_fraction():
+    """exact_real reads a Fraction subclass as the Fraction of its value,
+    so the exact values glue builds from its integers are Fractions."""
+    class Scale(Fraction):
+        pass
+
+    params = glue_params(Scale(4, 3), Scale(5, 3))
+    assert type(params.a) is type(params.r) is type(params.plateau_sq) is Fraction
+    assert params.plateau_sq == Fraction(100, 9)
+    assert type(matching_level_sq(Scale(4, 3), 1)) is Fraction
+
+
 def test_matching_level_needs_an_overshoot():
     with pytest.raises(NoFiniteMatchingError):
         matching_level_sq(1, 1)
@@ -403,14 +415,17 @@ def test_profile_closed_forms_run_a_fixed_number_of_times(tmp_path):
 def test_certifying_a_capped_sine_builds_no_samples(monkeypatch):
     """The capped sine's three profile clauses come from its closed form:
     construction and the certificate evaluate none of f, f', f'' on the
-    grid, and they pass at 0.0 with a detail saying they are proven."""
+    grid, nor build the grid, and they pass at 0.0 with a detail saying
+    they are proven."""
     sampled = []
     monkeypatch.setattr(glue, "_sampled_shape", sampled.append)
     for a, step in ((Fraction(4, 3), None), (Fraction(6, 5), 0.001)):
         profile = ProfileFunction.capped_sine(a, 1, grid_step=step)
+        assert "grid" not in vars(profile)
         cert = nonneg_certificate(profile, circle_metric(a), planes=100)
         assert cert.passed and sampled == []
         assert "_samples" not in vars(profile) and "_ts" not in vars(profile)
+        assert "grid" not in vars(profile)
         for name in ("profile_shape", "disc_curvature", "product_near_boundary"):
             clause = cert.clause(name)
             assert clause.passed and clause.value == 0.0
@@ -595,6 +610,91 @@ def test_the_scan_never_contradicts_a_proof(case):
     metric = named_metric(*case)
     assert deform._decide(metric)[0] == "nonnegative"
     assert scan_min_sectional(metric, 10_000).min_value >= -1e-9
+
+
+@pytest.mark.parametrize("a, r", [
+    (Fraction(4, 3), 1), (Fraction(31, 24), Fraction(5, 3)),
+    (Fraction(11, 10), Fraction(7, 2)), (1.2, 0.7),
+    (Fraction(3, 2), Fraction(8, 3))])
+@pytest.mark.parametrize("fine", [False, True], ids=["default", "fine"])
+def test_a_grid_built_on_first_read_is_the_grid_built_at_construction(a, r,
+                                                                      fine):
+    """The grid a read builds is np.arange(n + 1) * step, with
+    n = ceil(1.25 t_plateau / step), bit for bit and size for size the
+    grid construction used to build, at the default step t_plateau/1000
+    and at t_plateau/10000; later reads return the same array."""
+    t0 = glue_params(a, r).t_plateau
+    step = t0 / 10000 if fine else None
+    profile = ProfileFunction.capped_sine(a, r, grid_step=step)
+    assert "grid" not in vars(profile)
+    step = profile.grid_step
+    assert step == (t0 / 10000 if fine else t0 / 1000.0)
+    want = np.arange(int(math.ceil(1.25 * t0 / step)) + 1) * step
+    grid = profile.grid
+    assert grid.size == want.size and grid.tobytes() == want.tobytes()
+    assert profile.grid is grid
+
+
+def test_the_grid_step_is_compared_exactly_on_floats_and_fractions():
+    """A float step is compared with t_plateau as the float it is and an
+    exact step as its exact value, so a step at t_plateau or a hair past
+    it is refused either way, and a hair below it is taken, as its float,
+    which may be t_plateau's."""
+    t0 = glue_params(Fraction(4, 3), 1).t_plateau
+    below, above = math.nextafter(t0, 0.0), math.nextafter(t0, math.inf)
+    for step in (t0, above, Fraction(t0), Fraction(t0) + Fraction(1, 10 ** 30),
+                 np.float64(t0)):
+        with pytest.raises(ParameterError, match="^grid_step must be in"):
+            ProfileFunction.capped_sine(Fraction(4, 3), 1, grid_step=step)
+    for step in (below, Fraction(t0) - Fraction(1, 10 ** 30), np.float64(below)):
+        profile = ProfileFunction.capped_sine(Fraction(4, 3), 1, grid_step=step)
+        assert profile.grid_step == float(step) and profile.grid.size == 3
+
+
+EVALUATIONS = {
+    "value": lambda profile, t: profile.value(t),
+    "derivative": lambda profile, t: profile.derivative(t),
+    "second_derivative": lambda profile, t: profile.second_derivative(t),
+    "value_sq": lambda profile, t: profile.value_sq(t),
+    "disc_curvature": lambda profile, t: profile.disc_curvature(t),
+    "orbit_metric_factor": orbit_metric_factor,
+}
+
+
+@pytest.mark.parametrize("t, message", [
+    (math.nan, "a finite real number, got nan"),
+    (math.inf, "a finite real number, got inf"),
+    (-1.0, "at least 0, got -1.0"),
+    (-Fraction(1, 10 ** 400), "at least 0, got Fraction"),
+    (10 ** 400, "a finite float, got 1000"),
+    ("x", "a finite real number, got 'x'"),
+    (None, "a finite real number, got None"),
+    (True, "a finite real number, got True")],
+    ids=["nan", "inf", "negative", "negative-exact", "past-the-floats", "str",
+         "none", "bool"])
+@pytest.mark.parametrize("name", sorted(EVALUATIONS))
+def test_profile_evaluations_refuse_a_bad_radius(name, t, message):
+    """Each evaluation reads its radius t through errors.disc_radius. At
+    a NaN orbit_metric_factor used to return 1.0, claiming the boundary
+    matched, value_sq 4.0 and disc_curvature -0.0; "x" raised a bare
+    ValueError and None a TypeError; and -1.0 was evaluated on the odd
+    extension of F sin(t/F)."""
+    profile = ProfileFunction.capped_sine(Fraction(4, 3), 1)
+    with pytest.raises(ParameterError,
+                       match="^radius t must (be|have) " + message):
+        EVALUATIONS[name](profile, t)
+
+
+@pytest.mark.parametrize("t", [0, 0.0, -0.0, np.float64(1.0), Fraction(1, 2),
+                               Decimal("0.5"), np.int64(3), 10 ** 300])
+def test_profile_evaluations_take_any_real_radius_of_at_least_0(t):
+    """Any real t >= 0 with a finite float is evaluated at that float."""
+    profile = ProfileFunction.capped_sine(Fraction(4, 3), 1)
+    x = float(t)
+    for name, fn in EVALUATIONS.items():
+        if name == "disc_curvature" and x == 0.0:
+            continue   # undefined at the origin
+        assert fn(profile, t) == fn(profile, x)
 
 
 def no_scan(*args, **kwargs):

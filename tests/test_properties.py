@@ -1,4 +1,5 @@
-"""Property tests for the integer layer.
+"""Property tests for the integer layer, and for the exact scale tests of
+glue and deform against the Fraction expressions they replace.
 
 Hypothesis draws the inputs; every test runs derandomized on a small,
 fixed example budget, so the suite stays deterministic and quick.
@@ -6,13 +7,15 @@ fixed example budget, so the suite stays deterministic and quick.
 
 import inspect
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from milnor import bundles, classify, isotropy
-from milnor.errors import ParameterError, ValidationError
+from milnor import bundles, classify, deform, glue, isotropy
+from milnor.errors import NoFiniteMatchingError, ParameterError, ValidationError
+from milnor.liealg import ReductiveSplit, Su2Power
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=60)
@@ -213,3 +216,116 @@ def test_integer_arguments_reject_non_integers(fn, args, kwargs):
                 fn(*broken_args, **broken_kwargs)
 
     check()
+
+
+# -- the exact scale tests ---------------------------------------------------
+
+FOUR_THIRDS = Fraction(4, 3)
+HAIR = Fraction(1, 10 ** 20)
+DIGITS_400 = st.integers(10 ** 399, 10 ** 400 - 1)
+
+
+def shifted(centre):
+    """centre + k / (3 d) for a 400-digit d and |k| <= 3: on either side of
+    centre, closer to it than 10^-399, or on it."""
+    return st.builds(lambda d, k: centre + Fraction(k, 3 * d), DIGITS_400,
+                     st.integers(-3, 3))
+
+
+#: Scales that DeformedMetric takes: exactly 1 and 4/3, 4/3 -+ 10^-20,
+#: ratios of two 400-digit integers, 400-digit shifts of 1 and 4/3, and
+#: floats, read as the binary numbers they store.
+metric_scales = st.one_of(
+    st.sampled_from([Fraction(1), FOUR_THIRDS, FOUR_THIRDS - HAIR,
+                     FOUR_THIRDS + HAIR]),
+    st.builds(Fraction, DIGITS_400, DIGITS_400),
+    shifted(Fraction(1)), shifted(FOUR_THIRDS),
+    st.floats(deform.A_MIN, deform.A_MAX),
+    st.floats(1.0, 1.5))
+#: Scales and radii of any sign and size, r <= 0 among them.
+any_reals = st.one_of(
+    metric_scales,
+    st.builds(Fraction, st.integers(-10 ** 400, 10 ** 400), DIGITS_400),
+    st.fractions(max_value=0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-3, 3))
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(any_reals, any_reals)
+@example(1, 1)
+@example(FOUR_THIRDS, 1)
+@example(FOUR_THIRDS + HAIR, -0.0)
+@example(1 + Fraction(1, 10 ** 400), 1)
+def test_matching_level_is_the_fraction_expression(a, r):
+    """matching_level_sq and glue_params build a r^2 / (a - 1) from the
+    integers of a and r; it is the Fraction expression a / (a - 1) * r * r,
+    refused as it was, and on the plateau the exact orbit factor is 1."""
+    A, R = Fraction(a), Fraction(r)       # exactly the numbers a and r hold
+    for fn in (glue.matching_level_sq, glue.glue_params):
+        if R <= 0:
+            with pytest.raises(ParameterError,
+                               match="^radius r must be positive$"):
+                fn(a, r)
+        elif A <= 1:
+            with pytest.raises(NoFiniteMatchingError,
+                               match="^no finite matching level for a <= 1"):
+                fn(a, r)
+    if R <= 0 or A <= 1:
+        return
+    want = A / (A - 1) * R * R
+    got = glue.matching_level_sq(a, r)
+    assert type(got) is Fraction and got == want
+    low, high = Fraction(glue.PLATEAU_MIN ** 2), Fraction(glue.PLATEAU_MAX ** 2)
+    if not low <= want <= high:
+        with pytest.raises(ParameterError, match="put the plateau"):
+            glue.glue_params(a, r)
+        return
+    params = glue.glue_params(a, r)
+    assert (params.a, params.r, params.plateau_sq) == (A, R, want)
+    assert params.plateau == math.sqrt(float(want))
+    factor = glue._orbit_factor(params.plateau_sq, params.a, params.r)
+    assert type(factor) is Fraction and factor == 1
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(st.fractions(min_value=0),
+       any_reals.map(Fraction).filter(lambda a: a > 0),
+       any_reals.map(Fraction).filter(bool))
+@example(Fraction(0), Fraction(1), Fraction(1))
+def test_the_exact_orbit_factor_is_the_fraction_expression(f2, a, r):
+    """For an exact f^2, the orbit factor is one Fraction of integer
+    products, equal to f^2 / (f^2 / a + r^2)."""
+    got = glue._orbit_factor(f2, a, r)
+    assert type(got) is Fraction and got == f2 / (f2 / a + r * r)
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(metric_scales, st.integers(1, 3))
+@example(Fraction(1), 1)
+@example(FOUR_THIRDS, 1)
+@example(FOUR_THIRDS, 3)
+@example(FOUR_THIRDS + HAIR, 2)
+@example(FOUR_THIRDS - HAIR, 2)
+def test_the_scale_thresholds_are_the_fraction_comparisons(a, factors):
+    """On span-i, a circle, the certificate's window, the rules and the
+    witness decide on the integers p, q of a = p/q as the Fraction
+    comparisons would: deformation_range passes exactly when
+    1 < a <= 4/3; the rule is "a <= 1" exactly when a <= 1 and "abelian"
+    exactly when, past that, 3a <= 4; the witness is built exactly when
+    3a > 4, with curvature 4 - 3a. The drawn scales include 4/3 itself,
+    so a wrong form such as 3p < 4q fails here."""
+    A = Fraction(a)
+    algebra = Su2Power(factors)
+    direction = algebra.zero()
+    direction[0, 0] = 1.0
+    metric = deform.DeformedMetric(ReductiveSplit.circle(algebra, direction), a)
+    assert deform._nonnegative_rule(metric) == (
+        "a <= 1" if A <= 1 else "abelian" if 3 * A <= 4 else None)
+    verdict, proof = deform._decide(metric)
+    assert (verdict == "negative") == (3 * A > 4)
+    if verdict == "negative":
+        assert proof.value == 4 - 3 * A
+    profile = glue.ProfileFunction.capped_sine(FOUR_THIRDS, 1)
+    cert = glue.nonneg_certificate(profile, metric, planes=10)
+    assert cert.clause("deformation_range").passed == (1 < A <= FOUR_THIRDS)

@@ -18,8 +18,9 @@ ProfileFunction.capped_sine, proves its shape clauses from its closed
 form: neither its construction nor its certificate evaluates f, f' or
 f'' on the grid, and its grid and samples are built only when something
 reads them, such as export_csv. A profile built from other closed forms
-has no such proof: it is validated and its clauses are checked on
-samples at the grid points, and their detail says so.
+has no such proof: construction validates it on samples at the grid
+points, but a grid cannot see between its points, so its certificate
+fails those three clauses and samples nothing.
 
 The scale tests read the integers of the exact values: with a = p/q
 and r = s/u (positive denominators), a > 1 is p > q, r > 0 is s > 0,
@@ -165,7 +166,7 @@ class ProfileFunction:
                 "grid_step must leave at most {} grid points, got {:.3g}".format(
                     MAX_GRID_POINTS, span + 1))
         self._steps = math.ceil(span)
-        if self._proof() is None:
+        if not self._proof()[0].passed:     # no proof: check the samples
             self.validate()
 
     @classmethod
@@ -181,23 +182,32 @@ class ProfileFunction:
         F = params.plateau
         t0 = params.t_plateau
 
+        # np.where evaluates both branches: the argument is capped at t0
+        # so that the discarded one cannot overflow at a large t
         def value(t):
-            return np.where(t < t0, F * np.sin(t / F), F)
+            return np.where(t < t0, F * np.sin(np.minimum(t, t0) / F), F)
 
         def derivative(t):
-            return np.where(t < t0, np.cos(t / F), 0.0)
+            return np.where(t < t0, np.cos(np.minimum(t, t0) / F), 0.0)
 
         def second_derivative(t):
-            return np.where(t < t0, -np.sin(t / F) / F, 0.0)
+            return np.where(t < t0, -np.sin(np.minimum(t, t0) / F) / F, 0.0)
 
         return _CappedSine(value, derivative, second_derivative, params,
                            grid_step)
 
     def _proof(self):
         """The profile_shape, disc_curvature and product_near_boundary
-        clauses, proven from a closed form, or None when the profile has
-        no proof and its clauses are sampled."""
-        return None
+        clauses as a closed form proves them. This profile has no such
+        proof, and construction's grid check cannot see between grid
+        points, so each clause fails with its trivial bound as value:
+        1.0, -inf and +inf."""
+        checked = ("not proven: construction checked the profile only on {} "
+                   "grid points and the two join points".format(self._steps + 1))
+        return (ClauseResult("profile_shape", False, 1.0, 0.0, checked),
+                ClauseResult("disc_curvature", False, -math.inf, -1e-9, checked),
+                ClauseResult("product_near_boundary", False, math.inf, 1e-12,
+                             checked))
 
     @cached_property
     def grid(self):
@@ -254,11 +264,6 @@ class ProfileFunction:
 
     # -- invariants ---------------------------------------------------------
 
-    def _frozen_gap(self):
-        """max(|f - plateau|, |f'|) at each sample point."""
-        f, fp, _ = self._samples
-        return np.fmax(np.abs(f - self.plateau), np.abs(fp))
-
     def validate(self):
         """Raise ProfileError on any violated construction invariant."""
         if abs(self.value(0.0)) > 1e-12:
@@ -268,13 +273,14 @@ class ProfileFunction:
         if abs(slope - 1.0) > 1e-8 or abs(self.derivative(0.0) - 1.0) > 1e-8:
             raise ProfileError(
                 "profile must close the disc with unit slope, got {:.12g}".format(slope))
-        f, _, fpp = self._samples
+        f, fp, fpp = self._samples
         worst = float(np.max(fpp))
         if worst > 1e-9:
             raise ProfileError(
                 "profile must be concave, found f'' = {:.3g}".format(worst))
         past = self._ts >= self.t_plateau
-        unfrozen = past & (self._frozen_gap() > 1e-12)
+        gap = np.fmax(np.abs(f - self.plateau), np.abs(fp))
+        unfrozen = past & (gap > 1e-12)
         nonpositive = ~past & (self._ts > 0.0) & (f <= 0.0)
         bad = np.flatnonzero(unfrozen | nonpositive)
         if bad.size:
@@ -352,50 +358,36 @@ def orbit_metric_factor(profile, t):
 class ClauseResult(namedtuple("ClauseResult",
                               "name passed value tolerance detail",
                               defaults=("",))):
+    """One clause of a GluingCertificate.
+
+    name is the clause's name (nonneg_certificate lists them) and passed
+    whether it holds. value is the quantity the clause reads, as a float:
+    the scale a, the dimension of k, a scale or plateau gap, or, for the
+    three profile clauses and metric_nonneg, the proven bound, and the
+    trivial bound for an unproven clause. A refuted metric_nonneg gives
+    its witness plane's sectional curvature and an undecided one a
+    scan's minimum. tolerance is the bound value is set against, for the
+    reader: passed is the verdict. detail says in words how the clause
+    was decided.
+    """
     __slots__ = ()
 
 
 class GluingCertificate(namedtuple("GluingCertificate", "passed clauses")):
+    """The clauses of nonneg_certificate, a tuple of ClauseResult in its
+    order, and passed, whether every one of them passed."""
     __slots__ = ()
 
     def failed(self):
+        """The clauses that did not pass, as a list in certificate order."""
         return [c for c in self.clauses if not c.passed]
 
     def clause(self, name):
+        """The clause called name; KeyError when there is none."""
         for c in self.clauses:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-
-def _sampled_shape(profile):
-    """The profile_shape, disc_curvature and product_near_boundary clauses
-    of a profile with no proof, read from its sample table; each detail
-    says on how many grid points."""
-    try:
-        profile.validate()
-        shape_ok, shape_msg = True, ""
-    except ProfileError as exc:
-        shape_ok, shape_msg = False, "{}; ".format(exc)
-    n = profile.grid.size
-    shape = ClauseResult(
-        "profile_shape", shape_ok, 0.0 if shape_ok else 1.0, 0.0,
-        "{}sampled on {} grid points and the two join points".format(
-            shape_msg, n))
-
-    f, _, fpp = profile._samples[:, 1:n]            # grid points t > 0
-    min_curv = -math.inf if np.any(f == 0.0) else float(np.min(-fpp / f))
-    curvature = ClauseResult(
-        "disc_curvature", min_curv >= -1e-9, min_curv, -1e-9,
-        "-f''/f sampled on {} grid points".format(n - 1))
-
-    tail = profile._frozen_gap()[:n][profile.grid >= profile.t_plateau]
-    tail_gap = float(np.max(tail)) if tail.size else math.inf
-    frozen = ClauseResult(
-        "product_near_boundary", tail_gap <= 1e-12, tail_gap, 1e-12,
-        "profile frozen past the plateau, sampled on {} grid points".format(
-            tail.size))
-    return shape, curvature, frozen
 
 
 def nonneg_certificate(profile, metric, planes=10_000, seed=0):
@@ -411,13 +403,11 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
     passed.
 
     The three profile clauses (profile_shape, disc_curvature,
-    product_near_boundary) are the profile's closed-form proof where it
-    has one, the capped sine's: they pass with value 0.0 and a detail
-    saying "proven from the closed form". Otherwise they are read from
-    the sample table, with the minimum of -f''/f over the grid points
-    t > 0 and the largest gap max(|f - plateau|, |f'|) over those past
-    the plateau as values, and a detail saying on how many grid points
-    they were sampled; such a clause cannot see between grid points.
+    product_near_boundary) pass only on a closed-form proof, the capped
+    sine's: with value 0.0 and a detail saying "proven from the closed
+    form". Any other profile fails them, with the trivial bounds 1.0,
+    -inf and +inf as values and a detail saying that they are not
+    proven; the certificate evaluates nothing on the grid for them.
 
     metric_nonneg reads deform._decide, which is exact. Proven, it passes
     with value 0.0, the proven lower bound, and its detail names the
@@ -464,7 +454,7 @@ def nonneg_certificate(profile, metric, planes=10_000, seed=0):
         "plateau_match", gap <= 1e-8, gap, 1e-8,
         "plateau square must equal a r^2/(a-1)"))
 
-    clauses.extend(profile._proof() or _sampled_shape(profile))
+    clauses.extend(profile._proof())
 
     verdict, proof = _decide(metric)
     if verdict == "nonnegative":

@@ -7,9 +7,13 @@ Q-norm 2 and every factor at deformation scale 1 is a round 3-sphere of
 sectional curvature 1. Batched inputs are allowed everywhere: any leading
 axes in front of the trailing (n, 3) are treated as sample dimensions.
 
-Su2Power.bracket is the package's one closed-form bracket, and a
-ReductiveSplit keeps k as its basis and the Q-orthogonal projector onto k
-on flat elements, index 3 t + c for component c of factor t.
+Su2Power.bracket is the bracket of the library's float routes. It is
+written out elsewhere on purpose: deform._koszul_curvature keeps its
+own, as the independent route it is; deform._cross does the exact
+arithmetic of the witnesses; and ReductiveSplit.is_abelian compares the
+bracket's terms exactly. A ReductiveSplit keeps k as its basis and the
+Q-orthogonal projector onto k on flat elements, index 3 t + c for
+component c of factor t.
 """
 
 import functools
@@ -237,9 +241,6 @@ class ReductiveSplit:
         flat = u.reshape(u.shape[:-2] + (self.algebra.dim,))
         return (flat @ self._projector).reshape(u.shape)
 
-    def project_m(self, u):
-        return self.algebra.check_element(u) - self.project_k(u)
-
     def is_abelian(self):
         """Whether every pair of k basis vectors brackets to exactly zero,
         in exact arithmetic on their float entries: per factor the bracket
@@ -258,9 +259,3 @@ class ReductiveSplit:
                    == Fraction(x[m]) * Fraction(y[l])
                    for s, X in enumerate(basis) for Y in basis[s + 1:]
                    for x, y in zip(X, Y) for l, m in ((0, 1), (1, 2), (2, 0)))
-
-    def contains(self, u, tol=1e-9):
-        u = self.algebra.check_element(u)
-        resid = self.algebra.norm(self.project_m(u))
-        scale = np.maximum(1.0, self.algebra.norm(u))
-        return bool(np.all(resid <= tol * scale))

@@ -24,6 +24,9 @@ from milnor.glue import (
 from milnor.liealg import ReductiveSplit, Su2Power
 
 
+PROFILE_CLAUSES = ("profile_shape", "disc_curvature", "product_near_boundary")
+
+
 def circle_metric(a, factors=1):
     alg = Su2Power(factors)
     direction = alg.zero()
@@ -322,8 +325,7 @@ def test_profile_validation_requires_positivity_before_the_plateau():
     lambda: ProfileFunction.capped_sine(Fraction(4, 3), 1),
     lambda: ProfileFunction.capped_sine(Fraction(7, 6), Fraction(3, 2),
                                         grid_step=0.01),
-    convex_profile,
-], ids=["capped-sine", "capped-sine-coarse", "convex"])
+], ids=["capped-sine", "capped-sine-coarse"])
 def test_grid_clauses_match_a_pointwise_recomputation(make):
     profile = make()
     cert = nonneg_certificate(profile, circle_metric(Fraction(4, 3)),
@@ -386,7 +388,8 @@ def test_a_grid_just_inside_the_point_cap_is_built():
 def test_profile_closed_forms_run_a_fixed_number_of_times(tmp_path):
     """The grid is sampled once, in arrays: the number of calls into f,
     f' and f'' through construction, certificate and CSV export does not
-    grow with the grid."""
+    grow with the grid. The certificate fails only the profile clauses,
+    which a profile with no proof cannot pass."""
     params = glue_params(Fraction(4, 3), 1)
     metric = circle_metric(Fraction(4, 3))
 
@@ -403,7 +406,8 @@ def test_profile_closed_forms_run_a_fixed_number_of_times(tmp_path):
         for key in ("value", "derivative", "second_derivative"):
             spec[key] = counted(spec[key])
         profile = ProfileFunction(grid_step=grid_step, **spec)
-        assert nonneg_certificate(profile, metric, planes=200, seed=0).passed
+        cert = nonneg_certificate(profile, metric, planes=200, seed=0)
+        assert [c.name for c in cert.failed()] == list(PROFILE_CLAUSES)
         profile.export_csv(tmp_path / "profile.csv")
         return count["n"], len(profile.grid)
 
@@ -414,19 +418,20 @@ def test_profile_closed_forms_run_a_fixed_number_of_times(tmp_path):
 
 def test_certifying_a_capped_sine_builds_no_samples(monkeypatch):
     """The capped sine's three profile clauses come from its closed form:
-    construction and the certificate evaluate none of f, f', f'' on the
-    grid, nor build the grid, and they pass at 0.0 with a detail saying
-    they are proven."""
-    sampled = []
-    monkeypatch.setattr(glue, "_sampled_shape", sampled.append)
+    construction and the certificate run no validate(), evaluate none of
+    f, f', f'' on the grid, nor build the grid, and they pass at 0.0 with
+    a detail saying they are proven."""
+    validated = []
+    monkeypatch.setattr(ProfileFunction, "validate",
+                        lambda self: validated.append(self))
     for a, step in ((Fraction(4, 3), None), (Fraction(6, 5), 0.001)):
         profile = ProfileFunction.capped_sine(a, 1, grid_step=step)
         assert "grid" not in vars(profile)
         cert = nonneg_certificate(profile, circle_metric(a), planes=100)
-        assert cert.passed and sampled == []
+        assert cert.passed and validated == []
         assert "_samples" not in vars(profile) and "_ts" not in vars(profile)
         assert "grid" not in vars(profile)
-        for name in ("profile_shape", "disc_curvature", "product_near_boundary"):
+        for name in PROFILE_CLAUSES:
             clause = cert.clause(name)
             assert clause.passed and clause.value == 0.0
             assert "proven from the closed form" in clause.detail
@@ -450,16 +455,20 @@ def test_reading_a_capped_sine_builds_its_samples(tmp_path, read):
     assert np.array_equal(profile._ts, by_hand._ts)
 
 
-def bumped_profile():
+def bumped_profile(gap=400, centre=0.5, width=0.1, height=0.6):
     """The capped sine for a = 4/3, r = 1 with a quartic bump
-    c (1 - s^2)^2, s = (t - m) / w, of width step/10 centred between grid
-    points 400 and 401. At its edges f'' jumps to about 8c / w^2, so
-    -f''/f reaches about -3.8 there, while every grid point misses it."""
+    c (1 - s^2)^2, s = (t - m) / w, and a point near its edge. The bump
+    is centred at m = (gap + centre) step, between grid points gap and
+    gap + 1, and w is width times m's distance to the nearer of them, so
+    every grid point misses it. At its edges f'' jumps to about
+    8c / w^2 = 8 height; by default w = step/20, and -f''/f reaches about
+    -3.8 there."""
     params = glue_params(Fraction(4, 3), 1)
     spec = sine_cap(params)
     step = params.t_plateau / 1000.0
-    mid, w = 400.5 * step, step / 20.0
-    c = 0.6 * w * w
+    mid = (gap + centre) * step
+    w = width * min(centre, 1.0 - centre) * step
+    c = height * w * w
 
     def bumped(base, derivative):
         def fn(t):
@@ -474,35 +483,38 @@ def bumped_profile():
     return ProfileFunction(**spec), mid + 0.99 * w
 
 
-def test_a_user_profile_says_its_clauses_are_sampled():
-    """A profile built from arbitrary closed forms has no proof: its three
-    profile clauses say on how many grid points they were sampled, never
-    that they are proven. The bump profile shows why: -f''/f < -3 at the
-    bump's edge, which no grid point sees."""
+def test_a_user_profile_fails_its_unproven_clauses():
+    """A profile built from arbitrary closed forms has no proof, so its
+    certificate fails its three profile clauses, with the trivial bounds
+    as values and a detail saying they are not proven, and passes the
+    others. The bump profile shows why a grid check proves nothing:
+    -f''/f < -3 at the bump's edge, which no grid point sees, and
+    construction accepts it."""
     profile, edge = bumped_profile()
     assert profile.disc_curvature(edge) < -3.0
     cert = nonneg_certificate(profile, circle_metric(Fraction(4, 3)), planes=100)
-    n = profile.grid.size
-    past = int(np.count_nonzero(profile.grid >= profile.t_plateau))
-    assert [cert.clause(name).detail for name in (
-        "profile_shape", "disc_curvature", "product_near_boundary")] == [
-        "sampled on {} grid points and the two join points".format(n),
-        "-f''/f sampled on {} grid points".format(n - 1),
-        "profile frozen past the plateau, sampled on {} grid points".format(past)]
+    assert cert.passed is False
+    assert [c.name for c in cert.failed()] == list(PROFILE_CLAUSES)
+    assert [cert.clause(name).value for name in PROFILE_CLAUSES] == [
+        1.0, -math.inf, math.inf]
+    detail = ("not proven: construction checked the profile only on {} grid "
+              "points and the two join points".format(profile.grid.size))
+    assert [cert.clause(name).detail for name in PROFILE_CLAUSES] == [detail] * 3
     for clause in cert.clauses:
-        assert "proven" not in clause.detail or clause.name == "metric_nonneg"
+        assert "sampled" not in clause.detail
 
 
-def test_a_failed_sampled_shape_keeps_its_reason():
-    """profile_shape of a profile that fails validation gives the
-    failure, then says it was sampled."""
-    clause = nonneg_certificate(convex_profile(), circle_metric(Fraction(4, 3)),
-                                planes=100).clause("profile_shape")
-    assert not clause.passed and clause.value == 1.0
-    assert clause.detail.startswith("profile must close the disc with unit "
-                                    "slope, got ")
-    assert clause.detail.endswith("; sampled on {} grid points and the two "
-                                  "join points".format(convex_profile().grid.size))
+def test_the_capped_sine_discards_its_sine_past_the_plateau():
+    """np.where evaluates both branches; on a plateau of 2e-150, t / F at
+    t = 1e300 used to overflow in the branch it discards, which the
+    suite turns into a failure."""
+    profile = ProfileFunction.capped_sine(Fraction(4, 3), 1e-150)
+    F = profile.plateau
+    assert F == 2e-150
+    assert profile.value(1e300) == F
+    assert profile.derivative(1e300) == 0.0
+    assert profile.second_derivative(1e300) == 0.0
+    assert profile.disc_curvature(1e300) == 0.0
 
 
 def test_certificate_plateau_match_fails_off_window(tmp_path):

@@ -1,5 +1,6 @@
-"""Property tests for the integer layer, and for the exact scale tests of
-glue and deform against the Fraction expressions they replace.
+"""Property tests for the integer layer, for the exact scale tests of
+glue and deform against the Fraction expressions they replace, and for
+the rule that a certificate passes a profile only on a proof.
 
 Hypothesis draws the inputs; every test runs derandomized on a small,
 fixed example budget, so the suite stays deterministic and quick.
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from milnor import bundles, classify, deform, glue, isotropy
 from milnor.errors import NoFiniteMatchingError, ParameterError, ValidationError
 from milnor.liealg import ReductiveSplit, Su2Power
+from test_glue import PROFILE_CLAUSES, bumped_profile, circle_metric
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=60)
@@ -329,3 +331,39 @@ def test_the_scale_thresholds_are_the_fraction_comparisons(a, factors):
     profile = glue.ProfileFunction.capped_sine(FOUR_THIRDS, 1)
     cert = glue.nonneg_certificate(profile, metric, planes=10)
     assert cert.clause("deformation_range").passed == (1 < A <= FOUR_THIRDS)
+
+
+# -- profile clauses pass only on a proof ------------------------------------
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(gap=st.integers(1, 997), centre=st.floats(0.05, 0.95),
+       width=st.floats(0.05, 0.95), height=st.floats(0.1, 1.0))
+@example(gap=400, centre=0.5, width=0.1, height=0.6)   # the tests' bump
+def test_a_profile_without_a_proof_never_passes(gap, centre, width, height):
+    """The bump profile of test_glue, with its bump drawn anywhere
+    between two grid points before the plateau, narrower than its
+    distance to either: no grid point, join point or slope check lies on
+    it, so construction's grid check accepts it. Its height puts f'' at
+    about 8 height, past 1/F = 1/2, at the bump's edge, so -f''/f < 0
+    there. The certificate fails, on exactly its three profile clauses."""
+    profile, edge = bumped_profile(gap, centre, width, height)
+    assert profile.disc_curvature(edge) < 0.0
+    cert = glue.nonneg_certificate(profile, circle_metric(FOUR_THIRDS))
+    assert cert.passed is False
+    assert [clause.name for clause in cert.failed()] == list(PROFILE_CLAUSES)
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(a=st.fractions(1, FOUR_THIRDS, max_denominator=10 ** 6).filter(
+           lambda a: a > 1),
+       r=st.fractions(Fraction(1, 10 ** 6), 10 ** 6, max_denominator=10 ** 6))
+@example(a=FOUR_THIRDS, r=Fraction(1))
+def test_the_capped_sine_passes_in_the_window(a, r):
+    """For a rational a in (1, 4/3] and a rational r > 0, the capped
+    sine's certificate passes every clause, its profile clauses on their
+    closed-form proof."""
+    profile = glue.ProfileFunction.capped_sine(a, r)
+    cert = glue.nonneg_certificate(profile, circle_metric(a))
+    assert cert.passed is True
+    for name in PROFILE_CLAUSES:
+        assert "proven from the closed form" in cert.clause(name).detail

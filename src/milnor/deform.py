@@ -35,7 +35,11 @@ is what the disc gluing construction spends, and the
 curvature_oracle_of_pair method provides a completely independent check
 of the closed form: it computes R(u, v)v from Milnor's formula for the
 Levi-Civita connection of a left-invariant metric, on the m- and k-parts
-of the vectors, with its own bracket and no basis.
+of the vectors, with its own bracket and no basis. A witness's exact
+value is checked by the same formula in integers (_integer_curvature),
+on the recipe's own integer vectors and integer rows spanning k, and
+must equal it exactly; the plane search then checks the float oracle
+at the witness's float frame to _ORACLE_RTOL.
 
 The public methods and functions take and return elements of su(2)^n in
 their (..., n, 3) form. By Milnor (Curvatures of left invariant metrics
@@ -86,6 +90,7 @@ import functools
 import math
 import sys
 from collections import namedtuple
+from operator import mul
 
 import numpy as np
 
@@ -138,9 +143,11 @@ _ORACLE_SLOTS = 10 + 4 * 9 + 3
 #: CHANGES.md). The cap bounds the time: the su(2)^16 diagonal takes about
 #: a minute a scan there.
 MAX_PLANES = 10 ** 6
-#: How far, relative to max(1, |value|), the connection oracle, at the
-#: Q_a-orthonormal frame of a witness plane, may stray from the witness's
-#: exact sectional curvature.
+#: How far, relative to max(1, |value|), the float connection oracle at
+#: the Q_a-orthonormal frame of a witness plane, which find_negative_plane
+#: reports, may stray from the witness's exact sectional curvature. The
+#: witness itself is checked exactly, by _integer_curvature, with no
+#: tolerance: a certificate never reads this.
 _ORACLE_RTOL = 1e-6
 #: The deformation scales DeformedMetric accepts: those on which the
 #: connection oracle still checks the closed form to _ORACLE_RTOL of
@@ -781,32 +788,102 @@ def _nonnegative_rule(metric):
     return None
 
 
-class _Witness(namedtuple("_Witness", "u v value frame oracle plane")):
+class _Witness(namedtuple("_Witness", "u v value frame plane")):
     """A negatively curved plane, exactly: u and v, (n, 3) object arrays of
     ints and Fractions, span it, and value is its exact sectional
-    curvature, a Fraction. frame is a Q_a-orthonormal float pair spanning
-    the plane and oracle the connection oracle's float value there. plane
-    says, in words, where the plane lies."""
+    curvature, a Fraction, which the integer Koszul oracle has checked.
+    frame is a Q_a-orthonormal float pair spanning the plane. plane says,
+    in words, where the plane lies."""
     __slots__ = ()
 
 
-def _witness(metric, u, v, uu, vv, value, plane):
+def _integer_curvature(U, V, p, q, rows, N):
+    """The exact sectional curvature of the plane of U and V, flat integer
+    elements (index 3 t + c) of su(2)^n, at a = p/q with q > 0, from
+    Milnor's connection alone: an integer pair (num, den), den > 0 when U
+    and V span a plane, whose quotient is the value. k is spanned by
+    rows, pairwise Q-orthogonal integer flat elements of one squared norm
+    N, so the projector onto k is sum_s s s^T / N.
+
+    Everything is scaled into integers. H = qN G and H' = pN G^-1 are
+        H x = qN x + (p - q) sum_s (s . x) s,
+        H' x = pN x + (q - p) sum_s (s . x) s,
+    both symmetric. With c = qN and e = pN, Milnor's
+    2 nabla_x y = [x, y] + G^-1 ([x, G y] + [y, G x]) (see
+    _koszul_curvature) becomes
+        n(x, y) = ce [x, y] + H' ([x, H y] + [y, H x]) = 2ce nabla_x y,
+    so R' = n(U, n(V, V)) - n(V, n(U, V)) - 2ce n([U, V], V) is
+    (2ce)^2 R(U, V)V, and the sectional curvature is
+        c <R', H U> / ((2ce)^2 (<H U, U> <H V, V> - <H U, V>^2)),
+    with its own Gram determinant. The bracket is its own too: in each
+    factor twice the cross product.
+
+    Only the factors that U, V or a row touch take part: the bracket is
+    factorwise and H and H' leave an untouched factor at zero, so every
+    vector of the computation is zero there."""
+    touched = [t for t in range(0, len(U), 3)
+               if any(any(x[t:t + 3]) for x in (U, V, *rows))]
+    U, V, *rows = ([x[i] for t in touched for i in range(t, t + 3)]
+                   for x in (U, V, *rows))
+    c, e = q * N, p * N
+    ce = c * e
+
+    def dot(x, y):
+        return sum(map(mul, x, y))
+
+    def scaled(x, diagonal, off):
+        """diagonal x + off sum_s (s . x) s: H x or H' x."""
+        out = [diagonal * xi for xi in x]
+        for s in rows:
+            w = off * dot(s, x)
+            if w:
+                out = [o + w * si for o, si in zip(out, s)]
+        return out
+
+    def bracket(x, y):
+        out = []
+        for t in range(0, len(x), 3):
+            x0, x1, x2 = x[t:t + 3]
+            y0, y1, y2 = y[t:t + 3]
+            out += (2 * (x1 * y2 - x2 * y1), 2 * (x2 * y0 - x0 * y2),
+                    2 * (x0 * y1 - x1 * y0))
+        return out
+
+    def H(x):
+        return scaled(x, c, p - q)
+
+    def n(x, hx, y, hy):
+        """n(x, y) = 2ce nabla_x y, given hx = H x and hy = H y."""
+        turned = scaled([s + t for s, t in zip(bracket(x, hy), bracket(y, hx))],
+                        e, q - p)
+        return [ce * b + g for b, g in zip(bracket(x, y), turned)]
+
+    HU, HV = H(U), H(V)
+    VV, UV, C = n(V, HV, V, HV), n(U, HU, V, HV), bracket(U, V)
+    R = [f - s - 2 * ce * t for f, s, t in zip(
+        n(U, HU, VV, H(VV)), n(V, HV, UV, H(UV)), n(C, H(C), V, HV))]
+    uv = dot(HU, V)
+    return c * dot(R, HU), (2 * ce) ** 2 * (dot(HU, U) * dot(HV, V) - uv * uv)
+
+
+def _witness(metric, u, v, uu, vv, value, plane, U, V, rows, N):
     """The _Witness of the exact plane (u, v), described by plane, given
     Q_a-orthogonal with Q_a norms squared uu and vv, exact or their
     correctly rounded floats, and exact sectional curvature value:
-    (u / sqrt(uu), v / sqrt(vv)) is its frame. The float connection
-    oracle at the frame must agree with the value to _ORACLE_RTOL of
-    max(1, |value|), or AssertionError is raised. The sign is the exact
-    value's: just past the scale where the plane turns negative, the
-    oracle's float scale may lie below it."""
-    frame = (u.astype(float) / math.sqrt(uu), v.astype(float) / math.sqrt(vv))
-    oracle = float(metric.curvature_oracle_of_pair(*frame))
-    rounded = float(value)
-    if abs(oracle - rounded) > _ORACLE_RTOL * max(1.0, abs(rounded)):
+    (u / sqrt(uu), v / sqrt(vv)) is its frame. The integer Koszul oracle
+    (_integer_curvature) on U and V, integer multiples of u and v, with
+    k spanned by rows of squared norm N, must give exactly value, or
+    AssertionError is raised: the recipe's closed form sets the value
+    and the connection checks it, with no tolerance. The values are
+    compared by cross-multiplying their integers."""
+    a = metric.a_exact
+    num, den = _integer_curvature(U, V, a.numerator, a.denominator, rows, N)
+    if not den or num * value.denominator != value.numerator * den:
         raise AssertionError(
-            "exact value {} ({!r}) and oracle {!r} disagree on the witness "
-            "plane".format(value, rounded, oracle))
-    return _Witness(u, v, value, frame, oracle, plane)
+            "exact value {} and integer oracle {}/{} disagree on the witness "
+            "plane".format(value, num, den))
+    frame = (u.astype(float) / math.sqrt(uu), v.astype(float) / math.sqrt(vv))
+    return _Witness(u, v, value, frame, plane)
 
 
 def _cross(x, y):
@@ -834,33 +911,42 @@ def _circle_witness(metric):
     cancels; each entry becomes a Fraction once, and zero entries stay
     the int 0. |A|^2 = PP / D^2 and |B|^2 = BN / BD are kept as integer
     pairs, so with a = p/q the value is the one Fraction
-    (4q - 3p) ZZ BD / (4q PP BN)."""
+    (4q - 3p) ZZ BD / (4q PP BN). The integer oracle checks it on D A,
+    the P_t, and L B, the Q_t times L / (2 |P_t|^2) for L the least
+    common multiple of the 2 |P_t|^2, with k spanned by Z."""
     Fraction = type(metric.a_exact)  # deform never imports fractions
 
     rows = metric.split.k_basis[0].tolist()
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     D = max(den for row in ratios for _, den in row)
     A, B = np.zeros((2, len(rows), 3), dtype=object)
+    Z, U, V = ([0] * (3 * len(rows)) for _ in range(3))
+    halves = []                 # (t, Q_t, 2 |P_t|^2) of each factor of z
     ZZ = PP = BN = 0
     BD = 1
     for t, (row, ratio) in enumerate(zip(rows, ratios)):
         if not any(row):
             continue
-        Z = [num * (D // den) for num, den in ratio]
+        Zt = [num * (D // den) for num, den in ratio]
         axis = min(range(3), key=lambda l: abs(row[l]))
-        P = _cross(Z, [int(l == axis) for l in range(3)])
-        Q = _cross(Z, P)
+        P = _cross(Zt, [int(l == axis) for l in range(3)])
+        Q = _cross(Zt, P)
         pp = sum(x * x for x in P)
         A[t] = [Fraction(x, D) if x else 0 for x in P]
         B[t] = [Fraction(x, 2 * pp) if x else 0 for x in Q]
-        ZZ += sum(x * x for x in Z)
+        Z[3 * t:3 * t + 3], U[3 * t:3 * t + 3] = Zt, P
+        halves.append((t, Q, 2 * pp))
+        ZZ += sum(x * x for x in Zt)
         PP += pp
         # BN / BD += |q_t|^2 = |Q_t|^2 / (4 pp^2)
         BN, BD = BN * 4 * pp * pp + sum(x * x for x in Q) * BD, BD * 4 * pp * pp
+    L = math.lcm(*(two_pp for _, _, two_pp in halves))
+    for t, Q, two_pp in halves:
+        V[3 * t:3 * t + 3] = [x * (L // two_pp) for x in Q]
     p, q = metric.a_exact.numerator, metric.a_exact.denominator
     return _witness(metric, A, B, PP / (D * D), BN / BD,
                     Fraction((4 * q - 3 * p) * ZZ * BD, 4 * q * PP * BN),
-                    "a plane in m")
+                    "a plane in m", U, V, [Z], ZZ)
 
 
 def _is_diagonal(split):
@@ -891,9 +977,18 @@ def _diagonal_witness(metric):
     B[:, 2] = -a
     B[1, 2] = (n - 1) * a
     uu, vv = (A * A).sum() + a * n, (B * B).sum() + a * n
+    # q u and q v in integers, and k spanned by (e_c, ..., e_c), |.|^2 = n
+    p, q = a.numerator, a.denominator
+    U, V = [0] * (3 * n), [0] * (3 * n)
+    U[::3] = [q] * n
+    U[0], U[3] = q + p, q - p
+    V[2::3] = [q - p] * n
+    V[5] = q + (n - 1) * p
+    rows = [[int(i % 3 == c) for i in range(3 * n)] for c in range(3)]
     return _witness(metric, A + X, B + Y, uu, vv,
                     a * (1 - a) ** 3 * (1 + 3 * a) * n / (uu * vv),
-                    "the plane of u = A + X, v = B + Y (A, B in m; X, Y in k)")
+                    "the plane of u = A + X, v = B + Y (A, B in m; X, Y in k)",
+                    U, V, rows, n)
 
 
 def _decide(metric):
@@ -904,7 +999,9 @@ def _decide(metric):
     untwisted diagonal (_is_diagonal) at a > 1; ("undecided", reason)
     otherwise: twisted diagonals, and tori of rank 2 or more past 4/3.
     The diagonal of su(2)^1 is an ideal, so the witness only meets n >= 2.
-    Builds no curvature operator."""
+    A witness's value has been checked exactly by the integer oracle
+    (see _witness), which raises AssertionError on a disagreement. Builds
+    no curvature operator, reads no projector and runs no float oracle."""
     rule = _nonnegative_rule(metric)
     if rule is not None:
         return "nonnegative", rule
@@ -945,14 +1042,16 @@ def find_negative_plane(metric, budget=100_000, seed=0):
 
     found is True exactly when _decide refutes the metric with a witness;
     no float threshold decides it. Then value is the witness's exact
-    sectional curvature as a float, (u, v) a Q_a-orthonormal float frame
-    of its plane, and oracle_value the connection oracle there; a
-    disagreement beyond _ORACLE_RTOL of max(1, |value|) raises
-    AssertionError, so the closed form never certifies itself. Otherwise
-    value and (u, v), again a Q_a-orthonormal frame, describe the scan's
-    minimum plane. evaluations is the number of scanned planes, budget,
-    an int in [1, MAX_PLANES], and scan_min the scan's minimum.
-    Deterministic for a fixed (budget, seed).
+    sectional curvature as a float, which the integer oracle has checked
+    exactly, (u, v) a Q_a-orthonormal float frame of its plane, and
+    oracle_value the float connection oracle there; a disagreement beyond
+    _ORACLE_RTOL of max(1, |value|) raises AssertionError, so the closed
+    form never certifies itself. Otherwise value and (u, v), again a
+    Q_a-orthonormal frame, describe the scan's minimum plane, and
+    oracle_value is the float oracle at that frame. evaluations is the
+    number of scanned planes, budget, an int in [1, MAX_PLANES], and
+    scan_min the scan's minimum. Deterministic for a fixed (budget,
+    seed).
 
     A split _decide leaves undecided reports found=False with its scan
     minimum, even where a negative plane exists: twisted diagonals, and
@@ -966,14 +1065,22 @@ def find_negative_plane(metric, budget=100_000, seed=0):
 
 def _plane_search(metric, scan):
     """find_negative_plane's result on its scan, a ScanResult of the
-    metric, for a caller that has the scan already."""
+    metric, for a caller that has the scan already. The float oracle runs
+    once, at the frame it reports. The sign is the exact value's: just
+    past the scale where a witness plane turns negative, the oracle's
+    float scale may lie below it."""
     verdict, witness = _decide(metric)
     if verdict == "negative":
-        (u, v), value, oracle = witness.frame, float(witness.value), witness.oracle
+        (u, v), value = witness.frame, float(witness.value)
     else:
         u, v = _frame(metric, scan.u, scan.v)
         value = scan.min_value
-        oracle = float(metric.curvature_oracle_of_pair(u, v))
+    oracle = float(metric.curvature_oracle_of_pair(u, v))
+    if verdict == "negative" and \
+            abs(oracle - value) > _ORACLE_RTOL * max(1.0, abs(value)):
+        raise AssertionError(
+            "exact value {} ({!r}) and oracle {!r} disagree on the witness "
+            "plane".format(witness.value, value, oracle))
     return PlaneSearchResult(verdict == "negative", value, u, v, oracle,
                              scan.n_planes, scan.min_value)
 

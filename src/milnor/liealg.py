@@ -9,9 +9,11 @@ axes in front of the trailing (n, 3) are treated as sample dimensions.
 
 Su2Power.bracket is the bracket of the library's float routes. It is
 written out elsewhere on purpose: deform._koszul_curvature keeps its
-own, as the independent route it is; deform._cross does the exact
-arithmetic of the witnesses; and ReductiveSplit.is_abelian compares the
-bracket's terms exactly. A ReductiveSplit keeps k as its basis and the
+own, as the independent route it is; deform._integer_curvature keeps
+another, in integers, for the exact check of a witness plane;
+deform._cross does the exact arithmetic of the witnesses; and
+ReductiveSplit.is_abelian compares the bracket's terms exactly. A
+ReductiveSplit keeps k as its basis and, built on first read, the
 Q-orthogonal projector onto k on flat elements, index 3 t + c for
 component c of factor t.
 """
@@ -177,15 +179,20 @@ class ReductiveSplit:
         return split
 
     def _store(self, algebra, k_basis):
-        """Keep the algebra, the basis and the projector onto k."""
+        """Keep the algebra and the basis; the projector onto k is built
+        on its first read."""
         self.algebra = algebra
         self.k_basis = k_basis
-        self.dim_k = r = len(k_basis)
-        flat = k_basis.reshape(r, algebra.dim)
-        #: The Q-orthogonal projector K^T K onto k, symmetric (dim, dim), on
-        #: flat elements (index 3 t + c for component c of factor t); the
-        #: only stored form of k besides k_basis.
-        self._projector = flat.T @ flat
+        self.dim_k = len(k_basis)
+
+    @functools.cached_property
+    def _projector(self):
+        """The Q-orthogonal projector K^T K onto k, symmetric (dim, dim), on
+        flat elements (index 3 t + c for component c of factor t); the
+        only stored form of k besides k_basis. The exact decision and its
+        witnesses read k_basis alone, so a certificate never builds it."""
+        flat = self.k_basis.reshape(self.dim_k, self.algebra.dim)
+        return flat.T @ flat
 
     @functools.cached_property
     def _pair_brackets(self):
@@ -220,21 +227,24 @@ class ReductiveSplit:
     @classmethod
     def circle(cls, algebra, direction):
         """k = the line spanned by one element (always abelian). The
-        direction is first moved into the binade of its largest entry (see
-        _binade), so its norm neither overflows nor underflows; a
+        direction is first moved into the binade of its largest entry, as
+        _binade does, so its norm neither overflows nor underflows; a
         direction whose own norm is finite and nonzero keeps the basis
-        that norm gives."""
+        that norm gives. That one peak, the largest absolute entry, is
+        also the whole check of the entries: it is NaN or infinite
+        exactly when an entry is, and zero exactly when every entry is."""
         direction = algebra.check_element(np.asarray(direction, dtype=float))
         if direction.ndim != 2:
             raise DimensionMismatchError(
                 "circle direction must be one element (factors, 3)")
-        if not np.isfinite(direction).all():
+        peak = float(np.abs(direction).max())
+        if not math.isfinite(peak):
             raise ValidationError("circle direction must be finite")
-        if not direction.any():
+        if not peak:
             raise ValidationError("circle direction must be nonzero")
-        direction = _binade(direction)
-        return cls._named(
-            algebra, (direction / float(algebra.norm(direction)))[None])
+        direction = np.ldexp(direction, -math.frexp(peak)[1])
+        norm = math.sqrt((direction * direction).sum(axis=(-2, -1)))
+        return cls._named(algebra, (direction / norm)[None])
 
     def project_k(self, u):
         u = self.algebra.check_element(u)

@@ -1837,25 +1837,194 @@ def test_the_decision_settles_every_named_split(factors, kind, index, a):
 @pytest.mark.parametrize("factors", [2, 3, 7])
 def test_the_diagonal_witness_decides_on_the_exact_scale(factors):
     """At a = 1 + 10^-20, whose float is 1.0, the diagonal is refuted with
-    an exact value below zero, though the float oracle there reads about
-    0; it checks the value, it does not set its sign."""
+    an exact value below zero, though the float oracle at the reported
+    frame reads about 0; it checks the value, it does not set its sign."""
     metric = diag_metric(factors, Fraction(1) + Fraction(1, 10 ** 20))
     assert metric.a == 1.0
     verdict, witness = deform._decide(metric)
     assert verdict == "negative"
     check_witness_exactly(metric, witness)
-    assert abs(witness.oracle) <= 1e-12
+    res = find_negative_plane(metric, budget=10)
+    assert res.found and res.value == float(witness.value) < 0
+    assert abs(res.oracle_value) <= 1e-12
 
 
 def test_a_witness_the_oracle_disputes_is_refused(monkeypatch):
-    """The oracle checks the exact value as it checks a reported plane; it
-    does not set the sign, but a disagreement raises."""
+    """The integer oracle checks the exact value, and the float oracle the
+    reported frame; neither sets the sign, but a disagreement raises: an
+    integer oracle that disputes the value in _decide and so in the
+    certificate, a float one in the plane search."""
     metric = span_i_metric(3, Fraction(3, 2))
     assert deform._decide(metric)[1].value == Fraction(-1, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(deform, "_integer_curvature", lambda *args: (1, 2))
+        with pytest.raises(AssertionError, match="disagree"):
+            deform._decide(metric)
+        with pytest.raises(AssertionError, match="disagree"):
+            nonneg_certificate(ProfileFunction.capped_sine(Fraction(3, 2), 1),
+                               metric, planes=10)
+    assert find_negative_plane(metric, budget=10).found
     monkeypatch.setattr(DeformedMetric, "curvature_oracle_of_pair",
                         lambda self, u, v: np.float64(0.5))
+    with pytest.raises(AssertionError, match="disagree"):
+        find_negative_plane(metric, budget=10)
+
+
+def integer_rows(split):
+    """Integer rows spanning k, flat, and their one squared norm N: the
+    stored basis read exactly, as _circle_witness reads a circle's, and
+    scaled by one power of two to integers. On every named split and
+    circle these rows are pairwise Q-orthogonal and of one norm, as the
+    integer oracle takes them."""
+    ratios = [x.as_integer_ratio() for x in split.k_basis.reshape(-1)]
+    D = max(den for _, den in ratios)
+    flat = [num * (D // den) for num, den in ratios]
+    dim = split.algebra.dim
+    rows = [flat[i:i + dim] for i in range(0, len(flat), dim)]
+    N = sum(x * x for x in rows[0])
+    for i, s in enumerate(rows):
+        for j, t in enumerate(rows):
+            assert sum(x * y for x, y in zip(s, t)) == N * (i == j)
+    return rows, N
+
+
+def rows_projector(rows, N):
+    """The exact projector sum_s s s^T / N onto the span of rows."""
+    flat = np.array(rows, dtype=object)
+    return flat.T @ flat * Fraction(1, N)
+
+
+def koszul_sectional(u, v, projector, a):
+    """The sectional curvature of span(u, v), Fraction arrays (n, 3), from
+    the connection oracle over all factors and the exact Q_a Gram
+    determinant; None when they span no plane."""
+    G = np.eye(projector.shape[0], dtype=int) + (a - 1) * projector
+    x, y = u.reshape(-1), v.reshape(-1)
+    gram = (x @ G @ x) * (y @ G @ y) - (x @ G @ y) ** 2
+    if not gram:
+        return None
+    return deform._koszul_curvature(u, v, projector, a) / gram
+
+
+def integer_oracle(U, V, a, rows, N):
+    """deform._integer_curvature at the Fraction a, as a Fraction; None
+    when its Gram determinant is zero."""
+    num, den = deform._integer_curvature(U, V, a.numerator, a.denominator,
+                                         rows, N)
+    return Fraction(num, den) if den else None
+
+
+#: The two label circles of table42_grid rows, along (-3i, 5i, i) and
+#: (i, 5i, i) in su(2)^3; their stored bases are dyadic with denominators
+#: near 2^52.
+LABEL_CIRCLES = [((-3, 0, 0), (5, 0, 0), (1, 0, 0)),
+                 ((1, 0, 0), (5, 0, 0), (1, 0, 0))]
+#: Every named split of su(2)^1..3, as (factors, index into
+#: named_splits), and the label circles, as (3, direction).
+ORACLE_SPLITS = [(factors, index) for factors in (1, 2, 3)
+                 for index in range(factors + 4)] + [
+                     (3, direction) for direction in LABEL_CIRCLES]
+#: Criterion 08's exact scales.
+CRITERION_08_SCALES = [Fraction(1, 7), Fraction(1, 2), Fraction(9, 10),
+                       Fraction(1), Fraction(21, 20), Fraction(4, 3),
+                       Fraction(3, 2), Fraction(5)]
+
+
+def oracle_split(factors, which):
+    if isinstance(which, int):
+        return named_splits(factors)[which]
+    return circle(which)
+
+
+@pytest.mark.parametrize("factors, which", ORACLE_SPLITS, ids=str)
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(a=st.sampled_from(CRITERION_08_SCALES),
+       entries=st.lists(st.integers(-40, 40), min_size=18, max_size=18),
+       dens=st.tuples(st.integers(1, 30), st.integers(1, 30)))
+def test_the_integer_oracle_is_the_connection_oracle_in_fractions(
+        factors, which, a, entries, dens):
+    """At rational pairs u = U / d_u, v = V / d_v the integer oracle on U
+    and V gives exactly the sectional curvature that _koszul_curvature
+    gives on Fraction arrays, with the exact projector of its rows, over
+    the exact Q_a Gram determinant. The rows span the stored k: their
+    projector is the split's to 1e-15."""
+    split = oracle_split(factors, which)
+    rows, N = integer_rows(split)
+    projector = rows_projector(rows, N)
+    assert np.max(np.abs(projector.astype(float) - split._projector)) <= 1e-15
+    dim = 3 * factors
+    U, V = entries[:dim], entries[9:9 + dim]
+    u, v = (np.array([Fraction(x, d) for x in X], dtype=object).reshape(-1, 3)
+            for X, d in ((U, dens[0]), (V, dens[1])))
+    want = koszul_sectional(u, v, projector, a)
+    assert integer_oracle(U, V, a, rows, N) == want
+
+
+def test_the_integer_oracle_on_its_support_is_the_full_computation():
+    """The integer oracle runs on the factors that U, V or a row touch;
+    on pairs that leave factors of su(2)^3 untouched, and on a circle
+    with a zero factor, it gives the value of the connection oracle over
+    every factor."""
+    rng = np.random.default_rng(2651)
+    splits = [named_splits(3)[index] for index in (0, 2, 4)]
+    splits.append(circle(((1, 2, 3), (0, 0, 0), (-3, 5, 1))))
+    masks = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 0, 1)]
+    checked = 0
+    for split in splits:
+        rows, N = integer_rows(split)
+        projector = rows_projector(rows, N)
+        for a in (Fraction(1, 2), Fraction(3, 2), Fraction(403, 300)):
+            for mask_u in masks:
+                for mask_v in masks:
+                    U, V = (rng.integers(-9, 10, (3, 3)) * np.array(m)[:, None]
+                            for m in (mask_u, mask_v))
+                    want = koszul_sectional(U.astype(object), V.astype(object),
+                                           projector, a)
+                    got = integer_oracle(U.reshape(-1).tolist(),
+                                         V.reshape(-1).tolist(), a, rows, N)
+                    assert got == want
+                    checked += want is not None
+    assert checked >= 150
+
+
+def test_the_integer_oracle_names_none_of_the_other_routes():
+    """The integer oracle has its own bracket and metric: it reaches none
+    of the closed form's kernel, the float oracle or the witnesses'
+    cross product by name."""
+    others = {"bracket", "project_k", "_operator", "_full_operator",
+              "_koszul_curvature", "_cross", "_projector"}
+    assert not code_names(deform._integer_curvature) & others
+
+
+@pytest.mark.parametrize("factors", [1, 2, 3])
+def test_a_witness_value_off_by_a_trillionth_is_refused(monkeypatch, factors):
+    """A recipe value moved by 1/10^12 is refused, in _decide and in the
+    certificate: the witness is checked exactly, where the float oracle's
+    1e-6 tolerance let it through. On span-i at 3/2 the value is -1/2."""
+    metric = span_i_metric(factors, Fraction(3, 2))
+    assert deform._decide(metric)[1].value == Fraction(-1, 2)
+    exact = deform._witness
+
+    def moved(metric, u, v, uu, vv, value, *rest):
+        return exact(metric, u, v, uu, vv, value + Fraction(1, 10 ** 12), *rest)
+
+    monkeypatch.setattr(deform, "_witness", moved)
     with pytest.raises(AssertionError, match="disagree"):
         deform._decide(metric)
     with pytest.raises(AssertionError, match="disagree"):
         nonneg_certificate(ProfileFunction.capped_sine(Fraction(3, 2), 1),
                            metric, planes=10)
+
+
+def test_a_degenerate_witness_is_refused(monkeypatch):
+    """A recipe whose integers span no plane is refused, whatever its
+    value: the integer oracle's Gram determinant is zero there."""
+    metric = span_i_metric(2, Fraction(3, 2))
+    exact = deform._witness
+
+    def parallel(metric, u, v, uu, vv, value, plane, U, V, rows, N):
+        return exact(metric, u, v, uu, vv, value, plane, U, U, rows, N)
+
+    monkeypatch.setattr(deform, "_witness", parallel)
+    with pytest.raises(AssertionError, match="disagree"):
+        deform._decide(metric)

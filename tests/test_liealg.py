@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnor.errors import DimensionMismatchError, ParameterError, ValidationError
-from milnor.liealg import MAX_FACTORS, ReductiveSplit, Su2Power
+from milnor.liealg import MAX_FACTORS, ReductiveSplit, Su2Power, _binade
 
 RNG = np.random.default_rng(414243)
 
@@ -189,6 +191,70 @@ def test_circles_refuse_a_batch_of_directions():
         with pytest.raises(DimensionMismatchError,
                            match="^circle direction must be one element"):
             ReductiveSplit.circle(alg, np.ones(shape))
+
+
+@st.composite
+def circle_directions(draw):
+    """A nonzero direction of su(2)^1..MAX_FACTORS with entries of size
+    1e-300 to 1e300, either sign, or zero, some rows zero, laid out in C
+    or Fortran order or as a strided view."""
+    factors = draw(st.integers(1, MAX_FACTORS))
+    size = st.floats(1e-300, 1e300)
+    entry = st.one_of(st.just(0.0), size, size.map(lambda x: -x))
+    row = st.one_of(st.just([0.0] * 3), st.lists(entry, min_size=3, max_size=3))
+    rows = draw(st.lists(row, min_size=factors, max_size=factors).filter(
+        lambda rows: any(map(any, rows))))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "strided":
+        wide = np.zeros((factors, 6))
+        wide[:, ::2] = rows
+        return factors, wide[:, ::2]
+    return factors, np.array(rows, order=layout)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(circle_directions())
+def test_a_circle_is_the_binade_arithmetic_bit_for_bit(case):
+    """A circle's basis and projector are, bit for bit, the direction moved
+    into its binade (_binade), over its norm (Su2Power.norm), and that
+    vector's flat.T @ flat, whatever the entries' size, sign and layout."""
+    factors, direction = case
+    alg = Su2Power(factors)
+    split = ReductiveSplit.circle(alg, direction)
+    scaled = _binade(direction)
+    basis = (scaled / float(alg.norm(scaled)))[None]
+    flat = basis.reshape(1, alg.dim)
+    for got, want in ((split.k_basis, basis), (split._projector, flat.T @ flat)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("direction, error, message", [
+    ([[0.0, 0.0, 0.0]] * 2, ValidationError, "circle direction must be nonzero"),
+    ([[0.0, -0.0, 0.0], [0.0, 0.0, 0.0]], ValidationError,
+     "circle direction must be nonzero"),
+    ([[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]], ValidationError,
+     "circle direction must be finite"),
+    ([[1.0, 0.0, 0.0], [0.0, -np.inf, 0.0]], ValidationError,
+     "circle direction must be finite"),
+    ([[np.inf, np.nan, 0.0], [1.0, 0.0, 0.0]], ValidationError,
+     "circle direction must be finite"),
+    ([[1e308, 1e308, 0.0], [0.0, 0.0, np.nan]], ValidationError,
+     "circle direction must be finite"),
+    ([[1.0, 0.0, 0.0]], DimensionMismatchError,
+     r"expected trailing shape \(2, 3\), got \(1, 3\)"),
+    ([1.0, 0.0, 0.0], DimensionMismatchError,
+     r"expected trailing shape \(2, 3\), got \(3,\)"),
+    ([[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]], DimensionMismatchError,
+     r"circle direction must be one element \(factors, 3\)"),
+    ([[[np.nan] * 3] * 2] * 2, DimensionMismatchError,
+     r"circle direction must be one element \(factors, 3\)"),
+])
+def test_a_bad_circle_direction_raises_its_error(direction, error, message):
+    """A zero, non-finite or wrongly shaped direction raises the error type
+    and message it always has: shape first, then finiteness, then zero."""
+    with pytest.raises(error, match="^" + message + "$"):
+        ReductiveSplit.circle(Su2Power(2), direction)
 
 
 def test_split_requires_orthonormal_basis():
